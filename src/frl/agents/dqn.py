@@ -8,8 +8,12 @@ with augmentation the batch is rewritten by the learned dynamics and
 reward models to follow the block's projected transition, otherwise the
 heads read the observed (s', r) with the action projected in place.
 Parametric mixers take one further TD step on B with the head values
-frozen; the average mixer has nothing to train.  Dynamics and reward
-models train once per episode from recent replay data.
+frozen; the average mixer has nothing to train.  The target network's
+head values at B's next states are computed once per batch and shared
+by every head step on B and by the mixer step, whose greedy target
+sweep runs on the mixer alone; only a batch rewritten by augmentation
+needs its own target forward.  Dynamics and reward models train once
+per episode from recent replay data.
 
 Randomness is split into fixed streams (network init, action selection,
 batch indices, model batches, augmentation noise) so metric streams are
@@ -76,9 +80,14 @@ class DqnConfig:
         if self.mixer not in MIXERS:
             raise ConfigurationError(f"unknown mixer {self.mixer!r}; expected one of {MIXERS}")
         self.hidden = tuple(int(h) for h in self.hidden)
-        for name in ("episodes", "episode_len", "batch_size", "train_every", "target_update_every"):
+        for name in (
+            "episodes", "episode_len", "batch_size", "train_every", "target_update_every",
+            "eval_every", "eval_episodes",
+        ):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.target_tau is not None and not 0.0 < self.target_tau <= 1.0:
+            raise ConfigurationError("target_tau must be in (0, 1], or None for hard copies")
         for name in ("epsilon_start", "epsilon_end", "noop_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
@@ -127,14 +136,17 @@ def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noo
     return SelectionMeta(tuple(int(a) for a in action), None, False)
 
 
-def _head_td_step(net, target_net, trunk_opts, records, k, gamma):
-    """One Huber TD step on block k's head at the taken block action."""
-    states, actions, rewards, next_states, dones = batch_arrays(records)
+def _head_td_step(net, trunk_opts, arrays, z_next, k, gamma):
+    """One Huber TD step on block k's head at the taken block action.
+
+    `arrays` is the batch as batch_arrays returns it and `z_next` the
+    target network's head values at its next states.
+    """
+    states, actions, rewards, _, dones = arrays
     sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
-    z_next, _ = target_net.head_values(next_states)
     targets = rewards + gamma * (1.0 - dones) * z_next[:, sl].max(axis=1)
     z, caches = net.head_values(states)
-    rows = np.arange(len(records))
+    rows = np.arange(len(states))
     cols = net.offsets[k] + actions[:, k]
     loss, dq = huber(z[rows, cols], targets)
     dz = np.zeros_like(z)
@@ -148,11 +160,15 @@ def _head_td_step(net, target_net, trunk_opts, records, k, gamma):
     return loss
 
 
-def _mixer_td_step(net, target_net, mixer_opt, records, gamma):
-    """One Huber TD step on the mixer with head outputs frozen."""
-    states, actions, rewards, next_states, dones = batch_arrays(records)
-    greedy_next = target_net.greedy(next_states)
-    q_next, _ = target_net.joint_q(next_states, greedy_next)
+def _mixer_td_step(net, target_net, mixer_opt, arrays, z_next, gamma):
+    """One Huber TD step on the mixer with head outputs frozen.
+
+    The target's greedy sweep and joint value both read `z_next`, the
+    target head values at the batch's next states.
+    """
+    states, actions, rewards, _, dones = arrays
+    greedy_next = target_net.greedy_of_heads(z_next)
+    q_next = target_net.joint_q_of_heads(z_next, greedy_next)
     targets = rewards + gamma * (1.0 - dones) * q_next
     q, cache = net.joint_q(states, actions)
     loss, dq = huber(q, targets)
@@ -263,18 +279,24 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                 if ep < cfg.learning_starts or global_step % cfg.train_every != 0:
                     continue
                 batch = buffers.global_buffer.sample(batch_rng, cfg.batch_size)
+                arrays = batch_arrays(batch)
                 use_models = augmenting and dynamics.ready() and reward_model.ready()
                 used_models = used_models or use_models
+                z_next = None
+                if mixer_opt is not None or not use_models:
+                    # one target forward serves every step that reads the sampled batch
+                    z_next, _ = target_net.head_values(arrays[3])
                 for k in range(n_blocks):
                     if use_models:
-                        b_k = augment_batch(batch, k, dynamics, reward_model, noop, aug_rng)
+                        arrays_k = batch_arrays(augment_batch(batch, k, dynamics, reward_model, noop, aug_rng))
+                        z_next_k, _ = target_net.head_values(arrays_k[3])
                     else:
                         # projected in place: the head only reads action[:, k],
                         # keeping the observed next state and reward
-                        b_k = batch
-                    head_losses.append(_head_td_step(net, target_net, trunk_opts, b_k, k, cfg.discount))
+                        arrays_k, z_next_k = arrays, z_next
+                    head_losses.append(_head_td_step(net, trunk_opts, arrays_k, z_next_k, k, cfg.discount))
                 if mixer_opt is not None:
-                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, batch, cfg.discount))
+                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, arrays, z_next, cfg.discount))
                 last = head_losses[-n_blocks:] + mixer_losses[-1:]
                 if not np.all(np.isfinite(last)):
                     raise NumericError(

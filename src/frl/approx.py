@@ -248,9 +248,11 @@ class DecomposedQNet:
     mixer sees the full head vector with unselected entries zeroed, so
     its input dimension is the concatenated action count.
 
-    Greedy actions come from two coordinate passes through the mixer,
-    started at the per-head argmax.  With the average mixer this reduces
-    to the per-head argmax immediately.
+    Greedy actions start at the per-head argmax and take coordinate
+    passes through the mixer.  A call costs one trunk forward for the
+    batch, then one stacked mixer forward per pass and block that scores
+    every candidate of that block; the trunk never sees a candidate.
+    With the average mixer greedy is the per-head argmax.
     """
 
     def __init__(
@@ -358,6 +360,13 @@ class DecomposedQNet:
             mask[np.arange(n), self.offsets[k] + col] = 1.0
         return mask
 
+    def _mix(self, masked: np.ndarray):
+        """Joint values of masked head vectors: (values (n,), mixer cache)."""
+        if self.mixer is None:
+            return masked.sum(axis=1) / len(self.block_sizes), None
+        out = self.mixer.forward(masked)
+        return out[:, 0], self.mixer._cache
+
     def joint_q(self, states: np.ndarray, actions: np.ndarray):
         """Joint value of (state, per-block action) pairs.
 
@@ -365,16 +374,13 @@ class DecomposedQNet:
         """
         z, head_caches = self.head_values(states)
         mask = self._mask(actions)
-        masked = z * mask
-        if self.mixer is None:
-            q = masked.sum(axis=1) / len(self.block_sizes)
-            mix_cache = None
-        else:
-            out = self.mixer.forward(masked)
-            mix_cache = self.mixer._cache
-            q = out[:, 0]
-        cache = {"head_caches": head_caches, "mask": mask, "mix_cache": mix_cache, "n": masked.shape[0]}
+        q, mix_cache = self._mix(z * mask)
+        cache = {"head_caches": head_caches, "mask": mask, "mix_cache": mix_cache, "n": z.shape[0]}
         return q, cache
+
+    def joint_q_of_heads(self, z: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """Joint values (n,) from head values `z` that head_values returned."""
+        return self._mix(z * self._mask(actions))[0]
 
     def backward_joint(self, grad_q: np.ndarray, cache, detach_heads: bool = False):
         """Backprop d(loss)/d(joint value) through mixer and heads.
@@ -411,25 +417,34 @@ class DecomposedQNet:
     def greedy(self, states: np.ndarray, passes: int = 2) -> np.ndarray:
         """Per-block greedy actions via coordinate sweeps through the mixer.
 
+        Costs one trunk forward for the batch, then one stacked mixer
+        forward per pass and block; greedy_of_heads runs the sweep.
+        """
+        z, _ = self.head_values(states)
+        return self.greedy_of_heads(z, passes)
+
+    def greedy_of_heads(self, z: np.ndarray, passes: int = 2) -> np.ndarray:
+        """Greedy actions for head values `z` (n, head_dim) from head_values.
+
         Starts at each head's own argmax; each pass re-picks every block
         against the others' current choices.  A block only moves when
         the switch strictly improves the mixed value, so a mixer that is
         flat (e.g. freshly initialized) leaves the per-head argmax in
-        place instead of collapsing every block to action 0.
+        place instead of collapsing every block to action 0.  Each pass
+        and block scores all b candidates of all n rows with one mixer
+        forward over an (n * b, head_dim) stack.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        z, _ = self.head_values(states)
+        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         actions = np.stack([s.argmax(axis=1) for s in self.block_slices(z)], axis=1)
         if self.mixer is None:
             return actions
-        rows = np.arange(states.shape[0])
+        n = z.shape[0]
+        rows = np.arange(n)
         for _ in range(passes):
             for k, b in enumerate(self.block_sizes):
-                scores = np.empty((states.shape[0], b))
-                for a in range(b):
-                    cand = actions.copy()
-                    cand[:, k] = a
-                    scores[:, a], _ = self.joint_q(states, cand)
+                cand = np.repeat(actions, b, axis=0)
+                cand[:, k] = np.tile(np.arange(b), n)
+                scores = self.joint_q_of_heads(np.repeat(z, b, axis=0), cand).reshape(n, b)
                 best = scores.argmax(axis=1)
                 improves = scores[rows, best] > scores[rows, actions[:, k]]
                 actions[improves, k] = best[improves]

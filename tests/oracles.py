@@ -154,3 +154,31 @@ def enumerate_optimal_values(spec):
     eye = np.eye(n)
     values = np.linalg.solve(eye[None] - spec.discount * P_pi, r_pi[..., None])[..., 0]
     return values.max(axis=0), values
+
+
+def coordinate_sweep_greedy(net, states, passes=2):
+    """Greedy joint actions by re-running `net.joint_q` on every candidate.
+
+    Starts at each head's argmax; each pass re-picks every block against
+    the others' current choices, moving only on a strict improvement.
+    """
+    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    z, _ = net.head_values(states)
+    actions = np.stack(
+        [z[:, net.offsets[k] : net.offsets[k + 1]].argmax(axis=1) for k in range(len(net.block_sizes))],
+        axis=1,
+    )
+    if net.mixer is None:
+        return actions
+    rows = np.arange(states.shape[0])
+    for _ in range(passes):
+        for k, b in enumerate(net.block_sizes):
+            scores = np.empty((states.shape[0], b))
+            for a in range(b):
+                cand = actions.copy()
+                cand[:, k] = a
+                scores[:, a], _ = net.joint_q(states, cand)
+            best = scores.argmax(axis=1)
+            improves = scores[rows, best] > scores[rows, actions[:, k]]
+            actions[improves, k] = best[improves]
+    return actions

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import frl.agents.dqn as dqn_module
 from frl.agents import (
     BcqConfig,
     BcqNet,
@@ -303,11 +304,68 @@ def test_metrics_stream_is_bit_identical_across_runs():
     assert json.dumps(a) == json.dumps(b)
 
 
+def _record_head_values(monkeypatch):
+    """Keep a copy of the states passed to every DecomposedQNet.head_values."""
+    calls = []
+    original = DecomposedQNet.head_values
+
+    def recorded(self, states):
+        calls.append(np.array(states, dtype=np.float64, ndmin=2))
+        return original(self, states)
+
+    monkeypatch.setattr(DecomposedQNet, "head_values", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("mixer", ["average", "linear", "relu"])
+def test_greedy_runs_the_trunk_once(monkeypatch, mixer):
+    calls = _record_head_values(monkeypatch)
+    _net(block_sizes=(3, 4, 5), mixer=mixer).greedy(np.zeros((6, 4)))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("augmentation", [False, True])
+def test_training_step_trunk_forwards(monkeypatch, augmentation):
+    """Target head values are shared by the head and mixer steps of a batch;
+    only a batch rewritten by augmentation gets its own target forward."""
+    calls = _record_head_values(monkeypatch)
+    steps, augmented = [], []
+    mixer_step, augment = dqn_module._mixer_td_step, dqn_module.augment_batch
+
+    def counted_mixer_step(*args):
+        steps.append(1)
+        return mixer_step(*args)
+
+    def recorded_augment(*args):
+        out = augment(*args)
+        augmented.append(np.stack([r.next_state for r in out]))
+        return out
+
+    monkeypatch.setattr(dqn_module, "_mixer_td_step", counted_mixer_step)
+    monkeypatch.setattr(dqn_module, "augment_batch", recorded_augment)
+    cfg = _small_cfg(mixer="linear", mixer_hidden=6, augmentation=augmentation,
+                     model_steps_per_episode=1, model_batch_size=8)
+    ad_dqn_train(PointMassEnv(bins=3, episode_len=15, seed=2), cfg)
+    batch_sized = [c for c in calls if len(c) == cfg.batch_size]
+    assert steps and bool(augmented) == augmentation
+    # two-block env: one shared target forward, one online forward per
+    # head step and one for the mixer step
+    assert len(batch_sized) == 4 * len(steps) + len(augmented)
+    for next_states in augmented:
+        assert any(np.array_equal(next_states, c) for c in batch_sized)
+
+
 def test_augmentation_requires_block_dims():
     env = copy.deepcopy(PointMassEnv(bins=3, episode_len=5, seed=0))
     del env.block_dims
     with pytest.raises(ConfigurationError):
         ad_dqn_train(env, _small_cfg(augmentation=True))
+
+
+@pytest.mark.parametrize("field, value", [("eval_every", 0), ("eval_episodes", 0), ("target_tau", 1.5)])
+def test_config_rejects_settings_that_break_training(field, value):
+    with pytest.raises(ConfigurationError):
+        _small_cfg(**{field: value})
 
 
 def test_presets_cover_the_configuration_grid():

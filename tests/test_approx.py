@@ -17,7 +17,7 @@ from frl.approx import (
     target_update,
 )
 from frl.errors import ConfigurationError, NumericError, ShapeError, StateError
-from oracles import finite_difference_grads
+from oracles import coordinate_sweep_greedy, finite_difference_grads
 
 
 def manual_mlp_forward(net, x):
@@ -168,6 +168,26 @@ def test_greedy_coordinate_sweep_never_hurts():
     q_greedy, _ = net.joint_q(states, greedy)
     assert (q_greedy >= q_start - 1e-12).all()
     np.testing.assert_array_equal(greedy, net.greedy(states))  # deterministic
+
+
+@pytest.mark.parametrize("mixer", ["linear", "relu"])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("sizes", [(9, 9), (3, 4, 5), (2, 2, 2, 2)])
+@pytest.mark.parametrize("flat", [False, True])
+def test_greedy_matches_per_candidate_sweep_oracle(mixer, shared, sizes, flat):
+    rng = np.random.default_rng(11)
+    net = DecomposedQNet(4, sizes, hidden=(16, 16), mixer=mixer, mixer_hidden=8, shared_trunk=shared, rng=rng)
+    if flat:
+        # as ad_dqn_train initialises it: every candidate scores the same
+        net.mixer.weights[-1][:] = 0.0
+    for n in (1, 7, 128):
+        states = rng.normal(size=(n, 4))
+        got = net.greedy(states)
+        np.testing.assert_array_equal(got, coordinate_sweep_greedy(net, states))
+    z, _ = net.head_values(states)
+    per_head = np.stack([s.argmax(axis=1) for s in net.block_slices(z)], axis=1)
+    # the flat mixer keeps the per-head argmax; a random one moves some blocks
+    assert (got == per_head).all() == flat
 
 
 def test_joint_q_action_validation():

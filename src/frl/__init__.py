@@ -33,6 +33,7 @@ from .factored_mdp import (
     interventional_transition,
     noop_propensity,
     projected_transition,
+    transition_rows,
 )
 from .indexing import MixedRadix
 

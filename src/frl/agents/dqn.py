@@ -82,10 +82,14 @@ class DqnConfig:
         self.hidden = tuple(int(h) for h in self.hidden)
         for name in (
             "episodes", "episode_len", "batch_size", "train_every", "target_update_every",
-            "eval_every", "eval_episodes",
+            "eval_every", "eval_episodes", "model_steps_per_episode", "model_batch_size",
         ):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        if self.learning_starts < 0:
+            raise ConfigurationError("learning_starts must be non-negative")
+        if not 0.0 < self.discount <= 1.0:
+            raise ConfigurationError("discount must be in (0, 1]")
         if self.target_tau is not None and not 0.0 < self.target_tau <= 1.0:
             raise ConfigurationError("target_tau must be in (0, 1], or None for hard copies")
         for name in ("epsilon_start", "epsilon_end", "noop_fraction"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
-from ..factored_mdp import FactoredMdpSpec, interventional_transition, projected_transition
+from ..factored_mdp import FactoredMdpSpec, transition_rows
 from .replay import TransitionRecord, batch_arrays
 
 
@@ -180,7 +180,6 @@ class TabularModelSampler:
         self.noop_actions = tuple(
             int(a) for a in (noop_actions if noop_actions is not None else [0] * spec.n_blocks)
         )
-        self._rows: dict[tuple, np.ndarray] = {}
 
     def _codes(self, states) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -193,26 +192,14 @@ class TabularModelSampler:
     def ready(self, k=None) -> bool:
         return True
 
-    def _row(self, s: int, k: int, a_k: int, noop) -> np.ndarray:
-        if self.mode == "projected":
-            key = ("proj", s, k, a_k)
-            if key not in self._rows:
-                self._rows[key] = projected_transition(self.spec, k, s, a_k)
-        else:
-            joint = list(noop)
-            joint[k] = a_k
-            key = ("pad", s, tuple(joint))
-            if key not in self._rows:
-                self._rows[key] = interventional_transition(self.spec, s, tuple(joint))
-        return self._rows[key]
-
     def sample_projected_next(self, states, k: int, actions_k, noop_actions=None, rng=None) -> np.ndarray:
         codes = self._codes(states)
-        actions_k = np.asarray(actions_k, dtype=np.int64)
-        noop = tuple(int(a) for a in noop_actions) if noop_actions is not None else self.noop_actions
+        noop = noop_actions if noop_actions is not None else self.noop_actions
+        blocks = np.tile(np.asarray(noop, dtype=np.int64), (len(codes), 1))
+        blocks[:, k] = actions_k
+        rows = transition_rows(self.spec, codes, blocks, (k,) if self.mode == "projected" else None)
         out = np.zeros((len(codes), self.spec.n_states))
-        for i, (s, a_k) in enumerate(zip(codes, actions_k)):
-            row = self._row(int(s), k, int(a_k), noop)
+        for i, row in enumerate(rows):
             out[i, rng.choice(self.spec.n_states, p=row)] = 1.0
         return out
 

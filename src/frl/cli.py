@@ -8,9 +8,8 @@ in flight (and afterwards, if it failed), so partial outputs are never
 mistaken for finished ones.
 
 Exit codes: 0 success, 2 configuration problems (bad flags, malformed
-files, failed validation), 1 runtime failures.  `FRL_THREADS` sets the
-worker count for seed/trial fan-out; `FRL_OUT` prefixes relative output
-paths.
+files, failed validation), 1 runtime failures.  `FRL_OUT` prefixes
+relative output paths.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,13 +69,6 @@ def _out_path(raw: str) -> Path:
     if path.is_absolute():
         return path
     return Path(os.environ.get("FRL_OUT", ".")) / path
-
-
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("FRL_THREADS", "1")))
-    except ValueError as e:
-        raise ConfigurationError(f"FRL_THREADS must be an integer: {e}") from e
 
 
 @contextlib.contextmanager
@@ -212,11 +203,9 @@ def _cmd_mbfpi(args) -> int:
     spec = _load_spec(args.spec)
     init = FactoredPolicy(np.zeros((spec.n_blocks, spec.n_states), dtype=np.int64))
     config = {"subcommand": "mbfpi", "spec": args.spec, "block_order": args.block_order,
-              "seed": args.seed, "eval_tol": args.eval_tol}
+              "seed": args.seed}
     with _run_dir(_out_path(args.out), config) as run:
-        trace = factored_policy_iteration(
-            spec, init, block_order=args.block_order, eval_tol=args.eval_tol, seed=args.seed
-        )
+        trace = factored_policy_iteration(spec, init, block_order=args.block_order, seed=args.seed)
         (run / "metrics.jsonl").write_text(trace.to_jsonl())
         values = trace.final_values
         _write_csv(
@@ -239,8 +228,7 @@ def _cmd_sample_complexity(args) -> int:
               "trials": args.trials, "delta": args.delta, "seed": args.seed}
     with _run_dir(_out_path(args.out), config) as run:
         rows = sample_complexity_experiment(
-            spec, sizes, args.trials, args.delta, args.seed,
-            workers=_n_workers(), keep_trials=True,
+            spec, sizes, args.trials, args.delta, args.seed, keep_trials=True
         )
         lines = []
         for row in rows:
@@ -308,14 +296,7 @@ def _cmd_train_online(args) -> int:
     overrides = _parse_overrides(args.set, DqnConfig)
     seeds = _int_list(args.seeds)
     root = _out_path(args.out)
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda s: _one_online_run(args.preset, s, args, overrides, root), seeds
-            ))
-    else:
-        rows = [_one_online_run(args.preset, s, args, overrides, root) for s in seeds]
+    rows = [_one_online_run(args.preset, s, args, overrides, root) for s in seeds]
     rows.sort(key=lambda r: r["seed"])
     header = list(rows[0].keys())
     _write_csv(root / "summary.csv", header, [[r[h] for h in header] for r in rows])
@@ -430,13 +411,7 @@ def _cmd_train_offline(args) -> int:
     episodes = load_episodes(args.episodes)
     seeds = _int_list(args.seeds)
     root = _out_path(args.out)
-    workers = _n_workers()
-    run = lambda s: _one_offline_run(args.preset, s, args, episodes, spec, overrides, root)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, seeds))
-    else:
-        rows = [run(s) for s in seeds]
+    rows = [_one_offline_run(args.preset, s, args, episodes, spec, overrides, root) for s in seeds]
     rows.sort(key=lambda r: r["seed"])
     header = list(rows[0].keys())
     _write_csv(root / "summary.csv", header, [[r[h] for h in header] for r in rows])
@@ -588,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--block-order", choices=("round_robin", "random"), default="round_robin")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-tol", type=float, default=1e-10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mbfpi)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
-from ..factored_mdp import FactoredMdpSpec, interventional_transition
+from ..factored_mdp import FactoredMdpSpec, transition_rows
 from ..ope import EpisodeLog
 
 
@@ -38,17 +38,15 @@ def generate_offline_dataset(
     rng = np.random.default_rng(seed)
     terminal = spec.terminal_states
     out = []
-    # transition rows are reused heavily; cache them lazily
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    rows = np.empty((spec.n_states, spec.n_actions, spec.n_states))
+    for a, blocks in enumerate(spec.action_radix.table()):
+        rows[:, a] = transition_rows(spec, np.arange(spec.n_states), blocks)
     for _ in range(episodes):
         s = int(rng.choice(spec.n_states, p=spec.init_dist))
         states, actions, rewards, props = [], [], [], []
         for _ in range(horizon):
             a = int(rng.choice(spec.n_actions, p=behavior[s]))
-            key = (s, a)
-            if key not in rows:
-                rows[key] = interventional_transition(spec, s, a)
-            s_next = int(rng.choice(spec.n_states, p=rows[key]))
+            s_next = int(rng.choice(spec.n_states, p=rows[s, a]))
             states.append(s)
             actions.append(a)
             rewards.append(float(spec.reward[s, s_next]))

@@ -13,12 +13,20 @@ state within a single step.
 
 Joint states and joint actions are dense mixed-radix codes (see
 `frl.indexing`); every table in this module is a dense ndarray.
+
+`transition_rows` is the one transition kernel: it builds a batch of
+dense next-state rows for any mix of states, block actions and
+intervening blocks, gathering through index arrays the spec builds on
+first use.  `evaluate` (one dense linear solve) and `backup` (one
+Bellman backup per state) are the policy evaluation and the Q-value
+step every tabular planner applies to those rows.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +88,23 @@ class SigmaTable:
         t = np.asarray(self.table, dtype=np.int64)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+
+@dataclass(frozen=True)
+class _KernelIndex:
+    """Per-state index arrays the transition kernel gathers through.
+
+    `pre_rows[k][s]` is block k's precondition row at state s and
+    `eff_codes[k][s]` the code of block k's effect values in s.  Variable
+    m's no-op row index splits into a current-state part (the state
+    parents) and a next-state part (the eff parents and the value
+    itself): `factors[m]` is (state_rows, probs) with state_rows[s] the
+    state-parent code of s and P(s'_m | parents) = probs[state_rows[s], s'].
+    """
+
+    pre_rows: tuple[np.ndarray, ...]
+    eff_codes: tuple[np.ndarray, ...]
+    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -287,42 +312,28 @@ class FactoredMdpSpec:
 
     def sigma_values(self, k: int, a_k: int, s: int) -> tuple[int, ...]:
         """Values forced onto block k's effect variables from state s."""
-        pre_vals = [self.state_values[s, v] for v in self.pre_map[k]]
-        row = self.pre_radix[k].encode(pre_vals)
-        code = int(self.sigma[k].table[a_k, row])
-        if code < 0:
-            raise ConfigurationError(
-                f"intervention table for block {k} is undefined at projected action "
-                f"{a_k}, precondition values {tuple(int(v) for v in pre_vals)}"
-            )
-        return self.eff_radix[k].decode(code)
+        return self.eff_radix[k].decode(_forced_codes(self, k, np.array([s]), np.array([a_k]))[0])
 
-    def _factor_probs(self, m: int, s: int, cand: np.ndarray) -> np.ndarray:
-        """P(next value of var m | parents) for every candidate next state.
+    @functools.cached_property
+    def _index(self) -> _KernelIndex:
+        """Index arrays of the transition kernel, built on first use."""
+        vals = self.state_values
 
-        `cand` is the (n, M) decoded candidate matrix; eff parents are
-        read from the candidates themselves.
-        """
-        fac = self.noop_dynamics[m]
-        row = 0
-        for v in fac.state_parents:
-            row = row * self.state_vars[v] + int(self.state_values[s, v])
-        if fac.eff_parents:
-            rows = np.full(len(cand), row, dtype=np.int64)
-            for v in fac.eff_parents:
-                rows = rows * self.state_vars[v] + cand[:, v]
-        else:
-            rows = row
-        return fac.table[rows, cand[:, m]]
+        def codes(variables):
+            radix = MixedRadix([self.state_vars[v] for v in variables])
+            return radix.encode_many(vals[:, list(variables)])
 
-    def _factor_prob_single(self, m: int, s: int, next_vals: Sequence[int]) -> float:
-        fac = self.noop_dynamics[m]
-        row = 0
-        for v in fac.state_parents:
-            row = row * self.state_vars[v] + int(self.state_values[s, v])
-        for v in fac.eff_parents:
-            row = row * self.state_vars[v] + int(next_vals[v])
-        return float(fac.table[row, int(next_vals[fac.var])])
+        factors = []
+        for fac in self.noop_dynamics:
+            n_state_rows = int(np.prod([self.state_vars[v] for v in fac.state_parents], dtype=np.int64))
+            n_eff_rows = int(np.prod([self.state_vars[v] for v in fac.eff_parents], dtype=np.int64))
+            rows = np.arange(n_state_rows)[:, None] * n_eff_rows + codes(fac.eff_parents)
+            factors.append((codes(fac.state_parents), fac.table[rows, vals[:, fac.var]]))
+        return _KernelIndex(
+            pre_rows=tuple(codes(p) for p in self.pre_map),
+            eff_codes=tuple(codes(e) for e in self.eff_map),
+            factors=tuple(factors),
+        )
 
     # -- serialization ---------------------------------------------------
 
@@ -443,15 +454,85 @@ class QTable:
         if not np.isfinite(self.table).all():
             raise NumericError("Q table has non-finite entries")
 
-    def greedy(self) -> np.ndarray:
-        """Per-state argmax; ties go to the lowest action index."""
-        return self.table.argmax(axis=1)
+    def greedy(self, incumbent: np.ndarray | None = None) -> np.ndarray:
+        """Per-state argmax; ties go to the lowest action index.
+
+        With `incumbent` (one action per state), a state keeps its
+        incumbent action unless the best action beats it by more than
+        1e-12 * max(1, max|Q|).  Policy iteration passes its current
+        policy, so actions tied up to float noise never make it cycle
+        (Puterman 1994, section 6.4).
+        """
+        best = self.table.argmax(axis=1)
+        if incumbent is None:
+            return best
+        incumbent = np.asarray(incumbent, dtype=np.int64)
+        tol = 1e-12 * max(1.0, float(np.abs(self.table).max()))
+        return np.where(self.values(best) - self.values(incumbent) > tol, best, incumbent)
 
     def values(self, actions: np.ndarray) -> np.ndarray:
         return self.table[np.arange(self.table.shape[0]), actions]
 
 
-# -- transition operators --------------------------------------------------
+
+
+# -- transition kernel ------------------------------------------------------
+
+
+def _forced_codes(spec: FactoredMdpSpec, k: int, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Block k's intervention-table code at each (state, projected action)."""
+    codes = spec.sigma[k].table[actions, spec._index.pre_rows[k][states]]
+    if (codes < 0).any():
+        i = int(np.flatnonzero(codes < 0)[0])
+        pre_vals = tuple(int(spec.state_values[states[i], v]) for v in spec.pre_map[k])
+        raise ConfigurationError(
+            f"intervention table for block {k} is undefined at projected action "
+            f"{int(actions[i])}, precondition values {pre_vals}"
+        )
+    return codes
+
+
+def _pinned_mask(spec: FactoredMdpSpec, k: int, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """(n, S) mask of the next states carrying block k's forced values."""
+    return spec._index.eff_codes[k] == _forced_codes(spec, k, states, actions)[:, None]
+
+
+def _factor_probs(spec: FactoredMdpSpec, m: int, states: np.ndarray) -> np.ndarray:
+    """(n, S): P(next value of var m | parents) from each state to every
+    candidate next state, whose values fill in the eff parents."""
+    state_rows, probs = spec._index.factors[m]
+    return probs[state_rows[states]]
+
+
+def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
+    """Next-state distributions of a batch of (state, block actions) pairs.
+
+    Row i of the (n, n_states) result is P(s' | states[i], blocks[i]).
+    `blocks` is (n, n_blocks), or one action per block for every row.
+    Blocks in `intervening` (every block when None) pin their effect
+    variables to their intervention-table values; every other variable
+    follows its no-op factor, conditioning on the candidate next state
+    for its eff parents.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    try:
+        blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), (len(states), spec.n_blocks))
+    except ValueError as e:
+        raise ShapeError(f"block actions do not fit {len(states)} states x {spec.n_blocks} blocks") from e
+    if ((states < 0) | (states >= spec.n_states)).any():
+        raise DomainError(f"state codes out of range [0, {spec.n_states})")
+    if ((blocks < 0) | (blocks >= np.asarray(spec.block_sizes))).any():
+        raise DomainError("block actions out of range")
+    pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
+    if any(not 0 <= k < spec.n_blocks for k in pinned):
+        raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")
+    out = np.ones((len(states), spec.n_states))
+    for k in pinned:
+        out *= _pinned_mask(spec, k, states, blocks[:, k])
+    free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k]]
+    for m in free + list(spec.uncontrolled_vars):
+        out *= _factor_probs(spec, m, states)
+    return out
 
 
 def interventional_transition(spec: FactoredMdpSpec, s: int, a) -> np.ndarray:
@@ -461,16 +542,7 @@ def interventional_transition(spec: FactoredMdpSpec, s: int, a) -> np.ndarray:
     every other variable follows its no-op factor, conditioning on the
     pinned effect values where it declares eff parents.
     """
-    blocks = spec.action_as_blocks(a)
-    cand = spec.state_values
-    out = np.ones(spec.n_states)
-    for k, a_k in enumerate(blocks):
-        forced = spec.sigma_values(k, a_k, s)
-        for v, val in zip(spec.eff_map[k], forced):
-            out *= cand[:, v] == val
-    for m in spec.uncontrolled_vars:
-        out *= spec._factor_probs(m, s, cand)
-    return out
+    return transition_rows(spec, [s], spec.action_as_blocks(a))[0]
 
 
 def projected_transition(spec: FactoredMdpSpec, k: int, s: int, a_k: int) -> np.ndarray:
@@ -485,19 +557,9 @@ def projected_transition(spec: FactoredMdpSpec, k: int, s: int, a_k: int) -> np.
         raise DomainError(f"block {k} out of range")
     if not 0 <= a_k < spec.block_sizes[k]:
         raise DomainError(f"projected action {a_k} out of range [0, {spec.block_sizes[k]})")
-    cand = spec.state_values
-    out = np.ones(spec.n_states)
-    forced = spec.sigma_values(k, a_k, s)
-    for v, val in zip(spec.eff_map[k], forced):
-        out *= cand[:, v] == val
-    for i in range(spec.n_blocks):
-        if i == k:
-            continue
-        for v in spec.eff_map[i]:
-            out *= spec._factor_probs(v, s, cand)
-    for m in spec.uncontrolled_vars:
-        out *= spec._factor_probs(m, s, cand)
-    return out
+    blocks = np.zeros(spec.n_blocks, dtype=np.int64)
+    blocks[k] = a_k
+    return transition_rows(spec, [s], blocks, intervening=(k,))[0]
 
 
 def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> float:
@@ -514,33 +576,14 @@ def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> fl
     for i, a_i in enumerate(blocks):
         if i == k:
             continue
-        forced = spec.sigma_values(i, a_i, s)
-        for v, val in zip(spec.eff_map[i], forced):
+        for v, val in zip(spec.eff_map[i], spec.sigma_values(i, a_i, s)):
             if int(next_vals[v]) != val:
                 raise DomainError(
                     f"next state {s_next} is inconsistent with block {i}'s intervention "
                     f"(variable {v} is {int(next_vals[v])}, intervention forces {val})"
                 )
-            p = spec._factor_prob_single(v, s, next_vals)
+            p = float(_factor_probs(spec, v, [s])[0, s_next])
             if p <= 0.0:
-                raise NumericError(
-                    f"no-op factor for state variable {v} has zero probability at the "
-                    f"intervened value; reweighting is undefined without positivity"
-                )
-            rho *= p
-    return rho
-
-
-def _noop_propensity_batch(spec: FactoredMdpSpec, k: int, s: int, blocks, cand_idx: np.ndarray) -> np.ndarray:
-    """Vectorized propensity over candidate next-state codes (assumed consistent)."""
-    cand = spec.state_values[cand_idx]
-    rho = np.ones(len(cand_idx))
-    for i, a_i in enumerate(blocks):
-        if i == k:
-            continue
-        for v in spec.eff_map[i]:
-            p = spec._factor_probs(v, s, cand)
-            if (p <= 0.0).any():
                 raise NumericError(
                     f"no-op factor for state variable {v} has zero probability at the "
                     f"intervened value; reweighting is undefined without positivity"
@@ -551,8 +594,7 @@ def _noop_propensity_batch(spec: FactoredMdpSpec, k: int, s: int, blocks, cand_i
 
 def expected_reward(spec: FactoredMdpSpec, s: int, a) -> float:
     """Mean one-step reward under the interventional transition."""
-    p = interventional_transition(spec, s, a)
-    return float(p @ spec.reward[s])
+    return float(interventional_transition(spec, s, a) @ spec.reward[s])
 
 
 # -- exact policy evaluation ------------------------------------------------
@@ -560,90 +602,80 @@ def expected_reward(spec: FactoredMdpSpec, s: int, a) -> float:
 
 def _terminal_mask(spec: FactoredMdpSpec) -> np.ndarray:
     mask = np.zeros(spec.n_states, dtype=bool)
-    for s in spec.terminal_states:
-        mask[s] = True
+    mask[list(spec.terminal_states)] = True
     return mask
 
 
-def _evaluate_rows(spec, rows, rewards, tol, max_iters):
-    """Gauss-Seidel fixed point for V given per-state transition rows.
+def _check_rows(spec: FactoredMdpSpec, rows: np.ndarray) -> None:
+    if rows.shape != (spec.n_states, spec.n_states):
+        raise ShapeError(f"expected one transition row per state, got shape {rows.shape}")
 
-    rows[s] is a (support, probs) pair; terminal states stay at zero.
+
+def evaluate(spec: FactoredMdpSpec, rows: np.ndarray) -> np.ndarray:
+    """State values of the policy whose transition rows are `rows`.
+
+    `rows[s]` is P(s' | s) under the policy.  One dense linear solve over
+    the non-terminal states; terminal states keep value zero.
     """
-    term = _terminal_mask(spec)
-    v = np.zeros(spec.n_states)
-    gamma = spec.discount
-    for it in range(max_iters):
-        delta = 0.0
-        for s in range(spec.n_states):
-            if term[s]:
-                continue
-            sup, pr = rows[s]
-            new = rewards[s] + gamma * float(pr @ v[sup])
-            delta = max(delta, abs(new - v[s]))
-            v[s] = new
-        if delta <= tol:
-            return v
-    raise NumericError(
-        f"policy evaluation did not reach tolerance {tol} in {max_iters} sweeps "
-        f"(last sup-norm change {delta:.3e})"
-    )
+    _check_rows(spec, rows)
+    free = ~_terminal_mask(spec)
+    r = np.einsum("ij,ij->i", rows, spec.reward)[free]
+    try:
+        sol = np.linalg.solve(np.eye(len(r)) - spec.discount * rows[np.ix_(free, free)], r)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"policy evaluation solve failed: {e}") from e
+    if not np.isfinite(sol).all():
+        raise NumericError("policy evaluation produced non-finite values")
+    values = np.zeros(spec.n_states)
+    values[free] = sol
+    return values
 
 
-def _joint_rows(spec: FactoredMdpSpec, policy: FactoredPolicy):
-    rows = []
-    rewards = np.zeros(spec.n_states)
-    term = _terminal_mask(spec)
-    for s in range(spec.n_states):
-        if term[s]:
-            rows.append((np.zeros(0, dtype=np.int64), np.zeros(0)))
-            continue
-        p = interventional_transition(spec, s, policy.joint_action(s))
-        sup = np.flatnonzero(p)
-        pr = p[sup]
-        rows.append((sup, pr))
-        rewards[s] = float(pr @ spec.reward[s, sup])
-    return rows, rewards
+def backup(spec: FactoredMdpSpec, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_s' rows[s, s'] (reward[s, s'] + discount V(s')) per state s,
+    zero on terminal states."""
+    _check_rows(spec, rows)
+    q = np.einsum("ij,ij->i", rows, spec.reward + spec.discount * np.asarray(values))
+    q[_terminal_mask(spec)] = 0.0
+    return q
 
 
-def _projected_row(spec: FactoredMdpSpec, k: int, s: int, a_k: int, pinned: Sequence[int]):
-    """Support and reweighted probabilities of the one-block intervention,
-    restricted to next states consistent with every pinned block.
+def joint_backups(spec: FactoredMdpSpec, values: np.ndarray) -> np.ndarray:
+    """(S, A) backups of every joint action from every state under
+    `values`, built from one action's rows at a time."""
+    states = np.arange(spec.n_states)
+    q = [backup(spec, transition_rows(spec, states, b), values) for b in spec.action_radix.table()]
+    return np.stack(q, axis=1)
 
-    The weights are projected probabilities divided by the no-op
-    propensity of the pinned values, which renormalizes the projected
-    transition onto the consistent slice.
+
+def _reweighted_rows(spec: FactoredMdpSpec, k: int, blocks: np.ndarray) -> np.ndarray:
+    """Block k's projected rows divided by the no-op propensity of the
+    other blocks' forced values, on the next states consistent with them.
+
+    This renormalizes the projected transition onto the slice where
+    every other block's intervention holds.
     """
-    proj = projected_transition(spec, k, s, a_k)
-    cand = spec.state_values
-    mask = proj > 0
-    blocks = list(pinned)
-    blocks[k] = a_k
-    for i, a_i in enumerate(blocks):
+    states = np.arange(spec.n_states)
+    rows = transition_rows(spec, states, blocks, intervening=(k,))
+    support = rows > 0
+    rho = np.ones_like(rows)
+    for i in range(spec.n_blocks):
         if i == k:
             continue
-        forced = spec.sigma_values(i, a_i, s)
-        for v, val in zip(spec.eff_map[i], forced):
-            mask &= cand[:, v] == val
-    sup = np.flatnonzero(mask)
-    if len(sup) == 0:
+        support &= _pinned_mask(spec, i, states, blocks[:, i])
+        for v in spec.eff_map[i]:
+            rho *= _factor_probs(spec, v, states)
+    empty = ~support.any(axis=1) & ~_terminal_mask(spec)
+    if empty.any():
         raise NumericError(
-            f"no next state is consistent with the pinned interventions from state {s}; "
-            f"a no-op factor assigns zero probability to an intervened value"
+            f"no next state is consistent with the pinned interventions from state "
+            f"{int(np.flatnonzero(empty)[0])}; a no-op factor assigns zero probability "
+            f"to an intervened value"
         )
-    rho = _noop_propensity_batch(spec, k, s, blocks, sup)
-    w = proj[sup] / rho
-    return sup, w
+    return np.divide(rows, rho, out=np.zeros_like(rows), where=support)
 
 
-def exact_q(
-    spec: FactoredMdpSpec,
-    policy: FactoredPolicy,
-    block: int | None = None,
-    *,
-    tol: float = 1e-10,
-    max_iters: int = 1_000_000,
-) -> QTable:
+def exact_q(spec: FactoredMdpSpec, policy: FactoredPolicy, block: int | None = None) -> QTable:
     """Exact action-value table of a deterministic factored policy.
 
     With block=None the table covers joint actions and uses the fully
@@ -654,41 +686,18 @@ def exact_q(
     the joint value function equals the reweighted projected one.
     """
     policy.check(spec)
-    term = _terminal_mask(spec)
-    gamma = spec.discount
+    states = np.arange(spec.n_states)
+    pinned = policy.blocks.T
     if block is None:
-        rows, rewards = _joint_rows(spec, policy)
-        v = _evaluate_rows(spec, rows, rewards, tol, max_iters)
-        q = np.zeros((spec.n_states, spec.n_actions))
-        for s in range(spec.n_states):
-            if term[s]:
-                continue
-            for a in range(spec.n_actions):
-                p = interventional_transition(spec, s, a)
-                sup = np.flatnonzero(p)
-                q[s, a] = float(p[sup] @ (spec.reward[s, sup] + gamma * v[sup]))
-        return QTable(None, q)
+        return QTable(None, joint_backups(spec, evaluate(spec, transition_rows(spec, states, pinned))))
 
     k = int(block)
     if not 0 <= k < spec.n_blocks:
         raise DomainError(f"block {k} out of range")
-    rows = []
-    rewards = np.zeros(spec.n_states)
-    for s in range(spec.n_states):
-        if term[s]:
-            rows.append((np.zeros(0, dtype=np.int64), np.zeros(0)))
-            continue
-        pinned = policy.joint_action(s)
-        sup, w = _projected_row(spec, k, s, pinned[k], pinned)
-        rows.append((sup, w))
-        rewards[s] = float(w @ spec.reward[s, sup])
-    v = _evaluate_rows(spec, rows, rewards, tol, max_iters)
-    q = np.zeros((spec.n_states, spec.block_sizes[k]))
-    for s in range(spec.n_states):
-        if term[s]:
-            continue
-        pinned = policy.joint_action(s)
-        for a_k in range(spec.block_sizes[k]):
-            sup, w = _projected_row(spec, k, s, a_k, pinned)
-            q[s, a_k] = float(w @ (spec.reward[s, sup] + gamma * v[sup]))
+    values = evaluate(spec, _reweighted_rows(spec, k, pinned))
+    q = np.empty((spec.n_states, spec.block_sizes[k]))
+    blocks = pinned.copy()
+    for a_k in range(spec.block_sizes[k]):
+        blocks[:, k] = a_k
+        q[:, a_k] = backup(spec, _reweighted_rows(spec, k, blocks), values)
     return QTable(k, q)

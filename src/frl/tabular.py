@@ -1,12 +1,16 @@
 """Tabular planning and model estimation for factored-action MDPs.
 
 `factored_policy_iteration` is block-coordinate policy iteration: it
-evaluates the current joint policy, expands one projected Q table per
-block (every other block pinned to the policy through its intervention
-table), and greedily improves a single block per iteration.  The joint
+evaluates the current joint policy, expands the projected Q table of
+one block (every other block pinned to the policy through its
+intervention table), and greedily improves that block.  The joint
 Howard-iteration oracle `joint_policy_iteration` solves the same MDP
-over the flat joint action space with a dense linear solve, so the two
-routes cross-check each other.
+over the flat joint action space, so the two routes cross-check each
+other.  Both read whole batches of transition rows from
+`factored_mdp.transition_rows`, evaluate a policy by one dense linear
+solve (`factored_mdp.evaluate`), and keep a state's current action
+unless another beats it by more than float noise, so ties cannot make
+either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from logged
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +38,11 @@ from .factored_mdp import (
     NoopFactor,
     QTable,
     SigmaTable,
-    _evaluate_rows,
-    _joint_rows,
     _terminal_mask,
-    interventional_transition,
-    projected_transition,
+    backup,
+    evaluate,
+    joint_backups,
+    transition_rows,
 )
 
 
@@ -94,30 +97,20 @@ class PolicyIterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _policy_values(spec, policy, tol, max_iters):
-    rows, rewards = _joint_rows(spec, policy)
-    return _evaluate_rows(spec, rows, rewards, tol, max_iters)
+def _policy_values(spec, policy):
+    return evaluate(spec, transition_rows(spec, np.arange(spec.n_states), policy.blocks.T))
 
 
-def _block_q_tables(spec, policy, values):
-    """Projected Q per block: every other block pinned to the policy,
+def _block_q(spec, policy, values, k):
+    """Projected Q of block k: every other block pinned to the policy,
     so each entry is one interventional backup of the composed action."""
-    term = _terminal_mask(spec)
-    gamma = spec.discount
-    tables = []
-    for k in range(spec.n_blocks):
-        q = np.zeros((spec.n_states, spec.block_sizes[k]))
-        for s in range(spec.n_states):
-            if term[s]:
-                continue
-            blocks = list(policy.joint_action(s))
-            for a_k in range(spec.block_sizes[k]):
-                blocks[k] = a_k
-                p = interventional_transition(spec, s, blocks)
-                sup = np.flatnonzero(p)
-                q[s, a_k] = float(p[sup] @ (spec.reward[s, sup] + gamma * values[sup]))
-        tables.append(QTable(k, q))
-    return tables
+    states = np.arange(spec.n_states)
+    blocks = policy.blocks.T.copy()
+    q = np.empty((spec.n_states, spec.block_sizes[k]))
+    for a_k in range(spec.block_sizes[k]):
+        blocks[:, k] = a_k
+        q[:, a_k] = backup(spec, transition_rows(spec, states, blocks), values)
+    return QTable(k, q)
 
 
 def factored_policy_iteration(
@@ -125,7 +118,6 @@ def factored_policy_iteration(
     init_policy: FactoredPolicy,
     *,
     block_order: str = "round_robin",
-    eval_tol: float = 1e-10,
     max_sweeps: int | None = None,
     seed: int | None = None,
     store_q: bool = True,
@@ -138,10 +130,16 @@ def factored_policy_iteration(
     converted to a spec, with unreachable rows imputed uniform and the
     imputations recorded in the trace.
 
-    One iteration = evaluate the current policy, improve one block
-    (greedy per state, lowest action index on ties).  Terminates once a
-    full pass over the blocks changes nothing; `max_sweeps` defaults to
-    the finite-termination bound n_states * sum(block sizes).
+    One iteration = evaluate the current policy by a dense linear solve
+    (reused while iterations leave the policy unchanged), then improve
+    one block greedily per state against its projected Q table.  A
+    state keeps its current action unless another beats it by more than
+    float noise (`QTable.greedy` with an incumbent), and ties between
+    new actions go to the lowest index.  Only block k's table is
+    computed, unless `store_q` keeps every block's table in the trace.
+    Terminates once a full pass over the blocks changes nothing;
+    `max_sweeps` defaults to the finite-termination bound
+    n_states * sum(block sizes).
     """
     imputed: list[str] = []
     if isinstance(model, LearnedModel):
@@ -171,12 +169,16 @@ def factored_policy_iteration(
     terminated = "budget"
     it = 0
     stable_blocks: set[int] = set()  # blocks rechecked since the last change
+    values = _policy_values(spec, policy)
     for sweep in range(max_sweeps):
         order = list(range(K)) if schedule is None else schedule.permutation(K).tolist()
         for k in order:
-            values = _policy_values(spec, policy, eval_tol, 1_000_000)
-            q_tables = _block_q_tables(spec, policy, values)
-            greedy = q_tables[k].greedy()
+            if store_q:
+                q_tables = [_block_q(spec, policy, values, i) for i in range(K)]
+                q = q_tables[k]
+            else:
+                q_tables, q = None, _block_q(spec, policy, values, k)
+            greedy = q.greedy(incumbent=policy.blocks[k])
             n_changed = int(np.sum(greedy != policy.blocks[k]))
             policy.blocks[k] = greedy
             records.append(
@@ -186,7 +188,7 @@ def factored_policy_iteration(
                     n_changed=n_changed,
                     policy=policy.blocks.copy(),
                     values=values,
-                    q_tables=q_tables if store_q else None,
+                    q_tables=q_tables,
                 )
             )
             it += 1
@@ -194,16 +196,16 @@ def factored_policy_iteration(
                 stable_blocks.add(k)
             else:
                 stable_blocks.clear()
+                values = _policy_values(spec, policy)
             if len(stable_blocks) == K:
                 terminated = "converged"
                 break
         if terminated == "converged":
             break
-    final_values = _policy_values(spec, policy, eval_tol, 1_000_000)
     return PolicyIterationTrace(
         iterations=records,
         final_policy=policy,
-        final_values=final_values,
+        final_values=values,
         terminated=terminated,
         imputed_cells=imputed,
     )
@@ -223,60 +225,30 @@ class JointPiResult:
 def joint_policy_iteration(
     spec: FactoredMdpSpec,
     init: np.ndarray | None = None,
-    tol: float = 1e-10,
     max_iters: int = 500,
 ) -> JointPiResult:
     """Howard policy iteration over the flat joint action space.
 
-    Policy evaluation is a direct dense linear solve, improvement is
-    greedy with lowest-index tie-breaking.  Serves as the exact oracle
-    the block-coordinate method is compared against.
+    Policy evaluation is a direct dense linear solve.  Improvement is
+    greedy, keeps a state's current action unless another beats it by
+    more than float noise, and breaks ties between new actions to the
+    lowest index.  Serves as the exact oracle the block-coordinate
+    method is compared against.
     """
     n, A = spec.n_states, spec.n_actions
     term = _terminal_mask(spec)
     policy = np.zeros(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64).copy()
     if policy.shape != (n,) or policy.min() < 0 or policy.max() >= A:
         raise DomainError("init policy must map every state to a joint action code")
-    rows = {}
-
-    def row(s, a):
-        key = (s, a)
-        if key not in rows:
-            rows[key] = interventional_transition(spec, s, a)
-        return rows[key]
-
-    gamma = spec.discount
-    free = ~term
-    nf = int(free.sum())
-    values = np.zeros(n)
+    states = np.arange(n)
+    actions = spec.action_radix.table()  # (A, n_blocks): block actions of each joint code
     for it in range(max_iters):
-        P = np.zeros((n, n))
-        r = np.zeros(n)
-        for s in range(n):
-            if term[s]:
-                continue
-            p = row(s, int(policy[s]))
-            P[s] = p
-            r[s] = p @ spec.reward[s]
-        try:
-            sol = np.linalg.solve(np.eye(nf) - gamma * P[np.ix_(free, free)], r[free])
-        except np.linalg.LinAlgError as e:
-            raise NumericError(f"policy evaluation solve failed: {e}") from e
-        if not np.isfinite(sol).all():
-            raise NumericError("policy evaluation produced non-finite values")
-        values = np.zeros(n)
-        values[free] = sol
-        q = np.zeros((n, A))
-        for s in range(n):
-            if term[s]:
-                continue
-            for a in range(A):
-                p = row(s, a)
-                q[s, a] = p @ (spec.reward[s] + gamma * values)
-        new_policy = q.argmax(axis=1)
+        values = evaluate(spec, transition_rows(spec, states, actions[policy]))
+        q = QTable(None, joint_backups(spec, values))
+        new_policy = q.greedy(incumbent=policy)
         new_policy[term] = 0
         if np.array_equal(new_policy, policy):
-            return JointPiResult(policy, QTable(None, q), values, it + 1)
+            return JointPiResult(policy, q, values, it + 1)
         policy = new_policy
     raise NumericError(f"joint policy iteration did not converge in {max_iters} iterations")
 
@@ -289,32 +261,14 @@ def finite_horizon_values(
     With a policy the values are that policy's; without one they are
     optimal.  Terminal states stay at zero throughout.
     """
-    term = _terminal_mask(spec)
-    gamma = spec.discount
     v = np.zeros(spec.n_states)
-    rows = {}
-
-    def row(s, a):
-        key = (s, a)
-        if key not in rows:
-            rows[key] = interventional_transition(spec, s, a)
-        return rows[key]
-
+    if policy is not None:
+        rows = transition_rows(spec, np.arange(spec.n_states), policy.blocks.T)
+        for _ in range(horizon):
+            v = backup(spec, rows, v)
+        return v
     for _ in range(horizon):
-        nxt = np.zeros(spec.n_states)
-        for s in range(spec.n_states):
-            if term[s]:
-                continue
-            if policy is None:
-                best = -np.inf
-                for a in range(spec.n_actions):
-                    p = row(s, a)
-                    best = max(best, float(p @ (spec.reward[s] + gamma * v)))
-                nxt[s] = best
-            else:
-                p = row(s, spec.action_radix.encode(policy.joint_action(s)))
-                nxt[s] = float(p @ (spec.reward[s] + gamma * v))
-        v = nxt
+        v = joint_backups(spec, v).max(axis=1)
     return v
 
 
@@ -483,23 +437,20 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
     copy of the model, which can only widen the reachable set."""
     spec, _ = model.to_spec(fill_unvisited=True)
     sk = model.skeleton
-    reachable = set(int(s) for s in np.flatnonzero(sk.init_dist > 0))
-    frontier = list(reachable)
-    while frontier:
-        s = frontier.pop()
-        if s in sk.terminal_states:
-            continue
-        succ = set()
-        for a in range(spec.n_actions):
-            p = interventional_transition(spec, s, a)
-            succ.update(int(x) for x in np.flatnonzero(p > 0))
-        for s2 in succ:
-            if s2 not in reachable:
-                reachable.add(s2)
-                frontier.append(s2)
+    states = np.arange(spec.n_states)
+    successor = np.zeros((spec.n_states, spec.n_states), dtype=bool)
+    for blocks in spec.action_radix.table():
+        successor |= transition_rows(spec, states, blocks) > 0
+    successor[_terminal_mask(spec)] = False
+    reachable = sk.init_dist > 0
+    while True:
+        grown = reachable | successor[reachable].any(axis=0)
+        if (grown == reachable).all():
+            break
+        reachable = grown
     missing = []
     sigma_hat = model.sigma_hat
-    for s in sorted(reachable):
+    for s in np.flatnonzero(reachable).tolist():
         if s in sk.terminal_states:
             continue
         svals = sk.state_radix.decode(s)
@@ -589,11 +540,21 @@ def error_bounds_at(spec: FactoredMdpSpec, n: int, delta: float) -> dict:
     return {"eps_p": eps_p, "eps_sigma": eps_sigma}
 
 
-def _one_trial(spec: FactoredMdpSpec, n: int, seed: int) -> tuple[float, float]:
+def _projected_rows(spec: FactoredMdpSpec) -> list[np.ndarray]:
+    """Per block k, the (n_states, |A_k|, n_states) projected rows."""
+    out = []
+    for k, size in enumerate(spec.block_sizes):
+        blocks = np.zeros((spec.n_states * size, spec.n_blocks), dtype=np.int64)
+        blocks[:, k] = np.tile(np.arange(size), spec.n_states)
+        states = np.repeat(np.arange(spec.n_states), size)
+        out.append(transition_rows(spec, states, blocks, intervening=(k,)).reshape(spec.n_states, size, -1))
+    return out
+
+
+def _one_trial(spec: FactoredMdpSpec, rows: list[np.ndarray], n: int, seed: int) -> tuple[float, float]:
     """Draw n generative samples under the uniform behavior and return
     (dynamics sup-norm error, intervention-table error)."""
     rng = np.random.default_rng(seed)
-    rows: dict[tuple[int, int, int], np.ndarray] = {}
     samples = []
     states = rng.integers(0, spec.n_states, size=n)
     ks = rng.integers(0, spec.n_blocks, size=n)
@@ -601,10 +562,7 @@ def _one_trial(spec: FactoredMdpSpec, n: int, seed: int) -> tuple[float, float]:
         s = int(states[i])
         k = int(ks[i])
         a_k = int(rng.integers(0, spec.block_sizes[k]))
-        key = (k, s, a_k)
-        if key not in rows:
-            rows[key] = projected_transition(spec, k, s, a_k)
-        s_next = int(rng.choice(spec.n_states, p=rows[key]))
+        s_next = int(rng.choice(spec.n_states, p=rows[k][s, a_k]))
         samples.append(
             _Sample(state=s, action=a_k, reward=float(spec.reward[s, s_next]), next_state=s_next, block_tag=k)
         )
@@ -632,7 +590,6 @@ def sample_complexity_experiment(
     delta: float,
     seed: int,
     *,
-    workers: int = 1,
     keep_trials: bool = False,
 ) -> list[dict]:
     """Empirical sup-norm estimation error versus the closed-form bounds.
@@ -645,14 +602,11 @@ def sample_complexity_experiment(
     each row also carries the raw per-trial errors for logging.
     """
     results = []
+    rows = _projected_rows(spec)
     ss = np.random.SeedSequence(seed)
     for n in sample_sizes:
         trial_seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(trials)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errs = list(pool.map(lambda ts: _one_trial(spec, n, ts), trial_seeds))
-        else:
-            errs = [_one_trial(spec, n, ts) for ts in trial_seeds]
+        errs = [_one_trial(spec, rows, n, ts) for ts in trial_seeds]
         dyn = np.array([e[0] for e in errs])
         sig = np.array([e[1] for e in errs])
         bounds = error_bounds_at(spec, n, delta)

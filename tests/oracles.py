@@ -85,8 +85,6 @@ def solve_q_dense(spec, policy, tol_unused=None):
     the linear system.
     """
     n = spec.n_states
-    from frl.factored_mdp import interventional_transition
-
     term = np.zeros(n, dtype=bool)
     for s in spec.terminal_states:
         term[s] = True
@@ -95,7 +93,7 @@ def solve_q_dense(spec, policy, tol_unused=None):
     for s in range(n):
         if term[s]:
             continue
-        row = interventional_transition(spec, s, policy.joint_action(s))
+        row = enumerate_interventional(spec, s, policy.joint_action(s))
         P[s] = row
         r[s] = row @ spec.reward[s]
     free = ~term
@@ -107,7 +105,7 @@ def solve_q_dense(spec, policy, tol_unused=None):
         if term[s]:
             continue
         for a in range(spec.n_actions):
-            row = interventional_transition(spec, s, a)
+            row = enumerate_interventional(spec, s, spec.action_as_blocks(a))
             q[s, a] = row @ (spec.reward[s] + spec.discount * v)
     return q, v
 

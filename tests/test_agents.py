@@ -362,7 +362,19 @@ def test_augmentation_requires_block_dims():
         ad_dqn_train(env, _small_cfg(augmentation=True))
 
 
-@pytest.mark.parametrize("field, value", [("eval_every", 0), ("eval_episodes", 0), ("target_tau", 1.5)])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eval_every", 0),
+        ("eval_episodes", 0),
+        ("target_tau", 1.5),
+        ("model_steps_per_episode", 0),
+        ("model_batch_size", 0),
+        ("discount", 1.5),
+        ("discount", 0.0),
+        ("learning_starts", -1),
+    ],
+)
 def test_config_rejects_settings_that_break_training(field, value):
     with pytest.raises(ConfigurationError):
         _small_cfg(**{field: value})

@@ -19,7 +19,6 @@ from frl.ope import EpisodeLog, load_episodes, soften, wis_ess
 @pytest.fixture()
 def workspace(tmp_path, monkeypatch):
     monkeypatch.setenv("FRL_OUT", str(tmp_path))
-    monkeypatch.delenv("FRL_THREADS", raising=False)
     return tmp_path
 
 
@@ -131,17 +130,6 @@ def test_train_online_run_layout_and_determinism(workspace):
         assert first == second  # bit-identical regeneration
     summary = (workspace / "on1" / "summary.csv").read_text().splitlines()
     assert len(summary) == 3 and summary[1].startswith("DECQN,1,")
-
-
-def test_train_online_threaded_matches_serial(workspace, monkeypatch):
-    argv = ["train-online", "--preset", "DECQN", "--seeds", "1,2", *TINY_ONLINE]
-    assert main(argv + ["--out", "serial"]) == 0
-    monkeypatch.setenv("FRL_THREADS", "2")
-    assert main(argv + ["--out", "threaded"]) == 0
-    for seed in (1, 2):
-        a = (workspace / "serial" / f"DECQN-seed{seed}" / "metrics.jsonl").read_text()
-        b = (workspace / "threaded" / f"DECQN-seed{seed}" / "metrics.jsonl").read_text()
-        assert a == b
 
 
 def test_train_online_rejects_unknown_override(workspace, capsys):

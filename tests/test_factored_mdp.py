@@ -279,6 +279,17 @@ def test_qtable_greedy_breaks_ties_low():
     assert q.greedy().tolist() == [0, 1]
 
 
+def test_qtable_greedy_keeps_incumbent_unless_beaten_beyond_noise():
+    q = QTable(None, np.array([[1.0, 1.0 + 1e-15, 0.5], [0.2, 0.9, 0.9 + 1e-9], [3.0, 2.0, 1.0]]))
+    assert q.greedy().tolist() == [1, 2, 0]
+    # a 1e-15 edge is float noise; 1e-9 and 1.0 are real improvements
+    assert q.greedy(incumbent=np.array([0, 1, 2])).tolist() == [0, 2, 0]
+    # the tolerance scales with the largest |Q|
+    big = QTable(None, np.array([[1e6, 1e6 + 1e-7]]))
+    assert big.greedy(incumbent=np.array([0])).tolist() == [0]
+    assert big.greedy(incumbent=np.array([1])).tolist() == [1]
+
+
 def test_policy_validation():
     spec = two_switch_spec()
     with pytest.raises(ShapeError):

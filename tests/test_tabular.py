@@ -382,13 +382,6 @@ def test_sample_complexity_experiment_within_bounds():
     assert res[-1]["sigma_err_hi"] == 0.0
 
 
-def test_sample_complexity_experiment_threaded_matches_serial():
-    spec = two_switch_spec()
-    a = sample_complexity_experiment(spec, [400], trials=8, delta=0.1, seed=9)
-    b = sample_complexity_experiment(spec, [400], trials=8, delta=0.1, seed=9, workers=4)
-    assert a == b
-
-
 # -- finite-horizon values ------------------------------------------------------
 
 

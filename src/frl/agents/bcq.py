@@ -9,15 +9,16 @@ Three network shapes share one training loop:
   vector mixers that read the concatenated (frozen) head outputs and
   emit re-mixed per-block vectors used for evaluation.
 
-Each training tick samples a batch from the dataset, takes one step per
-block (decomposed runs the batch through the learned tabular model
-first so it follows that block's projected transition), then one step
-on the mixers, then a Polyak target update.  Targets are batch
-constrained: next-action candidates keep only actions whose generative
-propensity is within `tau_bcq` of the state's best before the argmax,
-which is taken on the online net and evaluated on the target net.  A
-state whose candidate set comes up empty falls back to the unfiltered
-argmax and bumps a counter.
+The logged dataset is one replay `Batch` of state codes.  Each training
+tick samples rows from it and looks up their one-hot features, takes
+one step per block (decomposed runs the batch through the learned
+tabular model first so it follows that block's projected transition),
+then one step on the mixers, then a Polyak target update.  Targets are
+batch constrained: next-action candidates keep only actions whose
+generative propensity is within `tau_bcq` of the state's best before
+the argmax, which is taken on the online net and evaluated on the
+target net.  A state whose candidate set comes up empty falls back to
+the unfiltered argmax and bumps a counter.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from ..errors import ConfigurationError, NumericError
 from ..factored_mdp import FactoredMdpSpec
 from ..indexing import MixedRadix
 from ..ope import soften, wis_ess
-from ..tabular import learn_model
+from ..tabular import ModelSample, learn_model
 from .models import TabularModelSampler, augment_batch
-from .replay import TransitionRecord, batch_arrays
+from .replay import Batch
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +75,11 @@ class BcqConfig:
         for name in ("train_steps", "batch_size", "checkpoint_every", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
+        for name in ("discount", "polyak"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ConfigurationError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if self.lr <= 0:
+            raise ConfigurationError(f"lr must be positive, got {self.lr}")
         if self.augmentation is None:
             self.augmentation = self.variant == "decomposed"
 
@@ -158,16 +164,12 @@ class BcqNet:
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         if self.variant != "decomposed":
             net = self.q_net if path == "q" else self.g_net
-            out = net.forward(states)
-            return out, {"net": net._cache}
+            out, cache = net.forward(states)
+            return out, {"net": cache}
         embed = self.q_embed if path == "q" else self.g_embed
         heads = self.q_heads if path == "q" else self.g_heads
-        e = embed.forward(states)
-        e_cache = embed._cache
-        outs, caches = [], []
-        for head in heads:
-            outs.append(head.forward(e))
-            caches.append(head._cache)
+        e, e_cache = embed.forward(states)
+        outs, caches = zip(*(head.forward(e) for head in heads))
         return np.concatenate(outs, axis=1), {"embed": e_cache, "heads": caches}
 
     def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int | None = None) -> None:
@@ -195,8 +197,7 @@ class BcqNet:
         if self.variant != "decomposed":
             return z, None
         mixer = self.q_mixer if path == "q" else self.g_mixer
-        out = mixer.forward(z)
-        return out, mixer._cache
+        return mixer.forward(z)
 
     def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str) -> None:
         mixer = self.q_mixer if path == "q" else self.g_mixer
@@ -248,28 +249,18 @@ class BcqNet:
 # -- dataset plumbing ---------------------------------------------------------
 
 
-@dataclass
-class _ModelSample:
-    state: int
-    action: int
-    next_state: int
-    reward: float
-    block_tag: int | None = None
-
-
 def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
-    """Expand logged episodes into replay records plus model-teaching samples.
+    """Expand logged episodes into a replay batch plus model-teaching samples.
 
-    Replay records carry one-hot states and per-block action tuples
-    (the whole joint code as a single block when `flat`); `done` marks
-    entry into one of the spec's terminal states.  Episodes truncated
-    by the logging horizon lose their final transition unless the log
-    recorded the successor in `final_state`.
+    The batch holds state codes in `states` and `next_states` (a caller
+    looks features up per sampled batch) and one action row per step:
+    per-block indices, or the whole joint code as a single block when
+    `flat`; `dones` marks entry into one of the spec's terminal states.
+    Episodes truncated by the logging horizon lose their final
+    transition unless the log recorded the successor in `final_state`.
     """
-    eye = np.eye(spec.n_states)
     terminal = spec.terminal_states
-    records: list[TransitionRecord] = []
-    model_samples: list[_ModelSample] = []
+    samples: list[ModelSample] = []
     dropped = 0
     for ep in episodes:
         states = [int(s) for s in ep.states]
@@ -278,29 +269,26 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
             if s2 is None:
                 dropped += 1
                 continue
-            code = int(ep.actions[t])
-            action = (code,) if flat else spec.action_as_blocks(code)
-            records.append(
-                TransitionRecord(
-                    state=eye[s],
-                    action=action,
-                    reward=float(ep.rewards[t]),
-                    next_state=eye[s2],
-                    done=s2 in terminal,
-                )
-            )
-            model_samples.append(_ModelSample(s, code, s2, float(ep.rewards[t])))
+            samples.append(ModelSample(state=s, action=int(ep.actions[t]), reward=float(ep.rewards[t]), next_state=s2))
     if dropped:
         logger.warning("dropped %d episode-final transitions with unlogged successors", dropped)
-    return records, model_samples
+    codes = np.array([m.action for m in samples], dtype=np.int64)
+    data = Batch(
+        states=np.array([m.state for m in samples], dtype=np.int64),
+        actions=codes[:, None] if flat else spec.action_radix.table()[codes],
+        rewards=np.array([m.reward for m in samples], dtype=np.float64),
+        next_states=np.array([m.next_state for m in samples], dtype=np.int64),
+        dones=np.array([m.next_state in terminal for m in samples], dtype=np.float64),
+    )
+    return data, samples
 
 
 # -- training -----------------------------------------------------------------
 
 
-def _train_block(net, target_net, opts, records, k, cfg, counters):
-    states, actions, rewards, next_states, dones = batch_arrays(records)
-    rows = np.arange(len(records))
+def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
+    states, actions, rewards, next_states, dones = batch
+    rows = np.arange(len(rewards))
     a_k = actions[:, k]
     sl = net.block_slice(k)
 
@@ -323,14 +311,14 @@ def _train_block(net, target_net, opts, records, k, cfg, counters):
     dlogits = np.exp(logp)
     dlogits[rows, a_k] -= 1.0
     dz = np.zeros_like(g)
-    dz[:, sl] = dlogits / len(records)
+    dz[:, sl] = dlogits / len(rewards)
     net.heads_backward_step(dz, g_cache, opts, "g", k)
     return loss_q, loss_g
 
 
-def _train_mixers(net, target_net, opts, records, cfg, counters):
-    states, actions, rewards, next_states, dones = batch_arrays(records)
-    rows = np.arange(len(records))
+def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
+    states, actions, rewards, next_states, dones = batch
+    rows = np.arange(len(rewards))
 
     qm_next_on, _ = net.mix_forward(next_states, "q")
     gm_next_on, _ = net.mix_forward(next_states, "g")
@@ -360,7 +348,7 @@ def _train_mixers(net, target_net, opts, records, cfg, counters):
         loss_g += -float(np.mean(logp[rows, actions[:, k]]))
         dlogits = np.exp(logp)
         dlogits[rows, actions[:, k]] -= 1.0
-        dz_g[:, sl] = dlogits / len(records)
+        dz_g[:, sl] = dlogits / len(rewards)
     net.mix_backward_step(dz_g, g_cache, opts, "g")
     return loss_q, loss_g
 
@@ -407,8 +395,8 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     cfg = config
     flat = cfg.variant == "flat"
     block_sizes = (spec.n_actions,) if flat else tuple(spec.block_sizes)
-    records, model_samples = episodes_to_transitions(episodes, spec, flat)
-    if not records:
+    data, model_samples = episodes_to_transitions(episodes, spec, flat)
+    if not len(data.rewards):
         raise ConfigurationError("dataset has no usable transitions")
 
     net_ss, batch_ss, aug_ss = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -448,8 +436,8 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     try:
         for t in range(1, cfg.train_steps + 1):
-            idx = batch_rng.integers(0, len(records), size=cfg.batch_size)
-            batch = [records[i] for i in idx]
+            sampled = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
+            batch = sampled._replace(states=features[sampled.states], next_states=features[sampled.next_states])
             q_losses, g_losses = [], []
             for k in range(len(block_sizes)):
                 b_k = (

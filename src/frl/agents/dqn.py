@@ -3,7 +3,8 @@
 The learner keeps one decomposed Q network (per-block heads plus an
 optional mixer).  Each environment step stores the transition in the
 global replay buffer (and the matching per-block buffer when the action
-was projected), then samples a batch B and takes one TD step per block:
+was projected), then samples a batch B, a replay `Batch` of arrays
+that stays one up to the TD step, and takes one TD step per block:
 with augmentation the batch is rewritten by the learned dynamics and
 reward models to follow the block's projected transition, otherwise the
 heads read the observed (s', r) with the action projected in place.
@@ -32,7 +33,7 @@ import numpy as np
 from ..approx import MIXERS, DecomposedQNet, Optimizer, huber, target_update
 from ..errors import ConfigurationError, NumericError
 from .models import DynamicsModel, RewardModel, augment_batch
-from .replay import ReplayBuffers, TransitionRecord, batch_arrays
+from .replay import Batch, ReplayBuffers
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +84,7 @@ class DqnConfig:
         for name in (
             "episodes", "episode_len", "batch_size", "train_every", "target_update_every",
             "eval_every", "eval_episodes", "model_steps_per_episode", "model_batch_size",
+            "model_window_episodes", "buffer_capacity",
         ):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
@@ -123,7 +125,7 @@ def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noo
 
     With probability epsilon the step explores; inside exploration,
     with probability p one uniformly chosen block takes a uniform
-    action while every other block stays at its no-op index (the record
+    action while every other block stays at its no-op index (the step
     is tagged with that block), otherwise every block draws uniformly.
     Greedy steps use the network's coordinate-sweep argmax, untagged.
     """
@@ -140,13 +142,13 @@ def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noo
     return SelectionMeta(tuple(int(a) for a in action), None, False)
 
 
-def _head_td_step(net, trunk_opts, arrays, z_next, k, gamma):
+def _head_td_step(net, trunk_opts, batch: Batch, z_next, k, gamma):
     """One Huber TD step on block k's head at the taken block action.
 
-    `arrays` is the batch as batch_arrays returns it and `z_next` the
-    target network's head values at its next states.
+    `z_next` holds the target network's head values at the batch's
+    next states.
     """
-    states, actions, rewards, _, dones = arrays
+    states, actions, rewards, _, dones = batch
     sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
     targets = rewards + gamma * (1.0 - dones) * z_next[:, sl].max(axis=1)
     z, caches = net.head_values(states)
@@ -164,13 +166,13 @@ def _head_td_step(net, trunk_opts, arrays, z_next, k, gamma):
     return loss
 
 
-def _mixer_td_step(net, target_net, mixer_opt, arrays, z_next, gamma):
+def _mixer_td_step(net, target_net, mixer_opt, batch: Batch, z_next, gamma):
     """One Huber TD step on the mixer with head outputs frozen.
 
     The target's greedy sweep and joint value both read `z_next`, the
     target head values at the batch's next states.
     """
-    states, actions, rewards, _, dones = arrays
+    states, actions, rewards, _, dones = batch
     greedy_next = target_net.greedy_of_heads(z_next)
     q_next = target_net.joint_q_of_heads(z_next, greedy_next)
     targets = rewards + gamma * (1.0 - dones) * q_next
@@ -274,33 +276,30 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                 meta = select_action(net, state, eps, cfg.noop_fraction, act_rng, noop)
                 next_state, reward, done = env.step(meta.action)
                 # episode ends here are time limits, so targets bootstrap
-                buffers.add(
-                    TransitionRecord(state, meta.action, reward, next_state, done=False, block_tag=meta.block_tag)
-                )
+                buffers.add(state, meta.action, reward, next_state, done=False, block_tag=meta.block_tag)
                 state = next_state
                 ep_return += reward
                 global_step += 1
                 if ep < cfg.learning_starts or global_step % cfg.train_every != 0:
                     continue
                 batch = buffers.global_buffer.sample(batch_rng, cfg.batch_size)
-                arrays = batch_arrays(batch)
                 use_models = augmenting and dynamics.ready() and reward_model.ready()
                 used_models = used_models or use_models
                 z_next = None
                 if mixer_opt is not None or not use_models:
                     # one target forward serves every step that reads the sampled batch
-                    z_next, _ = target_net.head_values(arrays[3])
+                    z_next, _ = target_net.head_values(batch.next_states)
                 for k in range(n_blocks):
                     if use_models:
-                        arrays_k = batch_arrays(augment_batch(batch, k, dynamics, reward_model, noop, aug_rng))
-                        z_next_k, _ = target_net.head_values(arrays_k[3])
+                        batch_k = augment_batch(batch, k, dynamics, reward_model, noop, aug_rng)
+                        z_next_k, _ = target_net.head_values(batch_k.next_states)
                     else:
-                        # projected in place: the head only reads action[:, k],
+                        # projected in place: the head only reads actions[:, k],
                         # keeping the observed next state and reward
-                        arrays_k, z_next_k = arrays, z_next
-                    head_losses.append(_head_td_step(net, trunk_opts, arrays_k, z_next_k, k, cfg.discount))
+                        batch_k, z_next_k = batch, z_next
+                    head_losses.append(_head_td_step(net, trunk_opts, batch_k, z_next_k, k, cfg.discount))
                 if mixer_opt is not None:
-                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, arrays, z_next, cfg.discount))
+                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, batch, z_next, cfg.discount))
                 last = head_losses[-n_blocks:] + mixer_losses[-1:]
                 if not np.all(np.isfinite(last)):
                     raise NumericError(
@@ -325,8 +324,7 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                 reward_losses, dyn_losses = [], []
                 for _ in range(cfg.model_steps_per_episode):
                     mb = buffers.global_buffer.sample_recent(model_rng, cfg.model_batch_size, model_window)
-                    st, ac, rw, ns, _ = batch_arrays(mb)
-                    reward_losses.append(reward_model.train_step(st, ac, ns, rw))
+                    reward_losses.append(reward_model.train_step(mb.states, mb.actions, mb.next_states, mb.rewards))
                 for k in range(n_blocks):
                     if len(buffers.block_buffers[k]) == 0:
                         logger.warning("episode %d: block %d has no projected samples; dynamics skipped", ep, k)
@@ -334,8 +332,7 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                         continue
                     for _ in range(cfg.model_steps_per_episode):
                         mb = buffers.block_buffers[k].sample_recent(model_rng, cfg.model_batch_size, model_window)
-                        st, ac, rw, ns, _ = batch_arrays(mb)
-                        dyn_losses.append(dynamics.train_step(k, st, ac[:, k], ns))
+                        dyn_losses.append(dynamics.train_step(k, mb.states, mb.actions[:, k], mb.next_states))
                 line["reward_model_loss"] = float(np.mean(reward_losses))
                 line["dynamics_loss"] = float(np.mean(dyn_losses)) if dyn_losses else None
             if (ep + 1) % cfg.eval_every == 0:

@@ -11,7 +11,8 @@ its no-op action, copying any dimensions no block controls.
 The reward model is a small ReLU network over (s, s', block indices).
 For tabular tasks `TabularModelSampler` exposes the same two-method
 surface (sample_projected_next / predict) backed by an estimated spec,
-so `augment_batch` is agnostic about which one it is driving.
+so `augment_batch` is agnostic about which one it is driving.  It
+takes and returns a replay `Batch`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import numpy as np
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
 from ..factored_mdp import FactoredMdpSpec, transition_rows
-from .replay import TransitionRecord, batch_arrays
+from .replay import Batch
 
 
 def _mse_step(net: Mlp, opt: Optimizer, x: np.ndarray, target: np.ndarray) -> float:
-    pred = net.forward(x)
+    pred, cache = net.forward(x)
     err = pred - target
     loss = float(np.mean(err**2))
-    grads, _ = net.backward(2.0 * err / err.size)
+    grads, _ = net.backward(2.0 * err / err.size, cache)
     opt.step(grads)
     return loss
 
@@ -107,7 +108,7 @@ class DynamicsModel:
         if not self.ready(k):
             raise StateError(f"dynamics model for block {k} has not been trained")
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        delta = self.nets[k].forward(self._inputs(k, states, actions_k))
+        delta, _ = self.nets[k].forward(self._inputs(k, states, actions_k))
         noise = rng.normal(0.0, np.sqrt(self.noise_variance))
         prev = states[:, list(self.block_dims[k])]
         return prev + delta * (1.0 + noise)
@@ -155,7 +156,8 @@ class RewardModel:
     def predict(self, states, actions, next_states) -> np.ndarray:
         if not self.ready():
             raise StateError("reward model has not been trained")
-        return self.net.forward(self._inputs(states, actions, next_states))[:, 0]
+        out, _ = self.net.forward(self._inputs(states, actions, next_states))
+        return out[:, 0]
 
 
 class TabularModelSampler:
@@ -215,40 +217,27 @@ class TabularModelSampler:
 
 
 def augment_batch(
-    records,
+    batch: Batch,
     k: int,
     dynamics,
     reward_model,
     noop_actions,
     rng: np.random.Generator,
-) -> list[TransitionRecord]:
+) -> Batch:
     """Rewrite a batch to follow the block-k projected transition.
 
-    Every record keeps its state; the action collapses to block k's
-    entry padded with no-ops, the next state is re-sampled from the
-    dynamics model under do(a_k), and the reward is re-evaluated by the
-    reward model at the synthesized successor.  Dynamics models that
-    can recognize terminal successors (`terminal_of`) refresh the done
-    flag; otherwise the original flag is carried over.
+    Every row keeps its state; the action collapses to block k's entry
+    padded with no-ops, the next state is re-sampled from the dynamics
+    model under do(a_k), and the reward is re-evaluated by the reward
+    model at the synthesized successor.  Dynamics models that can
+    recognize terminal successors (`terminal_of`) refresh the done
+    flags; otherwise the original flags are carried over.
     """
-    states, actions, _, _, _ = batch_arrays(records)
-    padded = np.tile(np.asarray(noop_actions, dtype=np.int64), (len(records), 1))
-    padded[:, k] = actions[:, k]
-    next_states = dynamics.sample_projected_next(states, k, actions[:, k], noop_actions, rng)
-    rewards = reward_model.predict(states, padded, next_states)
+    actions = np.tile(np.asarray(noop_actions, dtype=np.int64), (len(batch.rewards), 1))
+    actions[:, k] = batch.actions[:, k]
+    next_states = dynamics.sample_projected_next(batch.states, k, batch.actions[:, k], noop_actions, rng)
+    rewards = reward_model.predict(batch.states, actions, next_states)
+    dones = batch.dones
     if hasattr(dynamics, "terminal_of"):
-        dones = dynamics.terminal_of(next_states)
-    else:
-        dones = [r.done for r in records]
-    return [
-        TransitionRecord(
-            state=states[i],
-            action=tuple(padded[i]),
-            reward=float(rewards[i]),
-            next_state=next_states[i],
-            done=bool(dones[i]),
-            origin="augmented",
-            block_tag=k,
-        )
-        for i in range(len(records))
-    ]
+        dones = dynamics.terminal_of(next_states).astype(np.float64)
+    return Batch(batch.states, actions, rewards, next_states, dones)

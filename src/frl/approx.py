@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError, StateError
+from .errors import ConfigurationError, NumericError, ShapeError
 
 _MLP_FORMAT = "frl-mlp-v1"
 _DECQ_FORMAT = "frl-decq-v1"
@@ -50,9 +50,9 @@ class Mlp:
     """Dense network; sizes[0] inputs, sizes[-1] outputs.
 
     `activation` applies to hidden layers, `out_activation` to the last
-    layer.  Forward keeps its cache on the instance so a plain
-    forward/backward pair works; passing the returned cache back in
-    supports interleaved evaluations on one network.
+    layer.  Forward returns its cache next to the output and backward
+    takes it back, so interleaved evaluations on one network each keep
+    their own.
     """
 
     def __init__(self, sizes, activation="relu", out_activation="identity", rng=None):
@@ -68,7 +68,6 @@ class Mlp:
             glorot_uniform(rng, self.sizes[i], self.sizes[i + 1]) for i in range(len(sizes) - 1)
         ]
         self.biases = [np.zeros(self.sizes[i + 1]) for i in range(len(sizes) - 1)]
-        self._cache = None
 
     # -- parameters ------------------------------------------------------
 
@@ -84,7 +83,8 @@ class Mlp:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray):
+        """(output, cache for backward); a 1-D input gives a 1-D output."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -98,17 +98,14 @@ class Mlp:
             pre.append(z)
             h = _act(self._layer_act(i), z)
             post.append(h)
-        self._cache = {"pre": pre, "post": post, "squeeze": squeeze}
-        return h[0] if squeeze else h
+        cache = {"pre": pre, "post": post, "squeeze": squeeze}
+        return (h[0] if squeeze else h), cache
 
-    def backward(self, grad_out: np.ndarray, cache=None):
-        """Grads of a scalar loss given d(loss)/d(output).
+    def backward(self, grad_out: np.ndarray, cache):
+        """Grads of a scalar loss given d(loss)/d(output) and forward's cache.
 
         Returns (param_grads aligned with params(), d(loss)/d(input)).
         """
-        cache = cache or self._cache
-        if cache is None:
-            raise StateError("backward called before forward")
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if cache["squeeze"] and grad_out.ndim == 1:
             grad_out = grad_out[None, :]
@@ -329,18 +326,10 @@ class DecomposedQNet:
     # -- forward -------------------------------------------------------------
 
     def head_values(self, states: np.ndarray):
-        """Concatenated per-block action values, (n, sum(block_sizes))."""
+        """Concatenated per-block action values (n, sum(block_sizes)) and the trunk caches."""
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if self.shared_trunk:
-            z = self.trunks[0].forward(states)
-            caches = [self.trunks[0]._cache]
-        else:
-            outs, caches = [], []
-            for t in self.trunks:
-                outs.append(t.forward(states))
-                caches.append(t._cache)
-            z = np.concatenate(outs, axis=1)
-        return z, caches
+        outs, caches = zip(*(t.forward(states) for t in self.trunks))
+        return np.concatenate(outs, axis=1), caches
 
     def block_slices(self, z: np.ndarray) -> list[np.ndarray]:
         return [z[:, self.offsets[k] : self.offsets[k + 1]] for k in range(len(self.block_sizes))]
@@ -364,8 +353,8 @@ class DecomposedQNet:
         """Joint values of masked head vectors: (values (n,), mixer cache)."""
         if self.mixer is None:
             return masked.sum(axis=1) / len(self.block_sizes), None
-        out = self.mixer.forward(masked)
-        return out[:, 0], self.mixer._cache
+        out, cache = self.mixer.forward(masked)
+        return out[:, 0], cache
 
     def joint_q(self, states: np.ndarray, actions: np.ndarray):
         """Joint value of (state, per-block action) pairs.

@@ -371,6 +371,21 @@ class LearnedModel:
         return spec, missing
 
 
+@dataclass
+class ModelSample:
+    """One logged transition in state and action codes, for `learn_model`.
+
+    `action` is a joint action code when `block_tag` is None, otherwise
+    block `block_tag`'s projected action index.
+    """
+
+    state: int
+    action: int
+    reward: float
+    next_state: int
+    block_tag: int | None = None
+
+
 def learn_model(samples, skeleton: FactoredMdpSpec) -> LearnedModel:
     """Fit empirical tables from transitions.
 
@@ -378,12 +393,12 @@ def learn_model(samples, skeleton: FactoredMdpSpec) -> LearnedModel:
     effect/precondition maps, no-op parent sets, discount, initial
     distribution, terminals) is read; its tables are ignored.
 
-    Each sample needs attributes state, action, next_state, reward and
-    block_tag.  With block_tag=None the action is a joint action (all
-    blocks intervened: every block teaches its intervention cell, no
-    controlled variable teaches its no-op factor).  With block_tag=k the
-    action is block k's projected action; the remaining blocks' effect
-    variables followed no-op dynamics and teach their factors.
+    Each sample needs the attributes of `ModelSample`.  With
+    block_tag=None the action is a joint action (all blocks intervened:
+    every block teaches its intervention cell, no controlled variable
+    teaches its no-op factor).  With block_tag=k the action is block k's
+    projected action; the remaining blocks' effect variables followed
+    no-op dynamics and teach their factors.
     """
     sk = skeleton
     sigma_counts = [
@@ -494,15 +509,6 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
 # -- sample-complexity harness -------------------------------------------------
 
 
-@dataclass
-class _Sample:
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    block_tag: int
-
-
 def theorem_sample_bounds(spec: FactoredMdpSpec, eps: float, delta: float) -> dict:
     """Closed-form sample counts sufficient for eps-accurate tables.
 
@@ -564,7 +570,7 @@ def _one_trial(spec: FactoredMdpSpec, rows: list[np.ndarray], n: int, seed: int)
         a_k = int(rng.integers(0, spec.block_sizes[k]))
         s_next = int(rng.choice(spec.n_states, p=rows[k][s, a_k]))
         samples.append(
-            _Sample(state=s, action=a_k, reward=float(spec.reward[s, s_next]), next_state=s_next, block_tag=k)
+            ModelSample(state=s, action=a_k, reward=float(spec.reward[s, s_next]), next_state=s_next, block_tag=k)
         )
     model = learn_model(samples, spec)
     dyn_err = 0.0

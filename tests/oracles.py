@@ -180,3 +180,38 @@ def coordinate_sweep_greedy(net, states, passes=2):
             improves = scores[rows, best] > scores[rows, actions[:, k]]
             actions[improves, k] = best[improves]
     return actions
+
+
+class ListRing:
+    """Fixed-capacity FIFO as a python list of row tuples.
+
+    Overwrites the oldest slot once full; `recent` walks back from the
+    write cursor.  Draws the same `rng.integers` as the library's ring.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.rows = []
+        self.cursor = 0
+
+    def append(self, row):
+        if len(self.rows) < self.capacity:
+            self.rows.append(row)
+        else:
+            self.rows[self.cursor] = row
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, rng, n):
+        idx = rng.integers(0, len(self.rows), size=n)
+        return [self.rows[i] for i in idx]
+
+    def recent(self, n):
+        if len(self.rows) < self.capacity:
+            return self.rows[-n:] if n < len(self.rows) else list(self.rows)
+        n = min(n, self.capacity)
+        return [self.rows[(self.cursor - i) % self.capacity] for i in range(n, 0, -1)]
+
+    def sample_recent(self, rng, n, window):
+        pool = self.recent(window)
+        idx = rng.integers(0, len(pool), size=n)
+        return [pool[i] for i in idx]

@@ -15,6 +15,7 @@ import pytest
 
 import frl.agents.dqn as dqn_module
 from frl.agents import (
+    Batch,
     BcqConfig,
     BcqNet,
     DqnConfig,
@@ -23,11 +24,9 @@ from frl.agents import (
     RewardModel,
     RingBuffer,
     TabularModelSampler,
-    TransitionRecord,
     ad_bcq_train,
     ad_dqn_train,
     augment_batch,
-    batch_arrays,
     checkpoint_candidates,
     episodes_to_transitions,
     extract_policy,
@@ -40,58 +39,83 @@ from frl.agents import (
 from frl.approx import DecomposedQNet, Mlp, Optimizer, huber, target_update
 from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.envs.point_mass import FlattenedEnv
-from frl.errors import ConfigurationError, DataError, StateError
+from frl.errors import ConfigurationError, DataError, ShapeError, StateError
 from frl.factored_mdp import projected_transition
+from oracles import ListRing
 
 
-def _record(k=None, action=(0, 0), origin="environment"):
-    return TransitionRecord(
-        state=np.zeros(3), action=action, reward=1.0, next_state=np.ones(3),
-        origin=origin, block_tag=k,
-    )
+def _row(i, n_blocks=2):
+    """Transition i with values that tell it apart from every other."""
+    return (np.array([i, -i, 0.5 * i]), tuple((i + j) % 5 for j in range(n_blocks)),
+            float(i), np.array([i + 1, -i, 0.25 * i]), i % 3 == 0)
 
 
 # -- replay buffers -----------------------------------------------------------
 
 
-def test_tagged_records_land_in_both_buffers():
+def test_tagged_transitions_land_in_both_buffers():
     buffers = ReplayBuffers(n_blocks=2, capacity=10)
-    buffers.add(_record())
-    buffers.add(_record(k=1, action=(0, 3)))
-    buffers.add(_record(k=0, action=(2, 0)))
-    assert len(buffers.global_buffer) == 3
+    buffers.add(*_row(0))
+    buffers.add(*_row(1), block_tag=1)
+    buffers.add(*_row(2), block_tag=0)
+    assert len(buffers) == 3
     assert [len(b) for b in buffers.block_buffers] == [1, 1]
-    # the tagged record is the same object in D and its D_k, and in no other
-    assert buffers.block_buffers[1]._data[0] is buffers.global_buffer._data[1]
-    for rec in buffers.global_buffer._data:
-        homes = [b for b in buffers.block_buffers if any(r is rec for r in b._data)]
-        assert len(homes) == (0 if rec.block_tag is None else 1)
+    # each tagged row sits in D and in its own D_k
+    for k, i in ((0, 2), (1, 1)):
+        mine = buffers.block_buffers[k].recent(1)
+        want = buffers.global_buffer.recent(3).take([i])
+        for got_a, want_a in zip(mine, want):
+            np.testing.assert_array_equal(got_a, want_a)
+
+
+def test_buffers_reject_bad_tags_and_actions():
+    buffers = ReplayBuffers(n_blocks=2, capacity=10)
+    with pytest.raises(ShapeError):
+        buffers.add(*_row(0), block_tag=2)
+    with pytest.raises(ShapeError):
+        buffers.add(*_row(0, n_blocks=3))
+    assert len(buffers) == 0
+    with pytest.raises(DataError):
+        buffers.global_buffer.sample(np.random.default_rng(0), 4)
+    with pytest.raises(ConfigurationError):
+        RingBuffer(0)
 
 
 def test_ring_eviction_and_recent_window():
     buf = RingBuffer(4)
-    recs = [_record(action=(i, 0)) for i in range(7)]
-    for r in recs:
-        buf.append(r)
+    for i in range(7):
+        buf.append(*_row(i))
     assert len(buf) == 4
     # survivors are the last four, and recent() returns them oldest-first
-    assert [r.action[0] for r in buf.recent(4)] == [3, 4, 5, 6]
-    assert [r.action[0] for r in buf.recent(2)] == [5, 6]
-    rng = np.random.default_rng(0)
-    picked = buf.sample_recent(rng, 50, window=2)
-    assert {r.action[0] for r in picked} <= {5, 6}
+    assert buf.recent(4).rewards.tolist() == [3, 4, 5, 6]
+    assert buf.recent(2).rewards.tolist() == [5, 6]
+    picked = buf.sample_recent(np.random.default_rng(0), 50, window=2)
+    assert isinstance(picked, Batch) and picked.states.shape == (50, 3)
+    assert set(picked.rewards.tolist()) <= {5, 6}
+    with pytest.raises(DataError):
+        buf.recent(0)
 
 
-def test_record_validation_and_batching():
-    with pytest.raises(DataError):
-        _record(origin="synthetic")
-    with pytest.raises(DataError):
-        TransitionRecord(np.zeros(2), (0,), 0.0, np.zeros(2), block_tag=3)
-    states, actions, rewards, next_states, dones = batch_arrays([_record(), _record(k=1)])
-    assert states.shape == (2, 3) and actions.shape == (2, 2)
-    assert rewards.shape == (2,) and dones.tolist() == [0.0, 0.0]
-    with pytest.raises(DataError):
-        batch_arrays([])
+@pytest.mark.parametrize("capacity", range(1, 8))
+def test_ring_returns_the_rows_of_the_list_oracle(capacity):
+    """Same rows as a plain list ring for the same seeds, through the
+    fill, the wraparound and windows larger than the fill."""
+    ring, oracle = RingBuffer(capacity), ListRing(capacity)
+
+    def check(got, want):
+        assert len(got.rewards) == len(want)
+        for field, column in zip(Batch._fields, zip(*want)):
+            np.testing.assert_array_equal(getattr(got, field), np.array(column, dtype=getattr(got, field).dtype))
+
+    for i in range(3 * capacity + 1):
+        if i:
+            for window in range(1, len(oracle.rows) + 3):
+                check(ring.recent(window), oracle.recent(window))
+                check(ring.sample_recent(np.random.default_rng(i * 31 + window), 9, window),
+                      oracle.sample_recent(np.random.default_rng(i * 31 + window), 9, window))
+            check(ring.sample(np.random.default_rng(i), 9), oracle.sample(np.random.default_rng(i), 9))
+        ring.append(*_row(i))
+        oracle.append(_row(i))
 
 
 # -- action selection ---------------------------------------------------------
@@ -188,21 +212,21 @@ def test_augmentation_matches_projected_transition_distribution():
     spec = two_switch_spec(reward="weighted")
     sampler = TabularModelSampler(spec, noop_actions=(0, 0), mode="projected")
     eye = np.eye(spec.n_states)
-    s, a = 2, (1, 1)
-    base = [TransitionRecord(eye[s], a, 0.0, eye[0])] * 10_000
+    s, n = 2, 10_000
+    base = Batch(np.tile(eye[s], (n, 1)), np.tile([1, 1], (n, 1)), np.zeros(n),
+                 np.tile(eye[0], (n, 1)), np.zeros(n))
     rng = np.random.default_rng(11)
     out = augment_batch(base, 0, sampler, sampler, (0, 0), rng)
-    assert len(out) == len(base) and out[0].next_state.shape == base[0].next_state.shape
-    counts = np.zeros(spec.n_states)
-    for rec in out:
-        assert rec.origin == "augmented" and rec.block_tag == 0
-        assert rec.action == (1, 0)  # forced block kept, other padded to no-op
-        counts[rec.next_state.argmax()] += 1
-    tv = 0.5 * np.abs(counts / 10_000 - projected_transition(spec, 0, s, 1)).sum()
+    assert out.next_states.shape == base.next_states.shape
+    np.testing.assert_array_equal(out.states, base.states)
+    # forced block kept, other padded to no-op
+    assert out.actions.dtype == np.int64 and (out.actions == [1, 0]).all()
+    codes = out.next_states.argmax(axis=1)
+    counts = np.bincount(codes, minlength=spec.n_states)
+    tv = 0.5 * np.abs(counts / n - projected_transition(spec, 0, s, 1)).sum()
     assert tv <= 0.02
     # rewards come from the model's table at the synthesized successor
-    for rec in out[:50]:
-        assert rec.reward == spec.reward[s, rec.next_state.argmax()]
+    np.testing.assert_array_equal(out.rewards, spec.reward[s, codes])
 
 
 def test_padded_sampler_refreshes_terminal_flags():
@@ -213,13 +237,14 @@ def test_padded_sampler_refreshes_terminal_flags():
     source = next(s for s in range(spec.n_states)
                   if spec.state_radix.decode(s)[0] == 1
                   and s not in spec.terminal_states)
-    recs = [TransitionRecord(eye[source], (0, 0), 0.0, eye[source], done=False)] * 400
-    out = augment_batch(recs, 0, sampler, sampler, (0, 0), np.random.default_rng(3))
-    flags = {rec.next_state.argmax() in spec.terminal_states for rec in out}
-    dones = {rec.done for rec in out}
-    assert dones == flags or dones <= flags  # done mirrors terminal entry
-    for rec in out:
-        assert rec.done == (rec.next_state.argmax() in spec.terminal_states)
+    n = 400
+    rows = Batch(np.tile(eye[source], (n, 1)), np.zeros((n, 2), dtype=np.int64), np.zeros(n),
+                 np.tile(eye[source], (n, 1)), np.zeros(n))
+    out = augment_batch(rows, 0, sampler, sampler, (0, 0), np.random.default_rng(3))
+    flags = [code in spec.terminal_states for code in out.next_states.argmax(axis=1)]
+    assert any(flags) and not all(flags)
+    # done mirrors terminal entry
+    assert out.dones.dtype == np.float64 and out.dones.tolist() == [float(f) for f in flags]
 
 
 # -- online learner -----------------------------------------------------------
@@ -257,7 +282,7 @@ def _flat_dqn_reference(env, cfg):
                 else:
                     a = int(act_rng.integers(n_actions))
             else:
-                a = int(qnet.forward(np.asarray(s)[None]).argmax())
+                a = int(qnet.forward(np.asarray(s)[None])[0].argmax())
             s2, r, done = env.step((a,))
             buf.append((s, a, r, s2))
             s = s2
@@ -269,13 +294,13 @@ def _flat_dqn_reference(env, cfg):
             actions = np.array([buf[i][1] for i in idx])
             rewards = np.array([buf[i][2] for i in idx])
             nexts = np.stack([buf[i][3] for i in idx])
-            targets = rewards + cfg.discount * (1.0 - 0.0) * tnet.forward(nexts).max(axis=1)
-            z = qnet.forward(states)
+            targets = rewards + cfg.discount * (1.0 - 0.0) * tnet.forward(nexts)[0].max(axis=1)
+            z, cache = qnet.forward(states)
             rows = np.arange(len(idx))
             _, dq = huber(z[rows, actions], targets)
             dz = np.zeros_like(z)
             dz[rows, actions] = dq
-            grads, _ = qnet.backward(dz)
+            grads, _ = qnet.backward(dz, cache)
             opt.step(grads)
             if step % cfg.target_update_every == 0:
                 target_update(qnet.params(), tnet.params(), cfg.target_tau)
@@ -338,7 +363,7 @@ def test_training_step_trunk_forwards(monkeypatch, augmentation):
 
     def recorded_augment(*args):
         out = augment(*args)
-        augmented.append(np.stack([r.next_state for r in out]))
+        augmented.append(out.next_states)
         return out
 
     monkeypatch.setattr(dqn_module, "_mixer_td_step", counted_mixer_step)
@@ -373,6 +398,9 @@ def test_augmentation_requires_block_dims():
         ("discount", 1.5),
         ("discount", 0.0),
         ("learning_starts", -1),
+        ("model_window_episodes", 0),
+        ("model_window_episodes", -1),
+        ("buffer_capacity", 0),
     ],
 )
 def test_config_rejects_settings_that_break_training(field, value):
@@ -420,15 +448,31 @@ def _offline_setup(episodes=80, seed=0):
 
 def test_episode_expansion_marks_terminals_and_splits_actions():
     spec, logs = _offline_setup(episodes=30)
-    records, samples = episodes_to_transitions(logs, spec, flat=False)
-    assert len(records) == sum(len(ep) for ep in logs)
-    for rec, sample in zip(records, samples):
-        assert rec.state.argmax() == sample.state
-        assert rec.action == spec.action_as_blocks(sample.action)
-        assert rec.done == (sample.next_state in spec.terminal_states)
-    assert any(r.done for r in records)  # some episodes do terminate
-    flat_records, _ = episodes_to_transitions(logs, spec, flat=True)
-    assert all(len(r.action) == 1 for r in flat_records)
+    data, samples = episodes_to_transitions(logs, spec, flat=False)
+    assert len(data.rewards) == len(samples) == sum(len(ep) for ep in logs)
+    for i, sample in enumerate(samples):
+        assert (data.states[i], data.next_states[i]) == (sample.state, sample.next_state)
+        assert tuple(data.actions[i]) == spec.action_as_blocks(sample.action)
+        assert data.rewards[i] == sample.reward and sample.block_tag is None
+        assert data.dones[i] == (sample.next_state in spec.terminal_states)
+    assert data.dones.any()  # some episodes do terminate
+    flat, _ = episodes_to_transitions(logs, spec, flat=True)
+    np.testing.assert_array_equal(flat.actions, [[s.action] for s in samples])
+
+
+def test_bcq_rejects_a_dataset_without_transitions():
+    spec = treatment_spec()
+    with pytest.raises(ConfigurationError):
+        ad_bcq_train([], BcqConfig(train_steps=5), spec)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("discount", 0.0), ("discount", 1.5), ("polyak", 0.0), ("polyak", 1.5), ("lr", 0.0), ("lr", -1e-3)],
+)
+def test_bcq_config_rejects_settings_that_break_training(field, value):
+    with pytest.raises(ConfigurationError):
+        BcqConfig(**{field: value})
 
 
 def test_bcq_never_selects_an_unsupported_action():

@@ -16,7 +16,7 @@ from frl.approx import (
     huber,
     target_update,
 )
-from frl.errors import ConfigurationError, NumericError, ShapeError, StateError
+from frl.errors import ConfigurationError, NumericError, ShapeError
 from oracles import coordinate_sweep_greedy, finite_difference_grads
 
 
@@ -38,9 +38,9 @@ def test_mlp_forward_matches_manual_reimplementation():
     rng = np.random.default_rng(0)
     net = Mlp((4, 8, 8, 3), rng=rng)
     x = rng.normal(size=(6, 4))
-    np.testing.assert_allclose(net.forward(x), manual_mlp_forward(net, x), atol=1e-12)
+    np.testing.assert_allclose(net.forward(x)[0], manual_mlp_forward(net, x), atol=1e-12)
     # 1-D input squeezes back to 1-D output
-    y = net.forward(x[0])
+    y, _ = net.forward(x[0])
     assert y.shape == (3,)
     np.testing.assert_allclose(y, manual_mlp_forward(net, x)[0], atol=1e-12)
 
@@ -54,13 +54,10 @@ def test_glorot_bounds():
     assert np.abs(w).max() > 0.8 * a  # actually fills the range
 
 
-def test_mlp_shape_and_state_errors():
+def test_mlp_shape_and_configuration_errors():
     net = Mlp((3, 4, 2), rng=np.random.default_rng(2))
     with pytest.raises(ShapeError):
         net.forward(np.zeros((5, 7)))
-    fresh = Mlp((3, 4, 2), rng=np.random.default_rng(2))
-    with pytest.raises(StateError):
-        fresh.backward(np.zeros((1, 2)))
     with pytest.raises(ConfigurationError):
         Mlp((3, 2), activation="softplus")
     with pytest.raises(ConfigurationError):
@@ -77,11 +74,11 @@ def test_mlp_gradients_match_finite_differences():
     t = rng.normal(size=(12, 2))
 
     def loss_fn():
-        return huber(net.forward(x), t)[0]
+        return huber(net.forward(x)[0], t)[0]
 
-    out = net.forward(x)
+    out, cache = net.forward(x)
     _, grad_out = huber(out, t)
-    grads, _ = net.backward(grad_out)
+    grads, _ = net.backward(grad_out, cache)
     fd = finite_difference_grads(loss_fn, net.params())
     for g, f in zip(grads, fd):
         denom = max(np.abs(f).max(), 1e-8)
@@ -93,12 +90,12 @@ def test_mlp_input_gradient_matches_finite_differences():
     net = Mlp((3, 10, 1), rng=rng)
     x = rng.normal(size=(4, 3))
     t = rng.normal(size=(4, 1))
-    out = net.forward(x)
+    out, cache = net.forward(x)
     _, grad_out = huber(out, t)
-    _, dx = net.backward(grad_out)
+    _, dx = net.backward(grad_out, cache)
 
     def loss_fn():
-        return huber(net.forward(x), t)[0]
+        return huber(net.forward(x)[0], t)[0]
 
     fd = finite_difference_grads(loss_fn, [x])[0]
     assert np.abs(dx - fd).max() / np.abs(fd).max() < 1e-4
@@ -278,7 +275,7 @@ def test_mlp_checkpoint_round_trip():
     net = Mlp((3, 7, 2), rng=rng)
     x = rng.normal(size=(4, 3))
     clone = Mlp.from_json(net.to_json())
-    np.testing.assert_allclose(clone.forward(x), net.forward(x), atol=1e-15)
+    np.testing.assert_allclose(clone.forward(x)[0], net.forward(x)[0], atol=1e-15)
     doc = net.to_doc()
     doc["format"] = "something-else"
     with pytest.raises(ConfigurationError):

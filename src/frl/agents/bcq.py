@@ -9,11 +9,16 @@ Three network shapes share one training loop:
   vector mixers that read the concatenated (frozen) head outputs and
   emit re-mixed per-block vectors used for evaluation.
 
-The logged dataset is one replay `Batch` of state codes.  Each training
-tick samples rows from it and looks up their one-hot features, takes
-one step per block (decomposed runs the batch through the learned
-tabular model first so it follows that block's projected transition),
-then one step on the mixers, then a Polyak target update.  Targets are
+The logged dataset is one replay `Batch` of state codes, and the codes
+go into the networks as they are (an `Mlp` reads a code as its one-hot
+row).  Each training tick samples rows from it, takes one step per
+block (decomposed runs the batch through the learned tabular model
+first so it follows that block's projected transition), then one step
+on the mixers, then a Polyak target update.  Within a step each network
+runs forward once per parameter version: the online q and g paths once
+over the stacked [next_states; states] rows, the target q path once
+over next_states; the decomposed embeddings and heads see each distinct
+code once, and block k's step runs only head k.  Targets are
 batch constrained: next-action candidates keep only actions whose
 generative propensity is within `tau_bcq` of the state's best before
 the argmax, which is taken on the online net and evaluated on the
@@ -23,6 +28,7 @@ the unfiltered argmax and bumps a counter.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -143,65 +149,89 @@ class BcqNet:
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
     def params(self) -> list[np.ndarray]:
+        """One flat parameter buffer per network."""
         if self.variant == "decomposed":
             nets = [self.q_embed, *self.q_heads, self.q_mixer, self.g_embed, *self.g_heads, self.g_mixer]
         else:
             nets = [self.q_net, self.g_net]
-        out = []
-        for net in nets:
-            out.extend(net.params())
-        return out
+        return [net.flat for net in nets]
 
     def clone(self) -> "BcqNet":
-        other = BcqNet(self.state_dim, self.block_sizes, self.variant, self.hidden, rng=np.random.default_rng(0))
-        target_update(self.params(), other.params())
+        other = copy.copy(self)
+        if self.variant == "decomposed":
+            for name in ("q_embed", "q_mixer", "g_embed", "g_mixer"):
+                setattr(other, name, getattr(self, name).clone())
+            other.q_heads = [h.clone() for h in self.q_heads]
+            other.g_heads = [h.clone() for h in self.g_heads]
+        else:
+            other.q_net = self.q_net.clone()
+            other.g_net = self.g_net.clone()
         return other
 
     # -- forward paths ----------------------------------------------------
 
-    def heads_forward(self, states: np.ndarray, path: str):
-        """Concatenated per-block outputs and caches for one path ('q'|'g')."""
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+    def heads_forward(self, states: np.ndarray, path: str, k: int | None = None):
+        """Per-block outputs at state codes for one path ('q'|'g').
+
+        Returns the (n, head_dim) outputs, or block k's (n, b_k)
+        columns when k is given, and a cache for heads_backward_step.
+        The decomposed shape runs its embedding and heads (head k only
+        when k is given) once per distinct code and gathers the rows
+        back; a monolithic net runs on the rows as given, because its
+        wide outputs come out of BLAS bit-identical only when the row
+        count is kept.
+        """
+        states = np.asarray(states)
         if self.variant != "decomposed":
             net = self.q_net if path == "q" else self.g_net
             out, cache = net.forward(states)
-            return out, {"net": cache}
+            return (out if k is None else out[:, self.block_slice(k)]), {"net": cache}
         embed = self.q_embed if path == "q" else self.g_embed
         heads = self.q_heads if path == "q" else self.g_heads
-        e, e_cache = embed.forward(states)
-        outs, caches = zip(*(head.forward(e) for head in heads))
-        return np.concatenate(outs, axis=1), {"embed": e_cache, "heads": caches}
+        codes, index = np.unique(states, return_inverse=True)
+        e, e_cache = embed.forward(codes)
+        ks = range(self.n_blocks) if k is None else (k,)
+        outs, caches = zip(*(heads[j].forward(e) for j in ks))
+        out = np.concatenate(outs, axis=1) if k is None else outs[0]
+        return out[index], {"embed": e_cache, "heads": dict(zip(ks, caches)), "index": index}
 
-    def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int | None = None) -> None:
-        """Backprop a concatenated-output gradient and apply the optimizers.
+    def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int, rows) -> None:
+        """Backprop block k's output gradient and apply the optimizers.
 
-        For the decomposed shape only block k's head (plus the shared
+        `dz` is d(loss)/d(block k's columns) at the forward rows `rows`;
+        backward reads only those rows' activations.  For the
+        decomposed shape only block k's head (plus the shared
         embedding) is touched; monolithic shapes update the whole net.
         """
         if self.variant != "decomposed":
             net = self.q_net if path == "q" else self.g_net
-            grads, _ = net.backward(dz, cache["net"])
+            full = np.zeros((len(dz), self.head_dim))
+            full[:, self.block_slice(k)] = dz
+            grads, _ = net.backward(full, cache["net"], rows)
             opts[f"{path}_net"].step(grads)
             return
         heads = self.q_heads if path == "q" else self.g_heads
         embed = self.q_embed if path == "q" else self.g_embed
-        head_grads, d_embed = heads[k].backward(dz[:, self.block_slice(k)], cache["heads"][k])
-        embed_grads, _ = embed.backward(d_embed, cache["embed"])
+        index = cache["index"][rows]
+        head_grads, d_embed = heads[k].backward(dz, cache["heads"][k], index)
+        embed_grads, _ = embed.backward(d_embed, cache["embed"], index)
         opts[f"{path}_heads"][k].step(head_grads)
         opts[f"{path}_embed"].step(embed_grads)
 
     def mix_forward(self, states: np.ndarray, path: str):
         """Evaluation-path outputs: mixed vectors for decomposed, head
-        outputs otherwise.  Returns (values, mixer cache or None)."""
+        outputs otherwise.  Returns (values, mixer cache or None); the
+        mixer runs on the rows as given."""
         z, _ = self.heads_forward(states, path)
         if self.variant != "decomposed":
             return z, None
         mixer = self.q_mixer if path == "q" else self.g_mixer
         return mixer.forward(z)
 
-    def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str) -> None:
+    def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
+        """Backprop a mixed-output gradient at the forward rows `rows`."""
         mixer = self.q_mixer if path == "q" else self.g_mixer
-        grads, _ = mixer.backward(dz, cache)
+        grads, _ = mixer.backward(dz, cache, rows)
         opts[f"{path}_mixer"].step(grads)
 
     # -- serialization ------------------------------------------------------
@@ -288,43 +318,48 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
 
 def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
     states, actions, rewards, next_states, dones = batch
-    rows = np.arange(len(rewards))
+    n = len(rewards)
+    rows = np.arange(n)
     a_k = actions[:, k]
-    sl = net.block_slice(k)
 
-    q_next_on, _ = net.heads_forward(next_states, "q")
-    g_next_on, _ = net.heads_forward(next_states, "g")
-    a_star, n_fallback = filtered_argmax(q_next_on[:, sl], log_softmax(g_next_on[:, sl]), cfg.tau_bcq)
+    # One forward per network over [next_states; states]: the q step
+    # below leaves the g path's parameters as they were.
+    both = np.concatenate([next_states, states])
+    own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
+    q_both, q_cache = net.heads_forward(both, "q", k)
+    g_both, g_cache = net.heads_forward(both, "g", k)
+    a_star, n_fallback = filtered_argmax(q_both[:n], log_softmax(g_both[:n]), cfg.tau_bcq)
     counters["fallbacks"] += n_fallback
-    q_next_t, _ = target_net.heads_forward(next_states, "q")
-    targets = rewards + cfg.discount * (1.0 - dones) * q_next_t[:, sl][rows, a_star]
+    q_next_t, _ = target_net.heads_forward(next_states, "q", k)
+    targets = rewards + cfg.discount * (1.0 - dones) * q_next_t[rows, a_star]
 
-    q, q_cache = net.heads_forward(states, "q")
-    loss_q, dq = huber(q[rows, sl.start + a_k], targets)
+    q = q_both[own]
+    loss_q, dq = huber(q[rows, a_k], targets)
     dz = np.zeros_like(q)
-    dz[rows, sl.start + a_k] = dq
-    net.heads_backward_step(dz, q_cache, opts, "q", k)
+    dz[rows, a_k] = dq
+    net.heads_backward_step(dz, q_cache, opts, "q", k, own)
 
-    g, g_cache = net.heads_forward(states, "g")
-    logp = log_softmax(g[:, sl])
+    logp = log_softmax(g_both[own])
     loss_g = -float(np.mean(logp[rows, a_k]))
     dlogits = np.exp(logp)
     dlogits[rows, a_k] -= 1.0
-    dz = np.zeros_like(g)
-    dz[:, sl] = dlogits / len(rewards)
-    net.heads_backward_step(dz, g_cache, opts, "g", k)
+    net.heads_backward_step(dlogits / n, g_cache, opts, "g", k, own)
     return loss_q, loss_g
 
 
 def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
     states, actions, rewards, next_states, dones = batch
-    rows = np.arange(len(rewards))
+    n = len(rewards)
+    rows = np.arange(n)
 
-    qm_next_on, _ = net.mix_forward(next_states, "q")
-    gm_next_on, _ = net.mix_forward(next_states, "g")
+    both = np.concatenate([next_states, states])
+    own = slice(n, 2 * n)
+    qm_both, q_cache = net.mix_forward(both, "q")
+    gm_both, g_cache = net.mix_forward(both, "g")
     qm_next_t, _ = target_net.mix_forward(next_states, "q")
+    qm_next_on, qm = qm_both[:n], qm_both[own]
+    gm_next_on, gm = gm_both[:n], gm_both[own]
 
-    qm, q_cache = net.mix_forward(states, "q")
     dz_q = np.zeros_like(qm)
     loss_q = 0.0
     for k in range(net.n_blocks):
@@ -337,9 +372,8 @@ def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
         l, dq = huber(qm[rows, sl.start + actions[:, k]], targets)
         dz_q[rows, sl.start + actions[:, k]] += dq
         loss_q += l
-    net.mix_backward_step(dz_q, q_cache, opts, "q")
+    net.mix_backward_step(dz_q, q_cache, opts, "q", own)
 
-    gm, g_cache = net.mix_forward(states, "g")
     dz_g = np.zeros_like(gm)
     loss_g = 0.0
     for k in range(net.n_blocks):
@@ -348,21 +382,20 @@ def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
         loss_g += -float(np.mean(logp[rows, actions[:, k]]))
         dlogits = np.exp(logp)
         dlogits[rows, actions[:, k]] -= 1.0
-        dz_g[:, sl] = dlogits / len(rewards)
-    net.mix_backward_step(dz_g, g_cache, opts, "g")
+        dz_g[:, sl] = dlogits / n
+    net.mix_backward_step(dz_g, g_cache, opts, "g", own)
     return loss_q, loss_g
 
 
-def extract_policy(net: BcqNet, features: np.ndarray, tau: float):
-    """Greedy joint-action codes at each feature row under the filter.
+def extract_policy(net: BcqNet, states: np.ndarray, tau: float):
+    """Greedy joint-action codes at each state code under the filter.
 
     Uses the evaluation path (mixed vectors when present); per-block
     filtered argmax, encoded back to a joint code.  Returns
     (codes, fallback_count).
     """
-    q, _ = net.mix_forward(features, "q")
-    g, _ = net.mix_forward(features, "g")
-    radix = MixedRadix(net.block_sizes)
+    q, _ = net.mix_forward(states, "q")
+    g, _ = net.mix_forward(states, "g")
     parts = []
     fallbacks = 0
     for k in range(net.n_blocks):
@@ -370,9 +403,7 @@ def extract_policy(net: BcqNet, features: np.ndarray, tau: float):
         choice, n_fall = filtered_argmax(q[:, sl], log_softmax(g[:, sl]), tau)
         parts.append(choice)
         fallbacks += n_fall
-    blocks = np.stack(parts, axis=1)
-    codes = np.array([radix.encode(tuple(row)) for row in blocks], dtype=np.int64)
-    return codes, fallbacks
+    return MixedRadix(net.block_sizes).encode_many(np.stack(parts, axis=1)), fallbacks
 
 
 @dataclass
@@ -429,15 +460,14 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
         sampler = TabularModelSampler(learned_spec, noop_actions=(0,) * spec.n_blocks)
     noop = (0,) * len(block_sizes)
 
-    features = np.eye(spec.n_states)
+    all_states = np.arange(spec.n_states)
     checkpoints: list[dict] = []
     metrics: list[dict] = []
     fh = open(metrics_path, "w") if metrics_path else None
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     try:
         for t in range(1, cfg.train_steps + 1):
-            sampled = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
-            batch = sampled._replace(states=features[sampled.states], next_states=features[sampled.next_states])
+            batch = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
             q_losses, g_losses = [], []
             for k in range(len(block_sizes)):
                 b_k = (
@@ -458,7 +488,7 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
                 )
             target_update(net.params(), target_net.params(), cfg.polyak)
             if t % cfg.checkpoint_every == 0 or t == cfg.train_steps:
-                policy, n_fall = extract_policy(net, features, cfg.tau_bcq)
+                policy, n_fall = extract_policy(net, all_states, cfg.tau_bcq)
                 checkpoints.append(
                     {
                         "step": t,

@@ -11,7 +11,9 @@ its no-op action, copying any dimensions no block controls.
 The reward model is a small ReLU network over (s, s', block indices).
 For tabular tasks `TabularModelSampler` exposes the same two-method
 surface (sample_projected_next / predict) backed by an estimated spec,
-so `augment_batch` is agnostic about which one it is driving.  It
+so `augment_batch` is agnostic about which one it is driving.  The
+sampler reads and returns state codes, not feature rows, and draws a
+whole batch of successors in one vectorized pass.  `augment_batch`
 takes and returns a replay `Batch`.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
-from ..factored_mdp import FactoredMdpSpec, transition_rows
+from ..factored_mdp import FactoredMdpSpec, _terminal_mask, transition_rows
 from .replay import Batch
 
 
@@ -160,11 +162,35 @@ class RewardModel:
         return out[:, 0]
 
 
+def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index drawn from each row's distribution, in one pass.
+
+    Each row takes one uniform from `rng` and its index is the number
+    of entries of the row's normalised CDF at or below it, which is how
+    rng.choice(len(row), p=row) draws; the draws and the generator's
+    state afterwards equal those of one such call per row.  Raises
+    ValueError where choice would: a NaN, a negative entry, or a row
+    sum off 1 by more than sqrt(eps).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    totals = rows.sum(axis=1)
+    if np.isnan(totals).any():
+        raise ValueError("probabilities contain NaN")
+    if (rows < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(totals - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(rows, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(rows))
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 class TabularModelSampler:
     """Exact-sampling stand-in for the neural models on tabular tasks.
 
-    States are one-hot vectors over an estimated spec's state codes and
-    rewards come from the spec's (s, s') table.  Two successor modes:
+    States are codes of an estimated spec and rewards come from the
+    spec's (s, s') table.  Two successor modes:
 
     * "padded" pins every other block to its no-op action index, the
       only conditional a model fitted from fully-intervened logs can
@@ -182,38 +208,34 @@ class TabularModelSampler:
         self.noop_actions = tuple(
             int(a) for a in (noop_actions if noop_actions is not None else [0] * spec.n_blocks)
         )
+        self.terminal = _terminal_mask(spec)
 
     def _codes(self, states) -> np.ndarray:
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        if states.shape[1] != self.spec.n_states:
-            raise ShapeError(
-                f"expected one-hot states of width {self.spec.n_states}, got {states.shape[1]}"
-            )
-        return states.argmax(axis=1)
+        codes = np.asarray(states)
+        if codes.dtype.kind not in "iu" or codes.ndim != 1:
+            raise ShapeError(f"expected a vector of state codes, got {codes.dtype} of shape {codes.shape}")
+        if codes.size and (codes.min() < 0 or codes.max() >= self.spec.n_states):
+            raise ShapeError(f"state code outside [0, {self.spec.n_states})")
+        return codes
 
     def ready(self, k=None) -> bool:
         return True
 
     def sample_projected_next(self, states, k: int, actions_k, noop_actions=None, rng=None) -> np.ndarray:
+        """Successor codes under do(a_k), one draw per row."""
         codes = self._codes(states)
         noop = noop_actions if noop_actions is not None else self.noop_actions
         blocks = np.tile(np.asarray(noop, dtype=np.int64), (len(codes), 1))
         blocks[:, k] = actions_k
         rows = transition_rows(self.spec, codes, blocks, (k,) if self.mode == "projected" else None)
-        out = np.zeros((len(codes), self.spec.n_states))
-        for i, row in enumerate(rows):
-            out[i, rng.choice(self.spec.n_states, p=row)] = 1.0
-        return out
+        return sample_rows(rows, rng)
 
     def predict(self, states, actions, next_states) -> np.ndarray:
-        codes = self._codes(states)
-        next_codes = self._codes(next_states)
-        return self.spec.reward[codes, next_codes]
+        return self.spec.reward[self._codes(states), self._codes(next_states)]
 
     def terminal_of(self, next_states) -> np.ndarray:
-        """Whether each one-hot successor is one of the spec's terminals."""
-        terminal = self.spec.terminal_states
-        return np.array([code in terminal for code in self._codes(next_states)])
+        """Whether each successor code is one of the spec's terminals."""
+        return self.terminal[self._codes(next_states)]
 
 
 def augment_batch(

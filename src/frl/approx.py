@@ -6,6 +6,14 @@ walk the caches in reverse.  Gradients are cross-checked against
 central finite differences in the tests, which is the point of keeping
 the arithmetic visible.
 
+Each `Mlp` keeps its parameters in one flat float64 buffer, with the
+per-layer weights and biases as views into it; backward writes its
+gradients into one matching buffer, and `Optimizer` updates the whole
+buffer in one in-place pass.  An integer input to an `Mlp` is a vector
+of codes standing for one-hot rows, so a tabular state needs no dense
+feature matrix: the first layer reads weight rows instead of
+multiplying by a one-hot matrix.
+
 `DecomposedQNet` is the factored-action value network: one head of
 action values per block off a shared trunk, plus a mixer that reads the
 per-block values selected by a joint action and produces the joint
@@ -15,6 +23,7 @@ two-layer linear bottleneck, and a three-layer ReLU network.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -25,9 +34,20 @@ _MLP_FORMAT = "frl-mlp-v1"
 _DECQ_FORMAT = "frl-decq-v1"
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, out=None) -> np.ndarray:
+    """Uniform(-a, a) draws, a = sqrt(6 / (fan_in + fan_out)).
+
+    With `out` the draws land in place in that (fan_in, fan_out) array.
+    Either way the values and the generator's state afterwards equal
+    those of rng.uniform(-a, a, (fan_in, fan_out)).
+    """
     a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, size=(fan_in, fan_out))
+    if out is None:
+        out = np.empty((fan_in, fan_out))
+    rng.random(out=out)
+    out *= 2 * a
+    out += -a
+    return out
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -46,16 +66,65 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
+def _layer_views(flat: np.ndarray, sizes) -> list[np.ndarray]:
+    """[w0, b0, w1, b1, ...] as views laid back to back in `flat`."""
+    views, pos = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        views.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
+        pos += n_in * n_out
+        views.append(flat[pos : pos + n_out])
+        pos += n_out
+    return views
+
+
+def _tiled(arrays) -> np.ndarray | None:
+    """The 1-D float64 view that `arrays` cover back to back, in order.
+
+    None when they do not lie that way in one buffer.  A single
+    contiguous array covers its own buffer.
+    """
+    if not arrays:
+        return np.empty(0)
+    first = arrays[0]
+    owner = first if getattr(first, "base", None) is None else first.base
+    if not isinstance(owner, np.ndarray) or owner.dtype != np.float64 or not owner.flags.c_contiguous:
+        return None
+    whole = owner.reshape(-1)
+    origin = whole.__array_interface__["data"][0]
+    start = end = first.__array_interface__["data"][0]
+    for a in arrays:
+        if a is not owner and getattr(a, "base", None) is not owner:
+            return None
+        info = a.__array_interface__
+        # strides None: C-contiguous
+        if info["strides"] is not None or info["typestr"] != whole.dtype.str or info["data"][0] != end:
+            return None
+        end += a.nbytes
+    return whole[(start - origin) // 8 : (end - origin) // 8]
+
+
 class Mlp:
     """Dense network; sizes[0] inputs, sizes[-1] outputs.
 
     `activation` applies to hidden layers, `out_activation` to the last
-    layer.  Forward returns its cache next to the output and backward
-    takes it back, so interleaved evaluations on one network each keep
-    their own.
+    layer.  All parameters live in one float64 buffer `flat`, laid out
+    w0, b0, w1, b1, ...; `weights` and `biases` are views into it.
+    Forward returns its cache next to the output and backward takes it
+    back, so interleaved evaluations on one network each keep their
+    own.
+
+    An integer input is a vector of codes in [0, sizes[0]): code c
+    stands for the one-hot row e_c, and the first layer reads row c of
+    its weights instead of multiplying.
     """
 
     def __init__(self, sizes, activation="relu", out_activation="identity", rng=None):
+        self._configure(sizes, activation, out_activation)
+        rng = rng or np.random.default_rng()
+        for w in self.weights:
+            glorot_uniform(rng, *w.shape, out=w)
+
+    def _configure(self, sizes, activation, out_activation) -> None:
         if len(sizes) < 2:
             raise ConfigurationError("network needs at least input and output sizes")
         _act(activation, np.zeros(1))
@@ -63,20 +132,26 @@ class Mlp:
         self.sizes = tuple(int(s) for s in sizes)
         self.activation = activation
         self.out_activation = out_activation
-        rng = rng or np.random.default_rng()
-        self.weights = [
-            glorot_uniform(rng, self.sizes[i], self.sizes[i + 1]) for i in range(len(sizes) - 1)
-        ]
-        self.biases = [np.zeros(self.sizes[i + 1]) for i in range(len(sizes) - 1)]
+        n = sum(a * b + b for a, b in zip(self.sizes, self.sizes[1:]))
+        self._bind(np.zeros(n))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._views = _layer_views(flat, self.sizes)
+        self.weights = self._views[0::2]
+        self.biases = self._views[1::2]
 
     # -- parameters ------------------------------------------------------
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Views into `flat`, in its order: w0, b0, w1, b1, ..."""
+        return list(self._views)
+
+    def clone(self) -> "Mlp":
+        """An independent copy: one buffer copy, no initializer draw."""
+        other = copy.copy(self)
+        other._bind(self.flat.copy())
+        return other
 
     def _layer_act(self, i: int) -> str:
         return self.out_activation if i == len(self.weights) - 1 else self.activation
@@ -84,46 +159,64 @@ class Mlp:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, x: np.ndarray):
-        """(output, cache for backward); a 1-D input gives a 1-D output."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.sizes[0]:
-            raise ShapeError(f"input has {x.shape[1]} features, network expects {self.sizes[0]}")
+        """(output, cache for backward); a 1-D float input gives a 1-D output."""
+        x = np.asarray(x)
+        codes = x.dtype.kind in "iu"
+        squeeze = False
+        if codes:
+            if x.ndim != 1:
+                raise ShapeError(f"codes must form a vector, got shape {x.shape}")
+            if x.size and (x.min() < 0 or x.max() >= self.sizes[0]):
+                raise ShapeError(f"input code outside [0, {self.sizes[0]})")
+        else:
+            x = x.astype(np.float64, copy=False)
+            squeeze = x.ndim == 1
+            if squeeze:
+                x = x[None, :]
+            if x.shape[1] != self.sizes[0]:
+                raise ShapeError(f"input has {x.shape[1]} features, network expects {self.sizes[0]}")
         pre, post = [], [x]
         h = x
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = (w[h] if codes and i == 0 else h @ w) + b
             pre.append(z)
             h = _act(self._layer_act(i), z)
             post.append(h)
-        cache = {"pre": pre, "post": post, "squeeze": squeeze}
+        cache = {"pre": pre, "post": post, "squeeze": squeeze, "codes": codes}
         return (h[0] if squeeze else h), cache
 
-    def backward(self, grad_out: np.ndarray, cache):
+    def backward(self, grad_out: np.ndarray, cache, rows=None):
         """Grads of a scalar loss given d(loss)/d(output) and forward's cache.
 
-        Returns (param_grads aligned with params(), d(loss)/d(input)).
+        `rows` names the forward rows `grad_out` belongs to (all when
+        None); only their activations enter the gradients.  Returns
+        (param_grads, d(loss)/d(input)).  The grads are views aligned
+        with params() into one fresh buffer laid out like `flat`; the
+        input gradient is None for a code input.
         """
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if cache["squeeze"] and grad_out.ndim == 1:
             grad_out = grad_out[None, :]
-        pre, post = cache["pre"], cache["post"]
+        pre, post = cache["pre"], cache["post"][:-1]
+        if rows is not None:
+            pre = [z[rows] for z in pre]
+            post = [h[rows] for h in post]
+        codes = cache["codes"]
+        grads = _layer_views(np.empty(self.flat.size), self.sizes)
         g = grad_out
-        w_grads = [None] * len(self.weights)
-        b_grads = [None] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
             g = g * _act_grad(self._layer_act(i), pre[i])
-            w_grads[i] = post[i].T @ g
-            b_grads[i] = g.sum(axis=0)
-            g = g @ self.weights[i].T
-        grads = []
-        for wg, bg in zip(w_grads, b_grads):
-            grads.append(wg)
-            grads.append(bg)
-        dx = g[0] if cache["squeeze"] else g
-        return grads, dx
+            x = post[i]
+            if codes and i == 0:
+                x = np.zeros((len(x), self.sizes[0]))
+                x[np.arange(len(x)), post[0]] = 1.0
+            np.matmul(x.T, g, out=grads[2 * i])
+            np.sum(g, axis=0, out=grads[2 * i + 1])
+            if i or not codes:
+                g = g @ self.weights[i].T
+        if codes:
+            return grads, None
+        return grads, (g[0] if cache["squeeze"] else g)
 
     # -- serialization ------------------------------------------------------
 
@@ -141,12 +234,15 @@ class Mlp:
     def from_doc(cls, doc: dict) -> "Mlp":
         if doc.get("format") != _MLP_FORMAT:
             raise ConfigurationError(f"unexpected checkpoint format {doc.get('format')!r}")
-        net = cls(doc["sizes"], doc["activation"], doc["out_activation"], rng=np.random.default_rng(0))
-        net.weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        for w, s_in, s_out in zip(net.weights, net.sizes, net.sizes[1:]):
-            if w.shape != (s_in, s_out):
-                raise ShapeError(f"checkpoint weight shape {w.shape} does not match sizes")
+        net = cls.__new__(cls)
+        net._configure(doc["sizes"], doc["activation"], doc["out_activation"])
+        stored = [np.asarray(a, dtype=np.float64) for pair in zip(doc["weights"], doc["biases"]) for a in pair]
+        if len(stored) != len(net._views):
+            raise ShapeError("checkpoint layer count does not match sizes")
+        for view, a in zip(net._views, stored):
+            if a.shape != view.shape:
+                raise ShapeError(f"checkpoint parameter shape {a.shape} does not match sizes")
+            view[...] = a
         return net
 
     def to_json(self) -> str:
@@ -171,11 +267,16 @@ def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
 
 
 class Optimizer:
-    """SGD or Adam over a fixed list of live parameter arrays.
+    """SGD or Adam over the parameters of one network, in place.
 
-    Weight decay is decoupled: applied as a direct shrink, never mixed
-    into the adaptive moments.  Raises NumericError as soon as a
-    gradient or an updated parameter stops being finite.
+    `params` must lie back to back in one float64 buffer, as an Mlp's
+    `params()` do (a single array does too).  A step is one pass over
+    that buffer with preallocated scratch, keeping every elementwise
+    operation of the per-array update in its order, so results are
+    bit-identical to it.  Weight decay is decoupled: applied as a
+    direct shrink, never mixed into the adaptive moments.  Raises
+    NumericError, naming the parameter's index in `params`, as soon as
+    a gradient or an updated parameter stops being finite.
     """
 
     def __init__(self, params, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
@@ -184,6 +285,9 @@ class Optimizer:
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
+        self.flat = _tiled(self.params)
+        if self.flat is None:
+            raise ConfigurationError("parameters must lie back to back in one float64 buffer")
         self.kind = kind
         self.lr = lr
         self.beta1 = beta1
@@ -191,37 +295,73 @@ class Optimizer:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
+        self._ends = np.cumsum([p.size for p in self.params])
+        self._scratch = np.empty_like(self.flat)
         if kind == "adam":
-            self.m = [np.zeros_like(p) for p in self.params]
-            self.v = [np.zeros_like(p) for p in self.params]
+            self._m = np.zeros_like(self.flat)
+            self._v = np.zeros_like(self.flat)
+            self._scratch2 = np.empty_like(self.flat)
+            self.m = self._split(self._m)
+            self.v = self._split(self._v)
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of `flat` shaped like each parameter."""
+        return [a.reshape(p.shape) for a, p in zip(np.split(flat, self._ends[:-1]), self.params)]
+
+    def _first_bad(self, flat: np.ndarray) -> int | None:
+        """Index in `params` of the first non-finite entry, or None."""
+        if np.isfinite(flat).all():
+            return None
+        return int(np.searchsorted(self._ends, np.flatnonzero(~np.isfinite(flat))[0], side="right"))
 
     def step(self, grads) -> None:
         grads = list(grads)
         if len(grads) != len(self.params):
             raise ShapeError(f"got {len(grads)} gradients for {len(self.params)} parameters")
-        self.t += 1
         for i, (p, g) in enumerate(zip(self.params, grads)):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
-            if not np.isfinite(g).all():
-                raise NumericError(f"gradient {i} is not finite")
-            if self.weight_decay:
-                p -= self.lr * self.weight_decay * p
-            if self.kind == "sgd":
-                p -= self.lr * g
-            else:
-                self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-                m_hat = self.m[i] / (1 - self.beta1**self.t)
-                v_hat = self.v[i] / (1 - self.beta2**self.t)
-                p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            if not np.isfinite(p).all():
-                raise NumericError(f"parameter {i} became non-finite after update")
+            if np.shape(g) != p.shape:
+                raise ShapeError(f"gradient {i} has shape {np.shape(g)}, parameter has {p.shape}")
+        g = _tiled(grads)
+        if g is None:
+            g = np.concatenate([np.asarray(x, dtype=np.float64).ravel() for x in grads])
+        bad = self._first_bad(g)
+        if bad is not None:
+            raise NumericError(f"gradient {bad} is not finite")
+        self.t += 1
+        p, s = self.flat, self._scratch
+        if self.weight_decay:
+            np.multiply(p, self.lr * self.weight_decay, out=s)
+            p -= s
+        if self.kind == "sgd":
+            np.multiply(g, self.lr, out=s)
+            p -= s
+        else:
+            m, v, s2 = self._m, self._v, self._scratch2
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s)
+            m += s
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=s)
+            s *= g
+            v += s
+            np.divide(m, 1 - self.beta1**self.t, out=s)
+            s *= self.lr
+            np.divide(v, 1 - self.beta2**self.t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s /= s2
+            p -= s
+        bad = self._first_bad(p)
+        if bad is not None:
+            raise NumericError(f"parameter {bad} became non-finite after update")
 
 
 def target_update(src_params, dst_params, tau: float | None = None) -> None:
-    """Copy (tau=None) or Polyak-average source parameters into targets."""
+    """Copy (tau=None) or Polyak-average source parameters into targets.
+
+    One operation per array pair, so a list of whole-network buffers
+    costs one pass per network.
+    """
     src, dst = list(src_params), list(dst_params)
     if len(src) != len(dst):
         raise ShapeError("parameter lists have different lengths")
@@ -311,16 +451,9 @@ class DecomposedQNet:
         return self.head_params() + self.mixer_params()
 
     def clone(self) -> "DecomposedQNet":
-        other = DecomposedQNet(
-            self.state_dim,
-            self.block_sizes,
-            hidden=self.hidden,
-            mixer=self.mixer_kind,
-            mixer_hidden=self.mixer_hidden,
-            shared_trunk=self.shared_trunk,
-            rng=np.random.default_rng(0),
-        )
-        target_update(self.params(), other.params())
+        other = copy.copy(self)
+        other.trunks = [t.clone() for t in self.trunks]
+        other.mixer = None if self.mixer is None else self.mixer.clone()
         return other
 
     # -- forward -------------------------------------------------------------

@@ -481,7 +481,16 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Quantiles of one metrics field per label and x value.
+
+    Online lines are grouped by `episode` under the run's preset.
+    Offline lines carry `tau` and `step`; they are grouped by step under
+    one label per tau, such as "AD-BCQ tau=0.1", so the taus a run
+    trained do not mix.
+    """
     groups: dict[str, dict[int, list[float]]] = {}
+    axes = set()
+    complete = 0
     for raw in args.runs:
         run = Path(raw)
         cfg_path = run / "config.json"
@@ -491,9 +500,9 @@ def _cmd_report(args) -> int:
         if (run / "INCOMPLETE").exists():
             logger.warning("skipping incomplete run %s", run)
             continue
+        complete += 1
         config = json.loads(cfg_path.read_text())
-        label = str(config.get("preset", run.name))
-        series = groups.setdefault(label, {})
+        preset = str(config.get("preset", run.name))
         for i, line in enumerate(metrics_path.read_text().splitlines()):
             if not line.strip():
                 continue
@@ -501,19 +510,27 @@ def _cmd_report(args) -> int:
             value = doc.get(args.key)
             if value is None:
                 continue
-            series.setdefault(int(doc.get("episode", i)), []).append(float(value))
-    if not groups:
+            if "tau" in doc:
+                axes.add("step")
+                label, x = f"{preset} tau={doc['tau']}", int(doc["step"])
+            else:
+                axes.add("episode")
+                label, x = preset, int(doc.get("episode", i))
+            groups.setdefault(label, {}).setdefault(x, []).append(float(value))
+    if not complete:
         raise ConfigurationError("no complete runs to report on")
+    if len(axes) > 1:
+        raise ConfigurationError("cannot report online (per-episode) and offline (per-step) runs together")
     rows = []
     for label in sorted(groups):
-        for episode in sorted(groups[label]):
-            vals = np.asarray(groups[label][episode])
+        for x in sorted(groups[label]):
+            vals = np.asarray(groups[label][x])
             rows.append([
-                label, episode, len(vals), float(vals.mean()),
+                label, x, len(vals), float(vals.mean()),
                 float(np.quantile(vals, 0.25)), float(np.quantile(vals, 0.5)),
                 float(np.quantile(vals, 0.75)),
             ])
-    header = ["preset", "episode", "n", "mean", "q25", "q50", "q75"]
+    header = ["preset", axes.pop() if axes else "episode", "n", "mean", "q25", "q50", "q75"]
     if args.out:
         path = _out_path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -215,3 +215,132 @@ class ListRing:
         pool = self.recent(window)
         idx = rng.integers(0, len(pool), size=n)
         return [pool[i] for i in idx]
+
+
+def choice_rows(rows, rng):
+    """One `rng.choice(len(row), p=row)` call per row, in row order."""
+    return np.array([rng.choice(len(row), p=row) for row in rows], dtype=np.int64)
+
+
+class ListAdam:
+    """Adam (or SGD) over a list of separate arrays, one array at a time.
+
+    Decoupled weight decay shrinks each array before its update; every
+    update allocates its temporaries.  Raises NumericError naming the
+    first array whose gradient, or whose updated value, is not finite.
+    """
+
+    def __init__(self, params, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.params = list(params)
+        self.kind = kind
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+
+    def step(self, grads):
+        from frl.errors import NumericError
+
+        self.t += 1
+        for i, (p, g) in enumerate(zip(self.params, grads)):
+            if not np.isfinite(g).all():
+                raise NumericError(f"gradient {i} is not finite")
+            if self.weight_decay:
+                p -= self.lr * self.weight_decay * p
+            if self.kind == "sgd":
+                p -= self.lr * g
+            else:
+                self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+                self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+                m_hat = self.m[i] / (1 - self.beta1**self.t)
+                v_hat = self.v[i] / (1 - self.beta2**self.t)
+                p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            if not np.isfinite(p).all():
+                raise NumericError(f"parameter {i} became non-finite after update")
+
+
+def _log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _filtered_argmax(q, logp, tau):
+    probs = np.exp(logp)
+    allowed = probs / probs.max(axis=1, keepdims=True) >= tau
+    allowed[~allowed.any(axis=1)] = True
+    return np.where(allowed, q, -np.inf).argmax(axis=1)
+
+
+def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
+    """One step per block, then one on the mixers, of a decomposed BcqNet.
+
+    Written the direct way: states are one-hot feature rows, and every
+    forward runs the embedding and all heads (and the mixer) over the
+    batch's own rows, next states and states separately, right before
+    the value is used.  `opts` maps the library's optimizer keys to
+    optimizers over each network's `params()`.
+    """
+    from frl.approx import huber
+
+    eye = np.eye(net.state_dim)
+    x_next, x = eye[batch.next_states], eye[batch.states]
+    n = len(batch.rewards)
+    rows = np.arange(n)
+    actions = batch.actions
+
+    def heads(model, feats, path):
+        embed = model.q_embed if path == "q" else model.g_embed
+        e, e_cache = embed.forward(feats)
+        outs = [h.forward(e) for h in (model.q_heads if path == "q" else model.g_heads)]
+        return np.concatenate([o for o, _ in outs], axis=1), e_cache, [c for _, c in outs]
+
+    def mixed(model, feats, path):
+        z, _, _ = heads(model, feats, path)
+        return (model.q_mixer if path == "q" else model.g_mixer).forward(z)
+
+    for k in range(net.n_blocks):
+        sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
+        a_k = actions[:, k]
+        q_next = heads(net, x_next, "q")[0][:, sl]
+        g_next = heads(net, x_next, "g")[0][:, sl]
+        a_star = _filtered_argmax(q_next, _log_softmax(g_next), tau)
+        targets = batch.rewards + discount * (1.0 - batch.dones) * heads(target_net, x_next, "q")[0][:, sl][rows, a_star]
+        for path in ("q", "g"):
+            z, e_cache, h_caches = heads(net, x, path)
+            if path == "q":
+                _, dq = huber(z[:, sl][rows, a_k], targets)
+                dz = np.zeros((n, sl.stop - sl.start))
+                dz[rows, a_k] = dq
+            else:
+                dz = np.exp(_log_softmax(z[:, sl]))
+                dz[rows, a_k] -= 1.0
+                dz = dz / n
+            head = (net.q_heads if path == "q" else net.g_heads)[k]
+            head_grads, d_embed = head.backward(dz, h_caches[k])
+            embed_grads, _ = (net.q_embed if path == "q" else net.g_embed).backward(d_embed, e_cache)
+            opts[f"{path}_heads"][k].step(head_grads)
+            opts[f"{path}_embed"].step(embed_grads)
+
+    qm_next, _ = mixed(net, x_next, "q")
+    gm_next, _ = mixed(net, x_next, "g")
+    qm_next_t, _ = mixed(target_net, x_next, "q")
+    for path in ("q", "g"):
+        out, cache = mixed(net, x, path)
+        dz = np.zeros_like(out)
+        for k in range(net.n_blocks):
+            sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
+            if path == "q":
+                a_star = _filtered_argmax(qm_next[:, sl], _log_softmax(gm_next[:, sl]), tau)
+                targets = batch.rewards + discount * (1.0 - batch.dones) * qm_next_t[:, sl][rows, a_star]
+                _, dq = huber(out[:, sl][rows, actions[:, k]], targets)
+                dz[rows, sl.start + actions[:, k]] += dq
+            else:
+                d = np.exp(_log_softmax(out[:, sl]))
+                d[rows, actions[:, k]] -= 1.0
+                dz[:, sl] = d / n
+        grads, _ = (net.q_mixer if path == "q" else net.g_mixer).backward(dz, cache)
+        opts[f"{path}_mixer"].step(grads)

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import frl.agents.bcq as bcq_module
 import frl.agents.dqn as dqn_module
 from frl.agents import (
     Batch,
@@ -41,7 +42,7 @@ from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two
 from frl.envs.point_mass import FlattenedEnv
 from frl.errors import ConfigurationError, DataError, ShapeError, StateError
 from frl.factored_mdp import projected_transition
-from oracles import ListRing
+from oracles import ListAdam, ListRing, bcq_tick_reference
 
 
 def _row(i, n_blocks=2):
@@ -211,17 +212,15 @@ def test_dynamics_model_fits_point_mass_physics():
 def test_augmentation_matches_projected_transition_distribution():
     spec = two_switch_spec(reward="weighted")
     sampler = TabularModelSampler(spec, noop_actions=(0, 0), mode="projected")
-    eye = np.eye(spec.n_states)
     s, n = 2, 10_000
-    base = Batch(np.tile(eye[s], (n, 1)), np.tile([1, 1], (n, 1)), np.zeros(n),
-                 np.tile(eye[0], (n, 1)), np.zeros(n))
+    base = Batch(np.full(n, s), np.tile([1, 1], (n, 1)), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n))
     rng = np.random.default_rng(11)
     out = augment_batch(base, 0, sampler, sampler, (0, 0), rng)
     assert out.next_states.shape == base.next_states.shape
     np.testing.assert_array_equal(out.states, base.states)
     # forced block kept, other padded to no-op
     assert out.actions.dtype == np.int64 and (out.actions == [1, 0]).all()
-    codes = out.next_states.argmax(axis=1)
+    codes = out.next_states
     counts = np.bincount(codes, minlength=spec.n_states)
     tv = 0.5 * np.abs(counts / n - projected_transition(spec, 0, s, 1)).sum()
     assert tv <= 0.02
@@ -229,19 +228,31 @@ def test_augmentation_matches_projected_transition_distribution():
     np.testing.assert_array_equal(out.rewards, spec.reward[s, codes])
 
 
+def test_sampler_takes_state_codes_only():
+    spec = two_switch_spec()
+    sampler = TabularModelSampler(spec)
+    rng = np.random.default_rng(0)
+    for bad in (np.eye(spec.n_states)[[0, 1]], np.array([0, spec.n_states]), np.array([-1])):
+        with pytest.raises(ShapeError):
+            sampler.sample_projected_next(bad, 0, np.array([1] * len(bad)), rng=rng)
+    np.testing.assert_array_equal(
+        sampler.terminal_of(np.arange(spec.n_states)),
+        [s in spec.terminal_states for s in range(spec.n_states)],
+    )
+
+
 def test_padded_sampler_refreshes_terminal_flags():
     spec = treatment_spec()
     sampler = TabularModelSampler(spec, noop_actions=(0, 0))
-    eye = np.eye(spec.n_states)
     # a state one severity step from the healthy terminal
     source = next(s for s in range(spec.n_states)
                   if spec.state_radix.decode(s)[0] == 1
                   and s not in spec.terminal_states)
     n = 400
-    rows = Batch(np.tile(eye[source], (n, 1)), np.zeros((n, 2), dtype=np.int64), np.zeros(n),
-                 np.tile(eye[source], (n, 1)), np.zeros(n))
+    rows = Batch(np.full(n, source), np.zeros((n, 2), dtype=np.int64), np.zeros(n),
+                 np.full(n, source), np.zeros(n))
     out = augment_batch(rows, 0, sampler, sampler, (0, 0), np.random.default_rng(3))
-    flags = [code in spec.terminal_states for code in out.next_states.argmax(axis=1)]
+    flags = [code in spec.terminal_states for code in out.next_states]
     assert any(flags) and not all(flags)
     # done mirrors terminal entry
     assert out.dones.dtype == np.float64 and out.dones.tolist() == [float(f) for f in flags]
@@ -508,6 +519,129 @@ def test_bcq_runs_are_deterministic_given_seed():
     b = ad_bcq_train(logs, cfg, spec)
     assert a.checkpoints == b.checkpoints
     assert json.dumps(a.metrics) == json.dumps(b.metrics)
+
+
+BCQ_V1_DOC = {
+    "format": "frl-bcq-v1", "state_dim": 3, "block_sizes": [2, 1], "variant": "decomposed", "hidden": 2,
+    "nets": {
+        "q_embed": {"format": "frl-mlp-v1", "sizes": [3, 2, 2], "activation": "relu", "out_activation": "identity",
+                    "weights": [[[0.01, 0.11], [0.99, 0.59], [0.24, 0.98]], [[0.23, -0.91], [-0.93, 0.03]]],
+                    "biases": [[-0.57, -0.68], [-0.07, 0.83]]},
+        "q_heads": [
+            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 2], "activation": "relu", "out_activation": "identity",
+             "weights": [[[0.26, 0.03], [-0.01, -0.5]], [[0.38, -0.6], [-0.26, -0.99]], [[-0.46, 0.76], [0.02, 0.69]]],
+             "biases": [[-0.98, -0.62], [0.66, -0.69], [0.28, 0.48]]},
+            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 1], "activation": "relu", "out_activation": "identity",
+             "weights": [[[-0.82, 0.08], [0.02, 0.74]], [[-0.88, -0.22], [-0.35, -0.7]], [[0.96], [0.18]]],
+             "biases": [[-0.28, 0.2], [0.63, -0.24], [0.21]]},
+        ],
+        "q_mixer": {"format": "frl-mlp-v1", "sizes": [3, 2, 2, 3], "activation": "relu", "out_activation": "identity",
+                    "weights": [[[0.28, 0.35], [-0.7, -0.12], [-0.52, -0.2]], [[-0.57, 0.34], [-0.4, 0.75]],
+                                [[0.69, 0.89, 0.81], [0.14, -0.71, -0.62]]],
+                    "biases": [[-0.81, 0.94], [0.32, -0.74], [0.86, 0.1, -0.64]]},
+        "g_embed": {"format": "frl-mlp-v1", "sizes": [3, 2, 2], "activation": "relu", "out_activation": "identity",
+                    "weights": [[[0.77, 0.28], [0.14, -0.25], [-0.18, -0.52]], [[-0.06, 0.1], [-0.36, 0.5]]],
+                    "biases": [[-0.92, 0.75], [-0.95, -0.26]]},
+        "g_heads": [
+            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 2], "activation": "relu", "out_activation": "identity",
+             "weights": [[[-0.94, -0.75], [0.93, 0.32]], [[0.75, -0.31], [0.18, 0.37]], [[0.53, 0.82], [-0.7, 0.87]]],
+             "biases": [[-0.14, 0.05], [-0.29, 0.04], [-0.99, 0.51]]},
+            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 1], "activation": "relu", "out_activation": "identity",
+             "weights": [[[0.62, -0.73], [-0.16, 0.63]], [[0.59, 0.03], [0.45, -0.55]], [[-0.64], [-0.31]]],
+             "biases": [[-0.97, 0.26], [-0.6, -0.27], [0.9]]},
+        ],
+        "g_mixer": {"format": "frl-mlp-v1", "sizes": [3, 2, 2, 3], "activation": "relu", "out_activation": "identity",
+                    "weights": [[[0.15, -0.32], [-0.46, 0.9], [-0.11, 0.96]], [[0.79, 0.49], [0.16, -0.15]],
+                                [[0.85, -0.86, -0.14], [0.04, 0.9, -0.5]]],
+                    "biases": [[0.03, 0.04], [0.76, -0.18], [0.61, 0.35, 0.43]]},
+    },
+}
+
+
+def test_stored_bcq_checkpoint_still_loads():
+    net = BcqNet.from_doc(copy.deepcopy(BCQ_V1_DOC))
+    states = np.arange(3)
+    q, _ = net.mix_forward(states, "q")
+    g, _ = net.mix_forward(states, "g")
+    np.testing.assert_allclose(q, [[0.88613004608, 0.13370397248, -0.60932559808],
+                                   [0.8912323808, 0.1402852448, -0.6033359008],
+                                   [0.8853498024704, 0.1326975713024, -0.6102415362304]], rtol=1e-12)
+    np.testing.assert_allclose(g, [[1.55883476039024, -0.609997522277184, 0.273721333582784],
+                                   [1.5394427864416, -0.59037740745856, 0.27691530576256],
+                                   [1.52857734204016, -0.579384134299456, 0.278704908369856]], rtol=1e-12)
+    assert net.to_doc() == BCQ_V1_DOC
+    codes, _ = extract_policy(net, states, tau=0.0)
+    assert codes.tolist() == [0, 0, 0]
+
+
+def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
+    """Per step with two blocks: q, g and target q on embedding + head k for
+    each block (12), q, g and target q heads for the mixers (9), and the
+    two online mixers plus the target q mixer (3)."""
+    spec, logs = _offline_setup(episodes=20, seed=1)
+    forwards, heads, in_step = [], [], [False]
+    mlp_forward, heads_forward = Mlp.forward, BcqNet.heads_forward
+
+    def counted_forward(self, x):
+        if in_step[0]:
+            forwards.append(np.array(x))
+        return mlp_forward(self, x)
+
+    def counted_heads(self, *args, **kwargs):
+        if in_step[0]:
+            heads.append(1)
+        return heads_forward(self, *args, **kwargs)
+
+    def in_a_step(fn):
+        def run(*args):
+            in_step[0] = True
+            try:
+                return fn(*args)
+            finally:
+                in_step[0] = False
+        return run
+
+    monkeypatch.setattr(Mlp, "forward", counted_forward)
+    monkeypatch.setattr(BcqNet, "heads_forward", counted_heads)
+    monkeypatch.setattr(bcq_module, "_train_block", in_a_step(bcq_module._train_block))
+    monkeypatch.setattr(bcq_module, "_train_mixers", in_a_step(bcq_module._train_mixers))
+    cfg = BcqConfig(variant="decomposed", hidden=16, batch_size=16, train_steps=5, checkpoint_every=5, seed=2)
+    ad_bcq_train(logs, cfg, spec)
+    assert len(forwards) == 24 * cfg.train_steps
+    assert len(heads) == 9 * cfg.train_steps
+    # embeddings read each distinct state code once
+    codes = [x for x in forwards if x.dtype.kind == "i"]
+    assert codes and all(len(np.unique(x)) == len(x) for x in codes)
+
+
+def _sgd_opts(net, make):
+    one = lambda m: make(m.params(), kind="sgd", lr=0.05)
+    return {
+        "q_embed": one(net.q_embed), "q_heads": [one(h) for h in net.q_heads], "q_mixer": one(net.q_mixer),
+        "g_embed": one(net.g_embed), "g_heads": [one(h) for h in net.g_heads], "g_mixer": one(net.g_mixer),
+    }
+
+
+def test_decomposed_bcq_steps_match_the_per_path_reference():
+    spec, logs = _offline_setup(episodes=20, seed=4)
+    data, _ = episodes_to_transitions(logs, spec, flat=False)
+    cfg = BcqConfig(variant="decomposed", tau_bcq=0.3, hidden=16, discount=0.9)
+    net = BcqNet(spec.n_states, spec.block_sizes, "decomposed", hidden=16, rng=np.random.default_rng(6))
+    target = net.clone()
+    for p in target.params():
+        p += 0.01  # keep online and target apart
+    ref, ref_target = net.clone(), target.clone()
+    opts, ref_opts = _sgd_opts(net, Optimizer), _sgd_opts(ref, ListAdam)
+    rng = np.random.default_rng(7)
+    counters = {"fallbacks": 0, "mixer_fallbacks": 0}
+    for _ in range(3):
+        batch = data.take(rng.integers(0, len(data.rewards), size=12))
+        for k in range(net.n_blocks):
+            bcq_module._train_block(net, target, opts, batch, k, cfg, counters)
+        bcq_module._train_mixers(net, target, opts, batch, cfg, counters)
+        bcq_tick_reference(ref, ref_target, ref_opts, batch, cfg.tau_bcq, cfg.discount)
+    for got, want in zip(net.params(), ref.params()):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_flat_variant_rejects_augmentation():

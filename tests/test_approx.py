@@ -5,6 +5,8 @@ the forward pass is additionally re-derived by an independent loop in
 this file so a shared bug in forward+backward cannot hide.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,62 @@ def test_mlp_shape_and_configuration_errors():
         Mlp((3, 2), activation="softplus")
     with pytest.raises(ConfigurationError):
         Mlp((3,))
+
+
+def test_mlp_parameters_live_in_one_buffer():
+    net = Mlp((3, 4, 2), rng=np.random.default_rng(2))
+    assert net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
+    for p in net.params():
+        assert np.shares_memory(p, net.flat)
+    net.flat[:] = 0.5
+    assert (net.weights[1] == 0.5).all() and (net.biases[0] == 0.5).all()
+    x = np.random.default_rng(3).normal(size=(5, 3))
+    out, cache = net.forward(x)
+    grads, _ = net.backward(np.ones_like(out), cache)
+    assert all(g.base is grads[0].base for g in grads) and grads[0].base.size == net.flat.size
+    clone = net.clone()
+    clone.flat[:] = 0.0
+    assert (net.flat == 0.5).all()
+    with pytest.raises(ConfigurationError):
+        Optimizer([np.zeros(3), np.zeros(3)])
+
+
+def test_in_place_glorot_matches_uniform_draws():
+    for seed in range(20):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        bound = np.sqrt(6.0 / (7 + 5))
+        np.testing.assert_array_equal(glorot_uniform(a, 7, 5), b.uniform(-bound, bound, size=(7, 5)))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("sizes", [(6, 5, 3), (6, 8, 8, 2)])
+def test_mlp_code_input_matches_one_hot_rows(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    net = Mlp(sizes, rng=rng)
+    codes = rng.integers(0, sizes[0], size=12)
+    onehot = np.eye(sizes[0])[codes]
+    out_c, cache_c = net.forward(codes)
+    out_f, cache_f = net.forward(onehot)
+    np.testing.assert_array_equal(out_c, out_f)
+    g = rng.normal(size=out_c.shape)
+    grads_c, dx_c = net.backward(g, cache_c)
+    grads_f, _ = net.backward(g, cache_f)
+    assert dx_c is None
+    for a, b in zip(grads_c, grads_f):
+        np.testing.assert_array_equal(a, b)
+    # backward over a subset of the forward rows equals a forward on that subset
+    rows = np.array([7, 2, 2, 9])
+    sub_out, sub_cache = net.forward(codes[rows])
+    np.testing.assert_array_equal(sub_out, out_c[rows])
+    for a, b in zip(net.backward(g[rows], cache_c, rows)[0], net.backward(g[rows], sub_cache)[0]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_mlp_rejects_codes_out_of_range():
+    net = Mlp((4, 3, 2), rng=np.random.default_rng(0))
+    for bad in ([0, 4], [-1, 2], [[0, 1]]):
+        with pytest.raises(ShapeError):
+            net.forward(np.array(bad))
 
 
 # -- gradients ------------------------------------------------------------------
@@ -279,6 +337,26 @@ def test_mlp_checkpoint_round_trip():
     doc = net.to_doc()
     doc["format"] = "something-else"
     with pytest.raises(ConfigurationError):
+        Mlp.from_doc(doc)
+
+
+MLP_V1_DOC = (
+    '{"format": "frl-mlp-v1", "sizes": [3, 2, 2], "activation": "relu", "out_activation": "identity", '
+    '"weights": [[[0.25, 0.79], [0.55, -0.55], [-0.4, 0.75]], [[0.59, -0.06], [-0.39, -0.44]]], '
+    '"biases": [[-0.99, 0.64], [-0.49, -0.11]]}'
+)
+
+
+def test_stored_mlp_checkpoint_still_loads():
+    net = Mlp.from_json(MLP_V1_DOC)
+    x = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]])
+    np.testing.assert_allclose(
+        net.forward(x)[0], [[-1.69315, -1.4674], [-0.90145, -0.5742]], rtol=1e-12
+    )
+    assert json.loads(net.to_json()) == json.loads(MLP_V1_DOC)
+    doc = json.loads(MLP_V1_DOC)
+    doc["biases"][1] = [0.0]
+    with pytest.raises(ShapeError):
         Mlp.from_doc(doc)
 
 

@@ -251,3 +251,29 @@ def test_report_skips_incomplete_and_fails_when_empty(workspace):
     (run / "INCOMPLETE").write_text("run in progress\n")
     assert main(["report", "--runs", str(run), "--out", "s.csv"]) == 2
     assert main(["report", "--runs", str(workspace / "nope"), "--out", "s.csv"]) == 2
+
+
+def test_report_groups_offline_lines_by_step_within_each_tau(workspace):
+    run = _gen_two_switch(workspace, episodes=30)
+    assert main(["train-offline", "--preset", "AD-BCQ",
+                 "--spec", str(run / "spec.json"),
+                 "--episodes", str(run / "episodes.jsonl"),
+                 "--seeds", "1", "--tau-grid", "0.0,0.1",
+                 "--set", "train_steps=20", "--set", "checkpoint_every=10",
+                 "--set", "hidden=8", "--set", "batch_size=8",
+                 "--out", "off"]) == 0
+    out = workspace / "off" / "AD-BCQ-seed1"
+    assert main(["report", "--runs", str(out), "--key", "q_loss", "--out", "r.csv"]) == 0
+    rows = (workspace / "r.csv").read_text().splitlines()
+    assert rows[0] == "preset,step,n,mean,q25,q50,q75"
+    table = {tuple(r.split(",")[:2]): r.split(",") for r in rows[1:]}
+    assert set(table) == {("AD-BCQ tau=0.0", "10"), ("AD-BCQ tau=0.0", "20"),
+                          ("AD-BCQ tau=0.1", "10"), ("AD-BCQ tau=0.1", "20")}
+    for line in (json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()):
+        row = table[(f"AD-BCQ tau={line['tau']}", str(line["step"]))]
+        assert row[2] == "1" and float(row[3]) == line["q_loss"]
+    # per-episode and per-step lines of one key do not share a table
+    online = _fake_run(workspace, "B", 1, [2.0])
+    with open(online / "metrics.jsonl", "a") as fh:
+        fh.write(json.dumps({"episode": 1, "q_loss": 0.5}) + "\n")
+    assert main(["report", "--runs", str(out), str(online), "--key", "q_loss", "--out", "m.csv"]) == 2

@@ -1,23 +1,27 @@
-"""Randomized differential tests over a seeded grid of generated specs.
+"""Randomized differential tests of the fast paths against oracles.
 
 The batched transition kernel is checked row by row against the
 enumeration oracles, and both planners are run to termination on every
-grid spec: joint policy iteration must converge, and block-coordinate
-policy iteration must converge to values no better than the joint
-optimum (equal to it on the monotonic suite, whose rewards certify that
-coordinate ascent reaches the optimum).
+grid spec of generated specs: joint policy iteration must converge, and
+block-coordinate policy iteration must converge to values no better
+than the joint optimum (equal to it on the monotonic suite, whose
+rewards certify that coordinate ascent reaches the optimum).  The
+vectorized successor draw is checked against one `rng.choice` per row,
+and the flat in-place Adam against a per-array Adam, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from frl.agents.models import sample_rows
+from frl.approx import Mlp, Optimizer
 from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite
 from frl.envs.synthetic import REWARD_KINDS
-from frl.errors import DomainError, ShapeError
+from frl.errors import DomainError, NumericError, ShapeError
 from frl.factored_mdp import FactoredPolicy, transition_rows
 from frl.tabular import factored_policy_iteration, joint_policy_iteration
 
-from oracles import enumerate_interventional, enumerate_projected
+from oracles import ListAdam, choice_rows, enumerate_interventional, enumerate_projected
 
 GRID = [
     (structure, kind, seed)
@@ -89,3 +93,81 @@ def test_transition_rows_reject_bad_codes():
         transition_rows(spec, [0], [0] * (spec.n_blocks - 1) + [-1])
     with pytest.raises(ShapeError):
         transition_rows(spec, [0, 1], np.zeros((3, spec.n_blocks), dtype=np.int64))
+
+
+# -- successor draws ---------------------------------------------------------
+
+
+def _sparse_rows(rng, n=128, width=150):
+    """Random distributions with many exact zeros, like transition rows."""
+    rows = rng.random((n, width)) ** 4
+    rows[rng.random((n, width)) < 0.7] = 0.0
+    rows[:, rng.integers(width)] += 1e-3  # no all-zero row
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_vectorized_draw_matches_per_row_choice(seed):
+    rows = _sparse_rows(np.random.default_rng(1000 + seed))
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(sample_rows(rows, fast), choice_rows(rows, slow))
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
+def test_vectorized_draw_rejects_what_choice_rejects(bad):
+    rows = _sparse_rows(np.random.default_rng(5), n=4, width=6)
+    if bad == "nan":
+        rows[2, 3] = np.nan
+    elif bad == "negative":
+        rows[1, :2] = [-0.1, rows[1, 0] + rows[1, 1] + 0.1]
+    else:
+        rows[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError):
+        choice_rows(rows, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_rows(rows, np.random.default_rng(0))
+
+
+# -- flat in-place Adam --------------------------------------------------------
+
+SHAPES = {
+    "trunk": (4, 512, 512, 10),
+    "bcq_embed": (150, 128, 128),
+    "bcq_head": (128, 128, 128, 5),
+    "bcq_mixer": (10, 128, 128, 10),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_adam_matches_per_array_adam(shape, weight_decay, kind):
+    rng = np.random.default_rng(len(shape) + int(weight_decay * 1e3))
+    net = Mlp(SHAPES[shape], rng=rng)
+    ref = [p.copy() for p in net.params()]
+    fast = Optimizer(net.params(), kind=kind, lr=3e-4, weight_decay=weight_decay)
+    slow = ListAdam(ref, kind=kind, lr=3e-4, weight_decay=weight_decay)
+    for _ in range(50):
+        grads = [rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=p.shape) for p in ref]
+        fast.step(grads)
+        slow.step(grads)
+    for got, want in zip(net.params(), ref):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_flat_adam_names_the_parameter_that_broke():
+    for index in range(6):
+        net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(index))
+        grads = [np.ones_like(p) for p in net.params()]
+        grads[index].reshape(-1)[-1] = np.inf
+        fast, slow = Optimizer(net.params()), ListAdam([p.copy() for p in net.params()])
+        for opt in (fast, slow):
+            with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
+                opt.step(grads)
+        net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(index))
+        net.params()[index].reshape(-1)[0] = 1e308
+        grads = [np.zeros_like(p) for p in net.params()]
+        grads[index].reshape(-1)[0] = -1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"parameter {index} became non-finite"):
+            Optimizer(net.params(), kind="sgd", lr=10.0).step(grads)

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..approx import Mlp, Optimizer, huber, target_update
-from ..errors import ConfigurationError, NumericError
+from ..errors import ConfigurationError, NumericError, ShapeError
 from ..factored_mdp import FactoredMdpSpec
 from ..indexing import MixedRadix
 from ..ope import soften, wis_ess
@@ -173,15 +173,18 @@ class BcqNet:
     def heads_forward(self, states: np.ndarray, path: str, k: int | None = None):
         """Per-block outputs at state codes for one path ('q'|'g').
 
-        Returns the (n, head_dim) outputs, or block k's (n, b_k)
-        columns when k is given, and a cache for heads_backward_step.
-        The decomposed shape runs its embedding and heads (head k only
+        `states` must be an integer vector of codes (ShapeError
+        otherwise).  Returns the (n, head_dim) outputs, or block k's
+        (n, b_k) columns when k is given, and a cache for
+        heads_backward_step.  The decomposed shape runs its embedding and heads (head k only
         when k is given) once per distinct code and gathers the rows
         back; a monolithic net runs on the rows as given, because its
         wide outputs come out of BLAS bit-identical only when the row
         count is kept.
         """
         states = np.asarray(states)
+        if states.dtype.kind not in "iu" or states.ndim != 1:
+            raise ShapeError(f"expected a vector of state codes, got {states.dtype} of shape {states.shape}")
         if self.variant != "decomposed":
             net = self.q_net if path == "q" else self.g_net
             out, cache = net.forward(states)
@@ -282,8 +285,8 @@ class BcqNet:
 def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
     """Expand logged episodes into a replay batch plus model-teaching samples.
 
-    The batch holds state codes in `states` and `next_states` (a caller
-    looks features up per sampled batch) and one action row per step:
+    The batch holds state codes in `states` and `next_states` (they go
+    into the networks as they are) and one action row per step:
     per-block indices, or the whole joint code as a single block when
     `flat`; `dones` marks entry into one of the spec's terminal states.
     Episodes truncated by the logging horizon lose their final

@@ -270,8 +270,9 @@ class Optimizer:
     """SGD or Adam over the parameters of one network, in place.
 
     `params` must lie back to back in one float64 buffer, as an Mlp's
-    `params()` do (a single array does too).  A step is one pass over
-    that buffer with preallocated scratch, keeping every elementwise
+    `params()` do (a single array does too).  A step copies the
+    gradients into one preallocated buffer and makes one pass over the
+    parameters with preallocated scratch, keeping every elementwise
     operation of the per-array update in its order, so results are
     bit-identical to it.  Weight decay is decoupled: applied as a
     direct shrink, never mixed into the adaptive moments.  Raises
@@ -296,11 +297,11 @@ class Optimizer:
         self.weight_decay = weight_decay
         self.t = 0
         self._ends = np.cumsum([p.size for p in self.params])
+        self._grad = np.empty_like(self.flat)
         self._scratch = np.empty_like(self.flat)
         if kind == "adam":
             self._m = np.zeros_like(self.flat)
             self._v = np.zeros_like(self.flat)
-            self._scratch2 = np.empty_like(self.flat)
             self.m = self._split(self._m)
             self.v = self._split(self._v)
 
@@ -321,9 +322,7 @@ class Optimizer:
         for i, (p, g) in enumerate(zip(self.params, grads)):
             if np.shape(g) != p.shape:
                 raise ShapeError(f"gradient {i} has shape {np.shape(g)}, parameter has {p.shape}")
-        g = _tiled(grads)
-        if g is None:
-            g = np.concatenate([np.asarray(x, dtype=np.float64).ravel() for x in grads])
+        g = np.concatenate([np.ravel(x) for x in grads], out=self._grad)
         bad = self._first_bad(g)
         if bad is not None:
             raise NumericError(f"gradient {bad} is not finite")
@@ -336,7 +335,7 @@ class Optimizer:
             np.multiply(g, self.lr, out=s)
             p -= s
         else:
-            m, v, s2 = self._m, self._v, self._scratch2
+            m, v = self._m, self._v
             m *= self.beta1
             np.multiply(g, 1 - self.beta1, out=s)
             m += s
@@ -344,12 +343,13 @@ class Optimizer:
             np.multiply(g, 1 - self.beta2, out=s)
             s *= g
             v += s
+            # g is spent: its buffer takes the denominator
             np.divide(m, 1 - self.beta1**self.t, out=s)
             s *= self.lr
-            np.divide(v, 1 - self.beta2**self.t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s /= s2
+            np.divide(v, 1 - self.beta2**self.t, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            s /= g
             p -= s
         bad = self._first_bad(p)
         if bad is not None:

@@ -574,6 +574,21 @@ def test_stored_bcq_checkpoint_still_loads():
     assert codes.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
+def test_bcq_net_takes_only_a_vector_of_state_codes(variant):
+    net = BcqNet(4, (2, 3), variant, hidden=8, rng=np.random.default_rng(7))
+    codes = np.array([0, 3, 3, 1])
+    q, _ = net.heads_forward(codes, "q")
+    assert q.shape == (4, 5)
+    for bad in (np.eye(4)[codes], codes.astype(float), codes[None, :], np.array([0, -1]), np.array([4])):
+        with pytest.raises(ShapeError):
+            net.heads_forward(bad, "q")
+        with pytest.raises(ShapeError):
+            net.mix_forward(bad, "g")
+        with pytest.raises(ShapeError):
+            extract_policy(net, bad, tau=0.1)
+
+
 def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     """Per step with two blocks: q, g and target q on embedding + head k for
     each block (12), q, g and target q heads for the mixers (9), and the

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..approx import Mlp, Optimizer, huber, target_update
+from ..approx import Mlp, Optimizer, huber, load_matching, target_update
 from ..errors import ConfigurationError, NumericError, ShapeError
 from ..factored_mdp import FactoredMdpSpec
 from ..indexing import MixedRadix
@@ -210,16 +210,16 @@ class BcqNet:
             net = self.q_net if path == "q" else self.g_net
             full = np.zeros((len(dz), self.head_dim))
             full[:, self.block_slice(k)] = dz
-            grads, _ = net.backward(full, cache["net"], rows)
-            opts[f"{path}_net"].step(grads)
+            grad, _ = net.backward(full, cache["net"], rows)
+            opts[f"{path}_net"].step(grad)
             return
         heads = self.q_heads if path == "q" else self.g_heads
         embed = self.q_embed if path == "q" else self.g_embed
         index = cache["index"][rows]
-        head_grads, d_embed = heads[k].backward(dz, cache["heads"][k], index)
-        embed_grads, _ = embed.backward(d_embed, cache["embed"], index)
-        opts[f"{path}_heads"][k].step(head_grads)
-        opts[f"{path}_embed"].step(embed_grads)
+        head_grad, d_embed = heads[k].backward(dz, cache["heads"][k], index)
+        embed_grad, _ = embed.backward(d_embed, cache["embed"], index)
+        opts[f"{path}_heads"][k].step(head_grad)
+        opts[f"{path}_embed"].step(embed_grad)
 
     def mix_forward(self, states: np.ndarray, path: str):
         """Evaluation-path outputs: mixed vectors for decomposed, head
@@ -234,8 +234,8 @@ class BcqNet:
     def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
         """Backprop a mixed-output gradient at the forward rows `rows`."""
         mixer = self.q_mixer if path == "q" else self.g_mixer
-        grads, _ = mixer.backward(dz, cache, rows)
-        opts[f"{path}_mixer"].step(grads)
+        grad, _ = mixer.backward(dz, cache, rows)
+        opts[f"{path}_mixer"].step(grad)
 
     # -- serialization ------------------------------------------------------
 
@@ -265,17 +265,16 @@ class BcqNet:
         if doc.get("format") != _BCQ_FORMAT:
             raise ConfigurationError(f"unexpected checkpoint format {doc.get('format')!r}")
         net = cls(doc["state_dim"], doc["block_sizes"], doc["variant"], doc["hidden"], rng=np.random.default_rng(0))
-        nets = doc["nets"]
         if net.variant == "decomposed":
-            net.q_embed = Mlp.from_doc(nets["q_embed"])
-            net.q_heads = [Mlp.from_doc(d) for d in nets["q_heads"]]
-            net.q_mixer = Mlp.from_doc(nets["q_mixer"])
-            net.g_embed = Mlp.from_doc(nets["g_embed"])
-            net.g_heads = [Mlp.from_doc(d) for d in nets["g_heads"]]
-            net.g_mixer = Mlp.from_doc(nets["g_mixer"])
+            names = ("q_embed", "q_heads", "q_mixer", "g_embed", "g_heads", "g_mixer")
         else:
-            net.q_net = Mlp.from_doc(nets["q_net"])
-            net.g_net = Mlp.from_doc(nets["g_net"])
+            names = ("q_net", "g_net")
+        for name in names:
+            built, stored = getattr(net, name), doc["nets"][name]
+            if isinstance(built, list):
+                setattr(net, name, load_matching(stored, built))
+            else:
+                setattr(net, name, load_matching([stored], [built])[0])
         return net
 
 
@@ -441,17 +440,17 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
 
     if cfg.variant == "decomposed":
         opts = {
-            "q_embed": Optimizer(net.q_embed.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "q_heads": [Optimizer(h.params(), lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.q_heads],
-            "q_mixer": Optimizer(net.q_mixer.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_embed": Optimizer(net.g_embed.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_heads": [Optimizer(h.params(), lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.g_heads],
-            "g_mixer": Optimizer(net.g_mixer.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "q_embed": Optimizer(net.q_embed, lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "q_heads": [Optimizer(h, lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.q_heads],
+            "q_mixer": Optimizer(net.q_mixer, lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "g_embed": Optimizer(net.g_embed, lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "g_heads": [Optimizer(h, lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.g_heads],
+            "g_mixer": Optimizer(net.g_mixer, lr=cfg.lr, weight_decay=cfg.weight_decay),
         }
     else:
         opts = {
-            "q_net": Optimizer(net.q_net.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_net": Optimizer(net.g_net.params(), lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "q_net": Optimizer(net.q_net, lr=cfg.lr, weight_decay=cfg.weight_decay),
+            "g_net": Optimizer(net.g_net, lr=cfg.lr, weight_decay=cfg.weight_decay),
         }
 
     sampler = None

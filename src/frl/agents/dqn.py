@@ -158,11 +158,11 @@ def _head_td_step(net, trunk_opts, batch: Batch, z_next, k, gamma):
     dz = np.zeros_like(z)
     dz[rows, cols] = dq
     if net.shared_trunk:
-        grads, _ = net.trunks[0].backward(dz, caches[0])
-        trunk_opts[0].step(grads)
+        grad, _ = net.trunks[0].backward(dz, caches[0])
+        trunk_opts[0].step(grad)
     else:
-        grads, _ = net.trunks[k].backward(dz[:, sl], caches[k])
-        trunk_opts[k].step(grads)
+        grad, _ = net.trunks[k].backward(dz[:, sl], caches[k])
+        trunk_opts[k].step(grad)
     return loss
 
 
@@ -178,8 +178,7 @@ def _mixer_td_step(net, target_net, mixer_opt, batch: Batch, z_next, gamma):
     targets = rewards + gamma * (1.0 - dones) * q_next
     q, cache = net.joint_q(states, actions)
     loss, dq = huber(q, targets)
-    _, mixer_grads = net.backward_joint(dq, cache, detach_heads=True)
-    mixer_opt.step(mixer_grads)
+    mixer_opt.step(net.backward_mixer(dq, cache))
     return loss
 
 
@@ -237,10 +236,10 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
         # per-head argmax until the mixer has learned from data
         net.mixer.weights[-1][:] = 0.0
     target_net = net.clone()
-    trunk_opts = [Optimizer(t.params(), kind="adam", lr=cfg.lr) for t in net.trunks]
+    trunk_opts = [Optimizer(t, kind="adam", lr=cfg.lr) for t in net.trunks]
     mixer_opt = None
     if net.mixer is not None:
-        mixer_opt = Optimizer(net.mixer_params(), kind="adam", lr=cfg.lr)
+        mixer_opt = Optimizer(net.mixer, kind="adam", lr=cfg.lr)
 
     dynamics = reward_model = None
     if cfg.augmentation:

@@ -31,8 +31,8 @@ def _mse_step(net: Mlp, opt: Optimizer, x: np.ndarray, target: np.ndarray) -> fl
     pred, cache = net.forward(x)
     err = pred - target
     loss = float(np.mean(err**2))
-    grads, _ = net.backward(2.0 * err / err.size, cache)
-    opt.step(grads)
+    grad, _ = net.backward(2.0 * err / err.size, cache)
+    opt.step(grad)
     return loss
 
 
@@ -74,7 +74,7 @@ class DynamicsModel:
             )
             for b, dims in zip(self.block_sizes, self.block_dims)
         ]
-        self.optimizers = [Optimizer(net.params(), kind="adam", lr=lr) for net in self.nets]
+        self.optimizers = [Optimizer(net, kind="adam", lr=lr) for net in self.nets]
         self.train_steps = [0] * len(self.nets)
 
     @property
@@ -135,7 +135,7 @@ class RewardModel:
         self.state_dim = int(state_dim)
         self.n_blocks = int(n_blocks)
         self.net = Mlp((2 * self.state_dim + self.n_blocks, *hidden, 1), rng=rng or np.random.default_rng())
-        self.optimizer = Optimizer(self.net.params(), kind="adam", lr=lr)
+        self.optimizer = Optimizer(self.net, kind="adam", lr=lr)
         self.train_steps = 0
 
     def _inputs(self, states, actions, next_states) -> np.ndarray:

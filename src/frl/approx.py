@@ -6,10 +6,12 @@ walk the caches in reverse.  Gradients are cross-checked against
 central finite differences in the tests, which is the point of keeping
 the arithmetic visible.
 
-Each `Mlp` keeps its parameters in one flat float64 buffer, with the
-per-layer weights and biases as views into it; backward writes its
-gradients into one matching buffer, and `Optimizer` updates the whole
-buffer in one in-place pass.  An integer input to an `Mlp` is a vector
+Each network has one format for its parameters and gradients: one
+flat float64 buffer laid out w0, b0, w1, b1, ...  `Mlp.flat` holds
+the parameters (the per-layer weights and biases are views into it),
+`Mlp.backward` returns the gradient as one buffer with that layout,
+and `Optimizer.step` takes that buffer and updates `flat` in one
+in-place pass.  An integer input to an `Mlp` is a vector
 of codes standing for one-hot rows, so a tabular state needs no dense
 feature matrix: the first layer reads weight rows instead of
 multiplying by a one-hot matrix.
@@ -77,32 +79,6 @@ def _layer_views(flat: np.ndarray, sizes) -> list[np.ndarray]:
     return views
 
 
-def _tiled(arrays) -> np.ndarray | None:
-    """The 1-D float64 view that `arrays` cover back to back, in order.
-
-    None when they do not lie that way in one buffer.  A single
-    contiguous array covers its own buffer.
-    """
-    if not arrays:
-        return np.empty(0)
-    first = arrays[0]
-    owner = first if getattr(first, "base", None) is None else first.base
-    if not isinstance(owner, np.ndarray) or owner.dtype != np.float64 or not owner.flags.c_contiguous:
-        return None
-    whole = owner.reshape(-1)
-    origin = whole.__array_interface__["data"][0]
-    start = end = first.__array_interface__["data"][0]
-    for a in arrays:
-        if a is not owner and getattr(a, "base", None) is not owner:
-            return None
-        info = a.__array_interface__
-        # strides None: C-contiguous
-        if info["strides"] is not None or info["typestr"] != whole.dtype.str or info["data"][0] != end:
-            return None
-        end += a.nbytes
-    return whole[(start - origin) // 8 : (end - origin) // 8]
-
-
 class Mlp:
     """Dense network; sizes[0] inputs, sizes[-1] outputs.
 
@@ -142,10 +118,6 @@ class Mlp:
         self.biases = self._views[1::2]
 
     # -- parameters ------------------------------------------------------
-
-    def params(self) -> list[np.ndarray]:
-        """Views into `flat`, in its order: w0, b0, w1, b1, ..."""
-        return list(self._views)
 
     def clone(self) -> "Mlp":
         """An independent copy: one buffer copy, no initializer draw."""
@@ -190,9 +162,9 @@ class Mlp:
 
         `rows` names the forward rows `grad_out` belongs to (all when
         None); only their activations enter the gradients.  Returns
-        (param_grads, d(loss)/d(input)).  The grads are views aligned
-        with params() into one fresh buffer laid out like `flat`; the
-        input gradient is None for a code input.
+        (grad, d(loss)/d(input)): `grad` is one fresh 1-D buffer laid
+        out like `flat`, ready for `Optimizer.step`; the input gradient
+        is None for a code input.
         """
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if cache["squeeze"] and grad_out.ndim == 1:
@@ -202,7 +174,8 @@ class Mlp:
             pre = [z[rows] for z in pre]
             post = [h[rows] for h in post]
         codes = cache["codes"]
-        grads = _layer_views(np.empty(self.flat.size), self.sizes)
+        grad = np.empty(self.flat.size)
+        views = _layer_views(grad, self.sizes)
         g = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
             g = g * _act_grad(self._layer_act(i), pre[i])
@@ -210,13 +183,13 @@ class Mlp:
             if codes and i == 0:
                 x = np.zeros((len(x), self.sizes[0]))
                 x[np.arange(len(x)), post[0]] = 1.0
-            np.matmul(x.T, g, out=grads[2 * i])
-            np.sum(g, axis=0, out=grads[2 * i + 1])
+            np.matmul(x.T, g, out=views[2 * i])
+            np.sum(g, axis=0, out=views[2 * i + 1])
             if i or not codes:
                 g = g @ self.weights[i].T
         if codes:
-            return grads, None
-        return grads, (g[0] if cache["squeeze"] else g)
+            return grad, None
+        return grad, (g[0] if cache["squeeze"] else g)
 
     # -- serialization ------------------------------------------------------
 
@@ -243,6 +216,8 @@ class Mlp:
             if a.shape != view.shape:
                 raise ShapeError(f"checkpoint parameter shape {a.shape} does not match sizes")
             view[...] = a
+        if not np.isfinite(net.flat).all():
+            raise NumericError("checkpoint holds a non-finite parameter")
         return net
 
     def to_json(self) -> str:
@@ -251,6 +226,24 @@ class Mlp:
     @classmethod
     def from_json(cls, text: str) -> "Mlp":
         return cls.from_doc(json.loads(text))
+
+
+def load_matching(docs, nets) -> list[Mlp]:
+    """One Mlp per checkpoint doc, each shaped like its partner in `nets`.
+
+    A loader builds `nets` from the checkpoint's own fields and passes
+    them here; a stored network whose sizes or activations differ from
+    its partner's, or a different network count, raises ShapeError.
+    """
+    docs = list(docs)
+    if len(docs) != len(nets):
+        raise ShapeError(f"checkpoint holds {len(docs)} networks, expected {len(nets)}")
+    loaded = [Mlp.from_doc(d) for d in docs]
+    shape = lambda m: (m.sizes, m.activation, m.out_activation)
+    for got, want in zip(loaded, nets):
+        if shape(got) != shape(want):
+            raise ShapeError(f"checkpoint network {shape(got)} does not match the expected {shape(want)}")
+    return loaded
 
 
 def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
@@ -267,28 +260,26 @@ def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
 
 
 class Optimizer:
-    """SGD or Adam over the parameters of one network, in place.
+    """SGD or Adam over the flat parameter buffer of one `Mlp`, in place.
 
-    `params` must lie back to back in one float64 buffer, as an Mlp's
-    `params()` do (a single array does too).  A step copies the
-    gradients into one preallocated buffer and makes one pass over the
-    parameters with preallocated scratch, keeping every elementwise
-    operation of the per-array update in its order, so results are
-    bit-identical to it.  Weight decay is decoupled: applied as a
-    direct shrink, never mixed into the adaptive moments.  Raises
-    NumericError, naming the parameter's index in `params`, as soon as
-    a gradient or an updated parameter stops being finite.
+    `step` takes the network's gradient as the one buffer `Mlp.backward`
+    returns, laid out like `net.flat`, and makes one pass over `flat`
+    with preallocated scratch; it never writes into the gradient.  Every
+    elementwise operation of the per-array update keeps its order, so
+    results are bit-identical to updating each layer's array on its own.
+    `m` and `v` are Adam's flat moment buffers.  Weight decay is
+    decoupled: applied as a direct shrink, never mixed into the adaptive
+    moments.  Raises NumericError, naming the parameter's index in the
+    layer order w0, b0, w1, b1, ..., as soon as a gradient or an updated
+    parameter stops being finite.
     """
 
-    def __init__(self, params, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, net: Mlp, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         if kind not in ("sgd", "adam"):
             raise ConfigurationError(f"unknown optimizer {kind!r}")
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
-        self.params = list(params)
-        self.flat = _tiled(self.params)
-        if self.flat is None:
-            raise ConfigurationError("parameters must lie back to back in one float64 buffer")
+        self.flat = net.flat
         self.kind = kind
         self.lr = lr
         self.beta1 = beta1
@@ -296,34 +287,23 @@ class Optimizer:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._ends = np.cumsum([p.size for p in self.params])
-        self._grad = np.empty_like(self.flat)
+        self._ends = np.cumsum([n for a, b in zip(net.sizes, net.sizes[1:]) for n in (a * b, b)])
         self._scratch = np.empty_like(self.flat)
         if kind == "adam":
-            self._m = np.zeros_like(self.flat)
-            self._v = np.zeros_like(self.flat)
-            self.m = self._split(self._m)
-            self.v = self._split(self._v)
-
-    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of `flat` shaped like each parameter."""
-        return [a.reshape(p.shape) for a, p in zip(np.split(flat, self._ends[:-1]), self.params)]
+            self.m = np.zeros_like(self.flat)
+            self.v = np.zeros_like(self.flat)
+            self._denom = np.empty_like(self.flat)
 
     def _first_bad(self, flat: np.ndarray) -> int | None:
-        """Index in `params` of the first non-finite entry, or None."""
+        """Layer-order index of the array holding the first non-finite entry, or None."""
         if np.isfinite(flat).all():
             return None
         return int(np.searchsorted(self._ends, np.flatnonzero(~np.isfinite(flat))[0], side="right"))
 
-    def step(self, grads) -> None:
-        grads = list(grads)
-        if len(grads) != len(self.params):
-            raise ShapeError(f"got {len(grads)} gradients for {len(self.params)} parameters")
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            if np.shape(g) != p.shape:
-                raise ShapeError(f"gradient {i} has shape {np.shape(g)}, parameter has {p.shape}")
-        g = np.concatenate([np.ravel(x) for x in grads], out=self._grad)
-        bad = self._first_bad(g)
+    def step(self, grad: np.ndarray) -> None:
+        if np.shape(grad) != self.flat.shape:
+            raise ShapeError(f"gradient has shape {np.shape(grad)}, parameters have {self.flat.shape}")
+        bad = self._first_bad(grad)
         if bad is not None:
             raise NumericError(f"gradient {bad} is not finite")
         self.t += 1
@@ -332,24 +312,23 @@ class Optimizer:
             np.multiply(p, self.lr * self.weight_decay, out=s)
             p -= s
         if self.kind == "sgd":
-            np.multiply(g, self.lr, out=s)
+            np.multiply(grad, self.lr, out=s)
             p -= s
         else:
-            m, v = self._m, self._v
+            m, v, d = self.m, self.v, self._denom
             m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=s)
+            np.multiply(grad, 1 - self.beta1, out=s)
             m += s
             v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=s)
-            s *= g
+            np.multiply(grad, 1 - self.beta2, out=s)
+            s *= grad
             v += s
-            # g is spent: its buffer takes the denominator
             np.divide(m, 1 - self.beta1**self.t, out=s)
             s *= self.lr
-            np.divide(v, 1 - self.beta2**self.t, out=g)
-            np.sqrt(g, out=g)
-            g += self.eps
-            s /= g
+            np.divide(v, 1 - self.beta2**self.t, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            s /= d
             p -= s
         bad = self._first_bad(p)
         if bad is not None:
@@ -390,6 +369,11 @@ class DecomposedQNet:
     batch, then one stacked mixer forward per pass and block that scores
     every candidate of that block; the trunk never sees a candidate.
     With the average mixer greedy is the per-head argmax.
+
+    Each trunk, and the mixer unless it is the average, is an `Mlp`
+    with its own flat buffer: `params()` lists those buffers, so a
+    target update costs one pass per network.  A trunk's gradient comes
+    from its own `Mlp.backward`; `backward_mixer` returns the mixer's.
     """
 
     def __init__(
@@ -438,17 +422,12 @@ class DecomposedQNet:
 
     # -- parameters --------------------------------------------------------
 
-    def head_params(self) -> list[np.ndarray]:
-        out = []
-        for t in self.trunks:
-            out.extend(t.params())
-        return out
-
-    def mixer_params(self) -> list[np.ndarray]:
-        return [] if self.mixer is None else self.mixer.params()
+    def _nets(self) -> list[Mlp]:
+        return self.trunks + ([] if self.mixer is None else [self.mixer])
 
     def params(self) -> list[np.ndarray]:
-        return self.head_params() + self.mixer_params()
+        """One flat parameter buffer per network: the trunks, then the mixer."""
+        return [net.flat for net in self._nets()]
 
     def clone(self) -> "DecomposedQNet":
         other = copy.copy(self)
@@ -492,47 +471,30 @@ class DecomposedQNet:
     def joint_q(self, states: np.ndarray, actions: np.ndarray):
         """Joint value of (state, per-block action) pairs.
 
-        Returns (values (n,), cache for backward_joint).
+        Returns (values (n,), cache for backward_mixer).
         """
-        z, head_caches = self.head_values(states)
-        mask = self._mask(actions)
-        q, mix_cache = self._mix(z * mask)
-        cache = {"head_caches": head_caches, "mask": mask, "mix_cache": mix_cache, "n": z.shape[0]}
-        return q, cache
+        z, _ = self.head_values(states)
+        q, mix_cache = self._mix(z * self._mask(actions))
+        return q, {"mix_cache": mix_cache, "n": z.shape[0]}
 
     def joint_q_of_heads(self, z: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Joint values (n,) from head values `z` that head_values returned."""
         return self._mix(z * self._mask(actions))[0]
 
-    def backward_joint(self, grad_q: np.ndarray, cache, detach_heads: bool = False):
-        """Backprop d(loss)/d(joint value) through mixer and heads.
+    def backward_mixer(self, grad_q: np.ndarray, cache) -> np.ndarray:
+        """The mixer's flat gradient given d(loss)/d(joint value).
 
-        Returns (head_grads aligned with head_params(), mixer_grads
-        aligned with mixer_params()).  With detach_heads=True the head
-        gradients are zeros: the mixer trains against frozen head
-        values.
+        The head values count as inputs, so the mixer trains against
+        frozen heads.  The average mixer has no parameters to train
+        (ConfigurationError).
         """
+        if self.mixer is None:
+            raise ConfigurationError("the average mixer has no parameters")
         grad_q = np.asarray(grad_q, dtype=np.float64).reshape(-1)
         if grad_q.shape[0] != cache["n"]:
             raise ShapeError("gradient length does not match the cached batch")
-        mask = cache["mask"]
-        if self.mixer is None:
-            mixer_grads = []
-            d_masked = grad_q[:, None] * mask / len(self.block_sizes)
-        else:
-            mixer_grads, d_masked = self.mixer.backward(grad_q[:, None], cache["mix_cache"])
-        if detach_heads:
-            return [np.zeros_like(p) for p in self.head_params()], mixer_grads
-        dz = d_masked * mask
-        head_grads = []
-        if self.shared_trunk:
-            grads, _ = self.trunks[0].backward(dz, cache["head_caches"][0])
-            head_grads.extend(grads)
-        else:
-            for k, t in enumerate(self.trunks):
-                grads, _ = t.backward(dz[:, self.offsets[k] : self.offsets[k + 1]], cache["head_caches"][k])
-                head_grads.extend(grads)
-        return head_grads, mixer_grads
+        grad, _ = self.mixer.backward(grad_q[:, None], cache["mix_cache"])
+        return grad
 
     # -- action selection -----------------------------------------------------
 
@@ -600,9 +562,11 @@ class DecomposedQNet:
             shared_trunk=doc["shared_trunk"],
             rng=np.random.default_rng(0),
         )
-        net.trunks = [Mlp.from_doc(d) for d in doc["trunks"]]
-        if doc["mixer_net"] is not None:
-            net.mixer = Mlp.from_doc(doc["mixer_net"])
+        stored = doc["trunks"] + ([] if doc["mixer_net"] is None else [doc["mixer_net"]])
+        loaded = load_matching(stored, net._nets())
+        net.trunks = loaded[: len(net.trunks)]
+        if net.mixer is not None:
+            net.mixer = loaded[-1]
         return net
 
     def to_json(self) -> str:

@@ -110,6 +110,17 @@ def solve_q_dense(spec, policy, tol_unused=None):
     return q, v
 
 
+def layer_views(buf, sizes):
+    """[w0, b0, w1, b1, ...] as views of a buffer laid out like `Mlp.flat`."""
+    views, pos = [], 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        for shape in ((n_in, n_out), (n_out,)):
+            n = int(np.prod(shape))
+            views.append(buf[pos : pos + n].reshape(shape))
+            pos += n
+    return views
+
+
 def finite_difference_grads(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn() w.r.t. a list of arrays."""
     grads = []
@@ -282,7 +293,8 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
     forward runs the embedding and all heads (and the mixer) over the
     batch's own rows, next states and states separately, right before
     the value is used.  `opts` maps the library's optimizer keys to
-    optimizers over each network's `params()`.
+    `ListAdam`s over each network's per-layer arrays, which are fed the
+    per-layer views of each flat gradient.
     """
     from frl.approx import huber
 
@@ -320,10 +332,11 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 dz[rows, a_k] -= 1.0
                 dz = dz / n
             head = (net.q_heads if path == "q" else net.g_heads)[k]
-            head_grads, d_embed = head.backward(dz, h_caches[k])
-            embed_grads, _ = (net.q_embed if path == "q" else net.g_embed).backward(d_embed, e_cache)
-            opts[f"{path}_heads"][k].step(head_grads)
-            opts[f"{path}_embed"].step(embed_grads)
+            embed = net.q_embed if path == "q" else net.g_embed
+            head_grad, d_embed = head.backward(dz, h_caches[k])
+            embed_grad, _ = embed.backward(d_embed, e_cache)
+            opts[f"{path}_heads"][k].step(layer_views(head_grad, head.sizes))
+            opts[f"{path}_embed"].step(layer_views(embed_grad, embed.sizes))
 
     qm_next, _ = mixed(net, x_next, "q")
     gm_next, _ = mixed(net, x_next, "g")
@@ -342,5 +355,6 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 d = np.exp(_log_softmax(out[:, sl]))
                 d[rows, actions[:, k]] -= 1.0
                 dz[:, sl] = d / n
-        grads, _ = (net.q_mixer if path == "q" else net.g_mixer).backward(dz, cache)
-        opts[f"{path}_mixer"].step(grads)
+        mixer = net.q_mixer if path == "q" else net.g_mixer
+        grad, _ = mixer.backward(dz, cache)
+        opts[f"{path}_mixer"].step(layer_views(grad, mixer.sizes))

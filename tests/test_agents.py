@@ -42,7 +42,7 @@ from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two
 from frl.envs.point_mass import FlattenedEnv
 from frl.errors import ConfigurationError, DataError, ShapeError, StateError
 from frl.factored_mdp import projected_transition
-from oracles import ListAdam, ListRing, bcq_tick_reference
+from oracles import ListAdam, ListRing, bcq_tick_reference, layer_views
 
 
 def _row(i, n_blocks=2):
@@ -176,8 +176,8 @@ def test_untrained_models_raise_state_errors():
 def test_zero_delta_dynamics_reproduce_the_state():
     dyn = DynamicsModel(4, (3, 3), ((0, 2), (1, 3)), noise_variance=0.0,
                         rng=np.random.default_rng(0))
-    for p in [p for net in dyn.nets for p in net.params()]:
-        p[:] = 0.0
+    for net in dyn.nets:
+        net.flat[:] = 0.0
     dyn.train_steps = [1, 1]
     states = np.random.default_rng(1).normal(size=(6, 4))
     out = dyn.sample_projected_next(states, 0, np.array([1] * 6), (1, 1),
@@ -277,8 +277,8 @@ def _flat_dqn_reference(env, cfg):
     n_actions = env.block_sizes[0]
     qnet = Mlp((env.state_dim, *cfg.hidden, n_actions), rng=np.random.default_rng(net_ss))
     tnet = Mlp((env.state_dim, *cfg.hidden, n_actions), rng=np.random.default_rng(123))
-    target_update(qnet.params(), tnet.params())
-    opt = Optimizer(qnet.params(), kind="adam", lr=cfg.lr)
+    target_update([qnet.flat], [tnet.flat])
+    opt = Optimizer(qnet, kind="adam", lr=cfg.lr)
     buf: list[tuple] = []
     step = 0
     for ep in range(cfg.episodes):
@@ -311,10 +311,10 @@ def _flat_dqn_reference(env, cfg):
             _, dq = huber(z[rows, actions], targets)
             dz = np.zeros_like(z)
             dz[rows, actions] = dq
-            grads, _ = qnet.backward(dz, cache)
-            opt.step(grads)
+            grad, _ = qnet.backward(dz, cache)
+            opt.step(grad)
             if step % cfg.target_update_every == 0:
-                target_update(qnet.params(), tnet.params(), cfg.target_tau)
+                target_update([qnet.flat], [tnet.flat], cfg.target_tau)
     return qnet
 
 
@@ -323,11 +323,8 @@ def test_single_block_learner_is_bit_identical_to_flat_dqn():
     env = FlattenedEnv(PointMassEnv(bins=3, episode_len=15, seed=9))
     res = ad_dqn_train(env, cfg)
     ref = _flat_dqn_reference(FlattenedEnv(PointMassEnv(bins=3, episode_len=15, seed=9)), cfg)
-    got = res.net.trunks[0].params()
-    want = ref.params()
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    assert res.net.trunks[0].sizes == ref.sizes
+    np.testing.assert_array_equal(res.net.trunks[0].flat, ref.flat)
 
 
 def test_metrics_stream_is_bit_identical_across_runs():
@@ -574,6 +571,24 @@ def test_stored_bcq_checkpoint_still_loads():
     assert codes.tolist() == [0, 0, 0]
 
 
+def test_bcq_loader_checks_each_network():
+    for field, value in (("block_sizes", [1, 2]), ("block_sizes", [2]), ("state_dim", 4), ("hidden", 3)):
+        doc = copy.deepcopy(BCQ_V1_DOC)
+        doc[field] = value
+        with pytest.raises(ShapeError):
+            BcqNet.from_doc(doc)
+    doc = copy.deepcopy(BCQ_V1_DOC)
+    doc["nets"]["g_mixer"]["out_activation"] = "relu"
+    with pytest.raises(ShapeError):
+        BcqNet.from_doc(doc)
+    flat = BcqNet(3, (2,), "flat", hidden=4, rng=np.random.default_rng(0)).to_doc()
+    flat["variant"] = "factored"
+    BcqNet.from_doc(flat)  # same networks: a flat net is a one-block factored net
+    flat["block_sizes"] = [2, 1]
+    with pytest.raises(ShapeError):
+        BcqNet.from_doc(flat)
+
+
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
 def test_bcq_net_takes_only_a_vector_of_state_codes(variant):
     net = BcqNet(4, (2, 3), variant, hidden=8, rng=np.random.default_rng(7))
@@ -630,7 +645,7 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
 
 
 def _sgd_opts(net, make):
-    one = lambda m: make(m.params(), kind="sgd", lr=0.05)
+    one = lambda m: make(m, kind="sgd", lr=0.05)
     return {
         "q_embed": one(net.q_embed), "q_heads": [one(h) for h in net.q_heads], "q_mixer": one(net.q_mixer),
         "g_embed": one(net.g_embed), "g_heads": [one(h) for h in net.g_heads], "g_mixer": one(net.g_mixer),
@@ -646,7 +661,8 @@ def test_decomposed_bcq_steps_match_the_per_path_reference():
     for p in target.params():
         p += 0.01  # keep online and target apart
     ref, ref_target = net.clone(), target.clone()
-    opts, ref_opts = _sgd_opts(net, Optimizer), _sgd_opts(ref, ListAdam)
+    per_layer = lambda m, **kw: ListAdam(layer_views(m.flat, m.sizes), **kw)
+    opts, ref_opts = _sgd_opts(net, Optimizer), _sgd_opts(ref, per_layer)
     rng = np.random.default_rng(7)
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     for _ in range(3):

@@ -19,7 +19,7 @@ from frl.approx import (
     target_update,
 )
 from frl.errors import ConfigurationError, NumericError, ShapeError
-from oracles import coordinate_sweep_greedy, finite_difference_grads
+from oracles import coordinate_sweep_greedy, finite_difference_grads, layer_views
 
 
 def manual_mlp_forward(net, x):
@@ -69,19 +69,19 @@ def test_mlp_shape_and_configuration_errors():
 def test_mlp_parameters_live_in_one_buffer():
     net = Mlp((3, 4, 2), rng=np.random.default_rng(2))
     assert net.flat.size == 3 * 4 + 4 + 4 * 2 + 2
-    for p in net.params():
+    for p in net.weights + net.biases:
         assert np.shares_memory(p, net.flat)
     net.flat[:] = 0.5
     assert (net.weights[1] == 0.5).all() and (net.biases[0] == 0.5).all()
     x = np.random.default_rng(3).normal(size=(5, 3))
     out, cache = net.forward(x)
-    grads, _ = net.backward(np.ones_like(out), cache)
-    assert all(g.base is grads[0].base for g in grads) and grads[0].base.size == net.flat.size
+    grad, _ = net.backward(np.ones_like(out), cache)
+    assert grad.shape == net.flat.shape and not np.shares_memory(grad, net.flat)
+    # laid out like flat: the bias gradients are the column sums of the output gradient
+    np.testing.assert_array_equal(grad[-2:], [5.0, 5.0])
     clone = net.clone()
     clone.flat[:] = 0.0
     assert (net.flat == 0.5).all()
-    with pytest.raises(ConfigurationError):
-        Optimizer([np.zeros(3), np.zeros(3)])
 
 
 def test_in_place_glorot_matches_uniform_draws():
@@ -102,17 +102,15 @@ def test_mlp_code_input_matches_one_hot_rows(sizes):
     out_f, cache_f = net.forward(onehot)
     np.testing.assert_array_equal(out_c, out_f)
     g = rng.normal(size=out_c.shape)
-    grads_c, dx_c = net.backward(g, cache_c)
-    grads_f, _ = net.backward(g, cache_f)
+    grad_c, dx_c = net.backward(g, cache_c)
+    grad_f, _ = net.backward(g, cache_f)
     assert dx_c is None
-    for a, b in zip(grads_c, grads_f):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(grad_c, grad_f)
     # backward over a subset of the forward rows equals a forward on that subset
     rows = np.array([7, 2, 2, 9])
     sub_out, sub_cache = net.forward(codes[rows])
     np.testing.assert_array_equal(sub_out, out_c[rows])
-    for a, b in zip(net.backward(g[rows], cache_c, rows)[0], net.backward(g[rows], sub_cache)[0]):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(net.backward(g[rows], cache_c, rows)[0], net.backward(g[rows], sub_cache)[0])
 
 
 def test_mlp_rejects_codes_out_of_range():
@@ -136,9 +134,9 @@ def test_mlp_gradients_match_finite_differences():
 
     out, cache = net.forward(x)
     _, grad_out = huber(out, t)
-    grads, _ = net.backward(grad_out, cache)
-    fd = finite_difference_grads(loss_fn, net.params())
-    for g, f in zip(grads, fd):
+    grad, _ = net.backward(grad_out, cache)
+    fd = finite_difference_grads(loss_fn, [net.flat])[0]
+    for g, f in zip(layer_views(grad, net.sizes), layer_views(fd, net.sizes)):
         denom = max(np.abs(f).max(), 1e-8)
         assert np.abs(g - f).max() / denom < 1e-4
 
@@ -159,9 +157,10 @@ def test_mlp_input_gradient_matches_finite_differences():
     assert np.abs(dx - fd).max() / np.abs(fd).max() < 1e-4
 
 
-@pytest.mark.parametrize("mixer", ["average", "linear", "relu"])
+@pytest.mark.parametrize("mixer", ["linear", "relu"])
 @pytest.mark.parametrize("shared", [True, False])
 def test_decomposed_q_gradients_match_finite_differences(mixer, shared):
+    """The mixer's gradient, with the head values as frozen inputs."""
     rng = np.random.default_rng(5)
     net = DecomposedQNet(3, (2, 3), hidden=(8,), mixer=mixer, mixer_hidden=4, shared_trunk=shared, rng=rng)
     states = rng.normal(size=(10, 3))
@@ -174,26 +173,13 @@ def test_decomposed_q_gradients_match_finite_differences(mixer, shared):
 
     q, cache = net.joint_q(states, actions)
     _, grad_q = huber(q, targets)
-    head_grads, mixer_grads = net.backward_joint(grad_q, cache)
-    fd = finite_difference_grads(loss_fn, net.params())
-    for g, f in zip(head_grads + mixer_grads, fd):
+    grad = net.backward_mixer(grad_q, cache)
+    fd = finite_difference_grads(loss_fn, [net.mixer.flat])[0]
+    for g, f in zip(layer_views(grad, net.mixer.sizes), layer_views(fd, net.mixer.sizes)):
         denom = max(np.abs(f).max(), 1e-6)
         assert np.abs(g - f).max() / denom < 1e-4
-
-
-def test_detached_heads_stop_gradient():
-    rng = np.random.default_rng(6)
-    net = DecomposedQNet(3, (2, 2), hidden=(6,), mixer="relu", mixer_hidden=4, rng=rng)
-    states = rng.normal(size=(5, 3))
-    actions = rng.integers(0, 2, size=(5, 2))
-    q, cache = net.joint_q(states, actions)
-    head_grads, mixer_grads = net.backward_joint(np.ones(5), cache, detach_heads=True)
-    assert all(np.all(g == 0.0) for g in head_grads)
-    # mixer grads unaffected by detaching: heads are upstream of the mixer
-    full_head, full_mixer = net.backward_joint(np.ones(5), cache)
-    for a, b in zip(mixer_grads, full_mixer):
-        np.testing.assert_allclose(a, b, atol=1e-15)
-    assert any(np.abs(g).max() > 0 for g in full_head)
+    with pytest.raises(ShapeError):
+        net.backward_mixer(grad_q[:-1], cache)
 
 
 def test_average_mixer_is_mean_of_selected_entries():
@@ -210,6 +196,8 @@ def test_average_mixer_is_mean_of_selected_entries():
     # greedy for the average mixer is exactly the per-head argmax
     expect = np.stack([z[:, :3].argmax(axis=1), z[:, 3:].argmax(axis=1)], axis=1)
     np.testing.assert_array_equal(net.greedy(states), expect)
+    with pytest.raises(ConfigurationError):
+        net.backward_mixer(np.ones(6), net.joint_q(states, actions)[1])
 
 
 def test_greedy_coordinate_sweep_never_hurts():
@@ -270,48 +258,74 @@ def test_huber_frozen_values():
 # -- optimizers ---------------------------------------------------------------
 
 
+def _net_holding(values):
+    """An Mlp((n - 1, 1)) whose n parameters are `values`."""
+    values = np.asarray(values, dtype=np.float64)
+    net = Mlp((values.size - 1, 1), rng=np.random.default_rng(0))
+    net.flat[:] = values
+    return net
+
+
 def test_sgd_step_and_decoupled_weight_decay():
-    p = np.array([1.0, -2.0])
-    opt = Optimizer([p], kind="sgd", lr=0.1, weight_decay=0.01)
+    net = _net_holding([1.0, -2.0])
+    opt = Optimizer(net, kind="sgd", lr=0.1, weight_decay=0.01)
     g = np.array([0.5, 0.5])
-    expect = p * (1 - 0.1 * 0.01) - 0.1 * g
-    opt.step([g])
-    np.testing.assert_allclose(p, expect, atol=1e-15)
+    expect = net.flat * (1 - 0.1 * 0.01) - 0.1 * g
+    opt.step(g)
+    np.testing.assert_allclose(net.flat, expect, atol=1e-15)
 
 
 def test_adam_first_step_closed_form():
-    p = np.array([1.0, -1.0, 0.5])
-    p0 = p.copy()
+    net = _net_holding([1.0, -1.0, 0.5])
+    p0 = net.flat.copy()
     g = np.array([0.3, -0.2, 0.0])
-    opt = Optimizer([p], kind="adam", lr=0.01)
-    opt.step([g])
+    opt = Optimizer(net, kind="adam", lr=0.01)
+    opt.step(g)
     # at t=1 the bias corrections cancel: update = lr * g / (|g| + eps)
     expect = p0 - 0.01 * g / (np.abs(g) + 1e-8)
-    np.testing.assert_allclose(p, expect, atol=1e-15)
+    np.testing.assert_allclose(net.flat, expect, atol=1e-15)
 
 
 def test_adam_decoupled_weight_decay_not_in_moments():
-    p = np.array([10.0])
-    opt = Optimizer([p], kind="adam", lr=0.1, weight_decay=0.5)
-    opt.step([np.array([0.0])])
+    net = _net_holding([10.0, 10.0])
+    opt = Optimizer(net, kind="adam", lr=0.1, weight_decay=0.5)
+    opt.step(np.zeros(2))
     # zero gradient: pure shrink, no adaptive update (0/(0+eps) = 0)
-    np.testing.assert_allclose(p, [10.0 * (1 - 0.1 * 0.5)], atol=1e-12)
-    assert opt.m[0][0] == 0.0 and opt.v[0][0] == 0.0
+    np.testing.assert_allclose(net.flat, [10.0 * (1 - 0.1 * 0.5)] * 2, atol=1e-12)
+    assert opt.m.shape == opt.v.shape == net.flat.shape
+    assert (opt.m == 0.0).all() and (opt.v == 0.0).all()
 
 
 def test_optimizer_errors():
-    p = np.ones(2)
+    net = _net_holding([1.0, 1.0])
     with pytest.raises(ConfigurationError):
-        Optimizer([p], kind="rmsprop")
+        Optimizer(net, kind="rmsprop")
     with pytest.raises(ConfigurationError):
-        Optimizer([p], lr=0.0)
-    opt = Optimizer([p], kind="sgd", lr=0.1)
+        Optimizer(net, lr=0.0)
+    opt = Optimizer(net, kind="sgd", lr=0.1)
     with pytest.raises(NumericError):
-        opt.step([np.array([np.nan, 0.0])])
+        opt.step(np.array([np.nan, 0.0]))
     with pytest.raises(ShapeError):
-        opt.step([np.ones(2), np.ones(2)])
+        opt.step(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        opt.step([np.ones(3)])
+        opt.step(np.ones(3))
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_optimizer_step_leaves_the_gradient_alone(kind):
+    rng = np.random.default_rng(13)
+    net = Mlp((3, 5, 2), rng=rng)
+    opt = Optimizer(net, kind=kind, lr=0.01, weight_decay=0.1)
+    for _ in range(3):
+        grad = rng.normal(size=net.flat.size)
+        before = grad.tobytes()
+        opt.step(grad)
+        assert grad.tobytes() == before
+    flat = net.flat.copy()
+    for size in (net.flat.size - 1, net.flat.size + 1):
+        with pytest.raises(ShapeError):
+            opt.step(np.zeros(size))
+    np.testing.assert_array_equal(net.flat, flat)
 
 
 def test_target_update_hard_and_polyak():
@@ -323,6 +337,22 @@ def test_target_update_hard_and_polyak():
     np.testing.assert_allclose(dst[0], src[0], atol=1e-15)
     with pytest.raises(ShapeError):
         target_update(src, [])
+
+
+@pytest.mark.parametrize("mixer", ["average", "linear", "relu"])
+@pytest.mark.parametrize("shared", [True, False])
+def test_decomposed_q_target_update_runs_per_network(mixer, shared):
+    rng = np.random.default_rng(14)
+    make = lambda: DecomposedQNet(3, (2, 3), hidden=(6, 5), mixer=mixer, mixer_hidden=4, shared_trunk=shared, rng=rng)
+    net, target = make(), make()
+    nets = lambda q: q.trunks + ([] if q.mixer is None else [q.mixer])
+    assert all(p is m.flat for p, m in zip(target.params(), nets(target), strict=True))
+    per_layer = target.clone()
+    target_update(net.params(), target.params(), tau=0.05)
+    for src, dst in zip(nets(net), nets(per_layer)):
+        target_update(layer_views(src.flat, src.sizes), layer_views(dst.flat, dst.sizes), tau=0.05)
+    for got, want in zip(target.params(), per_layer.params(), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -369,6 +399,35 @@ def test_decomposed_q_checkpoint_round_trip():
     np.testing.assert_allclose(clone.joint_q(states, actions)[0], net.joint_q(states, actions)[0], atol=1e-15)
     np.testing.assert_array_equal(clone.greedy(states), net.greedy(states))
     assert clone.mixer_kind == "linear"
+
+
+def test_decomposed_q_loader_checks_each_network():
+    net = DecomposedQNet(3, (2, 3), hidden=(6,), mixer="linear", mixer_hidden=4, rng=np.random.default_rng(15))
+    doc = net.to_doc()
+    for field, value in (("block_sizes", [2, 2]), ("hidden", [7]), ("mixer_hidden", 5),
+                         ("shared_trunk", False), ("mixer", "average"), ("mixer", "relu")):
+        bad = json.loads(json.dumps(doc))
+        bad[field] = value
+        with pytest.raises(ShapeError):
+            DecomposedQNet.from_doc(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["mixer_net"]["activation"] = "relu"
+    with pytest.raises(ShapeError):
+        DecomposedQNet.from_doc(bad)
+
+
+def test_loaders_reject_non_finite_weights():
+    net = DecomposedQNet(3, (2, 3), hidden=(6,), rng=np.random.default_rng(16))
+    doc = net.to_doc()
+    doc["trunks"][0]["weights"][0][1][2] = float("nan")
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(NumericError):
+        DecomposedQNet.from_json(text)
+    doc = json.loads(MLP_V1_DOC)
+    doc["biases"][0][1] = float("inf")
+    with pytest.raises(NumericError):
+        Mlp.from_doc(doc)
 
 
 def test_clone_is_detached():

@@ -21,7 +21,7 @@ from frl.errors import DomainError, NumericError, ShapeError
 from frl.factored_mdp import FactoredPolicy, transition_rows
 from frl.tabular import factored_policy_iteration, joint_policy_iteration
 
-from oracles import ListAdam, choice_rows, enumerate_interventional, enumerate_projected
+from oracles import ListAdam, choice_rows, enumerate_interventional, enumerate_projected, layer_views
 
 GRID = [
     (structure, kind, seed)
@@ -145,29 +145,31 @@ SHAPES = {
 def test_flat_adam_matches_per_array_adam(shape, weight_decay, kind):
     rng = np.random.default_rng(len(shape) + int(weight_decay * 1e3))
     net = Mlp(SHAPES[shape], rng=rng)
-    ref = [p.copy() for p in net.params()]
-    fast = Optimizer(net.params(), kind=kind, lr=3e-4, weight_decay=weight_decay)
+    ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
+    fast = Optimizer(net, kind=kind, lr=3e-4, weight_decay=weight_decay)
     slow = ListAdam(ref, kind=kind, lr=3e-4, weight_decay=weight_decay)
     for _ in range(50):
-        grads = [rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=p.shape) for p in ref]
-        fast.step(grads)
-        slow.step(grads)
-    for got, want in zip(net.params(), ref):
+        grad = np.concatenate([rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=p.size) for p in ref])
+        fast.step(grad)
+        slow.step(layer_views(grad, net.sizes))
+    for got, want in zip(layer_views(net.flat, net.sizes), ref):
         np.testing.assert_array_equal(got, want)
 
 
 def test_flat_adam_names_the_parameter_that_broke():
     for index in range(6):
         net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(index))
-        grads = [np.ones_like(p) for p in net.params()]
-        grads[index].reshape(-1)[-1] = np.inf
-        fast, slow = Optimizer(net.params()), ListAdam([p.copy() for p in net.params()])
-        for opt in (fast, slow):
-            with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
-                opt.step(grads)
+        grad = np.ones_like(net.flat)
+        layer_views(grad, net.sizes)[index].reshape(-1)[-1] = np.inf
+        fast = Optimizer(net)
+        slow = ListAdam([p.copy() for p in layer_views(net.flat, net.sizes)])
+        with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
+            fast.step(grad)
+        with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
+            slow.step(layer_views(grad, net.sizes))
         net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(index))
-        net.params()[index].reshape(-1)[0] = 1e308
-        grads = [np.zeros_like(p) for p in net.params()]
-        grads[index].reshape(-1)[0] = -1e308
+        layer_views(net.flat, net.sizes)[index].reshape(-1)[0] = 1e308
+        grad = np.zeros_like(net.flat)
+        layer_views(grad, net.sizes)[index].reshape(-1)[0] = -1e308
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"parameter {index} became non-finite"):
-            Optimizer(net.params(), kind="sgd", lr=10.0).step(grads)
+            Optimizer(net, kind="sgd", lr=10.0).step(grad)

@@ -9,21 +9,25 @@ Three network shapes share one training loop:
   vector mixers that read the concatenated (frozen) head outputs and
   emit re-mixed per-block vectors used for evaluation.
 
-The logged dataset is one replay `Batch` of state codes, and the codes
-go into the networks as they are (an `Mlp` reads a code as its one-hot
-row).  Each training tick samples rows from it, takes one step per
-block (decomposed runs the batch through the learned tabular model
-first so it follows that block's projected transition), then one step
-on the mixers, then a Polyak target update.  Within a step each network
-runs forward once per parameter version: the online q and g paths once
-over the stacked [next_states; states] rows, the target q path once
-over next_states; the decomposed embeddings and heads see each distinct
-code once, and block k's step runs only head k.  Targets are
-batch constrained: next-action candidates keep only actions whose
-generative propensity is within `tau_bcq` of the state's best before
-the argmax, which is taken on the online net and evaluated on the
+`BcqNet` keeps every network in one ordered table, `nets`, so its
+parameters, clones, optimizers and checkpoint docs are one pass over it
+whatever the shape.  The logged dataset is one replay `Batch` of state
+codes, and the codes go into the networks as they are (an `Mlp` reads a
+code as its one-hot row).  Each training tick samples rows from it,
+takes one step per block (decomposed runs the batch through the learned
+tabular model first so it follows that block's projected transition),
+then one step on the mixers, then a Polyak target update.  Within a step
+each network runs forward once per parameter version: the online q and
+g paths once over the stacked [next_states; states] rows, the target q
+path once over next_states; the decomposed embeddings and heads see each
+distinct code once, and block k's step runs only head k.  Head and mixer
+steps score each block's columns with one shared loss (`_block_loss`).
+Targets are batch constrained: next-action candidates keep only actions
+whose generative propensity is within `tau_bcq` of the state's best
+before the argmax, which is taken on the online net and evaluated on the
 target net.  A state whose candidate set comes up empty falls back to
-the unfiltered argmax and bumps a counter.
+the unfiltered argmax and bumps a counter.  The generative net takes the
+logged action's negative log-likelihood.
 """
 
 from __future__ import annotations
@@ -117,7 +121,14 @@ def filtered_argmax(q: np.ndarray, logp: np.ndarray, tau: float):
 
 
 class BcqNet:
-    """Q and generative networks in one of the three shapes above."""
+    """Q and generative networks in one of the three shapes above.
+
+    `nets` is the one table of networks, keyed by name in parameter
+    order: `q_embed`, `q_heads` (a list, one per block), `q_mixer`, then
+    the same three for `g`; or `q_net` and `g_net` for the monolithic
+    shapes.  Parameters, clones, optimizers and checkpoint docs are all
+    one pass over it.
+    """
 
     def __init__(self, state_dim: int, block_sizes, variant: str = "decomposed", hidden: int = 128, rng=None):
         if variant not in VARIANTS:
@@ -130,16 +141,14 @@ class BcqNet:
         self.offsets = np.concatenate([[0], np.cumsum(self.block_sizes)])
         rng = rng or np.random.default_rng()
         h = self.hidden
-        if variant == "decomposed":
-            self.q_embed = Mlp((self.state_dim, h, h), rng=rng)
-            self.q_heads = [Mlp((h, h, h, b), rng=rng) for b in self.block_sizes]
-            self.q_mixer = Mlp((self.head_dim, h, h, self.head_dim), rng=rng)
-            self.g_embed = Mlp((self.state_dim, h, h), rng=rng)
-            self.g_heads = [Mlp((h, h, h, b), rng=rng) for b in self.block_sizes]
-            self.g_mixer = Mlp((self.head_dim, h, h, self.head_dim), rng=rng)
-        else:
-            self.q_net = Mlp((self.state_dim, h, h, self.head_dim), rng=rng)
-            self.g_net = Mlp((self.state_dim, h, h, self.head_dim), rng=rng)
+        self.nets: dict[str, Mlp | list[Mlp]] = {}
+        for p in ("q", "g"):
+            if variant == "decomposed":
+                self.nets[f"{p}_embed"] = Mlp((self.state_dim, h, h), rng=rng)
+                self.nets[f"{p}_heads"] = [Mlp((h, h, h, b), rng=rng) for b in self.block_sizes]
+                self.nets[f"{p}_mixer"] = Mlp((self.head_dim, h, h, self.head_dim), rng=rng)
+            else:
+                self.nets[f"{p}_net"] = Mlp((self.state_dim, h, h, self.head_dim), rng=rng)
 
     @property
     def n_blocks(self) -> int:
@@ -148,25 +157,22 @@ class BcqNet:
     def block_slice(self, k: int) -> slice:
         return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
 
+    def _map(self, fn) -> dict:
+        """`fn` applied to every network, in a table shaped like `nets`."""
+        return {name: [fn(m) for m in v] if isinstance(v, list) else fn(v) for name, v in self.nets.items()}
+
     def params(self) -> list[np.ndarray]:
-        """One flat parameter buffer per network."""
-        if self.variant == "decomposed":
-            nets = [self.q_embed, *self.q_heads, self.q_mixer, self.g_embed, *self.g_heads, self.g_mixer]
-        else:
-            nets = [self.q_net, self.g_net]
-        return [net.flat for net in nets]
+        """One flat parameter buffer per network, in table order."""
+        return [m.flat for v in self.nets.values() for m in (v if isinstance(v, list) else [v])]
 
     def clone(self) -> "BcqNet":
         other = copy.copy(self)
-        if self.variant == "decomposed":
-            for name in ("q_embed", "q_mixer", "g_embed", "g_mixer"):
-                setattr(other, name, getattr(self, name).clone())
-            other.q_heads = [h.clone() for h in self.q_heads]
-            other.g_heads = [h.clone() for h in self.g_heads]
-        else:
-            other.q_net = self.q_net.clone()
-            other.g_net = self.g_net.clone()
+        other.nets = self._map(Mlp.clone)
         return other
+
+    def optimizers(self, **kwargs) -> dict:
+        """One `Optimizer(net, **kwargs)` per network, keyed like `nets`."""
+        return self._map(lambda m: Optimizer(m, **kwargs))
 
     # -- forward paths ----------------------------------------------------
 
@@ -176,23 +182,21 @@ class BcqNet:
         `states` must be an integer vector of codes (ShapeError
         otherwise).  Returns the (n, head_dim) outputs, or block k's
         (n, b_k) columns when k is given, and a cache for
-        heads_backward_step.  The decomposed shape runs its embedding and heads (head k only
-        when k is given) once per distinct code and gathers the rows
-        back; a monolithic net runs on the rows as given, because its
-        wide outputs come out of BLAS bit-identical only when the row
-        count is kept.
+        heads_backward_step.  The decomposed shape runs its embedding
+        and heads (head k only when k is given) once per distinct code
+        and gathers the rows back; a monolithic net runs on the rows as
+        given, because its wide outputs come out of BLAS bit-identical
+        only when the row count is kept.
         """
         states = np.asarray(states)
         if states.dtype.kind not in "iu" or states.ndim != 1:
             raise ShapeError(f"expected a vector of state codes, got {states.dtype} of shape {states.shape}")
         if self.variant != "decomposed":
-            net = self.q_net if path == "q" else self.g_net
-            out, cache = net.forward(states)
+            out, cache = self.nets[f"{path}_net"].forward(states)
             return (out if k is None else out[:, self.block_slice(k)]), {"net": cache}
-        embed = self.q_embed if path == "q" else self.g_embed
-        heads = self.q_heads if path == "q" else self.g_heads
+        heads = self.nets[f"{path}_heads"]
         codes, index = np.unique(states, return_inverse=True)
-        e, e_cache = embed.forward(codes)
+        e, e_cache = self.nets[f"{path}_embed"].forward(codes)
         ks = range(self.n_blocks) if k is None else (k,)
         outs, caches = zip(*(heads[j].forward(e) for j in ks))
         out = np.concatenate(outs, axis=1) if k is None else outs[0]
@@ -202,22 +206,20 @@ class BcqNet:
         """Backprop block k's output gradient and apply the optimizers.
 
         `dz` is d(loss)/d(block k's columns) at the forward rows `rows`;
-        backward reads only those rows' activations.  For the
-        decomposed shape only block k's head (plus the shared
-        embedding) is touched; monolithic shapes update the whole net.
+        backward reads only those rows' activations.  `opts` is a table
+        from `optimizers`.  For the decomposed shape only block k's head
+        (plus the shared embedding) is touched; monolithic shapes update
+        the whole net.
         """
         if self.variant != "decomposed":
-            net = self.q_net if path == "q" else self.g_net
             full = np.zeros((len(dz), self.head_dim))
             full[:, self.block_slice(k)] = dz
-            grad, _ = net.backward(full, cache["net"], rows)
+            grad, _ = self.nets[f"{path}_net"].backward(full, cache["net"], rows)
             opts[f"{path}_net"].step(grad)
             return
-        heads = self.q_heads if path == "q" else self.g_heads
-        embed = self.q_embed if path == "q" else self.g_embed
         index = cache["index"][rows]
-        head_grad, d_embed = heads[k].backward(dz, cache["heads"][k], index)
-        embed_grad, _ = embed.backward(d_embed, cache["embed"], index)
+        head_grad, d_embed = self.nets[f"{path}_heads"][k].backward(dz, cache["heads"][k], index)
+        embed_grad, _ = self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], index)
         opts[f"{path}_heads"][k].step(head_grad)
         opts[f"{path}_embed"].step(embed_grad)
 
@@ -228,53 +230,35 @@ class BcqNet:
         z, _ = self.heads_forward(states, path)
         if self.variant != "decomposed":
             return z, None
-        mixer = self.q_mixer if path == "q" else self.g_mixer
-        return mixer.forward(z)
+        return self.nets[f"{path}_mixer"].forward(z)
 
     def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
         """Backprop a mixed-output gradient at the forward rows `rows`."""
-        mixer = self.q_mixer if path == "q" else self.g_mixer
-        grad, _ = mixer.backward(dz, cache, rows)
+        grad, _ = self.nets[f"{path}_mixer"].backward(dz, cache, rows)
         opts[f"{path}_mixer"].step(grad)
 
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "format": _BCQ_FORMAT,
             "state_dim": self.state_dim,
             "block_sizes": list(self.block_sizes),
             "variant": self.variant,
             "hidden": self.hidden,
+            "nets": self._map(Mlp.to_doc),
         }
-        if self.variant == "decomposed":
-            doc["nets"] = {
-                "q_embed": self.q_embed.to_doc(),
-                "q_heads": [m.to_doc() for m in self.q_heads],
-                "q_mixer": self.q_mixer.to_doc(),
-                "g_embed": self.g_embed.to_doc(),
-                "g_heads": [m.to_doc() for m in self.g_heads],
-                "g_mixer": self.g_mixer.to_doc(),
-            }
-        else:
-            doc["nets"] = {"q_net": self.q_net.to_doc(), "g_net": self.g_net.to_doc()}
-        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BcqNet":
         if doc.get("format") != _BCQ_FORMAT:
             raise ConfigurationError(f"unexpected checkpoint format {doc.get('format')!r}")
         net = cls(doc["state_dim"], doc["block_sizes"], doc["variant"], doc["hidden"], rng=np.random.default_rng(0))
-        if net.variant == "decomposed":
-            names = ("q_embed", "q_heads", "q_mixer", "g_embed", "g_heads", "g_mixer")
-        else:
-            names = ("q_net", "g_net")
-        for name in names:
-            built, stored = getattr(net, name), doc["nets"][name]
+        for name, built in net.nets.items():
             if isinstance(built, list):
-                setattr(net, name, load_matching(stored, built))
+                net.nets[name] = load_matching(doc["nets"][name], built)
             else:
-                setattr(net, name, load_matching([stored], [built])[0])
+                net.nets[name] = load_matching([doc["nets"][name]], [built])[0]
         return net
 
 
@@ -318,75 +302,64 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
 # -- training -----------------------------------------------------------------
 
 
-def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
-    states, actions, rewards, next_states, dones = batch
-    n = len(rewards)
-    rows = np.arange(n)
-    a_k = actions[:, k]
+def _block_loss(q_next, logits_next, q_next_t, q, logits, batch: Batch, k, cfg):
+    """BCQ loss of block k's columns, shared by the head and mixer steps.
 
-    # One forward per network over [next_states; states]: the q step
-    # below leaves the g path's parameters as they were.
-    both = np.concatenate([next_states, states])
-    own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
-    q_both, q_cache = net.heads_forward(both, "q", k)
-    g_both, g_cache = net.heads_forward(both, "g", k)
-    a_star, n_fallback = filtered_argmax(q_both[:n], log_softmax(g_both[:n]), cfg.tau_bcq)
-    counters["fallbacks"] += n_fallback
-    q_next_t, _ = target_net.heads_forward(next_states, "q", k)
-    targets = rewards + cfg.discount * (1.0 - dones) * q_next_t[rows, a_star]
-
-    q = q_both[own]
+    `q_next` and `logits_next` are the online q values and generative
+    logits at next_states, `q_next_t` the target q values there, and `q`
+    and `logits` the online outputs at states, each (n, b_k).  The q
+    target is the filtered argmax of the online net evaluated on the
+    target net; q takes a Huber loss on the logged action's column and g
+    its negative log-likelihood.  Returns (loss_q, d loss_q / d q,
+    loss_g, d loss_g / d logits, fallback count).
+    """
+    rows = np.arange(len(q))
+    a_k = batch.actions[:, k]
+    a_star, n_fallback = filtered_argmax(q_next, log_softmax(logits_next), cfg.tau_bcq)
+    targets = batch.rewards + cfg.discount * (1.0 - batch.dones) * q_next_t[rows, a_star]
     loss_q, dq = huber(q[rows, a_k], targets)
-    dz = np.zeros_like(q)
-    dz[rows, a_k] = dq
-    net.heads_backward_step(dz, q_cache, opts, "q", k, own)
+    dz_q = np.zeros_like(q)
+    dz_q[rows, a_k] = dq
 
-    logp = log_softmax(g_both[own])
+    logp = log_softmax(logits)
     loss_g = -float(np.mean(logp[rows, a_k]))
     dlogits = np.exp(logp)
     dlogits[rows, a_k] -= 1.0
-    net.heads_backward_step(dlogits / n, g_cache, opts, "g", k, own)
+    return loss_q, dz_q, loss_g, dlogits / len(q), n_fallback
+
+
+def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
+    n = len(batch.rewards)
+    # One forward per network over [next_states; states]: the q step
+    # below leaves the g path's parameters as they were.
+    both = np.concatenate([batch.next_states, batch.states])
+    own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
+    q, q_cache = net.heads_forward(both, "q", k)
+    g, g_cache = net.heads_forward(both, "g", k)
+    q_next_t, _ = target_net.heads_forward(batch.next_states, "q", k)
+    loss_q, dz_q, loss_g, dz_g, n_fallback = _block_loss(q[:n], g[:n], q_next_t, q[own], g[own], batch, k, cfg)
+    counters["fallbacks"] += n_fallback
+    net.heads_backward_step(dz_q, q_cache, opts, "q", k, own)
+    net.heads_backward_step(dz_g, g_cache, opts, "g", k, own)
     return loss_q, loss_g
 
 
 def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
-    states, actions, rewards, next_states, dones = batch
-    n = len(rewards)
-    rows = np.arange(n)
-
-    both = np.concatenate([next_states, states])
+    n = len(batch.rewards)
+    both = np.concatenate([batch.next_states, batch.states])
     own = slice(n, 2 * n)
-    qm_both, q_cache = net.mix_forward(both, "q")
-    gm_both, g_cache = net.mix_forward(both, "g")
-    qm_next_t, _ = target_net.mix_forward(next_states, "q")
-    qm_next_on, qm = qm_both[:n], qm_both[own]
-    gm_next_on, gm = gm_both[:n], gm_both[own]
-
-    dz_q = np.zeros_like(qm)
-    loss_q = 0.0
-    for k in range(net.n_blocks):
-        sl = net.block_slice(k)
-        a_star, n_fallback = filtered_argmax(
-            qm_next_on[:, sl], log_softmax(gm_next_on[:, sl]), cfg.tau_bcq
-        )
-        counters["mixer_fallbacks"] += n_fallback
-        targets = rewards + cfg.discount * (1.0 - dones) * qm_next_t[:, sl][rows, a_star]
-        l, dq = huber(qm[rows, sl.start + actions[:, k]], targets)
-        dz_q[rows, sl.start + actions[:, k]] += dq
-        loss_q += l
-    net.mix_backward_step(dz_q, q_cache, opts, "q", own)
-
-    dz_g = np.zeros_like(gm)
-    loss_g = 0.0
-    for k in range(net.n_blocks):
-        sl = net.block_slice(k)
-        logp = log_softmax(gm[:, sl])
-        loss_g += -float(np.mean(logp[rows, actions[:, k]]))
-        dlogits = np.exp(logp)
-        dlogits[rows, actions[:, k]] -= 1.0
-        dz_g[:, sl] = dlogits / n
-    net.mix_backward_step(dz_g, g_cache, opts, "g", own)
-    return loss_q, loss_g
+    qm, q_cache = net.mix_forward(both, "q")
+    gm, g_cache = net.mix_forward(both, "g")
+    qm_next_t, _ = target_net.mix_forward(batch.next_states, "q")
+    slices = [net.block_slice(k) for k in range(net.n_blocks)]
+    loss_q, dz_q, loss_g, dz_g, n_fallback = zip(*(
+        _block_loss(qm[:n, sl], gm[:n, sl], qm_next_t[:, sl], qm[own, sl], gm[own, sl], batch, k, cfg)
+        for k, sl in enumerate(slices)
+    ))
+    counters["mixer_fallbacks"] += sum(n_fallback)
+    net.mix_backward_step(np.concatenate(dz_q, axis=1), q_cache, opts, "q", own)
+    net.mix_backward_step(np.concatenate(dz_g, axis=1), g_cache, opts, "g", own)
+    return sum(loss_q), sum(loss_g)
 
 
 def extract_policy(net: BcqNet, states: np.ndarray, tau: float):
@@ -437,21 +410,7 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     aug_rng = np.random.default_rng(aug_ss)
     net = BcqNet(spec.n_states, block_sizes, cfg.variant, cfg.hidden, rng=np.random.default_rng(net_ss))
     target_net = net.clone()
-
-    if cfg.variant == "decomposed":
-        opts = {
-            "q_embed": Optimizer(net.q_embed, lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "q_heads": [Optimizer(h, lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.q_heads],
-            "q_mixer": Optimizer(net.q_mixer, lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_embed": Optimizer(net.g_embed, lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_heads": [Optimizer(h, lr=cfg.lr, weight_decay=cfg.weight_decay) for h in net.g_heads],
-            "g_mixer": Optimizer(net.g_mixer, lr=cfg.lr, weight_decay=cfg.weight_decay),
-        }
-    else:
-        opts = {
-            "q_net": Optimizer(net.q_net, lr=cfg.lr, weight_decay=cfg.weight_decay),
-            "g_net": Optimizer(net.g_net, lr=cfg.lr, weight_decay=cfg.weight_decay),
-        }
+    opts = net.optimizers(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     sampler = None
     learned_spec = None

@@ -236,10 +236,10 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
         # per-head argmax until the mixer has learned from data
         net.mixer.weights[-1][:] = 0.0
     target_net = net.clone()
-    trunk_opts = [Optimizer(t, kind="adam", lr=cfg.lr) for t in net.trunks]
+    trunk_opts = [Optimizer(t, lr=cfg.lr) for t in net.trunks]
     mixer_opt = None
     if net.mixer is not None:
-        mixer_opt = Optimizer(net.mixer, kind="adam", lr=cfg.lr)
+        mixer_opt = Optimizer(net.mixer, lr=cfg.lr)
 
     dynamics = reward_model = None
     if cfg.augmentation:

@@ -260,7 +260,7 @@ def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
 
 
 class Optimizer:
-    """SGD or Adam over the flat parameter buffer of one `Mlp`, in place.
+    """Adam over the flat parameter buffer of one `Mlp`, in place.
 
     `step` takes the network's gradient as the one buffer `Mlp.backward`
     returns, laid out like `net.flat`, and makes one pass over `flat`
@@ -274,13 +274,10 @@ class Optimizer:
     parameter stops being finite.
     """
 
-    def __init__(self, net: Mlp, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-        if kind not in ("sgd", "adam"):
-            raise ConfigurationError(f"unknown optimizer {kind!r}")
+    def __init__(self, net: Mlp, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.flat = net.flat
-        self.kind = kind
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -289,10 +286,9 @@ class Optimizer:
         self.t = 0
         self._ends = np.cumsum([n for a, b in zip(net.sizes, net.sizes[1:]) for n in (a * b, b)])
         self._scratch = np.empty_like(self.flat)
-        if kind == "adam":
-            self.m = np.zeros_like(self.flat)
-            self.v = np.zeros_like(self.flat)
-            self._denom = np.empty_like(self.flat)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._denom = np.empty_like(self.flat)
 
     def _first_bad(self, flat: np.ndarray) -> int | None:
         """Layer-order index of the array holding the first non-finite entry, or None."""
@@ -307,29 +303,24 @@ class Optimizer:
         if bad is not None:
             raise NumericError(f"gradient {bad} is not finite")
         self.t += 1
-        p, s = self.flat, self._scratch
+        p, s, m, v, d = self.flat, self._scratch, self.m, self.v, self._denom
         if self.weight_decay:
             np.multiply(p, self.lr * self.weight_decay, out=s)
             p -= s
-        if self.kind == "sgd":
-            np.multiply(grad, self.lr, out=s)
-            p -= s
-        else:
-            m, v, d = self.m, self.v, self._denom
-            m *= self.beta1
-            np.multiply(grad, 1 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(grad, 1 - self.beta2, out=s)
-            s *= grad
-            v += s
-            np.divide(m, 1 - self.beta1**self.t, out=s)
-            s *= self.lr
-            np.divide(v, 1 - self.beta2**self.t, out=d)
-            np.sqrt(d, out=d)
-            d += self.eps
-            s /= d
-            p -= s
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=s)
+        s *= grad
+        v += s
+        np.divide(m, 1 - self.beta1**self.t, out=s)
+        s *= self.lr
+        np.divide(v, 1 - self.beta2**self.t, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        s /= d
+        p -= s
         bad = self._first_bad(p)
         if bad is not None:
             raise NumericError(f"parameter {bad} became non-finite after update")

@@ -430,6 +430,8 @@ def _cmd_ope(args) -> int:
         raise ConfigurationError(f"cannot read policy {args.policy}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"policy file is not valid JSON: {e}") from e
+    if isinstance(doc, dict) and "policy" not in doc:
+        raise ValidationError(f"policy file {args.policy} has no \"policy\" key")
     policy = doc["policy"] if isinstance(doc, dict) else doc
     table = soften(np.asarray(policy, dtype=np.int64), args.soften_epsilon, args.n_actions)
     result = wis_ess(episodes, table, gamma=args.gamma, clip=args.clip)
@@ -460,6 +462,8 @@ def _cmd_select(args) -> int:
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValidationError(f"{path}: bad candidate line: {e}") from e
+            if not isinstance(doc, dict) or not {"wis", "ess"} <= doc.keys():
+                raise ValidationError(f"{path}: a candidate line must be an object with \"wis\" and \"ess\"")
             cid = doc.get("id")
             cid = tuple(cid) if isinstance(cid, list) else cid
             candidates.append(
@@ -506,7 +510,12 @@ def _cmd_report(args) -> int:
         for i, line in enumerate(metrics_path.read_text().splitlines()):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValidationError(f"{metrics_path}: line {i + 1} is not valid JSON: {e}") from e
+            if not isinstance(doc, dict):
+                raise ValidationError(f"{metrics_path}: line {i + 1} is not a JSON object")
             value = doc.get(args.key)
             if value is None:
                 continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, SelectionError, ShapeError
+from .errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
 
 
 @dataclass
@@ -66,7 +66,17 @@ class EpisodeLog:
 
     @classmethod
     def from_json(cls, text: str) -> "EpisodeLog":
-        d = json.loads(text)
+        """Parse one episode line; ValidationError if it is not a JSON
+        object holding every per-step field."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"episode line is not valid JSON: {e}") from e
+        if not isinstance(d, dict):
+            raise ValidationError("episode line is not a JSON object")
+        missing = sorted({"states", "actions", "rewards", "propensities"} - d.keys())
+        if missing:
+            raise ValidationError(f"episode line lacks {', '.join(missing)}")
         return cls(
             states=np.asarray(d["states"]),
             actions=np.asarray(d["actions"]),
@@ -85,10 +95,13 @@ def save_episodes(episodes, path) -> None:
 def load_episodes(path) -> list[EpisodeLog]:
     out = []
     with open(path) as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(EpisodeLog.from_json(line))
+                try:
+                    out.append(EpisodeLog.from_json(line))
+                except ValidationError as e:
+                    raise ValidationError(f"{path}: line {i}: {e}") from e
     return out
 
 
@@ -100,14 +113,12 @@ class OpeResult:
     step_averages: np.ndarray  # mean cumulative ratio at each step index
     clip_count: int
     n_episodes: int
-    ess_per_step: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "wis": self.wis,
                 "ess": self.ess,
-                "ess_per_step": self.ess_per_step,
                 "clip_count": self.clip_count,
                 "n_episodes": self.n_episodes,
                 "episode_weights": self.episode_weights.tolist(),
@@ -133,68 +144,49 @@ def soften(policy: np.ndarray, epsilon: float, n_actions: int) -> np.ndarray:
     return out
 
 
-def _target_prob(target, state, action) -> float:
-    if isinstance(target, np.ndarray):
-        return float(target[int(state), int(action)])
-    return float(target(int(state), int(action)))
-
-
-def wis_ess(
-    episodes,
-    target,
-    gamma: float = 1.0,
-    clip: float = 1000.0,
-    *,
-    per_step_ess: bool = False,
-) -> OpeResult:
+def wis_ess(episodes, target, gamma: float = 1.0, clip: float = 1000.0) -> OpeResult:
     """Weighted importance sampling estimate with effective sample size.
 
     Args:
         episodes: EpisodeLogs with true behavior propensities.
-        target: (n_states, n_actions) table or callable(state, action)
-            giving the evaluated policy's action probabilities.
+        target: (n_states, n_actions) table of the evaluated policy's
+            action probabilities.
         gamma: discount applied to logged rewards.
         clip: ceiling applied to cumulative ratios before averaging.
 
     The estimate divides each episode's final cumulative ratio by the
     across-episode average at that step, weighting the episode's
-    discounted return.  ESS is computed from the final per-episode
-    weights; a per-step variant over the step averages is available
-    behind `per_step_ess`.
+    discounted return; an episode that has ended holds its final ratio
+    through later steps.  ESS is computed from the final per-episode
+    weights.
     """
     episodes = list(episodes)
     m = len(episodes)
     if m == 0:
         raise DomainError("need at least one episode")
-    max_len = max(len(ep) for ep in episodes)
-    cum = np.zeros((m, max_len))
-    returns = np.zeros(m)
-    clip_count = 0
-    for j, ep in enumerate(episodes):
-        ratio = 1.0
-        for t in range(len(ep)):
-            pi = _target_prob(target, ep.states[t], ep.actions[t])
-            ratio *= pi / float(ep.propensities[t])
-            clipped = min(ratio, clip)
-            if ratio > clip:
-                clip_count += 1
-            cum[j, t] = clipped
-        # shorter episodes hold their final ratio through later steps
-        cum[j, len(ep):] = cum[j, len(ep) - 1]
-        returns[j] = float(np.sum(ep.rewards * gamma ** np.arange(len(ep))))
+    lengths = np.array([len(ep) for ep in episodes])
+    logged = np.arange(lengths.max()) < lengths[:, None]
+    states, actions, props = (
+        np.concatenate([getattr(ep, name) for ep in episodes])
+        for name in ("states", "actions", "propensities")
+    )
+    # padding ratios of 1 keep each episode's final ratio in place
+    ratios = np.ones(logged.shape)
+    ratios[logged] = target[states.astype(np.int64), actions] / props
+    raw = np.cumprod(ratios, axis=1)
+    cum = np.minimum(raw, clip)
+    clip_count = int((raw[logged] > clip).sum())
+    # each return is its own sum: padding would change numpy's summation order
+    returns = np.array([np.sum(ep.rewards * gamma ** np.arange(len(ep))) for ep in episodes])
     step_avg = cum.mean(axis=0)
-    final = np.array([cum[j, len(ep) - 1] for j, ep in enumerate(episodes)])
-    final_avg = np.array([step_avg[len(ep) - 1] for ep in episodes])
+    final = cum[np.arange(m), lengths - 1]
+    final_avg = step_avg[lengths - 1]
     if (final_avg <= 0).any():
         j = int(np.flatnonzero(final_avg <= 0)[0])
         raise DataError(f"all cumulative weights vanished at the length of episode {j}")
     wis = float(np.mean(final / final_avg * returns))
     denom = float(np.sum(final**2))
     ess = float(np.sum(final) ** 2 / denom) if denom > 0 else 0.0
-    ess_step = None
-    if per_step_ess:
-        d = float(np.sum(step_avg**2))
-        ess_step = float(np.sum(step_avg) ** 2 / d) if d > 0 else 0.0
     return OpeResult(
         wis=wis,
         ess=ess,
@@ -202,7 +194,6 @@ def wis_ess(
         step_averages=step_avg,
         clip_count=clip_count,
         n_episodes=m,
-        ess_per_step=ess_step,
     )
 
 

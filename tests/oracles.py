@@ -234,16 +234,15 @@ def choice_rows(rows, rng):
 
 
 class ListAdam:
-    """Adam (or SGD) over a list of separate arrays, one array at a time.
+    """Adam over a list of separate arrays, one array at a time.
 
     Decoupled weight decay shrinks each array before its update; every
     update allocates its temporaries.  Raises NumericError naming the
     first array whose gradient, or whose updated value, is not finite.
     """
 
-    def __init__(self, params, kind="adam", lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         self.params = list(params)
-        self.kind = kind
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -262,14 +261,11 @@ class ListAdam:
                 raise NumericError(f"gradient {i} is not finite")
             if self.weight_decay:
                 p -= self.lr * self.weight_decay * p
-            if self.kind == "sgd":
-                p -= self.lr * g
-            else:
-                self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-                self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-                m_hat = self.m[i] / (1 - self.beta1**self.t)
-                v_hat = self.v[i] / (1 - self.beta2**self.t)
-                p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            m_hat = self.m[i] / (1 - self.beta1**self.t)
+            v_hat = self.v[i] / (1 - self.beta2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             if not np.isfinite(p).all():
                 raise NumericError(f"parameter {i} became non-finite after update")
 
@@ -292,9 +288,10 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
     Written the direct way: states are one-hot feature rows, and every
     forward runs the embedding and all heads (and the mixer) over the
     batch's own rows, next states and states separately, right before
-    the value is used.  `opts` maps the library's optimizer keys to
-    `ListAdam`s over each network's per-layer arrays, which are fed the
-    per-layer views of each flat gradient.
+    the value is used.  Networks are read from `net.nets` by name, and
+    `opts` maps the same names to `ListAdam`s over each network's
+    per-layer arrays, which are fed the per-layer views of each flat
+    gradient.
     """
     from frl.approx import huber
 
@@ -305,14 +302,13 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
     actions = batch.actions
 
     def heads(model, feats, path):
-        embed = model.q_embed if path == "q" else model.g_embed
-        e, e_cache = embed.forward(feats)
-        outs = [h.forward(e) for h in (model.q_heads if path == "q" else model.g_heads)]
+        e, e_cache = model.nets[f"{path}_embed"].forward(feats)
+        outs = [h.forward(e) for h in model.nets[f"{path}_heads"]]
         return np.concatenate([o for o, _ in outs], axis=1), e_cache, [c for _, c in outs]
 
     def mixed(model, feats, path):
         z, _, _ = heads(model, feats, path)
-        return (model.q_mixer if path == "q" else model.g_mixer).forward(z)
+        return model.nets[f"{path}_mixer"].forward(z)
 
     for k in range(net.n_blocks):
         sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
@@ -331,8 +327,8 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 dz = np.exp(_log_softmax(z[:, sl]))
                 dz[rows, a_k] -= 1.0
                 dz = dz / n
-            head = (net.q_heads if path == "q" else net.g_heads)[k]
-            embed = net.q_embed if path == "q" else net.g_embed
+            head = net.nets[f"{path}_heads"][k]
+            embed = net.nets[f"{path}_embed"]
             head_grad, d_embed = head.backward(dz, h_caches[k])
             embed_grad, _ = embed.backward(d_embed, e_cache)
             opts[f"{path}_heads"][k].step(layer_views(head_grad, head.sizes))
@@ -355,6 +351,35 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 d = np.exp(_log_softmax(out[:, sl]))
                 d[rows, actions[:, k]] -= 1.0
                 dz[:, sl] = d / n
-        mixer = net.q_mixer if path == "q" else net.g_mixer
+        mixer = net.nets[f"{path}_mixer"]
         grad, _ = mixer.backward(dz, cache)
         opts[f"{path}_mixer"].step(layer_views(grad, mixer.sizes))
+
+
+def wis_ess_reference(episodes, target, gamma=1.0, clip=1000.0):
+    """Weighted importance sampling one episode and one step at a time.
+
+    Returns (wis, ess, episode_weights, step_averages, clip_count): the
+    cumulative ratio is a running python product, clipped per step, and
+    a finished episode's row holds its final clipped ratio.
+    """
+    m = len(episodes)
+    max_len = max(len(ep) for ep in episodes)
+    cum = np.zeros((m, max_len))
+    returns = np.zeros(m)
+    clip_count = 0
+    for j, ep in enumerate(episodes):
+        ratio = 1.0
+        for t in range(len(ep)):
+            ratio *= float(target[int(ep.states[t]), int(ep.actions[t])]) / float(ep.propensities[t])
+            if ratio > clip:
+                clip_count += 1
+            cum[j, t] = min(ratio, clip)
+        cum[j, len(ep):] = cum[j, len(ep) - 1]
+        returns[j] = float(np.sum(ep.rewards * gamma ** np.arange(len(ep))))
+    step_avg = cum.mean(axis=0)
+    final = np.array([cum[j, len(ep) - 1] for j, ep in enumerate(episodes)])
+    final_avg = np.array([step_avg[len(ep) - 1] for ep in episodes])
+    wis = float(np.mean(final / final_avg * returns))
+    ess = float(np.sum(final) ** 2 / np.sum(final**2))
+    return wis, ess, final, step_avg, clip_count

@@ -278,7 +278,7 @@ def _flat_dqn_reference(env, cfg):
     qnet = Mlp((env.state_dim, *cfg.hidden, n_actions), rng=np.random.default_rng(net_ss))
     tnet = Mlp((env.state_dim, *cfg.hidden, n_actions), rng=np.random.default_rng(123))
     target_update([qnet.flat], [tnet.flat])
-    opt = Optimizer(qnet, kind="adam", lr=cfg.lr)
+    opt = Optimizer(qnet, lr=cfg.lr)
     buf: list[tuple] = []
     step = 0
     for ep in range(cfg.episodes):
@@ -590,6 +590,24 @@ def test_bcq_loader_checks_each_network():
 
 
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
+def test_bcq_net_keeps_its_networks_in_one_table(variant):
+    net = BcqNet(4, (2, 3), variant, hidden=8, rng=np.random.default_rng(3))
+    if variant == "decomposed":
+        names = ["q_embed", "q_heads", "q_mixer", "g_embed", "g_heads", "g_mixer"]
+    else:
+        names = ["q_net", "g_net"]
+    opts = net.optimizers(lr=0.1)
+    assert list(net.nets) == list(opts) == names
+    flatten = lambda table: [x for v in table.values() for x in (v if isinstance(v, list) else [v])]
+    params = [m.flat for m in flatten(net.nets)]
+    assert len(net.params()) == len(flatten(opts)) == len(params)
+    assert all(a is b is o.flat for a, b, o in zip(net.params(), params, flatten(opts)))
+    clone = net.clone()
+    for got, want in zip(clone.params(), net.params()):
+        assert got.tobytes() == want.tobytes() and not np.shares_memory(got, want)
+
+
+@pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
 def test_bcq_net_takes_only_a_vector_of_state_codes(variant):
     net = BcqNet(4, (2, 3), variant, hidden=8, rng=np.random.default_rng(7))
     codes = np.array([0, 3, 3, 1])
@@ -644,12 +662,10 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     assert codes and all(len(np.unique(x)) == len(x) for x in codes)
 
 
-def _sgd_opts(net, make):
-    one = lambda m: make(m, kind="sgd", lr=0.05)
-    return {
-        "q_embed": one(net.q_embed), "q_heads": [one(h) for h in net.q_heads], "q_mixer": one(net.q_mixer),
-        "g_embed": one(net.g_embed), "g_heads": [one(h) for h in net.g_heads], "g_mixer": one(net.g_mixer),
-    }
+def _list_adams(net, **kwargs):
+    """A per-layer `ListAdam` for each network, keyed like `net.nets`."""
+    one = lambda m: ListAdam(layer_views(m.flat, m.sizes), **kwargs)
+    return {name: [one(m) for m in v] if isinstance(v, list) else one(v) for name, v in net.nets.items()}
 
 
 def test_decomposed_bcq_steps_match_the_per_path_reference():
@@ -661,8 +677,7 @@ def test_decomposed_bcq_steps_match_the_per_path_reference():
     for p in target.params():
         p += 0.01  # keep online and target apart
     ref, ref_target = net.clone(), target.clone()
-    per_layer = lambda m, **kw: ListAdam(layer_views(m.flat, m.sizes), **kw)
-    opts, ref_opts = _sgd_opts(net, Optimizer), _sgd_opts(ref, per_layer)
+    opts, ref_opts = net.optimizers(lr=0.05), _list_adams(ref, lr=0.05)
     rng = np.random.default_rng(7)
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     for _ in range(3):

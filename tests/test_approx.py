@@ -266,20 +266,11 @@ def _net_holding(values):
     return net
 
 
-def test_sgd_step_and_decoupled_weight_decay():
-    net = _net_holding([1.0, -2.0])
-    opt = Optimizer(net, kind="sgd", lr=0.1, weight_decay=0.01)
-    g = np.array([0.5, 0.5])
-    expect = net.flat * (1 - 0.1 * 0.01) - 0.1 * g
-    opt.step(g)
-    np.testing.assert_allclose(net.flat, expect, atol=1e-15)
-
-
 def test_adam_first_step_closed_form():
     net = _net_holding([1.0, -1.0, 0.5])
     p0 = net.flat.copy()
     g = np.array([0.3, -0.2, 0.0])
-    opt = Optimizer(net, kind="adam", lr=0.01)
+    opt = Optimizer(net, lr=0.01)
     opt.step(g)
     # at t=1 the bias corrections cancel: update = lr * g / (|g| + eps)
     expect = p0 - 0.01 * g / (np.abs(g) + 1e-8)
@@ -288,7 +279,7 @@ def test_adam_first_step_closed_form():
 
 def test_adam_decoupled_weight_decay_not_in_moments():
     net = _net_holding([10.0, 10.0])
-    opt = Optimizer(net, kind="adam", lr=0.1, weight_decay=0.5)
+    opt = Optimizer(net, lr=0.1, weight_decay=0.5)
     opt.step(np.zeros(2))
     # zero gradient: pure shrink, no adaptive update (0/(0+eps) = 0)
     np.testing.assert_allclose(net.flat, [10.0 * (1 - 0.1 * 0.5)] * 2, atol=1e-12)
@@ -299,10 +290,8 @@ def test_adam_decoupled_weight_decay_not_in_moments():
 def test_optimizer_errors():
     net = _net_holding([1.0, 1.0])
     with pytest.raises(ConfigurationError):
-        Optimizer(net, kind="rmsprop")
-    with pytest.raises(ConfigurationError):
         Optimizer(net, lr=0.0)
-    opt = Optimizer(net, kind="sgd", lr=0.1)
+    opt = Optimizer(net, lr=0.1)
     with pytest.raises(NumericError):
         opt.step(np.array([np.nan, 0.0]))
     with pytest.raises(ShapeError):
@@ -311,11 +300,10 @@ def test_optimizer_errors():
         opt.step(np.ones(3))
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_optimizer_step_leaves_the_gradient_alone(kind):
+def test_optimizer_step_leaves_the_gradient_alone():
     rng = np.random.default_rng(13)
     net = Mlp((3, 5, 2), rng=rng)
-    opt = Optimizer(net, kind=kind, lr=0.01, weight_decay=0.1)
+    opt = Optimizer(net, lr=0.01, weight_decay=0.1)
     for _ in range(3):
         grad = rng.normal(size=net.flat.size)
         before = grad.tobytes()

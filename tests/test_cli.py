@@ -12,7 +12,7 @@ import pytest
 
 from frl.cli import main, split_episodes
 from frl.envs import generate_offline_dataset, two_switch_spec
-from frl.errors import ConfigurationError
+from frl.errors import ConfigurationError, ValidationError
 from frl.ope import EpisodeLog, load_episodes, soften, wis_ess
 
 
@@ -277,3 +277,55 @@ def test_report_groups_offline_lines_by_step_within_each_tau(workspace):
     with open(online / "metrics.jsonl", "a") as fh:
         fh.write(json.dumps({"episode": 1, "q_loss": 0.5}) + "\n")
     assert main(["report", "--runs", str(out), str(online), "--key", "q_loss", "--out", "m.csv"]) == 2
+
+
+# -- malformed input files exit 2 ---------------------------------------------
+
+
+def test_ope_rejects_a_policy_file_without_a_policy_key(workspace, capsys):
+    run = _gen_two_switch(workspace, episodes=5)
+    policy_path = workspace / "policy.json"
+    policy_path.write_text(json.dumps({"actions": [0] * 8}))
+    assert main(["ope", "--episodes", str(run / "episodes.jsonl"),
+                 "--policy", str(policy_path), "--n-actions", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", ['{"id": "a", "wis": 2.0}', '{"id": "a", "ess": 2.0}', "[2.0, 5.0]"])
+def test_select_rejects_a_candidate_line_without_wis_and_ess(workspace, capsys, line):
+    cands = workspace / "cands.jsonl"
+    cands.write_text('{"id": "ok", "wis": 1.0, "ess": 5.0}\n' + line + "\n")
+    assert main(["select", "--candidates", str(cands), "--ess-cutoff", "1.0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["ope", "train-offline"])
+def test_episode_line_missing_a_field_exits_two(workspace, capsys, command):
+    run = _gen_two_switch(workspace, episodes=5)
+    lines = (run / "episodes.jsonl").read_text().splitlines()
+    broken = json.loads(lines[2])
+    del broken["states"]
+    lines[2] = json.dumps(broken)
+    bad = workspace / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="line 3: episode line lacks states"):
+        load_episodes(bad)
+    policy_path = workspace / "policy.json"
+    policy_path.write_text(json.dumps({"policy": [0] * 8}))
+    argv = {
+        "ope": ["ope", "--episodes", str(bad), "--policy", str(policy_path), "--n-actions", "4"],
+        "train-offline": ["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                          "--episodes", str(bad), "--seeds", "1", "--out", "off"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_rejects_a_metrics_line_that_is_not_json(workspace, capsys):
+    run = _fake_run(workspace, "A", 1, [1.0, 2.0])
+    with open(run / "metrics.jsonl", "a") as fh:
+        fh.write("{not json\n")
+    assert main(["report", "--runs", str(run), "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3" in err

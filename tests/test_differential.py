@@ -141,13 +141,12 @@ SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_flat_adam_matches_per_array_adam(shape, weight_decay, kind):
+def test_flat_adam_matches_per_array_adam(shape, weight_decay):
     rng = np.random.default_rng(len(shape) + int(weight_decay * 1e3))
     net = Mlp(SHAPES[shape], rng=rng)
     ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
-    fast = Optimizer(net, kind=kind, lr=3e-4, weight_decay=weight_decay)
-    slow = ListAdam(ref, kind=kind, lr=3e-4, weight_decay=weight_decay)
+    fast = Optimizer(net, lr=3e-4, weight_decay=weight_decay)
+    slow = ListAdam(ref, lr=3e-4, weight_decay=weight_decay)
     for _ in range(50):
         grad = np.concatenate([rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=p.size) for p in ref])
         fast.step(grad)
@@ -170,6 +169,7 @@ def test_flat_adam_names_the_parameter_that_broke():
         net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(index))
         layer_views(net.flat, net.sizes)[index].reshape(-1)[0] = 1e308
         grad = np.zeros_like(net.flat)
-        layer_views(grad, net.sizes)[index].reshape(-1)[0] = -1e308
+        layer_views(grad, net.sizes)[index].reshape(-1)[0] = -1.0
+        # Adam's first step moves each parameter by about lr against its gradient's sign
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"parameter {index} became non-finite"):
-            Optimizer(net, kind="sgd", lr=10.0).step(grad)
+            Optimizer(net, lr=1e308).step(grad)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from frl.envs import generate_offline_dataset, treatment_spec
-from frl.errors import DataError, DomainError, SelectionError, ShapeError
+from frl.errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
 from frl.ope import (
     EpisodeLog,
     OpeResult,
@@ -21,6 +21,7 @@ from frl.ope import (
     soften,
     wis_ess,
 )
+from oracles import wis_ess_reference
 
 # target policy over two states, two actions
 TARGET = np.array([[0.2, 0.8], [0.9, 0.1]])
@@ -102,7 +103,7 @@ def test_target_scale_cancels_for_equal_lengths():
         )
     table = rng.dirichlet(np.ones(2), size=2)
     base = wis_ess(episodes, table, clip=np.inf)
-    halved = wis_ess(episodes, lambda s, a: 0.5 * table[s, a], clip=np.inf)
+    halved = wis_ess(episodes, 0.5 * table, clip=np.inf)
     np.testing.assert_allclose(halved.wis, base.wis, rtol=1e-10)
     np.testing.assert_allclose(halved.ess, base.ess, rtol=1e-10)
 
@@ -162,12 +163,45 @@ def test_episode_round_trip_preserves_final_state(tmp_path):
     np.testing.assert_array_equal(back[1].propensities, eps[1].propensities)
 
 
-def test_per_step_ess_variant_and_serialization():
-    res = wis_ess([EP_A, EP_B], TARGET, per_step_ess=True)
-    assert res.ess_per_step is not None and res.ess_per_step > 0
-    doc = json.loads(res.to_json())
+@pytest.mark.parametrize("line, message", [
+    ('{"states": [0], "actions": [0], "rewards": [1.0]}', "lacks propensities"),
+    ("[0, 0, 1.0, 0.5]", "not a JSON object"),
+    ("{not json", "not valid JSON"),
+])
+def test_load_episodes_names_the_malformed_line(tmp_path, line, message):
+    path = tmp_path / "episodes.jsonl"
+    save_episodes([EP_A, EP_B], path)
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(ValidationError, match=f"line 3: episode line .*{message}"):
+        load_episodes(path)
+
+
+def test_result_serialization():
+    doc = json.loads(wis_ess([EP_A, EP_B], TARGET).to_json())
     assert doc["n_episodes"] == 2
     np.testing.assert_allclose(doc["wis"], 145 / 33, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_wis_matches_the_per_step_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    episodes = []
+    for _ in range(int(rng.integers(1, 15))):
+        n = int(rng.integers(1, 12))
+        episodes.append(EpisodeLog(
+            rng.integers(0, n_states, size=n), rng.integers(0, n_actions, size=n),
+            rng.normal(size=n), rng.uniform(0.05, 1.0, size=n),
+        ))
+    target = rng.dirichlet(np.ones(n_actions), size=n_states)
+    gamma = float(rng.choice([1.0, 0.9]))
+    clip = float(rng.choice([np.inf, 1000.0, 3.0, 1.5]))
+    res = wis_ess(episodes, target, gamma=gamma, clip=clip)
+    wis, ess, weights, step_avg, clip_count = wis_ess_reference(episodes, target, gamma=gamma, clip=clip)
+    assert (res.wis, res.ess, res.clip_count) == (wis, ess, clip_count)
+    assert res.episode_weights.tobytes() == weights.tobytes()
+    assert res.step_averages.tobytes() == step_avg.tobytes()
 
 
 def _result(wis, ess):

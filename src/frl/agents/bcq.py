@@ -40,11 +40,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..approx import Mlp, Optimizer, huber, load_matching, target_update
-from ..errors import ConfigurationError, NumericError, ShapeError
+from ..errors import ConfigurationError, DomainError, NumericError, ShapeError
 from ..factored_mdp import FactoredMdpSpec
 from ..indexing import MixedRadix
 from ..ope import soften, wis_ess
-from ..tabular import ModelSample, learn_model
+from ..tabular import learn_model
 from .models import TabularModelSampler, augment_batch
 from .replay import Batch
 
@@ -265,38 +265,44 @@ class BcqNet:
 # -- dataset plumbing ---------------------------------------------------------
 
 
-def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool):
-    """Expand logged episodes into a replay batch plus model-teaching samples.
+def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool) -> Batch:
+    """Expand logged episodes into one replay batch, an episode at a time.
 
     The batch holds state codes in `states` and `next_states` (they go
     into the networks as they are) and one action row per step:
     per-block indices, or the whole joint code as a single block when
     `flat`; `dones` marks entry into one of the spec's terminal states.
-    Episodes truncated by the logging horizon lose their final
-    transition unless the log recorded the successor in `final_state`.
+    Every step is fully intervened, so the non-flat arrays are also what
+    `learn_model` counts.  Episodes truncated by the logging horizon lose
+    their final transition unless the log recorded the successor in
+    `final_state`.
     """
-    terminal = spec.terminal_states
-    samples: list[ModelSample] = []
+    parts = []
     dropped = 0
     for ep in episodes:
-        states = [int(s) for s in ep.states]
-        nexts = states[1:] + [None if getattr(ep, "final_state", None) is None else int(ep.final_state)]
-        for t, (s, s2) in enumerate(zip(states, nexts)):
-            if s2 is None:
-                dropped += 1
-                continue
-            samples.append(ModelSample(state=s, action=int(ep.actions[t]), reward=float(ep.rewards[t]), next_state=s2))
+        states = np.asarray(ep.states, dtype=np.int64)
+        nexts = states[1:]
+        final = getattr(ep, "final_state", None)
+        if final is None:
+            dropped += 1
+        else:
+            nexts = np.append(nexts, int(final))
+        n = len(nexts)
+        parts.append((states[:n], np.asarray(ep.actions[:n], dtype=np.int64),
+                      np.asarray(ep.rewards[:n], dtype=np.float64), nexts))
     if dropped:
         logger.warning("dropped %d episode-final transitions with unlogged successors", dropped)
-    codes = np.array([m.action for m in samples], dtype=np.int64)
-    data = Batch(
-        states=np.array([m.state for m in samples], dtype=np.int64),
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
+    states, codes, rewards, nexts = (np.concatenate(col) for col in zip(empty, *parts))
+    if ((codes < 0) | (codes >= spec.n_actions)).any():
+        raise DomainError(f"logged joint action codes out of range [0, {spec.n_actions})")
+    return Batch(
+        states=states,
         actions=codes[:, None] if flat else spec.action_radix.table()[codes],
-        rewards=np.array([m.reward for m in samples], dtype=np.float64),
-        next_states=np.array([m.next_state for m in samples], dtype=np.int64),
-        dones=np.array([m.next_state in terminal for m in samples], dtype=np.float64),
+        rewards=rewards,
+        next_states=nexts,
+        dones=np.isin(nexts, list(spec.terminal_states)).astype(np.float64),
     )
-    return data, samples
 
 
 # -- training -----------------------------------------------------------------
@@ -401,7 +407,7 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     cfg = config
     flat = cfg.variant == "flat"
     block_sizes = (spec.n_actions,) if flat else tuple(spec.block_sizes)
-    data, model_samples = episodes_to_transitions(episodes, spec, flat)
+    data = episodes_to_transitions(episodes, spec, flat)
     if not len(data.rewards):
         raise ConfigurationError("dataset has no usable transitions")
 
@@ -417,7 +423,8 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     if cfg.augmentation:
         if flat:
             raise ConfigurationError("augmentation projects per block; the flat variant has none")
-        learned_spec, _ = learn_model(model_samples, spec).to_spec(fill_unvisited=True)
+        model = learn_model(spec, data.states, data.actions, data.rewards, data.next_states)
+        learned_spec, _ = model.to_spec(fill_unvisited=True)
         sampler = TabularModelSampler(learned_spec, noop_actions=(0,) * spec.n_blocks)
     noop = (0,) * len(block_sizes)
 

@@ -131,10 +131,10 @@ class Mlp:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, x: np.ndarray):
-        """(output, cache for backward); a 1-D float input gives a 1-D output."""
+        """(output, cache for backward) of a vector of integer codes or
+        a 2-D float batch of rows."""
         x = np.asarray(x)
         codes = x.dtype.kind in "iu"
-        squeeze = False
         if codes:
             if x.ndim != 1:
                 raise ShapeError(f"codes must form a vector, got shape {x.shape}")
@@ -142,9 +142,8 @@ class Mlp:
                 raise ShapeError(f"input code outside [0, {self.sizes[0]})")
         else:
             x = x.astype(np.float64, copy=False)
-            squeeze = x.ndim == 1
-            if squeeze:
-                x = x[None, :]
+            if x.ndim != 2:
+                raise ShapeError(f"float input must be 2-D (rows, features), got shape {x.shape}")
             if x.shape[1] != self.sizes[0]:
                 raise ShapeError(f"input has {x.shape[1]} features, network expects {self.sizes[0]}")
         pre, post = [], [x]
@@ -154,8 +153,8 @@ class Mlp:
             pre.append(z)
             h = _act(self._layer_act(i), z)
             post.append(h)
-        cache = {"pre": pre, "post": post, "squeeze": squeeze, "codes": codes}
-        return (h[0] if squeeze else h), cache
+        cache = {"pre": pre, "post": post, "codes": codes}
+        return h, cache
 
     def backward(self, grad_out: np.ndarray, cache, rows=None):
         """Grads of a scalar loss given d(loss)/d(output) and forward's cache.
@@ -167,8 +166,6 @@ class Mlp:
         is None for a code input.
         """
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        if cache["squeeze"] and grad_out.ndim == 1:
-            grad_out = grad_out[None, :]
         pre, post = cache["pre"], cache["post"][:-1]
         if rows is not None:
             pre = [z[rows] for z in pre]
@@ -189,7 +186,7 @@ class Mlp:
                 g = g @ self.weights[i].T
         if codes:
             return grad, None
-        return grad, (g[0] if cache["squeeze"] else g)
+        return grad, g
 
     # -- serialization ------------------------------------------------------
 

@@ -432,8 +432,11 @@ def _cmd_ope(args) -> int:
         raise ValidationError(f"policy file is not valid JSON: {e}") from e
     if isinstance(doc, dict) and "policy" not in doc:
         raise ValidationError(f"policy file {args.policy} has no \"policy\" key")
-    policy = doc["policy"] if isinstance(doc, dict) else doc
-    table = soften(np.asarray(policy, dtype=np.int64), args.soften_epsilon, args.n_actions)
+    try:
+        policy = np.asarray(doc["policy"] if isinstance(doc, dict) else doc, dtype=np.int64)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"policy file {args.policy} does not hold integer action codes: {e}") from e
+    table = soften(policy, args.soften_epsilon, args.n_actions)
     result = wis_ess(episodes, table, gamma=args.gamma, clip=args.clip)
     text = result.to_json()
     if args.out:
@@ -505,7 +508,12 @@ def _cmd_report(args) -> int:
             logger.warning("skipping incomplete run %s", run)
             continue
         complete += 1
-        config = json.loads(cfg_path.read_text())
+        try:
+            config = json.loads(cfg_path.read_text())
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{cfg_path} is not valid JSON: {e}") from e
+        if not isinstance(config, dict):
+            raise ValidationError(f"{cfg_path} is not a JSON object")
         preset = str(config.get("preset", run.name))
         for i, line in enumerate(metrics_path.read_text().splitlines()):
             if not line.strip():

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DomainError
+from ..indexing import MixedRadix
 
 BOX = 0.3
 DAMPING = 0.95
@@ -125,25 +126,15 @@ class FlattenedEnv:
     inner: object
 
     def __post_init__(self):
-        sizes = self.inner.block_sizes
+        radix = MixedRadix(self.inner.block_sizes)
         self.state_dim = self.inner.state_dim
-        self.block_sizes = (int(np.prod(sizes)),)
+        self.block_sizes = (radix.size,)
         self.block_dims = (tuple(d for dims in self.inner.block_dims for d in dims),)
-        code = 0
-        for n, a in zip(sizes, self.inner.noop_actions):
-            code = code * n + int(a)
-        self.noop_actions = (code,)
-        self._sizes = sizes
-
-    def _split(self, a: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(self._sizes):
-            out.append(int(a) % n)
-            a //= n
-        return tuple(reversed(out))
+        self.noop_actions = (radix.encode(self.inner.noop_actions),)
+        self._split = radix.decode  # joint code -> per-block actions
 
     def reset(self):
         return self.inner.reset()
 
     def step(self, action):
-        return self.inner.step(self._split(int(action[0])))
+        return self.inner.step(self._split(action[0]))

@@ -97,14 +97,18 @@ class _KernelIndex:
     `pre_rows[k][s]` is block k's precondition row at state s and
     `eff_codes[k][s]` the code of block k's effect values in s.  Variable
     m's no-op row index splits into a current-state part (the state
-    parents) and a next-state part (the eff parents and the value
-    itself): `factors[m]` is (state_rows, probs) with state_rows[s] the
-    state-parent code of s and P(s'_m | parents) = probs[state_rows[s], s'].
+    parents) and a next-state part (the eff parents): `factors[m]` is
+    (state_rows, rows, probs).  state_rows[s] is the state-parent code of
+    s; for a transition s -> s', rows[state_rows[s], s'] is the row of
+    m's no-op table it reads and probs[state_rows[s], s'] is
+    P(s'_m | parents), the entry of that row at s'_m.  The kernel,
+    `tabular.learn_model` and `tabular.check_model_coverage` all read
+    their rows here.
     """
 
     pre_rows: tuple[np.ndarray, ...]
     eff_codes: tuple[np.ndarray, ...]
-    factors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -328,7 +332,7 @@ class FactoredMdpSpec:
             n_state_rows = int(np.prod([self.state_vars[v] for v in fac.state_parents], dtype=np.int64))
             n_eff_rows = int(np.prod([self.state_vars[v] for v in fac.eff_parents], dtype=np.int64))
             rows = np.arange(n_state_rows)[:, None] * n_eff_rows + codes(fac.eff_parents)
-            factors.append((codes(fac.state_parents), fac.table[rows, vals[:, fac.var]]))
+            factors.append((codes(fac.state_parents), rows, fac.table[rows, vals[:, fac.var]]))
         return _KernelIndex(
             pre_rows=tuple(codes(p) for p in self.pre_map),
             eff_codes=tuple(codes(e) for e in self.eff_map),
@@ -500,8 +504,16 @@ def _pinned_mask(spec: FactoredMdpSpec, k: int, states: np.ndarray, actions: np.
 def _factor_probs(spec: FactoredMdpSpec, m: int, states: np.ndarray) -> np.ndarray:
     """(n, S): P(next value of var m | parents) from each state to every
     candidate next state, whose values fill in the eff parents."""
-    state_rows, probs = spec._index.factors[m]
+    state_rows, _, probs = spec._index.factors[m]
     return probs[state_rows[states]]
+
+
+def _check_codes(spec: FactoredMdpSpec, states: np.ndarray, blocks: np.ndarray) -> None:
+    """DomainError unless every state code and (n, n_blocks) block action is in range."""
+    if ((states < 0) | (states >= spec.n_states)).any():
+        raise DomainError(f"state codes out of range [0, {spec.n_states})")
+    if ((blocks < 0) | (blocks >= np.asarray(spec.block_sizes))).any():
+        raise DomainError("block actions out of range")
 
 
 def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
@@ -519,10 +531,7 @@ def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> 
         blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), (len(states), spec.n_blocks))
     except ValueError as e:
         raise ShapeError(f"block actions do not fit {len(states)} states x {spec.n_blocks} blocks") from e
-    if ((states < 0) | (states >= spec.n_states)).any():
-        raise DomainError(f"state codes out of range [0, {spec.n_states})")
-    if ((blocks < 0) | (blocks >= np.asarray(spec.block_sizes))).any():
-        raise DomainError("block actions out of range")
+    _check_codes(spec, states, blocks)
     pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
     if any(not 0 <= k < spec.n_blocks for k in pinned):
         raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")

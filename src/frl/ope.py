@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
+from .errors import ConfigurationError, DataError, DomainError, SelectionError, ShapeError, ValidationError
 
 
 @dataclass
@@ -93,15 +93,23 @@ def save_episodes(episodes, path) -> None:
 
 
 def load_episodes(path) -> list[EpisodeLog]:
+    """Read a JSON-lines episode log.
+
+    ConfigurationError if the file cannot be read; ValidationError
+    naming the line of an episode that is malformed or invalid.
+    """
     out = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    out.append(EpisodeLog.from_json(line))
-                except ValidationError as e:
-                    raise ValidationError(f"{path}: line {i}: {e}") from e
+    try:
+        with open(path) as fh:
+            for i, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    try:
+                        out.append(EpisodeLog.from_json(line))
+                    except (ValidationError, DataError, ShapeError) as e:
+                        raise ValidationError(f"{path}: line {i}: {e}") from e
+    except OSError as e:
+        raise ConfigurationError(f"cannot read episodes {path}: {e}") from e
     return out
 
 
@@ -135,8 +143,8 @@ def soften(policy: np.ndarray, epsilon: float, n_actions: int) -> np.ndarray:
     if not 0 <= epsilon < 1:
         raise DomainError(f"epsilon must be in [0, 1), got {epsilon}")
     policy = np.asarray(policy, dtype=np.int64)
-    if policy.ndim != 1:
-        raise ShapeError("policy must be a 1-D per-state action table")
+    if policy.ndim != 1 or not len(policy):
+        raise ShapeError("policy must be a non-empty 1-D per-state action table")
     if policy.min() < 0 or policy.max() >= n_actions:
         raise DomainError("policy actions out of range")
     out = np.full((len(policy), n_actions), epsilon / (n_actions - 1))

@@ -13,9 +13,11 @@ unless another beats it by more than float noise, so ties cannot make
 either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
-factors and rewards (empirical frequencies/means) from logged
-transitions; `sample_complexity_experiment` measures how the sup-norm
-estimation error shrinks with sample size against closed-form bounds.
+factors and rewards (empirical frequencies/means) from arrays of logged
+transitions; it and `check_model_coverage` read table rows from the
+kernel's own index (`FactoredMdpSpec._index`), the one row coding.
+`sample_complexity_experiment` measures how the sup-norm estimation
+error shrinks with sample size against closed-form bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .errors import (
     DomainError,
     ModelCoverageError,
     NumericError,
+    ShapeError,
 )
 from .factored_mdp import (
     FactoredMdpSpec,
@@ -38,6 +41,7 @@ from .factored_mdp import (
     NoopFactor,
     QTable,
     SigmaTable,
+    _check_codes,
     _terminal_mask,
     backup,
     evaluate,
@@ -371,85 +375,70 @@ class LearnedModel:
         return spec, missing
 
 
-@dataclass
-class ModelSample:
-    """One logged transition in state and action codes, for `learn_model`.
-
-    `action` is a joint action code when `block_tag` is None, otherwise
-    block `block_tag`'s projected action index.
-    """
-
-    state: int
-    action: int
-    reward: float
-    next_state: int
-    block_tag: int | None = None
-
-
-def learn_model(samples, skeleton: FactoredMdpSpec) -> LearnedModel:
-    """Fit empirical tables from transitions.
+def learn_model(skeleton: FactoredMdpSpec, states, actions, rewards, next_states, block_tags=None) -> LearnedModel:
+    """Fit empirical tables from logged transitions given as code arrays.
 
     Only the skeleton's structure (variable cardinalities, blocks,
     effect/precondition maps, no-op parent sets, discount, initial
     distribution, terminals) is read; its tables are ignored.
 
-    Each sample needs the attributes of `ModelSample`.  With
-    block_tag=None the action is a joint action (all blocks intervened:
-    every block teaches its intervention cell, no controlled variable
-    teaches its no-op factor).  With block_tag=k the action is block k's
-    projected action; the remaining blocks' effect variables followed
-    no-op dynamics and teach their factors.
+    Row i is the step states[i] -> next_states[i] with reward rewards[i]
+    under the block actions actions[i] (shape (n, n_blocks)).  A block
+    tag of -1 (every row's, when `block_tags` is None) marks a fully
+    intervened step: every block teaches its intervention cell and no
+    controlled variable teaches its no-op factor.  Tag k marks a step
+    where only block k intervened, with action actions[i, k]; the other
+    blocks' effect variables followed no-op dynamics and teach their
+    factors.  Each table is one `np.add.at` over rows read through the
+    skeleton's kernel index; rewards are summed in row order.
     """
     sk = skeleton
-    sigma_counts = [
-        np.zeros((sk.block_sizes[k], sk.pre_radix[k].size, sk.eff_radix[k].size), dtype=np.int64)
-        for k in range(sk.n_blocks)
-    ]
-    noop_counts = [
-        np.zeros_like(sk.noop_dynamics[m].table, dtype=np.int64) for m in range(sk.n_vars)
-    ]
+    states = np.asarray(states, dtype=np.int64)
+    next_states = np.asarray(next_states, dtype=np.int64)
+    actions = np.asarray(actions, dtype=np.int64)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    n = len(states)
+    tags = np.full(n, -1, dtype=np.int64) if block_tags is None else np.asarray(block_tags, dtype=np.int64)
+    if actions.shape != (n, sk.n_blocks) or any(x.shape != (n,) for x in (states, rewards, next_states, tags)):
+        raise ShapeError(f"expected {n} rows of states, {sk.n_blocks} block actions, rewards, next states and tags")
+    _check_codes(sk, np.concatenate([states, next_states]), actions)
+    if ((tags < -1) | (tags >= sk.n_blocks)).any():
+        raise DomainError(f"block tags out of range [-1, {sk.n_blocks})")
+
+    index = sk._index
+    sigma_counts = []
+    for k in range(sk.n_blocks):
+        counts = np.zeros((sk.block_sizes[k], sk.pre_radix[k].size, sk.eff_radix[k].size), dtype=np.int64)
+        taught = (tags == -1) | (tags == k)
+        cell = (actions[taught, k], index.pre_rows[k][states[taught]], index.eff_codes[k][next_states[taught]])
+        np.add.at(counts, cell, 1)
+        sigma_counts.append(counts)
+    noop_counts = []
+    for m, block in enumerate(sk.var_block.tolist()):
+        counts = np.zeros_like(sk.noop_dynamics[m].table, dtype=np.int64)
+        # an intervened variable is not a no-op observation
+        seen = np.ones(n, dtype=bool) if block < 0 else (tags >= 0) & (tags != block)
+        state_rows, rows, _ = index.factors[m]
+        s, s_next = states[seen], next_states[seen]
+        np.add.at(counts, (rows[state_rows[s], s_next], sk.state_values[s_next, m]), 1)
+        noop_counts.append(counts)
     reward_sum = np.zeros((sk.n_states, sk.n_states))
     reward_count = np.zeros((sk.n_states, sk.n_states), dtype=np.int64)
-
-    def factor_row(m, svals, nvals):
-        fac = sk.noop_dynamics[m]
-        row = 0
-        for v in fac.state_parents:
-            row = row * sk.state_vars[v] + int(svals[v])
-        for v in fac.eff_parents:
-            row = row * sk.state_vars[v] + int(nvals[v])
-        return row
-
-    for rec in samples:
-        s, s_next = int(rec.state), int(rec.next_state)
-        svals = sk.state_radix.decode(s)
-        nvals = sk.state_radix.decode(s_next)
-        tag = rec.block_tag
-        if tag is None:
-            blocks = sk.action_as_blocks(rec.action)
-            taught = list(range(sk.n_blocks))
-        else:
-            blocks = {int(tag): int(rec.action)}
-            taught = [int(tag)]
-        for k in taught:
-            a_k = blocks[k]
-            pre_row = sk.pre_radix[k].encode([svals[v] for v in sk.pre_map[k]])
-            eff_code = sk.eff_radix[k].encode([nvals[v] for v in sk.eff_map[k]])
-            sigma_counts[k][a_k, pre_row, eff_code] += 1
-        for m in range(sk.n_vars):
-            block_of_m = int(sk.var_block[m])
-            if block_of_m >= 0 and block_of_m in taught:
-                continue  # intervened, not a no-op observation
-            noop_counts[m][factor_row(m, svals, nvals), nvals[m]] += 1
-        reward_sum[s, s_next] += float(rec.reward)
-        reward_count[s, s_next] += 1
+    np.add.at(reward_sum, (states, next_states), rewards)
+    np.add.at(reward_count, (states, next_states), 1)
     return LearnedModel(sk, sigma_counts, noop_counts, reward_sum, reward_count)
 
 
 def check_model_coverage(model: LearnedModel) -> list[str]:
     """Zero-count cells that planning from the initial distribution
     could touch.  Reachability is expanded through a uniform-imputed
-    copy of the model, which can only widen the reachable set."""
+    copy of the model, which can only widen the reachable set.
+
+    Per reachable state: every intervention cell, then each uncontrolled
+    variable's no-op rows (ascending) over the eff-parent values visited
+    cells force, one variable at a time.  Joint planning intervenes
+    every block, so controlled variables' no-op rows are never read.
+    """
     spec, _ = model.to_spec(fill_unvisited=True)
     sk = model.skeleton
     states = np.arange(spec.n_states)
@@ -463,50 +452,39 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
         if (grown == reachable).all():
             break
         reachable = grown
-    missing = []
+    index = sk._index
+    vals = sk.state_values
     sigma_hat = model.sigma_hat
-    for s in np.flatnonzero(reachable).tolist():
-        if s in sk.terminal_states:
-            continue
-        svals = sk.state_radix.decode(s)
-        achievable = []  # per block, set of effect codes reachable from s
+    missing = []
+    for s in np.flatnonzero(reachable & ~_terminal_mask(sk)).tolist():
+        value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced from s
         for k in range(sk.n_blocks):
-            pre_row = sk.pre_radix[k].encode([svals[v] for v in sk.pre_map[k]])
-            codes = set()
-            for a_k in range(sk.block_sizes[k]):
-                if model.sigma_value_counts[k][a_k, pre_row].sum() == 0:
-                    missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
-                else:
-                    codes.add(int(sigma_hat[k][a_k, pre_row]))
-            achievable.append(codes)
-        for m in range(sk.n_vars):
-            if int(sk.var_block[m]) >= 0:
-                continue  # joint planning intervenes every block; its no-op rows are never read
-            fac = sk.noop_dynamics[m]
-            base = 0
-            for v in fac.state_parents:
-                base = base * sk.state_vars[v] + int(svals[v])
-            rows = {base}
-            for v in fac.eff_parents:
-                k = int(sk.var_block[v])
-                pos = sk.eff_map[k].index(v)
-                vals = set()
-                for code in achievable[k]:
-                    vals.add(sk.eff_radix[k].decode(code)[pos])
-                rows = {r * sk.state_vars[v] + int(val) for r in rows for val in vals}
-            for r in rows:
+            pre_row = int(index.pre_rows[k][s])
+            empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
+            for a_k in np.flatnonzero(empty).tolist():
+                missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
+            forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
+            for v in sk.eff_map[k]:
+                value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
+        for m in sk.uncontrolled_vars:
+            state_rows, rows, _ = index.factors[m]
+            parents_forced = value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1)
+            for r in np.unique(rows[state_rows[s], parents_forced]).tolist():
                 if model.noop_counts[m][r].sum() == 0:
                     missing.append(f"noop factor {m} row {r} (state {s})")
-    seen = set()
-    out = []
-    for cell in missing:
-        if cell not in seen:
-            seen.add(cell)
-            out.append(cell)
-    return out
+    return missing
 
 
 # -- sample-complexity harness -------------------------------------------------
+
+
+def _bound_sizes(spec: FactoredMdpSpec) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """Domain sizes the sample bounds read: uncontrolled, controlled and
+    state domains, and each block's (effect, precondition) domains."""
+    u_dom = int(np.prod([spec.state_vars[v] for v in spec.uncontrolled_vars])) if spec.uncontrolled_vars else 1
+    c_dom = int(np.prod([spec.state_vars[v] for v in spec.controlled_vars]))
+    blocks = [(spec.eff_radix[k].size, spec.pre_radix[k].size) for k in range(spec.n_blocks)]
+    return u_dom, c_dom, spec.n_states, blocks
 
 
 def theorem_sample_bounds(spec: FactoredMdpSpec, eps: float, delta: float) -> dict:
@@ -519,29 +497,19 @@ def theorem_sample_bounds(spec: FactoredMdpSpec, eps: float, delta: float) -> di
     """
     if not (0 < eps and 0 < delta < 1):
         raise DomainError("need eps > 0 and delta in (0, 1)")
-    u_dom = int(np.prod([spec.state_vars[v] for v in spec.uncontrolled_vars])) if spec.uncontrolled_vars else 1
-    c_dom = int(np.prod([spec.state_vars[v] for v in spec.controlled_vars]))
-    s_dom = spec.n_states
+    u_dom, c_dom, s_dom, blocks = _bound_sizes(spec)
     n_p = u_dom * s_dom * c_dom / eps**2 * math.log(2 * s_dom * c_dom / delta)
-    n_sigma = []
-    for k in range(spec.n_blocks):
-        e_dom = spec.eff_radix[k].size
-        p_dom = spec.pre_radix[k].size
-        n_sigma.append(e_dom * p_dom / eps**2 * math.log(2 * p_dom / delta))
+    n_sigma = [e_dom * p_dom / eps**2 * math.log(2 * p_dom / delta) for e_dom, p_dom in blocks]
     return {"n_p": n_p, "n_sigma": n_sigma}
 
 
 def error_bounds_at(spec: FactoredMdpSpec, n: int, delta: float) -> dict:
     """Invert the sample-count formulas: the error the bounds certify
     after n samples."""
-    u_dom = int(np.prod([spec.state_vars[v] for v in spec.uncontrolled_vars])) if spec.uncontrolled_vars else 1
-    c_dom = int(np.prod([spec.state_vars[v] for v in spec.controlled_vars]))
-    s_dom = spec.n_states
+    u_dom, c_dom, s_dom, blocks = _bound_sizes(spec)
     eps_p = math.sqrt(u_dom * s_dom * c_dom * math.log(2 * s_dom * c_dom / delta) / n)
     eps_sigma = 0.0
-    for k in range(spec.n_blocks):
-        e_dom = spec.eff_radix[k].size
-        p_dom = spec.pre_radix[k].size
+    for e_dom, p_dom in blocks:
         eps_sigma = max(eps_sigma, math.sqrt(e_dom * p_dom * math.log(2 * p_dom / delta) / n))
     return {"eps_p": eps_p, "eps_sigma": eps_sigma}
 
@@ -561,18 +529,15 @@ def _one_trial(spec: FactoredMdpSpec, rows: list[np.ndarray], n: int, seed: int)
     """Draw n generative samples under the uniform behavior and return
     (dynamics sup-norm error, intervention-table error)."""
     rng = np.random.default_rng(seed)
-    samples = []
     states = rng.integers(0, spec.n_states, size=n)
     ks = rng.integers(0, spec.n_blocks, size=n)
-    for i in range(n):
-        s = int(states[i])
-        k = int(ks[i])
+    actions = np.zeros((n, spec.n_blocks), dtype=np.int64)
+    next_states = np.empty(n, dtype=np.int64)
+    for i, (s, k) in enumerate(zip(states.tolist(), ks.tolist())):
         a_k = int(rng.integers(0, spec.block_sizes[k]))
-        s_next = int(rng.choice(spec.n_states, p=rows[k][s, a_k]))
-        samples.append(
-            ModelSample(state=s, action=a_k, reward=float(spec.reward[s, s_next]), next_state=s_next, block_tag=k)
-        )
-    model = learn_model(samples, spec)
+        actions[i, k] = a_k
+        next_states[i] = rng.choice(spec.n_states, p=rows[k][s, a_k])
+    model = learn_model(spec, states, actions, spec.reward[states, next_states], next_states, block_tags=ks)
     dyn_err = 0.0
     for m in range(spec.n_vars):
         est = model.noop_tables[m]

@@ -383,3 +383,107 @@ def wis_ess_reference(episodes, target, gamma=1.0, clip=1000.0):
     wis = float(np.mean(final / final_avg * returns))
     ess = float(np.sum(final) ** 2 / np.sum(final**2))
     return wis, ess, final, step_avg, clip_count
+
+
+def _row_code(spec, variables, values):
+    """Mixed-radix code of `values[v]` over `variables`, first most significant."""
+    code = 0
+    for v in variables:
+        code = code * spec.state_vars[v] + int(values[v])
+    return code
+
+
+def learn_model_reference(skeleton, states, actions, rewards, next_states, block_tags=None):
+    """`tabular.learn_model` one logged row at a time.
+
+    Every precondition, effect and no-op row code is written out from
+    the decoded state values, and each count and reward lands with one
+    python `+=` in row order.
+    """
+    from frl.tabular import LearnedModel
+
+    sk = skeleton
+    sigma_counts = [
+        np.zeros((sk.block_sizes[k], sk.pre_radix[k].size, sk.eff_radix[k].size), dtype=np.int64)
+        for k in range(sk.n_blocks)
+    ]
+    noop_counts = [np.zeros_like(fac.table, dtype=np.int64) for fac in sk.noop_dynamics]
+    reward_sum = np.zeros((sk.n_states, sk.n_states))
+    reward_count = np.zeros((sk.n_states, sk.n_states), dtype=np.int64)
+    for i in range(len(states)):
+        s, s_next = int(states[i]), int(next_states[i])
+        svals = sk.state_radix.decode(s)
+        nvals = sk.state_radix.decode(s_next)
+        tag = -1 if block_tags is None else int(block_tags[i])
+        taught = list(range(sk.n_blocks)) if tag == -1 else [tag]
+        for k in taught:
+            pre_row = _row_code(sk, sk.pre_map[k], svals)
+            eff_code = _row_code(sk, sk.eff_map[k], nvals)
+            sigma_counts[k][int(actions[i][k]), pre_row, eff_code] += 1
+        for m in range(sk.n_vars):
+            block_of_m = int(sk.var_block[m])
+            if block_of_m >= 0 and block_of_m in taught:
+                continue  # intervened, not a no-op observation
+            fac = sk.noop_dynamics[m]
+            row = _row_code(sk, fac.state_parents, svals)
+            for v in fac.eff_parents:
+                row = row * sk.state_vars[v] + nvals[v]
+            noop_counts[m][row, nvals[m]] += 1
+        reward_sum[s, s_next] += float(rewards[i])
+        reward_count[s, s_next] += 1
+    return LearnedModel(sk, sigma_counts, noop_counts, reward_sum, reward_count)
+
+
+def check_model_coverage_reference(model):
+    """`tabular.check_model_coverage` one reachable state at a time.
+
+    Reachability is expanded through the enumeration oracle on the
+    uniform-imputed model; no-op rows are built as sets of codes over
+    the per-variable forced values, listed in ascending order, and
+    repeated messages are dropped.
+    """
+    spec, _ = model.to_spec(fill_unvisited=True)
+    sk = model.skeleton
+    successor = np.zeros((spec.n_states, spec.n_states), dtype=bool)
+    for s in range(spec.n_states):
+        if s in spec.terminal_states:
+            continue
+        for a in range(spec.n_actions):
+            successor[s] |= enumerate_interventional(spec, s, spec.action_as_blocks(a)) > 0
+    reachable = {s for s in range(spec.n_states) if sk.init_dist[s] > 0}
+    frontier = list(reachable)
+    while frontier:
+        for s2 in np.flatnonzero(successor[frontier.pop()]).tolist():
+            if s2 not in reachable:
+                reachable.add(s2)
+                frontier.append(s2)
+    missing = []
+    sigma_hat = model.sigma_hat
+    for s in sorted(reachable):
+        if s in sk.terminal_states:
+            continue
+        svals = sk.state_radix.decode(s)
+        achievable = []  # per block, set of effect codes reachable from s
+        for k in range(sk.n_blocks):
+            pre_row = _row_code(sk, sk.pre_map[k], svals)
+            codes = set()
+            for a_k in range(sk.block_sizes[k]):
+                if model.sigma_value_counts[k][a_k, pre_row].sum() == 0:
+                    missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
+                else:
+                    codes.add(int(sigma_hat[k][a_k, pre_row]))
+            achievable.append(codes)
+        for m in range(sk.n_vars):
+            if int(sk.var_block[m]) >= 0:
+                continue  # joint planning intervenes every block; its no-op rows are never read
+            fac = sk.noop_dynamics[m]
+            rows = {_row_code(sk, fac.state_parents, svals)}
+            for v in fac.eff_parents:
+                k = int(sk.var_block[v])
+                pos = sk.eff_map[k].index(v)
+                vals = {sk.eff_radix[k].decode(code)[pos] for code in achievable[k]}
+                rows = {r * sk.state_vars[v] + int(val) for r in rows for val in vals}
+            for r in sorted(rows):
+                if model.noop_counts[m][r].sum() == 0:
+                    missing.append(f"noop factor {m} row {r} (state {s})")
+    return list(dict.fromkeys(missing))

@@ -8,6 +8,7 @@ monotonicity and for refusing actions the dataset never shows.
 """
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -40,7 +41,7 @@ from frl.agents import (
 from frl.approx import DecomposedQNet, Mlp, Optimizer, huber, target_update
 from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.envs.point_mass import FlattenedEnv
-from frl.errors import ConfigurationError, DataError, ShapeError, StateError
+from frl.errors import ConfigurationError, DataError, DomainError, ShapeError, StateError
 from frl.factored_mdp import projected_transition
 from oracles import ListAdam, ListRing, bcq_tick_reference, layer_views
 
@@ -456,16 +457,32 @@ def _offline_setup(episodes=80, seed=0):
 
 def test_episode_expansion_marks_terminals_and_splits_actions():
     spec, logs = _offline_setup(episodes=30)
-    data, samples = episodes_to_transitions(logs, spec, flat=False)
-    assert len(data.rewards) == len(samples) == sum(len(ep) for ep in logs)
-    for i, sample in enumerate(samples):
-        assert (data.states[i], data.next_states[i]) == (sample.state, sample.next_state)
-        assert tuple(data.actions[i]) == spec.action_as_blocks(sample.action)
-        assert data.rewards[i] == sample.reward and sample.block_tag is None
-        assert data.dones[i] == (sample.next_state in spec.terminal_states)
+    data = episodes_to_transitions(logs, spec, flat=False)
+    assert all(ep.final_state is not None for ep in logs)
+    assert len(data.rewards) == sum(len(ep) for ep in logs)
+    i = 0
+    for ep in logs:
+        nexts = list(ep.states[1:]) + [ep.final_state]
+        for t in range(len(ep)):
+            assert (data.states[i], data.next_states[i]) == (ep.states[t], nexts[t])
+            assert tuple(data.actions[i]) == spec.action_as_blocks(ep.actions[t])
+            assert data.rewards[i] == ep.rewards[t]
+            assert data.dones[i] == (nexts[t] in spec.terminal_states)
+            i += 1
     assert data.dones.any()  # some episodes do terminate
-    flat, _ = episodes_to_transitions(logs, spec, flat=True)
-    np.testing.assert_array_equal(flat.actions, [[s.action] for s in samples])
+    flat = episodes_to_transitions(logs, spec, flat=True)
+    np.testing.assert_array_equal(flat.actions[:, 0], np.concatenate([ep.actions for ep in logs]))
+
+
+def test_episode_expansion_drops_unlogged_successors_and_bad_codes():
+    spec, logs = _offline_setup(episodes=5)
+    cut = [dataclasses.replace(ep, final_state=None) for ep in logs]
+    data = episodes_to_transitions(cut, spec, flat=False)
+    assert len(data.rewards) == sum(len(ep) - 1 for ep in logs)
+    np.testing.assert_array_equal(data.next_states[: len(logs[0]) - 1], logs[0].states[1:])
+    bad = dataclasses.replace(logs[0], actions=np.full(len(logs[0]), spec.n_actions))
+    with pytest.raises(DomainError):
+        episodes_to_transitions([bad], spec, flat=True)
 
 
 def test_bcq_rejects_a_dataset_without_transitions():
@@ -670,7 +687,7 @@ def _list_adams(net, **kwargs):
 
 def test_decomposed_bcq_steps_match_the_per_path_reference():
     spec, logs = _offline_setup(episodes=20, seed=4)
-    data, _ = episodes_to_transitions(logs, spec, flat=False)
+    data = episodes_to_transitions(logs, spec, flat=False)
     cfg = BcqConfig(variant="decomposed", tau_bcq=0.3, hidden=16, discount=0.9)
     net = BcqNet(spec.n_states, spec.block_sizes, "decomposed", hidden=16, rng=np.random.default_rng(6))
     target = net.clone()

@@ -41,10 +41,9 @@ def test_mlp_forward_matches_manual_reimplementation():
     net = Mlp((4, 8, 8, 3), rng=rng)
     x = rng.normal(size=(6, 4))
     np.testing.assert_allclose(net.forward(x)[0], manual_mlp_forward(net, x), atol=1e-12)
-    # 1-D input squeezes back to 1-D output
-    y, _ = net.forward(x[0])
-    assert y.shape == (3,)
-    np.testing.assert_allclose(y, manual_mlp_forward(net, x)[0], atol=1e-12)
+    # float input must be a 2-D batch of rows, even for one row
+    with pytest.raises(ShapeError):
+        net.forward(x[0])
 
 
 def test_glorot_bounds():

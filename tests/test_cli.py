@@ -291,6 +291,49 @@ def test_ope_rejects_a_policy_file_without_a_policy_key(workspace, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("policy", [["a"] * 8, [], [[0, 1], [2]]])
+def test_ope_rejects_a_policy_that_is_not_integer_codes(workspace, capsys, policy):
+    run = _gen_two_switch(workspace, episodes=5)
+    policy_path = workspace / "policy.json"
+    policy_path.write_text(json.dumps({"policy": policy}))
+    capsys.readouterr()
+    assert main(["ope", "--episodes", str(run / "episodes.jsonl"),
+                 "--policy", str(policy_path), "--n-actions", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_episode_file_exits_two(workspace, capsys):
+    run = _gen_two_switch(workspace)
+    policy_path = workspace / "policy.json"
+    policy_path.write_text(json.dumps({"policy": [0] * 8}))
+    with pytest.raises(ConfigurationError, match="cannot read episodes"):
+        load_episodes(workspace / "missing.jsonl")
+    capsys.readouterr()
+    assert main(["ope", "--episodes", str(workspace / "missing.jsonl"),
+                 "--policy", str(policy_path), "--n-actions", "4"]) == 2
+    assert main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                 "--episodes", str(workspace / "missing.jsonl"), "--out", "off"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read episodes") and "Traceback" not in err
+
+
+def test_episode_line_with_a_bad_propensity_exits_two(workspace, capsys):
+    run = _gen_two_switch(workspace, episodes=3)
+    lines = (run / "episodes.jsonl").read_text().splitlines()
+    broken = json.loads(lines[1])
+    broken["propensities"][0] = 1.5
+    lines[1] = json.dumps(broken)
+    bad = workspace / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=r"line 2: propensity out of \(0, 1\] at step 0"):
+        load_episodes(bad)
+    policy_path = workspace / "policy.json"
+    policy_path.write_text(json.dumps({"policy": [0] * 8}))
+    capsys.readouterr()
+    assert main(["ope", "--episodes", str(bad), "--policy", str(policy_path), "--n-actions", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("line", ['{"id": "a", "wis": 2.0}', '{"id": "a", "ess": 2.0}', "[2.0, 5.0]"])
 def test_select_rejects_a_candidate_line_without_wis_and_ess(workspace, capsys, line):
     cands = workspace / "cands.jsonl"
@@ -329,3 +372,12 @@ def test_report_rejects_a_metrics_line_that_is_not_json(workspace, capsys):
     assert main(["report", "--runs", str(run), "--out", "s.csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 3" in err
+
+
+@pytest.mark.parametrize("config", ["{not json", "[1, 2]"])
+def test_report_rejects_a_config_that_is_not_a_json_object(workspace, capsys, config):
+    run = _fake_run(workspace, "A", 1, [1.0, 2.0])
+    (run / "config.json").write_text(config)
+    assert main(["report", "--runs", str(run), "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config.json" in err

@@ -1,27 +1,38 @@
 """Randomized differential tests of the fast paths against oracles.
 
 The batched transition kernel is checked row by row against the
-enumeration oracles, and both planners are run to termination on every
-grid spec of generated specs: joint policy iteration must converge, and
-block-coordinate policy iteration must converge to values no better
-than the joint optimum (equal to it on the monotonic suite, whose
-rewards certify that coordinate ascent reaches the optimum).  The
-vectorized successor draw is checked against one `rng.choice` per row,
-and the flat in-place Adam against a per-array Adam, bit for bit.
+enumeration oracles, model learning and its coverage check against
+their one-row-at-a-time references, and both planners are run to
+termination on every grid spec of generated specs: joint policy
+iteration must converge, and block-coordinate policy iteration must
+converge to values no better than the joint optimum (equal to it on
+the monotonic suite, whose rewards certify that coordinate ascent
+reaches the optimum).  The vectorized successor draw is checked against
+one `rng.choice` per row, and the flat in-place Adam against a
+per-array Adam, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from frl.agents.bcq import episodes_to_transitions
 from frl.agents.models import sample_rows
 from frl.approx import Mlp, Optimizer
-from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite
+from frl.envs import SyntheticSpec, generate_offline_dataset, generate_synthetic, monotonic_suite, treatment_spec
 from frl.envs.synthetic import REWARD_KINDS
 from frl.errors import DomainError, NumericError, ShapeError
 from frl.factored_mdp import FactoredPolicy, transition_rows
-from frl.tabular import factored_policy_iteration, joint_policy_iteration
+from frl.tabular import check_model_coverage, factored_policy_iteration, joint_policy_iteration, learn_model
 
-from oracles import ListAdam, choice_rows, enumerate_interventional, enumerate_projected, layer_views
+from oracles import (
+    ListAdam,
+    check_model_coverage_reference,
+    choice_rows,
+    enumerate_interventional,
+    enumerate_projected,
+    layer_views,
+    learn_model_reference,
+)
 
 GRID = [
     (structure, kind, seed)
@@ -93,6 +104,63 @@ def test_transition_rows_reject_bad_codes():
         transition_rows(spec, [0], [0] * (spec.n_blocks - 1) + [-1])
     with pytest.raises(ShapeError):
         transition_rows(spec, [0, 1], np.zeros((3, spec.n_blocks), dtype=np.int64))
+
+
+# -- model learning ----------------------------------------------------------
+
+
+def _logged_rows(spec, n, rng):
+    """`learn_model` arguments for n transitions from uniform states and
+    block actions; each row is fully intervened (tag -1) or projected
+    onto one uniform block."""
+    states = rng.integers(spec.n_states, size=n)
+    actions = np.stack([rng.integers(size, size=n) for size in spec.block_sizes], axis=1)
+    tags = rng.integers(-1, spec.n_blocks, size=n)
+    next_states = np.empty(n, dtype=np.int64)
+    for tag in range(-1, spec.n_blocks):
+        sel = tags == tag
+        rows = transition_rows(spec, states[sel], actions[sel], intervening=None if tag < 0 else (tag,))
+        next_states[sel] = sample_rows(rows, rng)
+    return dict(states=states, actions=actions, rewards=rng.normal(size=n), next_states=next_states, block_tags=tags)
+
+
+def _assert_same_counts(got, want):
+    for a, b in zip(got.sigma_value_counts + got.noop_counts, want.sigma_value_counts + want.noop_counts):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.reward_count, want.reward_count)
+    assert got.reward_sum.tobytes() == want.reward_sum.tobytes()
+
+
+@pytest.mark.parametrize("structure, kind, seed", GRID[::4])
+def test_learn_model_matches_the_per_row_reference(structure, kind, seed):
+    spec = grid_spec(structure, kind, seed)
+    logged = _logged_rows(spec, 3000, np.random.default_rng(seed))
+    assert {-1, 0} <= set(logged["block_tags"].tolist())
+    _assert_same_counts(learn_model(spec, **logged), learn_model_reference(spec, **logged))
+
+
+def test_learn_model_matches_the_reference_on_a_logged_treatment_dataset():
+    spec = treatment_spec()
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    data = episodes_to_transitions(generate_offline_dataset(spec, behavior, episodes=60, seed=2), spec, flat=False)
+    logged = (data.states, data.actions, data.rewards, data.next_states)
+    _assert_same_counts(learn_model(spec, *logged), learn_model_reference(spec, *logged))
+
+
+def test_model_coverage_matches_the_reference_on_partial_models():
+    found = []
+    for structure, kind, seed in [g for g in GRID if g[0] == "separable_effects"][1::3]:
+        spec = grid_spec(structure, kind, seed)
+        rng = np.random.default_rng(seed)
+        for n in (10, 100, 1000):
+            model = learn_model(spec, **_logged_rows(spec, n, rng))
+            missing = check_model_coverage(model)
+            assert missing == check_model_coverage_reference(model)
+            found += missing
+    # both kinds of cell were listed somewhere
+    assert any(cell.startswith("sigma") for cell in found)
+    assert any(cell.startswith("noop") for cell in found)
 
 
 # -- successor draws ---------------------------------------------------------

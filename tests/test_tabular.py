@@ -7,17 +7,18 @@ values that both planners are compared against.
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from frl import (
     ConfigurationError,
+    DomainError,
     FactoredMdpSpec,
     FactoredPolicy,
     ModelCoverageError,
     NoopFactor,
+    ShapeError,
     SigmaTable,
 )
 from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, two_switch_spec, xor_trap_spec
@@ -259,29 +260,31 @@ def test_fully_separable_values_concatenate():
 
 def _generative_samples(spec, n, seed):
     """Uniform (state, block, projected action) samples from the projected
-    transition, tagged with the intervening block."""
+    transition, as `learn_model` arguments tagged with the intervening block."""
     from frl import projected_transition
 
     rng = np.random.default_rng(seed)
     rows = {}
-    out = []
-    for _ in range(n):
+    states, next_states, tags = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    actions = np.zeros((n, spec.n_blocks), dtype=np.int64)
+    for i in range(n):
         s = int(rng.integers(spec.n_states))
         k = int(rng.integers(spec.n_blocks))
         a_k = int(rng.integers(spec.block_sizes[k]))
         key = (k, s, a_k)
         if key not in rows:
             rows[key] = projected_transition(spec, k, s, a_k)
-        s2 = int(rng.choice(spec.n_states, p=rows[key]))
-        out.append(
-            SimpleNamespace(state=s, action=a_k, reward=float(spec.reward[s, s2]), next_state=s2, block_tag=k)
-        )
-    return out
+        states[i], actions[i, k], tags[i] = s, a_k, k
+        next_states[i] = rng.choice(spec.n_states, p=rows[key])
+    return dict(
+        states=states, actions=actions, rewards=spec.reward[states, next_states],
+        next_states=next_states, block_tags=tags,
+    )
 
 
 def test_learn_model_recovers_tables():
     spec = two_switch_spec()
-    model = learn_model(_generative_samples(spec, 20_000, seed=1), spec)
+    model = learn_model(spec, **_generative_samples(spec, 20_000, seed=1))
     assert not model.zero_count_cells()
     for k in range(spec.n_blocks):
         np.testing.assert_array_equal(model.sigma_hat[k], spec.sigma[k].table)
@@ -295,7 +298,7 @@ def test_learn_model_recovers_tables():
 
 def test_mbfpi_on_learned_model_matches_true_plan():
     spec = two_switch_spec()
-    model = learn_model(_generative_samples(spec, 20_000, seed=2), spec)
+    model = learn_model(spec, **_generative_samples(spec, 20_000, seed=2))
     init = FactoredPolicy.constant(spec, (0, 0))
     est = factored_policy_iteration(model, init, store_q=False)
     true = factored_policy_iteration(spec, init, store_q=False)
@@ -305,7 +308,7 @@ def test_mbfpi_on_learned_model_matches_true_plan():
 
 def test_learn_model_zero_count_cells_block_planning():
     spec = two_switch_spec()
-    model = learn_model(_generative_samples(spec, 10, seed=3), spec)
+    model = learn_model(spec, **_generative_samples(spec, 10, seed=3))
     missing = model.zero_count_cells()
     assert missing
     with pytest.raises(ModelCoverageError):
@@ -317,27 +320,46 @@ def test_learn_model_zero_count_cells_block_planning():
 
 def test_learn_model_majority_vote_sigma():
     spec = two_switch_spec()
-    mk = lambda s2: SimpleNamespace(state=0, action=1, reward=0.0, next_state=s2, block_tag=0)
-    # effect variable 0 observed at 1 twice and at 0 once -> majority 1
-    model = learn_model([mk(4), mk(4), mk(0)], spec)
+    # block 0 takes action 1 from state 0 three times; effect variable 0
+    # is observed at 1 twice and at 0 once -> majority 1
+    model = learn_model(spec, [0, 0, 0], [[1, 0]] * 3, [0.0] * 3, [4, 4, 0], block_tags=[0, 0, 0])
     assert model.sigma_hat[0][1, 0] == 1
     assert model.sigma_value_counts[0][1, 0].tolist() == [1, 2]
 
 
 def test_learn_model_joint_vs_tagged_teaching():
     spec = two_switch_spec()
-    joint = SimpleNamespace(state=0, action=(1, 1), reward=0.0, next_state=6, block_tag=None)
-    model = learn_model([joint], spec)
+    model = learn_model(spec, [0], [[1, 1]], [0.0], [6])  # untagged: fully intervened
     # both intervention cells counted, no controlled no-op observations
     assert model.sigma_value_counts[0][1, 0, 1] == 1
     assert model.sigma_value_counts[1][1, 0, 1] == 1
     assert model.noop_counts[0].sum() == 0 and model.noop_counts[1].sum() == 0
     assert model.noop_counts[2].sum() == 1  # the uncontrolled noise bit
-    tagged = SimpleNamespace(state=0, action=1, reward=0.0, next_state=4, block_tag=0)
-    model = learn_model([tagged], spec)
+    model = learn_model(spec, [0], [[1, 0]], [0.0], [4], block_tags=[0])
     # block 1 followed its no-op dynamics, so its variable is an observation
     assert model.noop_counts[0].sum() == 0
     assert model.noop_counts[1][0, 0] == 1
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"states": [0, 8]}, DomainError),
+        ({"next_states": [-1, 0]}, DomainError),
+        ({"actions": [[0, 0], [2, 0]]}, DomainError),
+        ({"block_tags": [0, 2]}, DomainError),
+        ({"block_tags": [-2, 0]}, DomainError),
+        ({"rewards": [0.0]}, ShapeError),
+        ({"actions": [[0, 0, 0], [0, 0, 0]]}, ShapeError),
+        ({"next_states": [0, 0, 0]}, ShapeError),
+        ({"block_tags": [0]}, ShapeError),
+    ],
+)
+def test_learn_model_rejects_bad_codes_and_misaligned_rows(change, error):
+    spec = two_switch_spec()
+    rows = dict(states=[0, 1], actions=[[0, 0], [1, 1]], rewards=[0.0, 1.0], next_states=[0, 1], block_tags=None)
+    with pytest.raises(error):
+        learn_model(spec, **{**rows, **change})
 
 
 # -- sample-complexity bounds --------------------------------------------------

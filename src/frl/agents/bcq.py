@@ -33,7 +33,6 @@ logged action's negative log-likelihood.
 from __future__ import annotations
 
 import copy
-import json
 import logging
 from dataclasses import asdict, dataclass, field
 
@@ -95,10 +94,6 @@ class BcqConfig:
 
     def to_doc(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "BcqConfig":
-        return cls(**doc)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -395,7 +390,7 @@ class BcqResult:
     learned_spec: FactoredMdpSpec | None = None
 
 
-def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_path=None) -> BcqResult:
+def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResult:
     """Train one offline run at the config's threshold; see module docstring.
 
     `spec` supplies structure only — state/action coding, terminal
@@ -431,55 +426,48 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec, *, metrics_
     all_states = np.arange(spec.n_states)
     checkpoints: list[dict] = []
     metrics: list[dict] = []
-    fh = open(metrics_path, "w") if metrics_path else None
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
-    try:
-        for t in range(1, cfg.train_steps + 1):
-            batch = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
-            q_losses, g_losses = [], []
-            for k in range(len(block_sizes)):
-                b_k = (
-                    augment_batch(batch, k, sampler, sampler, noop, aug_rng)
-                    if sampler is not None
-                    else batch
-                )
-                lq, lg = _train_block(net, target_net, opts, b_k, k, cfg, counters)
-                q_losses.append(lq)
-                g_losses.append(lg)
-            mixer_q = mixer_g = None
-            if cfg.variant == "decomposed":
-                mixer_q, mixer_g = _train_mixers(net, target_net, opts, batch, cfg, counters)
-            if not np.all(np.isfinite(q_losses + g_losses + [mixer_q or 0.0, mixer_g or 0.0])):
-                raise NumericError(
-                    f"non-finite loss at step {t}: q={q_losses}, g={g_losses}, "
-                    f"mixer=({mixer_q}, {mixer_g})"
-                )
-            target_update(net.params(), target_net.params(), cfg.polyak)
-            if t % cfg.checkpoint_every == 0 or t == cfg.train_steps:
-                policy, n_fall = extract_policy(net, all_states, cfg.tau_bcq)
-                checkpoints.append(
-                    {
-                        "step": t,
-                        "tau": cfg.tau_bcq,
-                        "policy": policy.tolist(),
-                        "extraction_fallbacks": n_fall,
-                    }
-                )
-                line = {
+    for t in range(1, cfg.train_steps + 1):
+        batch = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
+        q_losses, g_losses = [], []
+        for k in range(len(block_sizes)):
+            b_k = (
+                augment_batch(batch, k, sampler, sampler, noop, aug_rng)
+                if sampler is not None
+                else batch
+            )
+            lq, lg = _train_block(net, target_net, opts, b_k, k, cfg, counters)
+            q_losses.append(lq)
+            g_losses.append(lg)
+        mixer_q = mixer_g = None
+        if cfg.variant == "decomposed":
+            mixer_q, mixer_g = _train_mixers(net, target_net, opts, batch, cfg, counters)
+        if not np.all(np.isfinite(q_losses + g_losses + [mixer_q or 0.0, mixer_g or 0.0])):
+            raise NumericError(
+                f"non-finite loss at step {t}: q={q_losses}, g={g_losses}, "
+                f"mixer=({mixer_q}, {mixer_g})"
+            )
+        target_update(net.params(), target_net.params(), cfg.polyak)
+        if t % cfg.checkpoint_every == 0 or t == cfg.train_steps:
+            policy, n_fall = extract_policy(net, all_states, cfg.tau_bcq)
+            checkpoints.append(
+                {
                     "step": t,
-                    "q_loss": float(np.mean(q_losses)),
-                    "g_loss": float(np.mean(g_losses)),
-                    "mixer_q_loss": mixer_q,
-                    "mixer_g_loss": mixer_g,
-                    "target_fallbacks": counters["fallbacks"],
-                    "mixer_target_fallbacks": counters["mixer_fallbacks"],
+                    "tau": cfg.tau_bcq,
+                    "policy": policy.tolist(),
+                    "extraction_fallbacks": n_fall,
                 }
-                metrics.append(line)
-                if fh:
-                    fh.write(json.dumps(line) + "\n")
-    finally:
-        if fh:
-            fh.close()
+            )
+            line = {
+                "step": t,
+                "q_loss": float(np.mean(q_losses)),
+                "g_loss": float(np.mean(g_losses)),
+                "mixer_q_loss": mixer_q,
+                "mixer_g_loss": mixer_g,
+                "target_fallbacks": counters["fallbacks"],
+                "mixer_target_fallbacks": counters["mixer_fallbacks"],
+            }
+            metrics.append(line)
     return BcqResult(net=net, checkpoints=checkpoints, metrics=metrics, learned_spec=learned_spec)
 
 

@@ -108,10 +108,6 @@ class DqnConfig:
     def to_doc(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "DqnConfig":
-        return cls(**doc)
-
 
 @dataclass
 class SelectionMeta:

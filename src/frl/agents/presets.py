@@ -42,7 +42,7 @@ OFFLINE_PRESETS: dict[str, dict] = {
 def online_preset(name: str, **overrides) -> DqnConfig:
     if name not in ONLINE_PRESETS:
         raise ConfigurationError(
-            f"unknown online preset {name!r}; choose from {sorted(ONLINE_PRESETS)}"
+            f"unknown online preset {name!r}; choose from {', '.join(sorted(ONLINE_PRESETS))}"
         )
     return DqnConfig(**{**ONLINE_PRESETS[name], **overrides})
 
@@ -50,6 +50,6 @@ def online_preset(name: str, **overrides) -> DqnConfig:
 def offline_preset(name: str, **overrides) -> BcqConfig:
     if name not in OFFLINE_PRESETS:
         raise ConfigurationError(
-            f"unknown offline preset {name!r}; choose from {sorted(OFFLINE_PRESETS)}"
+            f"unknown offline preset {name!r}; choose from {', '.join(sorted(OFFLINE_PRESETS))}"
         )
     return BcqConfig(**{**OFFLINE_PRESETS[name], **overrides})

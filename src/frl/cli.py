@@ -7,6 +7,13 @@ the aggregate table.  An `INCOMPLETE` marker file exists while a run is
 in flight (and afterwards, if it failed), so partial outputs are never
 mistaken for finished ones.
 
+Input files: a JSON spec (`validate`, `mbfpi`, `sample-complexity`,
+`train-offline`), a JSON-lines episode log (`train-offline`, `ope`), a
+JSON policy (`ope`), JSON-lines candidates (`select`), and each run's
+`config.json` and `metrics.jsonl` (`report`).  `frl.jsonio` reads them
+all, so a missing, unreadable or malformed file exits 2 with an `error:`
+line naming the file, and the line in JSON lines.
+
 Exit codes: 0 success, 2 configuration problems (bad flags, malformed
 files, failed validation), 1 runtime failures.  `FRL_OUT` prefixes
 relative output paths.
@@ -27,10 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
-    BcqConfig,
-    DqnConfig,
-    OFFLINE_PRESETS,
-    ONLINE_PRESETS,
     ad_bcq_train,
     ad_dqn_train,
     checkpoint_candidates,
@@ -51,11 +54,11 @@ from .errors import (
     ConfigurationError,
     DomainError,
     FrlError,
-    SelectionError,
     ShapeError,
     ValidationError,
 )
 from .factored_mdp import FactoredMdpSpec, FactoredPolicy
+from .jsonio import read_json, read_jsonl
 from .ope import OpeResult, load_episodes, save_episodes, select_model, soften, wis_ess
 from .tabular import factored_policy_iteration, sample_complexity_experiment
 
@@ -102,17 +105,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_spec(path: str, validate: bool = True) -> FactoredMdpSpec:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ConfigurationError(f"cannot read spec {path}: {e}") from e
-    return FactoredMdpSpec.from_json(text, validate=validate)
+    return read_json(path, "spec", lambda doc: FactoredMdpSpec.from_doc(doc, validate=validate))
 
 
-def _parse_overrides(pairs, config_cls) -> dict:
-    """Parse repeated `--set key=value` flags; values are JSON when they
-    parse, bare strings otherwise; keys must name config fields."""
-    known = {f.name for f in dataclasses.fields(config_cls)}
+def _parse_overrides(pairs, make, preset: str) -> dict:
+    """Parse repeated `--set key=value` flags for a preset's config; values
+    are JSON when they parse, bare strings otherwise.  The config is built
+    alone and with each override, so an unknown preset, key or value exits
+    2, named, before any file is read."""
+    known = {f.name for f in dataclasses.fields(make(preset))}
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -126,21 +127,29 @@ def _parse_overrides(pairs, config_cls) -> dict:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
+        try:
+            make(preset, **{key: out[key]})
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"bad --set value for {key}: {e}") from e
     return out
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as e:
-        raise ConfigurationError(f"expected a comma-separated integer list: {e}") from e
+def _write_summary(root: Path, rows: list[dict], runs: str) -> None:
+    rows.sort(key=lambda r: r["seed"])
+    header = list(rows[0].keys())
+    _write_csv(root / "summary.csv", header, [[r[h] for h in header] for r in rows])
+    print(f"{len(rows)} {runs} complete; summary in {root / 'summary.csv'}")
 
 
-def _float_list(text: str) -> list[float]:
+def _numbers(text: str, kind=float) -> list:
+    """A flag's non-empty comma-separated list of `kind` values."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        out = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as e:
-        raise ConfigurationError(f"expected a comma-separated number list: {e}") from e
+        raise ConfigurationError(f"expected a comma-separated {kind.__name__} list: {e}") from e
+    if not out:
+        raise ConfigurationError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
+    return out
 
 
 # -- validate -----------------------------------------------------------------
@@ -223,7 +232,7 @@ def _cmd_mbfpi(args) -> int:
 
 def _cmd_sample_complexity(args) -> int:
     spec = _load_spec(args.spec)
-    sizes = _int_list(args.sizes)
+    sizes = _numbers(args.sizes, int)
     config = {"subcommand": "sample-complexity", "spec": args.spec, "sizes": sizes,
               "trials": args.trials, "delta": args.delta, "seed": args.seed}
     with _run_dir(_out_path(args.out), config) as run:
@@ -263,11 +272,10 @@ def _online_env(preset: str, args, seed: int, episode_len: int):
 def _one_online_run(preset: str, seed: int, args, overrides: dict, root: Path) -> dict:
     cfg = online_preset(preset, seed=seed, **overrides)
     env_len = args.env_episode_len or cfg.episode_len
-    run_path = root / f"{preset}-seed{seed}"
     config = {"subcommand": "train-online", "preset": preset, "seed": seed,
               "bins": args.bins, "env_episode_len": env_len,
               "force_scale": args.force_scale, **cfg.to_doc()}
-    with _run_dir(run_path, config) as run:
+    with _run_dir(root / f"{preset}-seed{seed}", config) as run:
         env = _online_env(preset, args, seed, env_len)
         result = ad_dqn_train(env, cfg, metrics_path=run / "metrics.jsonl")
         (run / "checkpoints" / "final_net.json").write_text(result.net.to_json())
@@ -289,18 +297,10 @@ def _one_online_run(preset: str, seed: int, args, overrides: dict, root: Path) -
 
 
 def _cmd_train_online(args) -> int:
-    if args.preset not in ONLINE_PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {args.preset!r}; choose from {', '.join(sorted(ONLINE_PRESETS))}"
-        )
-    overrides = _parse_overrides(args.set, DqnConfig)
-    seeds = _int_list(args.seeds)
+    overrides = _parse_overrides(args.set, online_preset, args.preset)
+    seeds = _numbers(args.seeds, int)
     root = _out_path(args.out)
-    rows = [_one_online_run(args.preset, s, args, overrides, root) for s in seeds]
-    rows.sort(key=lambda r: r["seed"])
-    header = list(rows[0].keys())
-    _write_csv(root / "summary.csv", header, [[r[h] for h in header] for r in rows])
-    print(f"{len(seeds)} runs complete; summary in {root / 'summary.csv'}")
+    _write_summary(root, [_one_online_run(args.preset, s, args, overrides, root) for s in seeds], "runs")
     return 0
 
 
@@ -341,22 +341,18 @@ def offline_selection_run(
     and the chosen policy's test-set score.
     """
     train, val, test = split_episodes(episodes, split, seed)
-    candidates = []
-    metrics = []
-    checkpoints = []
-    policies = {}
+    candidates, metrics, checkpoints = [], [], []
     for tau in tau_grid:
         cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
         result = ad_bcq_train(train, cfg, spec)
         metrics.extend({"tau": float(tau), **line} for line in result.metrics)
-        for cp in result.checkpoints:
-            checkpoints.append(cp)
-            policies[(cp["tau"], cp["step"])] = cp["policy"]
+        checkpoints.extend(result.checkpoints)
         candidates.extend(checkpoint_candidates(
             result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon
         ))
     cutoff = ess_cutoff_frac * len(val)
     cid, val_result = select_model(candidates, cutoff)
+    policies = {(cp["tau"], cp["step"]): cp["policy"] for cp in checkpoints}
     policy = np.asarray(policies[cid], dtype=np.int64)
     test_result = wis_ess(test, soften(policy, soften_epsilon, spec.n_actions))
     selection = {
@@ -377,18 +373,15 @@ def offline_selection_run(
     return selection, metrics, checkpoints
 
 
-def _one_offline_run(preset: str, seed: int, args, episodes, spec, overrides, root: Path) -> dict:
-    cfg_doc = offline_preset(preset, seed=seed, **overrides).to_doc()
-    config = {"subcommand": "train-offline", "preset": preset, "seed": seed,
-              "tau_grid": _float_list(args.tau_grid), "split": _float_list(args.split),
+def _one_offline_run(seed: int, args, tau_grid, split, episodes, spec, overrides, root: Path) -> dict:
+    cfg_doc = offline_preset(args.preset, seed=seed, **overrides).to_doc()
+    config = {"subcommand": "train-offline", "preset": args.preset, "seed": seed,
+              "tau_grid": tau_grid, "split": split,
               "ess_cutoff_frac": args.ess_cutoff_frac, **cfg_doc}
-    with _run_dir(root / f"{preset}-seed{seed}", config) as run:
+    with _run_dir(root / f"{args.preset}-seed{seed}", config) as run:
         selection, metrics, checkpoints = offline_selection_run(
-            episodes, spec, preset, seed,
-            tau_grid=_float_list(args.tau_grid),
-            split=tuple(_float_list(args.split)),
-            ess_cutoff_frac=args.ess_cutoff_frac,
-            overrides=overrides,
+            episodes, spec, args.preset, seed, tau_grid=tau_grid, split=tuple(split),
+            ess_cutoff_frac=args.ess_cutoff_frac, overrides=overrides,
         )
         _write_jsonl(run / "metrics.jsonl", metrics)
         for cp in checkpoints:
@@ -400,22 +393,16 @@ def _one_offline_run(preset: str, seed: int, args, episodes, spec, overrides, ro
 
 
 def _cmd_train_offline(args) -> int:
-    if args.preset not in OFFLINE_PRESETS:
-        raise ConfigurationError(
-            f"unknown preset {args.preset!r}; choose from {', '.join(sorted(OFFLINE_PRESETS))}"
-        )
-    overrides = _parse_overrides(args.set, BcqConfig)
+    overrides = _parse_overrides(args.set, offline_preset, args.preset)
     if "tau_bcq" in overrides:
         raise ConfigurationError("tau_bcq is driven by --tau-grid, not --set")
+    tau_grid, split = _numbers(args.tau_grid), _numbers(args.split)
     spec = _load_spec(args.spec)
     episodes = load_episodes(args.episodes)
-    seeds = _int_list(args.seeds)
+    seeds = _numbers(args.seeds, int)
     root = _out_path(args.out)
-    rows = [_one_offline_run(args.preset, s, args, episodes, spec, overrides, root) for s in seeds]
-    rows.sort(key=lambda r: r["seed"])
-    header = list(rows[0].keys())
-    _write_csv(root / "summary.csv", header, [[r[h] for h in header] for r in rows])
-    print(f"{len(seeds)} selection runs complete; summary in {root / 'summary.csv'}")
+    rows = [_one_offline_run(s, args, tau_grid, split, episodes, spec, overrides, root) for s in seeds]
+    _write_summary(root, rows, "selection runs")
     return 0
 
 
@@ -424,19 +411,10 @@ def _cmd_train_offline(args) -> int:
 
 def _cmd_ope(args) -> int:
     episodes = load_episodes(args.episodes)
-    try:
-        doc = json.loads(Path(args.policy).read_text())
-    except OSError as e:
-        raise ConfigurationError(f"cannot read policy {args.policy}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"policy file is not valid JSON: {e}") from e
-    if isinstance(doc, dict) and "policy" not in doc:
-        raise ValidationError(f"policy file {args.policy} has no \"policy\" key")
-    try:
-        policy = np.asarray(doc["policy"] if isinstance(doc, dict) else doc, dtype=np.int64)
-    except (TypeError, ValueError) as e:
-        raise ValidationError(f"policy file {args.policy} does not hold integer action codes: {e}") from e
-    table = soften(policy, args.soften_epsilon, args.n_actions)
+    # the file holds the action codes, bare or under "policy"
+    table = read_json(args.policy, "policy", lambda doc: soften(
+        doc["policy"] if isinstance(doc, dict) else doc, args.soften_epsilon, args.n_actions
+    ))
     result = wis_ess(episodes, table, gamma=args.gamma, clip=args.clip)
     text = result.to_json()
     if args.out:
@@ -450,35 +428,19 @@ def _cmd_ope(args) -> int:
 # -- select -------------------------------------------------------------------
 
 
+def _candidate(doc: dict):
+    cid = doc.get("id")
+    return tuple(cid) if isinstance(cid, list) else cid, OpeResult(
+        wis=float(doc["wis"]), ess=float(doc["ess"]),
+        episode_weights=np.zeros(0), step_averages=np.zeros(0),
+        clip_count=int(doc.get("clip_count", 0)), n_episodes=int(doc.get("n_episodes", 0)),
+    )
+
+
 def _cmd_select(args) -> int:
-    candidates = []
-    for path in args.candidates:
-        try:
-            lines = Path(path).read_text().splitlines()
-        except OSError as e:
-            raise ConfigurationError(f"cannot read candidates {path}: {e}") from e
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{path}: bad candidate line: {e}") from e
-            if not isinstance(doc, dict) or not {"wis", "ess"} <= doc.keys():
-                raise ValidationError(f"{path}: a candidate line must be an object with \"wis\" and \"ess\"")
-            cid = doc.get("id")
-            cid = tuple(cid) if isinstance(cid, list) else cid
-            candidates.append(
-                (cid, OpeResult(
-                    wis=float(doc["wis"]), ess=float(doc["ess"]),
-                    episode_weights=np.zeros(0), step_averages=np.zeros(0),
-                    clip_count=int(doc.get("clip_count", 0)),
-                    n_episodes=int(doc.get("n_episodes", 0)),
-                ))
-            )
+    candidates = [c for path in args.candidates for c in read_jsonl(path, "candidate", _candidate)]
     if not candidates:
-        raise ValidationError("no candidates found in the given files")
+        raise ValidationError(f"no candidates in {', '.join(args.candidates)}")
     cid, chosen = select_model(candidates, args.ess_cutoff)
     print(json.dumps({"id": cid, "wis": chosen.wis, "ess": chosen.ess}))
     return 0
@@ -487,53 +449,52 @@ def _cmd_select(args) -> int:
 # -- report -------------------------------------------------------------------
 
 
+def _run_preset(doc, default: str) -> str:
+    if not isinstance(doc, dict):
+        raise ValidationError("config is not a JSON object")
+    preset = doc.get("preset", default)
+    if not isinstance(preset, str):
+        raise ValidationError(f"preset {preset!r} is not a string")
+    return preset
+
+
+def _metrics_point(doc: dict, preset: str, key: str):
+    """(axis, label, x, value) of one metrics line, None if it lacks `key`;
+    x is None on a per-episode line that does not number its episode."""
+    value = doc.get(key)
+    if value is None:
+        return None
+    if "tau" in doc:
+        return "step", f"{preset} tau={doc['tau']}", int(doc["step"]), float(value)
+    return "episode", preset, int(doc["episode"]) if "episode" in doc else None, float(value)
+
+
 def _cmd_report(args) -> int:
     """Quantiles of one metrics field per label and x value.
 
-    Online lines are grouped by `episode` under the run's preset.
-    Offline lines carry `tau` and `step`; they are grouped by step under
-    one label per tau, such as "AD-BCQ tau=0.1", so the taus a run
-    trained do not mix.
+    Online lines are grouped by `episode` under the run's preset, or by
+    their position in the log if they carry no episode number.  Offline
+    lines carry `tau` and `step`; they are grouped by step under one
+    label per tau, such as "AD-BCQ tau=0.1", so the taus a run trained
+    do not mix.
     """
     groups: dict[str, dict[int, list[float]]] = {}
     axes = set()
     complete = 0
     for raw in args.runs:
         run = Path(raw)
-        cfg_path = run / "config.json"
-        metrics_path = run / "metrics.jsonl"
-        if not cfg_path.exists() or not metrics_path.exists():
-            raise ConfigurationError(f"{run} is not a run directory (missing config.json/metrics.jsonl)")
         if (run / "INCOMPLETE").exists():
             logger.warning("skipping incomplete run %s", run)
             continue
         complete += 1
-        try:
-            config = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"{cfg_path} is not valid JSON: {e}") from e
-        if not isinstance(config, dict):
-            raise ValidationError(f"{cfg_path} is not a JSON object")
-        preset = str(config.get("preset", run.name))
-        for i, line in enumerate(metrics_path.read_text().splitlines()):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"{metrics_path}: line {i + 1} is not valid JSON: {e}") from e
-            if not isinstance(doc, dict):
-                raise ValidationError(f"{metrics_path}: line {i + 1} is not a JSON object")
-            value = doc.get(args.key)
-            if value is None:
-                continue
-            if "tau" in doc:
-                axes.add("step")
-                label, x = f"{preset} tau={doc['tau']}", int(doc["step"])
-            else:
-                axes.add("episode")
-                label, x = preset, int(doc.get("episode", i))
-            groups.setdefault(label, {}).setdefault(x, []).append(float(value))
+        preset = read_json(run / "config.json", "config", lambda doc: _run_preset(doc, run.name))
+        points = read_jsonl(run / "metrics.jsonl", "metrics",
+                            lambda doc: _metrics_point(doc, preset, args.key))
+        for i, point in enumerate(points):
+            if point is not None:
+                axis, label, x, value = point
+                axes.add(axis)
+                groups.setdefault(label, {}).setdefault(i if x is None else x, []).append(value)
     if not complete:
         raise ConfigurationError("no complete runs to report on")
     if len(axes) > 1:
@@ -666,12 +627,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CONFIG_ERRORS as e:
+    except FrlError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SelectionError, FrlError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, CONFIG_ERRORS) else 1
 
 
 if __name__ == "__main__":

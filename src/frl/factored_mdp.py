@@ -369,35 +369,35 @@ class FactoredMdpSpec:
 
     @classmethod
     def from_json(cls, text: str, validate: bool = True) -> "FactoredMdpSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"spec is not valid JSON: {e}") from e
-        try:
-            return cls(
-                state_vars=tuple(doc["state_vars"]),
-                action_blocks=tuple(tuple(b) for b in doc["action_blocks"]),
-                eff_map=tuple(tuple(b) for b in doc["eff_map"]),
-                pre_map=tuple(tuple(b) for b in doc["pre_map"]),
-                sigma=tuple(SigmaTable(d["block"], np.asarray(d["table"])) for d in doc["sigma"]),
-                noop_dynamics=tuple(
-                    NoopFactor(
-                        d["var"],
-                        tuple(d["state_parents"]),
-                        tuple(d["eff_parents"]),
-                        np.asarray(d["table"]),
-                    )
-                    for d in doc["noop_dynamics"]
-                ),
-                reward=np.asarray(doc["reward"]),
-                init_dist=np.asarray(doc["init_dist"]),
-                discount=float(doc["discount"]),
-                assume_positive=bool(doc.get("assume_positive", False)),
-                terminal_states=frozenset(doc.get("terminal_states", ())),
-                validate=validate,
-            )
-        except KeyError as e:
-            raise ValidationError(f"spec is missing field {e}") from e
+        return cls.from_doc(json.loads(text), validate=validate)
+
+    @classmethod
+    def from_doc(cls, doc: dict, validate: bool = True) -> "FactoredMdpSpec":
+        """The spec in a `to_json` document; KeyError names a missing field."""
+        if not isinstance(doc, dict):
+            raise ValidationError("spec is not a JSON object")
+        return cls(
+            state_vars=tuple(doc["state_vars"]),
+            action_blocks=tuple(tuple(b) for b in doc["action_blocks"]),
+            eff_map=tuple(tuple(b) for b in doc["eff_map"]),
+            pre_map=tuple(tuple(b) for b in doc["pre_map"]),
+            sigma=tuple(SigmaTable(d["block"], np.asarray(d["table"])) for d in doc["sigma"]),
+            noop_dynamics=tuple(
+                NoopFactor(
+                    d["var"],
+                    tuple(d["state_parents"]),
+                    tuple(d["eff_parents"]),
+                    np.asarray(d["table"]),
+                )
+                for d in doc["noop_dynamics"]
+            ),
+            reward=np.asarray(doc["reward"]),
+            init_dist=np.asarray(doc["init_dist"]),
+            discount=float(doc["discount"]),
+            assume_positive=bool(doc.get("assume_positive", False)),
+            terminal_states=frozenset(doc.get("terminal_states", ())),
+            validate=validate,
+        )
 
 
 # -- policies and Q tables ------------------------------------------------

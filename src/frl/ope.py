@@ -9,11 +9,13 @@ of the final weights as a reliability gate for model selection.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DomainError, SelectionError, ShapeError, ValidationError
+from .errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
+from .jsonio import read_jsonl
 
 
 @dataclass
@@ -34,16 +36,18 @@ class EpisodeLog:
     final_state: int | None = None
 
     def __post_init__(self):
-        self.states = np.asarray(self.states)
+        self.states = np.asarray(self.states, dtype=np.int64)
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.propensities = np.asarray(self.propensities, dtype=np.float64)
+        if self.final_state is not None:
+            self.final_state = operator.index(self.final_state)
         n = len(self.states)
         if n == 0:
             raise DataError("episode has no steps")
-        for name in ("actions", "rewards", "propensities"):
-            if len(getattr(self, name)) != n:
-                raise ShapeError(f"{name} length does not match states")
+        for name in ("states", "actions", "rewards", "propensities"):
+            if getattr(self, name).shape != (n,):
+                raise ShapeError(f"{name} is not a list of {n} per-step values")
         bad = np.flatnonzero((self.propensities <= 0) | (self.propensities > 1))
         if len(bad):
             raise DataError(
@@ -65,24 +69,14 @@ class EpisodeLog:
         return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "EpisodeLog":
-        """Parse one episode line; ValidationError if it is not a JSON
-        object holding every per-step field."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"episode line is not valid JSON: {e}") from e
-        if not isinstance(d, dict):
-            raise ValidationError("episode line is not a JSON object")
-        missing = sorted({"states", "actions", "rewards", "propensities"} - d.keys())
-        if missing:
-            raise ValidationError(f"episode line lacks {', '.join(missing)}")
+    def from_doc(cls, doc: dict) -> "EpisodeLog":
+        """The episode in a `to_json` document; KeyError names a missing field."""
         return cls(
-            states=np.asarray(d["states"]),
-            actions=np.asarray(d["actions"]),
-            rewards=np.asarray(d["rewards"]),
-            propensities=np.asarray(d["propensities"]),
-            final_state=d.get("final_state"),
+            states=doc["states"],
+            actions=doc["actions"],
+            rewards=doc["rewards"],
+            propensities=doc["propensities"],
+            final_state=doc.get("final_state"),
         )
 
 
@@ -93,24 +87,12 @@ def save_episodes(episodes, path) -> None:
 
 
 def load_episodes(path) -> list[EpisodeLog]:
-    """Read a JSON-lines episode log.
-
-    ConfigurationError if the file cannot be read; ValidationError
-    naming the line of an episode that is malformed or invalid.
-    """
-    out = []
-    try:
-        with open(path) as fh:
-            for i, line in enumerate(fh, 1):
-                line = line.strip()
-                if line:
-                    try:
-                        out.append(EpisodeLog.from_json(line))
-                    except (ValidationError, DataError, ShapeError) as e:
-                        raise ValidationError(f"{path}: line {i}: {e}") from e
-    except OSError as e:
-        raise ConfigurationError(f"cannot read episodes {path}: {e}") from e
-    return out
+    """Read a non-empty JSON-lines episode log, one episode per line;
+    `frl.jsonio` names the file and line of a malformed episode."""
+    episodes = read_jsonl(path, "episode", EpisodeLog.from_doc)
+    if not episodes:
+        raise ValidationError(f"{path} holds no episodes")
+    return episodes
 
 
 @dataclass
@@ -166,7 +148,7 @@ def wis_ess(episodes, target, gamma: float = 1.0, clip: float = 1000.0) -> OpeRe
     across-episode average at that step, weighting the episode's
     discounted return; an episode that has ended holds its final ratio
     through later steps.  ESS is computed from the final per-episode
-    weights.
+    weights.  A logged code outside `target` is a DomainError.
     """
     episodes = list(episodes)
     m = len(episodes)
@@ -178,9 +160,18 @@ def wis_ess(episodes, target, gamma: float = 1.0, clip: float = 1000.0) -> OpeRe
         np.concatenate([getattr(ep, name) for ep in episodes])
         for name in ("states", "actions", "propensities")
     )
+    n_states, n_actions = target.shape
+    if min(states.min(), actions.min()) < 0 or states.max() >= n_states or actions.max() >= n_actions:
+        bad = (states < 0) | (states >= n_states) | (actions < 0) | (actions >= n_actions)
+        i = np.flatnonzero(bad)[0]
+        j, t = np.argwhere(logged)[i]
+        raise DomainError(
+            f"episode {j} step {t}: state {states[i]} or action {actions[i]} is outside "
+            f"the {n_states} x {n_actions} target table"
+        )
     # padding ratios of 1 keep each episode's final ratio in place
     ratios = np.ones(logged.shape)
-    ratios[logged] = target[states.astype(np.int64), actions] / props
+    ratios[logged] = target[states, actions] / props
     raw = np.cumprod(ratios, axis=1)
     cum = np.minimum(raw, clip)
     clip_count = int((raw[logged] > clip).sum())

@@ -257,25 +257,6 @@ def joint_policy_iteration(
     raise NumericError(f"joint policy iteration did not converge in {max_iters} iterations")
 
 
-def finite_horizon_values(
-    spec: FactoredMdpSpec, horizon: int, policy: FactoredPolicy | None = None
-) -> np.ndarray:
-    """Backward-induction state values over a fixed horizon.
-
-    With a policy the values are that policy's; without one they are
-    optimal.  Terminal states stay at zero throughout.
-    """
-    v = np.zeros(spec.n_states)
-    if policy is not None:
-        rows = transition_rows(spec, np.arange(spec.n_states), policy.blocks.T)
-        for _ in range(horizon):
-            v = backup(spec, rows, v)
-        return v
-    for _ in range(horizon):
-        v = joint_backups(spec, v).max(axis=1)
-    return v
-
-
 # -- model learning -----------------------------------------------------------
 
 

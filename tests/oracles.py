@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 
+from frl.factored_mdp import backup, joint_backups, transition_rows
+
 
 def _sigma_lookup(spec, k, a_k, svals):
     """Forced effect values of block k, by direct table indexing."""
@@ -108,6 +110,25 @@ def solve_q_dense(spec, policy, tol_unused=None):
             row = enumerate_interventional(spec, s, spec.action_as_blocks(a))
             q[s, a] = row @ (spec.reward[s] + spec.discount * v)
     return q, v
+
+
+def finite_horizon_values(spec, horizon, policy=None):
+    """Backward-induction state values over a fixed horizon.
+
+    With a policy the values are that policy's; without one they are
+    optimal.  Terminal states stay at zero throughout.  Unlike the rest
+    of this file it composes the library's dense `backup` and
+    `joint_backups`, so checking it against enumeration checks those.
+    """
+    v = np.zeros(spec.n_states)
+    if policy is not None:
+        rows = transition_rows(spec, np.arange(spec.n_states), policy.blocks.T)
+        for _ in range(horizon):
+            v = backup(spec, rows, v)
+        return v
+    for _ in range(horizon):
+        v = joint_backups(spec, v).max(axis=1)
+    return v
 
 
 def layer_views(buf, sizes):

@@ -13,7 +13,7 @@ import pytest
 from frl.cli import main, split_episodes
 from frl.envs import generate_offline_dataset, two_switch_spec
 from frl.errors import ConfigurationError, ValidationError
-from frl.ope import EpisodeLog, load_episodes, soften, wis_ess
+from frl.ope import load_episodes, soften, wis_ess
 
 
 @pytest.fixture()
@@ -302,21 +302,6 @@ def test_ope_rejects_a_policy_that_is_not_integer_codes(workspace, capsys, polic
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_missing_episode_file_exits_two(workspace, capsys):
-    run = _gen_two_switch(workspace)
-    policy_path = workspace / "policy.json"
-    policy_path.write_text(json.dumps({"policy": [0] * 8}))
-    with pytest.raises(ConfigurationError, match="cannot read episodes"):
-        load_episodes(workspace / "missing.jsonl")
-    capsys.readouterr()
-    assert main(["ope", "--episodes", str(workspace / "missing.jsonl"),
-                 "--policy", str(policy_path), "--n-actions", "4"]) == 2
-    assert main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
-                 "--episodes", str(workspace / "missing.jsonl"), "--out", "off"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot read episodes") and "Traceback" not in err
-
-
 def test_episode_line_with_a_bad_propensity_exits_two(workspace, capsys):
     run = _gen_two_switch(workspace, episodes=3)
     lines = (run / "episodes.jsonl").read_text().splitlines()
@@ -374,10 +359,109 @@ def test_report_rejects_a_metrics_line_that_is_not_json(workspace, capsys):
     assert err.startswith("error: ") and "line 3" in err
 
 
-@pytest.mark.parametrize("config", ["{not json", "[1, 2]"])
-def test_report_rejects_a_config_that_is_not_a_json_object(workspace, capsys, config):
-    run = _fake_run(workspace, "A", 1, [1.0, 2.0])
-    (run / "config.json").write_text(config)
-    assert main(["report", "--runs", str(run), "--out", "s.csv"]) == 2
+# -- one table: every input file x every way it can be malformed --------------
+
+SPEC_TEXT = two_switch_spec().to_json()
+EPISODE = {"states": [0, 1], "actions": [1, 0], "rewards": [1.0, 0.0],
+           "propensities": [0.25, 0.25], "final_state": 2}
+
+
+def _lines(*docs) -> str:
+    return "".join(json.dumps(d) + "\n" for d in docs)
+
+
+# input: (path, valid content, truncated, wrong JSON type, wrong field type)
+INPUTS = {
+    "spec": ("spec.json", SPEC_TEXT, SPEC_TEXT[:200], "[1, 2]",
+             json.dumps({**json.loads(SPEC_TEXT), "discount": "x"})),
+    "episodes": ("episodes.jsonl", _lines(EPISODE), '{"states": [0, 1], "act', "[1, 2]\n",
+                 _lines({**EPISODE, "rewards": ["a", "b"]})),
+    "policy": ("policy.json", json.dumps({"policy": [0] * 8}), '{"policy": [0, 0', '"abc"',
+               json.dumps({"policy": ["a"] * 8})),
+    "candidates": ("cands.jsonl", _lines({"id": "a", "wis": 1.0, "ess": 5.0}), '{"id": "a", "wis": 1',
+                   "[2.0, 5.0]\n", _lines({"id": "a", "wis": "x", "ess": 5.0})),
+    "config": ("run/config.json", json.dumps({"preset": "A"}), '{"preset": "A"', "[1, 2]",
+               json.dumps({"preset": 5})),
+    "metrics": ("run/metrics.jsonl", _lines({"episode": 0, "return": 1.0}), '{"episode": 0, "ret',
+                "[1, 2]\n", _lines({"episode": 0, "return": "abc"})),
+}
+
+COMMANDS = {
+    "validate": ["validate", "{spec}"],
+    "mbfpi": ["mbfpi", "--spec", "{spec}", "--out", "out"],
+    "sample-complexity": ["sample-complexity", "--spec", "{spec}", "--out", "out"],
+    "train-offline": ["train-offline", "--preset", "AD-BCQ", "--spec", "{spec}",
+                      "--episodes", "{episodes}", "--out", "out"],
+    "ope": ["ope", "--episodes", "{episodes}", "--policy", "{policy}", "--n-actions", "4"],
+    "select": ["select", "--candidates", "{candidates}", "--ess-cutoff", "1"],
+    "report": ["report", "--runs", "{run}"],
+    "train-online": ["train-online", "--preset", "AD-DQN-2n", "--out", "out"],
+}
+
+ROWS = [("validate", "spec"), ("mbfpi", "spec"), ("sample-complexity", "spec"),
+        ("train-offline", "spec"), ("train-offline", "episodes"), ("ope", "episodes"),
+        ("ope", "policy"), ("select", "candidates"), ("report", "config"), ("report", "metrics")]
+
+COLUMNS = ("missing", "directory", "empty", "binary", "truncated JSON", "wrong JSON type",
+           "wrong field type")
+MISSING, DIRECTORY = object(), object()
+
+
+def _column(name: str, item: str):
+    _, _, truncated, wrong_type, wrong_field = INPUTS[item]
+    return {"missing": MISSING, "directory": DIRECTORY, "empty": "", "binary": b"\xff\xfe",
+            "truncated JSON": truncated, "wrong JSON type": wrong_type,
+            "wrong field type": wrong_field}[name]
+
+
+# (command, input, content, extra argv, what stderr must name: None for the input's path)
+CASES = [
+    pytest.param(cmd, item, _column(col, item), [], None, id=f"{cmd}-{item}-{col}")
+    for cmd, item in ROWS for col in COLUMNS
+] + [
+    pytest.param("train-offline", "episodes", _lines({**EPISODE, "final_state": "q"}), [], None,
+                 id="train-offline-episodes-final-state"),
+    pytest.param("report", "metrics", _lines({"episode": "zz", "return": 1.0}), [], None,
+                 id="report-metrics-episode"),
+    pytest.param("report", "metrics", _lines({"tau": 0.1, "return": 1.0}), [], "lacks step",
+                 id="report-metrics-no-step"),
+    # codes outside the policy table: a state of -1 would read its last row
+    pytest.param("ope", "episodes", _lines({**EPISODE, "states": [-1, 1]}), [], "episode 0 step 0",
+                 id="ope-episodes-state-out-of-range"),
+    pytest.param("ope", "episodes", _lines({**EPISODE, "actions": [1, 9]}), [], "episode 0 step 1",
+                 id="ope-episodes-action-out-of-range"),
+    pytest.param("train-online", None, None, ["--set", "episodes=abc"], "episodes", id="set-episodes"),
+    pytest.param("train-online", None, None, ["--set", "hidden=abc"], "hidden", id="set-hidden"),
+    pytest.param("train-offline", None, None, ["--set", "train_steps=abc"], "train_steps",
+                 id="set-train-steps"),
+    pytest.param("train-online", None, None, ["--seeds", ","], "int list", id="seeds-empty"),
+]
+
+
+@pytest.mark.parametrize("command, item, content, extra, named", CASES)
+def test_malformed_input_exits_two_naming_it(workspace, capsys, command, item, content, extra, named):
+    paths = {}
+    for name, (rel, valid, *_) in INPUTS.items():
+        path = workspace / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(valid)
+        paths[name] = str(path)
+    paths["run"] = str(workspace / "run")
+    if item is not None:
+        path = workspace / INPUTS[item][0]
+        path.unlink()
+        if content is DIRECTORY:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not MISSING:
+            path.write_text(content)
+    argv = [arg.format(**paths) for arg in COMMANDS[command]] + extra
+    code = main(argv)
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "config.json" in err
+    if (item, content) == ("metrics", ""):
+        assert code == 0  # an empty metrics log is valid: a run that logged nothing
+        return
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (named or paths[item]) in err

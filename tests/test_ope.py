@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from frl.envs import generate_offline_dataset, treatment_spec
-from frl.errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
+from frl.errors import (
+    ConfigurationError,
+    DataError,
+    DomainError,
+    SelectionError,
+    ShapeError,
+    ValidationError,
+)
 from frl.ope import (
     EpisodeLog,
     OpeResult,
@@ -138,6 +145,18 @@ def test_wis_error_conditions():
         wis_ess([ep], zero_target)
 
 
+@pytest.mark.parametrize("states, actions, where", [
+    ([0, -1], [1, 0], "episode 1 step 1: state -1"),  # -1 would read the last row
+    ([0, 2], [1, 0], "episode 1 step 1: state 2"),
+    ([0, 1], [1, 9], "episode 1 step 1: .* action 9"),
+    ([0, 1], [-1, 0], "episode 1 step 0: .* action -1"),
+])
+def test_wis_rejects_codes_outside_the_target_table(states, actions, where):
+    episode = EpisodeLog(states, actions, [1.0, 2.0], [0.4, 0.45])
+    with pytest.raises(DomainError, match=where):
+        wis_ess([EP_B, episode], TARGET)
+
+
 def test_episode_log_validation():
     with pytest.raises(DataError):
         EpisodeLog(states=[], actions=[], rewards=[], propensities=[])
@@ -175,6 +194,14 @@ def test_load_episodes_names_the_malformed_line(tmp_path, line, message):
         fh.write(line + "\n")
     with pytest.raises(ValidationError, match=f"line 3: episode line .*{message}"):
         load_episodes(path)
+
+
+def test_load_episodes_rejects_a_missing_or_empty_log(tmp_path):
+    with pytest.raises(ConfigurationError, match="cannot read episode file"):
+        load_episodes(tmp_path / "missing.jsonl")
+    (tmp_path / "empty.jsonl").write_text("\n")
+    with pytest.raises(ValidationError, match="holds no episodes"):
+        load_episodes(tmp_path / "empty.jsonl")
 
 
 def test_result_serialization():

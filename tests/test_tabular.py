@@ -26,13 +26,12 @@ from frl.tabular import (
     check_model_coverage,
     error_bounds_at,
     factored_policy_iteration,
-    finite_horizon_values,
     joint_policy_iteration,
     learn_model,
     sample_complexity_experiment,
     theorem_sample_bounds,
 )
-from oracles import enumerate_interventional, enumerate_optimal_values
+from oracles import enumerate_interventional, enumerate_optimal_values, finite_horizon_values
 
 
 def tiny_spec():

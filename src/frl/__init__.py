@@ -29,10 +29,7 @@ from .factored_mdp import (
     QTable,
     SigmaTable,
     exact_q,
-    expected_reward,
-    interventional_transition,
     noop_propensity,
-    projected_transition,
     transition_rows,
 )
 from .indexing import MixedRadix

@@ -464,6 +464,8 @@ def _metrics_point(doc: dict, preset: str, key: str):
     value = doc.get(key)
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise ValidationError(f"{key} value {value} is not a number")
     if "tau" in doc:
         return "step", f"{preset} tau={doc['tau']}", int(doc["step"]), float(value)
     return "episode", preset, int(doc["episode"]) if "episode" in doc else None, float(value)

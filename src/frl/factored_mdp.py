@@ -17,9 +17,12 @@ Joint states and joint actions are dense mixed-radix codes (see
 `transition_rows` is the one transition kernel: it builds a batch of
 dense next-state rows for any mix of states, block actions and
 intervening blocks, gathering through index arrays the spec builds on
-first use.  `evaluate` (one dense linear solve) and `backup` (one
-Bellman backup per state) are the policy evaluation and the Q-value
-step every tabular planner applies to those rows.
+first use.  Planners pass per-state block actions, never rows:
+`evaluate` gives a policy's state values (one dense linear solve) and
+`q_table` the backups of every joint action, or of one block's actions
+with the other blocks pinned.  `exact_q` computes a block's table the
+other way, through the projected transition reweighted by the no-op
+propensity of the pinned blocks, with the same solve and column loop.
 """
 
 from __future__ import annotations
@@ -516,6 +519,12 @@ def _check_codes(spec: FactoredMdpSpec, states: np.ndarray, blocks: np.ndarray) 
         raise DomainError("block actions out of range")
 
 
+def _check_block(spec: FactoredMdpSpec, k) -> int:
+    if not 0 <= k < spec.n_blocks:
+        raise DomainError(f"block {k} out of range [0, {spec.n_blocks})")
+    return int(k)
+
+
 def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
     """Next-state distributions of a batch of (state, block actions) pairs.
 
@@ -544,31 +553,22 @@ def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> 
     return out
 
 
-def interventional_transition(spec: FactoredMdpSpec, s: int, a) -> np.ndarray:
-    """Distribution over next joint states when every block intervenes.
-
-    Effect variables are pinned to their intervention-table values;
-    every other variable follows its no-op factor, conditioning on the
-    pinned effect values where it declares eff parents.
-    """
-    return transition_rows(spec, [s], spec.action_as_blocks(a))[0]
-
-
-def projected_transition(spec: FactoredMdpSpec, k: int, s: int, a_k: int) -> np.ndarray:
-    """Distribution over next states when only block k intervenes.
-
-    Block k's effect variables are pinned; the effect variables of every
-    other block follow their no-op factors; uncontrolled variables
-    condition on whatever effect values the candidate next state carries
-    (pinned for block k, no-op sampled for the rest).
-    """
-    if not 0 <= k < spec.n_blocks:
-        raise DomainError(f"block {k} out of range")
-    if not 0 <= a_k < spec.block_sizes[k]:
-        raise DomainError(f"projected action {a_k} out of range [0, {spec.block_sizes[k]})")
-    blocks = np.zeros(spec.n_blocks, dtype=np.int64)
-    blocks[k] = a_k
-    return transition_rows(spec, [s], blocks, intervening=(k,))[0]
+def _propensity(
+    spec: FactoredMdpSpec, k: int, states: np.ndarray, blocks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(consistent, rho), both (n, S), over the blocks i != k acting
+    with blocks[j] from states[j]: whether each next state carries every
+    such block's forced values, and the product of the no-op
+    probabilities of those values."""
+    consistent = np.ones((len(states), spec.n_states), dtype=bool)
+    rho = np.ones((len(states), spec.n_states))
+    for i in range(spec.n_blocks):
+        if i == k:
+            continue
+        consistent &= _pinned_mask(spec, i, states, blocks[:, i])
+        for v in spec.eff_map[i]:
+            rho *= _factor_probs(spec, v, states)
+    return consistent, rho
 
 
 def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> float:
@@ -579,34 +579,24 @@ def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> fl
     the projected transition by this propensity recovers the fully
     interventional transition on its support.
     """
-    blocks = spec.action_as_blocks(a)
-    next_vals = spec.state_values[s_next]
-    rho = 1.0
-    for i, a_i in enumerate(blocks):
-        if i == k:
-            continue
-        for v, val in zip(spec.eff_map[i], spec.sigma_values(i, a_i, s)):
-            if int(next_vals[v]) != val:
-                raise DomainError(
-                    f"next state {s_next} is inconsistent with block {i}'s intervention "
-                    f"(variable {v} is {int(next_vals[v])}, intervention forces {val})"
-                )
-            p = float(_factor_probs(spec, v, [s])[0, s_next])
-            if p <= 0.0:
-                raise NumericError(
-                    f"no-op factor for state variable {v} has zero probability at the "
-                    f"intervened value; reweighting is undefined without positivity"
-                )
-            rho *= p
-    return rho
+    k = _check_block(spec, k)
+    blocks = np.array([spec.action_as_blocks(a)])
+    _check_codes(spec, np.array([s, s_next]), blocks)
+    consistent, rho = _propensity(spec, k, np.array([s]), blocks)
+    if not consistent[0, s_next]:
+        raise DomainError(
+            f"next state {s_next} does not carry the values the other blocks' "
+            f"interventions force from state {s}"
+        )
+    if rho[0, s_next] <= 0.0:
+        raise NumericError(
+            "a no-op factor has zero probability at an intervened value; "
+            "reweighting is undefined without positivity"
+        )
+    return float(rho[0, s_next])
 
 
-def expected_reward(spec: FactoredMdpSpec, s: int, a) -> float:
-    """Mean one-step reward under the interventional transition."""
-    return float(interventional_transition(spec, s, a) @ spec.reward[s])
-
-
-# -- exact policy evaluation ------------------------------------------------
+# -- policy evaluation and Q tables -----------------------------------------
 
 
 def _terminal_mask(spec: FactoredMdpSpec) -> np.ndarray:
@@ -615,18 +605,12 @@ def _terminal_mask(spec: FactoredMdpSpec) -> np.ndarray:
     return mask
 
 
-def _check_rows(spec: FactoredMdpSpec, rows: np.ndarray) -> None:
-    if rows.shape != (spec.n_states, spec.n_states):
-        raise ShapeError(f"expected one transition row per state, got shape {rows.shape}")
-
-
-def evaluate(spec: FactoredMdpSpec, rows: np.ndarray) -> np.ndarray:
+def _solve(spec: FactoredMdpSpec, rows: np.ndarray) -> np.ndarray:
     """State values of the policy whose transition rows are `rows`.
 
     `rows[s]` is P(s' | s) under the policy.  One dense linear solve over
     the non-terminal states; terminal states keep value zero.
     """
-    _check_rows(spec, rows)
     free = ~_terminal_mask(spec)
     r = np.einsum("ij,ij->i", rows, spec.reward)[free]
     try:
@@ -640,21 +624,43 @@ def evaluate(spec: FactoredMdpSpec, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def backup(spec: FactoredMdpSpec, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_s' rows[s, s'] (reward[s, s'] + discount V(s')) per state s,
-    zero on terminal states."""
-    _check_rows(spec, rows)
-    q = np.einsum("ij,ij->i", rows, spec.reward + spec.discount * np.asarray(values))
+def _q_table(spec: FactoredMdpSpec, values, blocks, k: int | None, rows_of) -> QTable:
+    """One backup column per action: every joint action when k is None,
+    else each of block k's actions with the other blocks at `blocks`.
+    `rows_of` maps one column's block actions to its (S, S) rows."""
+    if k is None:
+        columns = spec.action_radix.table()
+    else:
+        columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
+        columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
+    # the (S, S) target is built per column, after the column's rows, so
+    # it never coexists with the kernel's (S, S) temporaries
+    values = np.asarray(values)
+    q = np.stack(
+        [np.einsum("ij,ij->i", rows_of(b), spec.reward + spec.discount * values) for b in columns], axis=1
+    )
     q[_terminal_mask(spec)] = 0.0
-    return q
+    return QTable(k, q)
 
 
-def joint_backups(spec: FactoredMdpSpec, values: np.ndarray) -> np.ndarray:
-    """(S, A) backups of every joint action from every state under
-    `values`, built from one action's rows at a time."""
+def evaluate(spec: FactoredMdpSpec, blocks) -> np.ndarray:
+    """State values of the deterministic policy that takes block actions
+    blocks[s] (an (S, n_blocks) array) in state s."""
+    return _solve(spec, transition_rows(spec, np.arange(spec.n_states), blocks))
+
+
+def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) -> QTable:
+    """Interventional backups sum_s' P(s' | s, a)(reward[s, s'] + discount V(s')),
+    zero on terminal states.
+
+    With k None the table covers every joint action.  Otherwise it covers
+    block k's actions, the other blocks taking their actions in the
+    (S, n_blocks) array `blocks`.
+    """
+    if k is not None:
+        k = _check_block(spec, k)
     states = np.arange(spec.n_states)
-    q = [backup(spec, transition_rows(spec, states, b), values) for b in spec.action_radix.table()]
-    return np.stack(q, axis=1)
+    return _q_table(spec, values, blocks, k, lambda b: transition_rows(spec, states, b))
 
 
 def _reweighted_rows(spec: FactoredMdpSpec, k: int, blocks: np.ndarray) -> np.ndarray:
@@ -666,14 +672,8 @@ def _reweighted_rows(spec: FactoredMdpSpec, k: int, blocks: np.ndarray) -> np.nd
     """
     states = np.arange(spec.n_states)
     rows = transition_rows(spec, states, blocks, intervening=(k,))
-    support = rows > 0
-    rho = np.ones_like(rows)
-    for i in range(spec.n_blocks):
-        if i == k:
-            continue
-        support &= _pinned_mask(spec, i, states, blocks[:, i])
-        for v in spec.eff_map[i]:
-            rho *= _factor_probs(spec, v, states)
+    consistent, rho = _propensity(spec, k, states, blocks)
+    support = (rows > 0) & consistent
     empty = ~support.any(axis=1) & ~_terminal_mask(spec)
     if empty.any():
         raise NumericError(
@@ -695,18 +695,9 @@ def exact_q(spec: FactoredMdpSpec, policy: FactoredPolicy, block: int | None = N
     the joint value function equals the reweighted projected one.
     """
     policy.check(spec)
-    states = np.arange(spec.n_states)
-    pinned = policy.blocks.T
+    blocks = policy.blocks.T
     if block is None:
-        return QTable(None, joint_backups(spec, evaluate(spec, transition_rows(spec, states, pinned))))
-
-    k = int(block)
-    if not 0 <= k < spec.n_blocks:
-        raise DomainError(f"block {k} out of range")
-    values = evaluate(spec, _reweighted_rows(spec, k, pinned))
-    q = np.empty((spec.n_states, spec.block_sizes[k]))
-    blocks = pinned.copy()
-    for a_k in range(spec.block_sizes[k]):
-        blocks[:, k] = a_k
-        q[:, a_k] = backup(spec, _reweighted_rows(spec, k, blocks), values)
-    return QTable(k, q)
+        return q_table(spec, evaluate(spec, blocks))
+    k = _check_block(spec, block)
+    rows_of = functools.partial(_reweighted_rows, spec, k)
+    return _q_table(spec, _solve(spec, rows_of(blocks)), blocks, k, rows_of)

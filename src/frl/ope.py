@@ -9,13 +9,23 @@ of the final weights as a reliability gate for model selection.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
 from .jsonio import read_jsonl
+
+
+def _codes(values, what: str) -> np.ndarray:
+    """`values` as int64 codes.  A float or bool code is a ValidationError:
+    int64 conversion would truncate 5.7 to 5 and read true as 1."""
+    arr = np.asarray(values)
+    if isinstance(values, (list, tuple)) or arr.dtype.kind not in "iu":
+        for x in np.asarray(values, dtype=object).ravel():
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValidationError(f"{what} {x!r} is not an integer code")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -36,12 +46,12 @@ class EpisodeLog:
     final_state: int | None = None
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.int64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.states = _codes(self.states, "state")
+        self.actions = _codes(self.actions, "action")
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.propensities = np.asarray(self.propensities, dtype=np.float64)
         if self.final_state is not None:
-            self.final_state = operator.index(self.final_state)
+            self.final_state = int(_codes([self.final_state], "final state")[0])
         n = len(self.states)
         if n == 0:
             raise DataError("episode has no steps")
@@ -124,7 +134,7 @@ def soften(policy: np.ndarray, epsilon: float, n_actions: int) -> np.ndarray:
         raise DomainError("softening needs at least two actions")
     if not 0 <= epsilon < 1:
         raise DomainError(f"epsilon must be in [0, 1), got {epsilon}")
-    policy = np.asarray(policy, dtype=np.int64)
+    policy = _codes(policy, "policy action")
     if policy.ndim != 1 or not len(policy):
         raise ShapeError("policy must be a non-empty 1-D per-state action table")
     if policy.min() < 0 or policy.max() >= n_actions:

@@ -6,11 +6,11 @@ one block (every other block pinned to the policy through its
 intervention table), and greedily improves that block.  The joint
 Howard-iteration oracle `joint_policy_iteration` solves the same MDP
 over the flat joint action space, so the two routes cross-check each
-other.  Both read whole batches of transition rows from
-`factored_mdp.transition_rows`, evaluate a policy by one dense linear
-solve (`factored_mdp.evaluate`), and keep a state's current action
-unless another beats it by more than float noise, so ties cannot make
-either planner cycle.
+other.  Both pass per-state block actions to `factored_mdp.evaluate`
+(a policy's state values) and `factored_mdp.q_table` (backups of the
+joint actions, or of one block's actions with the others pinned), and
+keep a state's current action unless another beats it by more than
+float noise, so ties cannot make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
@@ -43,9 +43,8 @@ from .factored_mdp import (
     SigmaTable,
     _check_codes,
     _terminal_mask,
-    backup,
     evaluate,
-    joint_backups,
+    q_table,
     transition_rows,
 )
 
@@ -99,22 +98,6 @@ class PolicyIterationTrace:
             )
         )
         return "\n".join(lines) + "\n"
-
-
-def _policy_values(spec, policy):
-    return evaluate(spec, transition_rows(spec, np.arange(spec.n_states), policy.blocks.T))
-
-
-def _block_q(spec, policy, values, k):
-    """Projected Q of block k: every other block pinned to the policy,
-    so each entry is one interventional backup of the composed action."""
-    states = np.arange(spec.n_states)
-    blocks = policy.blocks.T.copy()
-    q = np.empty((spec.n_states, spec.block_sizes[k]))
-    for a_k in range(spec.block_sizes[k]):
-        blocks[:, k] = a_k
-        q[:, a_k] = backup(spec, transition_rows(spec, states, blocks), values)
-    return QTable(k, q)
 
 
 def factored_policy_iteration(
@@ -173,15 +156,15 @@ def factored_policy_iteration(
     terminated = "budget"
     it = 0
     stable_blocks: set[int] = set()  # blocks rechecked since the last change
-    values = _policy_values(spec, policy)
+    values = evaluate(spec, policy.blocks.T)
     for sweep in range(max_sweeps):
         order = list(range(K)) if schedule is None else schedule.permutation(K).tolist()
         for k in order:
             if store_q:
-                q_tables = [_block_q(spec, policy, values, i) for i in range(K)]
+                q_tables = [q_table(spec, values, policy.blocks.T, i) for i in range(K)]
                 q = q_tables[k]
             else:
-                q_tables, q = None, _block_q(spec, policy, values, k)
+                q_tables, q = None, q_table(spec, values, policy.blocks.T, k)
             greedy = q.greedy(incumbent=policy.blocks[k])
             n_changed = int(np.sum(greedy != policy.blocks[k]))
             policy.blocks[k] = greedy
@@ -200,7 +183,7 @@ def factored_policy_iteration(
                 stable_blocks.add(k)
             else:
                 stable_blocks.clear()
-                values = _policy_values(spec, policy)
+                values = evaluate(spec, policy.blocks.T)
             if len(stable_blocks) == K:
                 terminated = "converged"
                 break
@@ -244,11 +227,10 @@ def joint_policy_iteration(
     policy = np.zeros(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64).copy()
     if policy.shape != (n,) or policy.min() < 0 or policy.max() >= A:
         raise DomainError("init policy must map every state to a joint action code")
-    states = np.arange(n)
     actions = spec.action_radix.table()  # (A, n_blocks): block actions of each joint code
     for it in range(max_iters):
-        values = evaluate(spec, transition_rows(spec, states, actions[policy]))
-        q = QTable(None, joint_backups(spec, values))
+        values = evaluate(spec, actions[policy])
+        q = q_table(spec, values)
         new_policy = q.greedy(incumbent=policy)
         new_policy[term] = 0
         if np.array_equal(new_policy, policy):

@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 
-from frl.factored_mdp import backup, joint_backups, transition_rows
+from frl.factored_mdp import q_table
 
 
 def _sigma_lookup(spec, k, a_k, svals):
@@ -117,17 +117,13 @@ def finite_horizon_values(spec, horizon, policy=None):
 
     With a policy the values are that policy's; without one they are
     optimal.  Terminal states stay at zero throughout.  Unlike the rest
-    of this file it composes the library's dense `backup` and
-    `joint_backups`, so checking it against enumeration checks those.
+    of this file it composes the library's `q_table` over joint actions,
+    so checking it against enumeration checks that.
     """
     v = np.zeros(spec.n_states)
-    if policy is not None:
-        rows = transition_rows(spec, np.arange(spec.n_states), policy.blocks.T)
-        for _ in range(horizon):
-            v = backup(spec, rows, v)
-        return v
     for _ in range(horizon):
-        v = joint_backups(spec, v).max(axis=1)
+        q = q_table(spec, v)
+        v = q.table.max(axis=1) if policy is None else q.values(policy.joint_codes(spec))
     return v
 
 

@@ -430,6 +430,18 @@ CASES = [
                  id="ope-episodes-state-out-of-range"),
     pytest.param("ope", "episodes", _lines({**EPISODE, "actions": [1, 9]}), [], "episode 0 step 1",
                  id="ope-episodes-action-out-of-range"),
+    # a non-integer code is rejected, not truncated or read as 0/1
+    pytest.param("ope", "episodes", _lines({**EPISODE, "states": [5.7, 1]}), [], None,
+                 id="ope-episodes-float-state"),
+    pytest.param("ope", "episodes", _lines({**EPISODE, "actions": [True, 0]}), [], None,
+                 id="ope-episodes-bool-action"),
+    pytest.param("ope", "episodes", _lines({**EPISODE, "final_state": True}), [], None,
+                 id="ope-episodes-bool-final-state"),
+    pytest.param("ope", "policy", json.dumps({"policy": [1.9] + [0] * 7}), [], None,
+                 id="ope-policy-float-action"),
+    pytest.param("ope", "policy", json.dumps([True] + [0] * 7), [], None, id="ope-policy-bool-action"),
+    pytest.param("report", "metrics", _lines({"episode": 0, "return": True}), [], None,
+                 id="report-metrics-bool-value"),
     pytest.param("train-online", None, None, ["--set", "episodes=abc"], "episodes", id="set-episodes"),
     pytest.param("train-online", None, None, ["--set", "hidden=abc"], "hidden", id="set-hidden"),
     pytest.param("train-offline", None, None, ["--set", "train_steps=abc"], "train_steps",

@@ -1,7 +1,8 @@
 """Randomized differential tests of the fast paths against oracles.
 
 The batched transition kernel is checked row by row against the
-enumeration oracles, model learning and its coverage check against
+enumeration oracles, `exact_q` on both of its routes (and `q_table`)
+against the dense-solve oracle, model learning and its coverage check against
 their one-row-at-a-time references, and both planners are run to
 termination on every grid spec of generated specs: joint policy
 iteration must converge, and block-coordinate policy iteration must
@@ -21,7 +22,7 @@ from frl.approx import Mlp, Optimizer
 from frl.envs import SyntheticSpec, generate_offline_dataset, generate_synthetic, monotonic_suite, treatment_spec
 from frl.envs.synthetic import REWARD_KINDS
 from frl.errors import DomainError, NumericError, ShapeError
-from frl.factored_mdp import FactoredPolicy, transition_rows
+from frl.factored_mdp import FactoredPolicy, exact_q, q_table, transition_rows
 from frl.tabular import check_model_coverage, factored_policy_iteration, joint_policy_iteration, learn_model
 
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     enumerate_projected,
     layer_views,
     learn_model_reference,
+    solve_q_dense,
 )
 
 GRID = [
@@ -75,6 +77,24 @@ def test_transition_rows_match_enumeration_oracles(structure, kind, seed):
         ref = np.stack([enumerate_projected(spec, k, int(s), int(b[k])) for s, b in zip(states, blocks)])
         np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("structure, kind, seed", GRID)
+def test_exact_q_matches_the_dense_oracle_on_both_routes(structure, kind, seed):
+    spec = grid_spec(structure, kind, seed)
+    policy = FactoredPolicy.random(spec, np.random.default_rng(seed))
+    q_ref, v_ref = solve_q_dense(spec, policy)
+    np.testing.assert_allclose(exact_q(spec, policy, None).table, q_ref, rtol=0, atol=1e-8)
+    blocks = policy.blocks.T
+    states = np.arange(spec.n_states)[:, None]
+    for k, size in enumerate(spec.block_sizes):
+        q_proj = exact_q(spec, policy, k).table
+        # the joint Q of the policy's action with block k's replaced
+        replaced = np.repeat(blocks[:, None], size, axis=1)
+        replaced[:, :, k] = np.arange(size)
+        codes = spec.action_radix.encode_many(replaced.reshape(-1, spec.n_blocks)).reshape(-1, size)
+        np.testing.assert_allclose(q_proj, q_ref[states, codes], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(q_proj, q_table(spec, v_ref, blocks, k).table, rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("structure, kind, seed", GRID)

@@ -18,10 +18,8 @@ from frl.factored_mdp import (
     QTable,
     SigmaTable,
     exact_q,
-    expected_reward,
-    interventional_transition,
     noop_propensity,
-    projected_transition,
+    transition_rows,
 )
 
 from oracles import enumerate_interventional, enumerate_projected, solve_q_dense
@@ -53,7 +51,7 @@ def random_specs(n, seed=0, max_vars=6, max_blocks=3):
 
 def test_two_switch_interventional_frozen():
     spec = two_switch_spec()
-    p = interventional_transition(spec, 0, (1, 0))
+    p = transition_rows(spec, [0], (1, 0))[0]
     expect = np.zeros(8)
     expect[spec.state_radix.encode((1, 0, 0))] = 0.7
     expect[spec.state_radix.encode((1, 0, 1))] = 0.3
@@ -62,7 +60,7 @@ def test_two_switch_interventional_frozen():
 
 def test_two_switch_projected_frozen():
     spec = two_switch_spec()
-    p = projected_transition(spec, 0, 0, 1)
+    p = transition_rows(spec, [0], (1, 0), intervening=(0,))[0]
     expect = np.zeros(8)
     expect[spec.state_radix.encode((1, 0, 0))] = 0.63
     expect[spec.state_radix.encode((1, 0, 1))] = 0.27
@@ -85,8 +83,8 @@ def test_single_block_propensity_is_one():
 
 def test_expected_reward_forced_pair():
     spec = two_switch_spec(reward="and")
-    assert expected_reward(spec, 0, (1, 1)) == pytest.approx(1.0, abs=1e-15)
-    assert expected_reward(spec, 0, (1, 0)) == pytest.approx(0.0, abs=1e-15)
+    assert transition_rows(spec, [0], (1, 1))[0] @ spec.reward[0] == pytest.approx(1.0, abs=1e-15)
+    assert transition_rows(spec, [0], (1, 0))[0] @ spec.reward[0] == pytest.approx(0.0, abs=1e-15)
 
 
 # -- oracle cross-checks ------------------------------------------------------
@@ -98,12 +96,12 @@ def test_transitions_match_enumeration_oracle():
         for _ in range(4):
             s = int(rng.integers(spec.n_states))
             blocks = tuple(int(rng.integers(n)) for n in spec.block_sizes)
-            lib = interventional_transition(spec, s, blocks)
+            lib = transition_rows(spec, [s], blocks)[0]
             ref = enumerate_interventional(spec, s, blocks)
             assert np.allclose(lib, ref, atol=1e-14)
             assert lib.sum() == pytest.approx(1.0, abs=1e-12)
             k = int(rng.integers(spec.n_blocks))
-            libp = projected_transition(spec, k, s, blocks[k])
+            libp = transition_rows(spec, [s], blocks, intervening=(k,))[0]
             refp = enumerate_projected(spec, k, s, blocks[k])
             assert np.allclose(libp, refp, atol=1e-14)
             assert libp.sum() == pytest.approx(1.0, abs=1e-12)
@@ -117,9 +115,9 @@ def test_reweighting_identity():
         for _ in range(4):
             s = int(rng.integers(spec.n_states))
             blocks = tuple(int(rng.integers(n)) for n in spec.block_sizes)
-            joint = interventional_transition(spec, s, blocks)
+            joint = transition_rows(spec, [s], blocks)[0]
             for k in range(spec.n_blocks):
-                proj = projected_transition(spec, k, s, blocks[k])
+                proj = transition_rows(spec, [s], blocks, intervening=(k,))[0]
                 for s_next in np.flatnonzero(joint > 0):
                     rho = noop_propensity(spec, k, s, int(s_next), blocks)
                     assert joint[s_next] == pytest.approx(proj[s_next] / rho, abs=1e-12)
@@ -132,6 +130,18 @@ def test_propensity_rejects_inconsistent_next_state():
         noop_propensity(spec, 0, 0, s_next, (1, 1))
 
 
+@pytest.mark.parametrize("k, s, s_next, named", [
+    (0, 0, -1, "state codes"),  # -1 would wrap to the last state
+    (0, 0, 8, "state codes"),
+    (0, -1, 6, "state codes"),
+    (5, 0, 6, "block 5"),
+    (-1, 0, 6, "block -1"),
+])
+def test_propensity_rejects_out_of_range_codes(k, s, s_next, named):
+    with pytest.raises(DomainError, match=named):
+        noop_propensity(two_switch_spec(), k, s, s_next, (1, 1))
+
+
 def test_undefined_sigma_entry_raises():
     spec = two_switch_spec()
     table = np.array([[0], [-1]])
@@ -139,7 +149,7 @@ def test_undefined_sigma_entry_raises():
         spec, sigma=(SigmaTable(0, table), spec.sigma[1]), validate=False
     )
     with pytest.raises(ConfigurationError):
-        interventional_transition(broken, 0, (1, 0))
+        transition_rows(broken, [0], (1, 0))
     with pytest.raises(ValidationError):
         broken.check()
 
@@ -269,8 +279,8 @@ def test_json_round_trip_and_determinism():
         assert back.to_json() == a.to_json()
         s, blocks = 1, tuple(0 for _ in a.block_sizes)
         assert np.allclose(
-            interventional_transition(a, s, blocks),
-            interventional_transition(back, s, blocks),
+            transition_rows(a, [s], blocks),
+            transition_rows(back, [s], blocks),
         )
 
 

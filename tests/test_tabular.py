@@ -20,6 +20,7 @@ from frl import (
     NoopFactor,
     ShapeError,
     SigmaTable,
+    transition_rows,
 )
 from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, two_switch_spec, xor_trap_spec
 from frl.tabular import (
@@ -260,8 +261,6 @@ def test_fully_separable_values_concatenate():
 def _generative_samples(spec, n, seed):
     """Uniform (state, block, projected action) samples from the projected
     transition, as `learn_model` arguments tagged with the intervening block."""
-    from frl import projected_transition
-
     rng = np.random.default_rng(seed)
     rows = {}
     states, next_states, tags = (np.zeros(n, dtype=np.int64) for _ in range(3))
@@ -271,9 +270,9 @@ def _generative_samples(spec, n, seed):
         k = int(rng.integers(spec.n_blocks))
         a_k = int(rng.integers(spec.block_sizes[k]))
         key = (k, s, a_k)
-        if key not in rows:
-            rows[key] = projected_transition(spec, k, s, a_k)
         states[i], actions[i, k], tags[i] = s, a_k, k
+        if key not in rows:
+            rows[key] = transition_rows(spec, [s], actions[i], intervening=(k,))[0]
         next_states[i] = rng.choice(spec.n_states, p=rows[key])
     return dict(
         states=states, actions=actions, rewards=spec.reward[states, next_states],

@@ -12,9 +12,9 @@ The reward model is a small ReLU network over (s, s', block indices).
 For tabular tasks `TabularModelSampler` exposes the same two-method
 surface (sample_projected_next / predict) backed by an estimated spec,
 so `augment_batch` is agnostic about which one it is driving.  The
-sampler reads and returns state codes, not feature rows, and draws a
-whole batch of successors in one vectorized pass.  `augment_batch`
-takes and returns a replay `Batch`.
+sampler reads and returns state codes and draws a batch of successors
+from the spec's factors (`factored_mdp.sample_successors`), with no
+dense row.  `augment_batch` takes and returns a replay `Batch`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
-from ..factored_mdp import FactoredMdpSpec, _terminal_mask, transition_rows
+from ..factored_mdp import FactoredMdpSpec, _terminal_mask, sample_successors
 from .replay import Batch
 
 
@@ -162,52 +162,18 @@ class RewardModel:
         return out[:, 0]
 
 
-def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index drawn from each row's distribution, in one pass.
-
-    Each row takes one uniform from `rng` and its index is the number
-    of entries of the row's normalised CDF at or below it, which is how
-    rng.choice(len(row), p=row) draws; the draws and the generator's
-    state afterwards equal those of one such call per row.  Raises
-    ValueError where choice would: a NaN, a negative entry, or a row
-    sum off 1 by more than sqrt(eps).
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    totals = rows.sum(axis=1)
-    if np.isnan(totals).any():
-        raise ValueError("probabilities contain NaN")
-    if (rows < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if (np.abs(totals - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
-        raise ValueError("probabilities do not sum to 1")
-    cdf = np.cumsum(rows, axis=1)
-    cdf /= cdf[:, -1:]
-    u = rng.random(len(rows))
-    return (cdf <= u[:, None]).sum(axis=1)
-
-
 class TabularModelSampler:
     """Exact-sampling stand-in for the neural models on tabular tasks.
 
     States are codes of an estimated spec and rewards come from the
-    spec's (s, s') table.  Two successor modes:
-
-    * "padded" pins every other block to its no-op action index, the
-      only conditional a model fitted from fully-intervened logs can
-      support;
-    * "projected" lets everything outside the forced block follow the
-      spec's no-op dynamics, which needs a spec whose no-op factors are
-      all known (e.g. the exact one).
+    spec's (s, s') table.  A successor under do(a_k) pins every other
+    block to its no-op action index, the only conditional a model
+    fitted from fully-intervened logs can support.
     """
 
-    def __init__(self, spec: FactoredMdpSpec, noop_actions=None, mode: str = "padded"):
-        if mode not in ("padded", "projected"):
-            raise ConfigurationError(f"unknown sampler mode {mode!r}")
+    def __init__(self, spec: FactoredMdpSpec, noop_actions=None):
         self.spec = spec
-        self.mode = mode
-        self.noop_actions = tuple(
-            int(a) for a in (noop_actions if noop_actions is not None else [0] * spec.n_blocks)
-        )
+        self.noop_actions = (0,) * spec.n_blocks if noop_actions is None else tuple(int(a) for a in noop_actions)
         self.terminal = _terminal_mask(spec)
 
     def _codes(self, states) -> np.ndarray:
@@ -227,8 +193,7 @@ class TabularModelSampler:
         noop = noop_actions if noop_actions is not None else self.noop_actions
         blocks = np.tile(np.asarray(noop, dtype=np.int64), (len(codes), 1))
         blocks[:, k] = actions_k
-        rows = transition_rows(self.spec, codes, blocks, (k,) if self.mode == "projected" else None)
-        return sample_rows(rows, rng)
+        return sample_successors(self.spec, codes, blocks, rng)
 
     def predict(self, states, actions, next_states) -> np.ndarray:
         return self.spec.reward[self._codes(states), self._codes(next_states)]

@@ -236,22 +236,14 @@ def _cmd_sample_complexity(args) -> int:
     config = {"subcommand": "sample-complexity", "spec": args.spec, "sizes": sizes,
               "trials": args.trials, "delta": args.delta, "seed": args.seed}
     with _run_dir(_out_path(args.out), config) as run:
-        rows = sample_complexity_experiment(
-            spec, sizes, args.trials, args.delta, args.seed, keep_trials=True
-        )
-        lines = []
-        for row in rows:
-            for t, (de, se) in enumerate(zip(row["dyn_errors"], row["sigma_errors"])):
-                lines.append({"n": row["n"], "trial": t, "dyn_err": de, "sigma_err": se})
-        _write_jsonl(run / "metrics.jsonl", lines)
-        _write_csv(
-            run / "summary.csv",
-            ["n", "trials", "delta", "dyn_err_median", "dyn_err_hi",
-             "sigma_err_median", "sigma_err_hi", "bound_eps_p", "bound_eps_sigma"],
-            [[r["n"], r["trials"], r["delta"], r["dyn_err_median"], r["dyn_err_hi"],
-              r["sigma_err_median"], r["sigma_err_hi"], r["bound_eps_p"], r["bound_eps_sigma"]]
-             for r in rows],
-        )
+        rows = sample_complexity_experiment(spec, sizes, args.trials, args.delta, args.seed)
+        _write_jsonl(run / "metrics.jsonl", (
+            {"n": r["n"], "trial": t, "dyn_err": de, "sigma_err": se}
+            for r in rows for t, (de, se) in enumerate(zip(r["dyn_errors"], r["sigma_errors"]))
+        ))
+        header = ["n", "trials", "delta", "dyn_err_median", "dyn_err_hi",
+                  "sigma_err_median", "sigma_err_hi", "bound_eps_p", "bound_eps_sigma"]
+        _write_csv(run / "summary.csv", header, [[r[h] for h in header] for r in rows])
         print(f"{len(sizes)} sample sizes x {args.trials} trials; artifacts in {run}")
     return 0
 
@@ -460,15 +452,20 @@ def _run_preset(doc, default: str) -> str:
 
 def _metrics_point(doc: dict, preset: str, key: str):
     """(axis, label, x, value) of one metrics line, None if it lacks `key`;
-    x is None on a per-episode line that does not number its episode."""
+    x is None on a per-episode line that does not number its episode.  A
+    float or bool x is rejected: it would merge into another x's group."""
     value = doc.get(key)
     if value is None:
         return None
     if isinstance(value, bool):
         raise ValidationError(f"{key} value {value} is not a number")
-    if "tau" in doc:
-        return "step", f"{preset} tau={doc['tau']}", int(doc["step"]), float(value)
-    return "episode", preset, int(doc["episode"]) if "episode" in doc else None, float(value)
+    axis, label = ("step", f"{preset} tau={doc['tau']}") if "tau" in doc else ("episode", preset)
+    if axis == "episode" and "episode" not in doc:
+        return axis, label, None, float(value)
+    x = doc[axis]
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError(f"{axis} {json.dumps(x)} is not an integer")
+    return axis, label, x, float(value)
 
 
 def _cmd_report(args) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import DomainError, ValidationError
 from ..factored_mdp import FactoredMdpSpec, transition_rows
 from ..ope import EpisodeLog
 
@@ -28,6 +28,8 @@ def generate_offline_dataset(
     Rewards are whatever the spec assigns, so terminal-transition specs
     give the +/-100-on-absorption convention used by the offline tasks.
     """
+    if episodes < 1 or horizon < 1:
+        raise DomainError(f"need at least 1 episode and a horizon of at least 1; got {episodes=}, {horizon=}")
     behavior = np.asarray(behavior, dtype=np.float64)
     if behavior.shape != (spec.n_states, spec.n_actions):
         raise ValidationError(

@@ -17,11 +17,13 @@ Joint states and joint actions are dense mixed-radix codes (see
 `transition_rows` is the one transition kernel: it builds a batch of
 dense next-state rows for any mix of states, block actions and
 intervening blocks, gathering through index arrays the spec builds on
-first use.  Planners pass per-state block actions, never rows:
-`evaluate` gives a policy's state values (one dense linear solve) and
-`q_table` the backups of every joint action, or of one block's actions
-with the other blocks pinned.  `exact_q` computes a block's table the
-other way, through the projected transition reweighted by the no-op
+first use.  `sample_successors` draws one next state per such query
+from the factors, one `sample_rows` draw per variable, with no row.
+Planners pass per-state block actions, never rows: `evaluate` gives a
+policy's state values (one dense linear solve) and `q_table` the
+backups of every joint action, or of one block's actions with the
+other blocks pinned.  `exact_q` computes a block's table the other
+way, through the projected transition reweighted by the no-op
 propensity of the pinned blocks, with the same solve and column loop.
 """
 
@@ -525,6 +527,23 @@ def _check_block(spec: FactoredMdpSpec, k) -> int:
     return int(k)
 
 
+def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
+    """Checked (states, (n, n_blocks) blocks, pinned blocks, drawn variables):
+    the effect variables of blocks that do not intervene, then the
+    uncontrolled ones, so eff parents come before their readers."""
+    states = np.asarray(states, dtype=np.int64)
+    try:
+        blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), (len(states), spec.n_blocks))
+    except ValueError as e:
+        raise ShapeError(f"block actions do not fit {len(states)} states x {spec.n_blocks} blocks") from e
+    _check_codes(spec, states, blocks)
+    pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
+    if any(not 0 <= k < spec.n_blocks for k in pinned):
+        raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")
+    free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k]]
+    return states, blocks, pinned, free + list(spec.uncontrolled_vars)
+
+
 def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
     """Next-state distributions of a batch of (state, block actions) pairs.
 
@@ -535,22 +554,57 @@ def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> 
     follows its no-op factor, conditioning on the candidate next state
     for its eff parents.
     """
-    states = np.asarray(states, dtype=np.int64)
-    try:
-        blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), (len(states), spec.n_blocks))
-    except ValueError as e:
-        raise ShapeError(f"block actions do not fit {len(states)} states x {spec.n_blocks} blocks") from e
-    _check_codes(spec, states, blocks)
-    pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
-    if any(not 0 <= k < spec.n_blocks for k in pinned):
-        raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")
+    states, blocks, pinned, drawn = _successor_args(spec, states, blocks, intervening)
     out = np.ones((len(states), spec.n_states))
     for k in pinned:
         out *= _pinned_mask(spec, k, states, blocks[:, k])
-    free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k]]
-    for m in free + list(spec.uncontrolled_vars):
+    for m in drawn:
         out *= _factor_probs(spec, m, states)
     return out
+
+
+def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index drawn from each row's distribution, in one pass: the
+    number of entries of the row's normalised CDF at or below one uniform
+    from `rng`.  That is how rng.choice(len(row), p=row) draws, so the
+    draws and the generator's state equal one such call per row.  Raises
+    ValueError where choice would: a NaN, a negative entry, or a row sum
+    off 1 by more than sqrt(eps).
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    totals = rows.sum(axis=1)
+    if np.isnan(totals).any():
+        raise ValueError("probabilities contain NaN")
+    if (rows < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    if (np.abs(totals - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = np.cumsum(rows, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(rows))
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def sample_successors(spec: FactoredMdpSpec, states, blocks, rng: np.random.Generator, intervening=None) -> np.ndarray:
+    """One next-state code per row of a `transition_rows` query, drawn by
+    ancestral sampling (Koller & Friedman 2009, section 12.1): pinned
+    effect variables take their forced values, then each drawn variable
+    takes one `sample_rows` draw from its no-op row read at the partial
+    code, which already holds its eff parents.  With one drawn variable
+    the draws and the generator's state equal `sample_rows` on the dense
+    rows: the same uniform lands on the same code.
+    """
+    states, blocks, pinned, drawn = _successor_args(spec, states, blocks, intervening)
+    strides = spec.state_radix.strides
+    codes = np.zeros(len(states), dtype=np.int64)
+    for k in pinned:
+        forced = _forced_codes(spec, k, states, blocks[:, k])
+        codes += spec.eff_radix[k].table()[forced] @ np.take(strides, spec.eff_map[k])
+    for m in drawn:
+        state_rows, rows, _ = spec._index.factors[m]
+        table = spec.noop_dynamics[m].table[rows[state_rows[states], codes]]
+        codes += sample_rows(table, rng) * strides[m]
+    return codes
 
 
 def _propensity(

@@ -17,7 +17,8 @@ factors and rewards (empirical frequencies/means) from arrays of logged
 transitions; it and `check_model_coverage` read table rows from the
 kernel's own index (`FactoredMdpSpec._index`), the one row coding.
 `sample_complexity_experiment` measures how the sup-norm estimation
-error shrinks with sample size against closed-form bounds.
+error shrinks with sample size against closed-form bounds, drawing
+its samples with `factored_mdp.sample_successors`.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .factored_mdp import (
     _terminal_mask,
     evaluate,
     q_table,
+    sample_successors,
     transition_rows,
 )
 
@@ -477,43 +479,25 @@ def error_bounds_at(spec: FactoredMdpSpec, n: int, delta: float) -> dict:
     return {"eps_p": eps_p, "eps_sigma": eps_sigma}
 
 
-def _projected_rows(spec: FactoredMdpSpec) -> list[np.ndarray]:
-    """Per block k, the (n_states, |A_k|, n_states) projected rows."""
-    out = []
-    for k, size in enumerate(spec.block_sizes):
-        blocks = np.zeros((spec.n_states * size, spec.n_blocks), dtype=np.int64)
-        blocks[:, k] = np.tile(np.arange(size), spec.n_states)
-        states = np.repeat(np.arange(spec.n_states), size)
-        out.append(transition_rows(spec, states, blocks, intervening=(k,)).reshape(spec.n_states, size, -1))
-    return out
-
-
-def _one_trial(spec: FactoredMdpSpec, rows: list[np.ndarray], n: int, seed: int) -> tuple[float, float]:
+def _one_trial(spec: FactoredMdpSpec, n: int, seed: int) -> tuple[float, float]:
     """Draw n generative samples under the uniform behavior and return
     (dynamics sup-norm error, intervention-table error)."""
     rng = np.random.default_rng(seed)
     states = rng.integers(0, spec.n_states, size=n)
     ks = rng.integers(0, spec.n_blocks, size=n)
     actions = np.zeros((n, spec.n_blocks), dtype=np.int64)
+    actions[np.arange(n), ks] = rng.integers(0, np.asarray(spec.block_sizes)[ks])
     next_states = np.empty(n, dtype=np.int64)
-    for i, (s, k) in enumerate(zip(states.tolist(), ks.tolist())):
-        a_k = int(rng.integers(0, spec.block_sizes[k]))
-        actions[i, k] = a_k
-        next_states[i] = rng.choice(spec.n_states, p=rows[k][s, a_k])
+    for k in range(spec.n_blocks):
+        sel = ks == k
+        next_states[sel] = sample_successors(spec, states[sel], actions[sel], rng, intervening=(k,))
     model = learn_model(spec, states, actions, spec.reward[states, next_states], next_states, block_tags=ks)
-    dyn_err = 0.0
-    for m in range(spec.n_vars):
-        est = model.noop_tables[m]
-        visited = model.noop_counts[m].sum(axis=1) > 0
-        true = spec.noop_dynamics[m].table
-        err_rows = np.abs(est - true).max(axis=1)
-        err_rows[~visited] = 1.0  # unvisited rows count as maximally wrong
-        dyn_err = max(dyn_err, float(err_rows.max()))
-    sig_err = 0.0
-    for k, hat in enumerate(model.sigma_hat):
-        mismatch = (hat != spec.sigma[k].table) | (hat < 0)
-        if mismatch.any():
-            sig_err = 1.0
+    # unvisited rows count as maximally wrong
+    dyn_err = max(
+        float(np.where(counts.sum(axis=1) > 0, np.abs(est - fac.table).max(axis=1), 1.0).max())
+        for counts, est, fac in zip(model.noop_counts, model.noop_tables, spec.noop_dynamics)
+    )
+    sig_err = float(any(((hat != sig.table) | (hat < 0)).any() for hat, sig in zip(model.sigma_hat, spec.sigma)))
     return dyn_err, sig_err
 
 
@@ -523,8 +507,6 @@ def sample_complexity_experiment(
     trials: int,
     delta: float,
     seed: int,
-    *,
-    keep_trials: bool = False,
 ) -> list[dict]:
     """Empirical sup-norm estimation error versus the closed-form bounds.
 
@@ -532,19 +514,21 @@ def sample_complexity_experiment(
     (state, block, projected action all uniform), each fitted with
     `learn_model`; reports the median and (1-delta) quantile of the
     max-over-cells dynamics error and of the intervention-table error,
-    next to the bound-implied errors at that N.  With `keep_trials`
-    each row also carries the raw per-trial errors for logging.
+    next to the bound-implied errors at that N, and the raw per-trial
+    errors.  Each block's samples are one `sample_successors` draw.
     """
+    if any(n < 1 for n in sample_sizes) or trials < 1 or not 0 < delta < 1:
+        raise DomainError(f"need sample sizes and trials of at least 1 and delta in (0, 1); got sizes "
+                          f"{list(sample_sizes)}, trials {trials}, delta {delta}")
     results = []
-    rows = _projected_rows(spec)
     ss = np.random.SeedSequence(seed)
     for n in sample_sizes:
         trial_seeds = [int(s.generate_state(1)[0]) for s in ss.spawn(trials)]
-        errs = [_one_trial(spec, rows, n, ts) for ts in trial_seeds]
+        errs = [_one_trial(spec, n, ts) for ts in trial_seeds]
         dyn = np.array([e[0] for e in errs])
         sig = np.array([e[1] for e in errs])
         bounds = error_bounds_at(spec, n, delta)
-        row = {
+        results.append({
             "n": int(n),
             "dyn_err_median": float(np.quantile(dyn, 0.5)),
             "dyn_err_hi": float(np.quantile(dyn, 1.0 - delta)),
@@ -554,9 +538,7 @@ def sample_complexity_experiment(
             "bound_eps_sigma": bounds["eps_sigma"],
             "trials": trials,
             "delta": delta,
-        }
-        if keep_trials:
-            row["dyn_errors"] = dyn.tolist()
-            row["sigma_errors"] = sig.tolist()
-        results.append(row)
+            "dyn_errors": dyn.tolist(),
+            "sigma_errors": sig.tolist(),
+        })
     return results

@@ -1,10 +1,11 @@
 """Replay, model-augmentation, and learner tests.
 
-The augmentation distribution is checked against the exact projected
-transition; the single-block online learner is checked step for step
-against an independently written flat DQN driven by the same random
-streams; the batch-constrained learner's action filter is checked for
-monotonicity and for refusing actions the dataset never shows.
+The augmentation distribution is checked against the exact transition
+with block k forced and the other blocks at their no-op actions; the
+single-block online learner is checked step for step against an
+independently written flat DQN driven by the same random streams; the
+batch-constrained learner's action filter is checked for monotonicity
+and for refusing actions the dataset never shows.
 """
 
 import copy
@@ -212,7 +213,7 @@ def test_dynamics_model_fits_point_mass_physics():
 
 def test_augmentation_matches_projected_transition_distribution():
     spec = two_switch_spec(reward="weighted")
-    sampler = TabularModelSampler(spec, noop_actions=(0, 0), mode="projected")
+    sampler = TabularModelSampler(spec, noop_actions=(0, 0))
     s, n = 2, 10_000
     base = Batch(np.full(n, s), np.tile([1, 1], (n, 1)), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n))
     rng = np.random.default_rng(11)
@@ -223,7 +224,8 @@ def test_augmentation_matches_projected_transition_distribution():
     assert out.actions.dtype == np.int64 and (out.actions == [1, 0]).all()
     codes = out.next_states
     counts = np.bincount(codes, minlength=spec.n_states)
-    tv = 0.5 * np.abs(counts / n - transition_rows(spec, [s], (1, 0), intervening=(0,))[0]).sum()
+    # padded: block 1 intervenes with its no-op action, so only the noise bit is drawn
+    tv = 0.5 * np.abs(counts / n - transition_rows(spec, [s], (1, 0))[0]).sum()
     assert tv <= 0.02
     # rewards come from the model's table at the synthesized successor
     np.testing.assert_array_equal(out.rewards, spec.reward[s, codes])

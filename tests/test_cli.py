@@ -396,6 +396,7 @@ COMMANDS = {
     "select": ["select", "--candidates", "{candidates}", "--ess-cutoff", "1"],
     "report": ["report", "--runs", "{run}"],
     "train-online": ["train-online", "--preset", "AD-DQN-2n", "--out", "out"],
+    "gen": ["gen", "--task", "two-switch", "--out", "out"],
 }
 
 ROWS = [("validate", "spec"), ("mbfpi", "spec"), ("sample-complexity", "spec"),
@@ -425,6 +426,15 @@ CASES = [
                  id="report-metrics-episode"),
     pytest.param("report", "metrics", _lines({"tau": 0.1, "return": 1.0}), [], "lacks step",
                  id="report-metrics-no-step"),
+    # a float or bool episode or step would merge into another one's group
+    pytest.param("report", "metrics", _lines({"episode": 2.5, "return": 1.0}), [], "episode 2.5",
+                 id="report-metrics-float-episode"),
+    pytest.param("report", "metrics", _lines({"episode": True, "return": 1.0}), [], "episode true",
+                 id="report-metrics-bool-episode"),
+    pytest.param("report", "metrics", _lines({"tau": 0.1, "step": 2.5, "return": 1.0}), [], "step 2.5",
+                 id="report-metrics-float-step"),
+    pytest.param("report", "metrics", _lines({"tau": 0.1, "step": True, "return": 1.0}), [], "step true",
+                 id="report-metrics-bool-step"),
     # codes outside the policy table: a state of -1 would read its last row
     pytest.param("ope", "episodes", _lines({**EPISODE, "states": [-1, 1]}), [], "episode 0 step 0",
                  id="ope-episodes-state-out-of-range"),
@@ -447,6 +457,13 @@ CASES = [
     pytest.param("train-offline", None, None, ["--set", "train_steps=abc"], "train_steps",
                  id="set-train-steps"),
     pytest.param("train-online", None, None, ["--seeds", ","], "int list", id="seeds-empty"),
+    # numbers outside an option's domain
+    pytest.param("sample-complexity", None, None, ["--sizes", "0"], "sizes [0]", id="sizes-zero"),
+    pytest.param("sample-complexity", None, None, ["--sizes", "-5"], "sizes [-5]", id="sizes-negative"),
+    pytest.param("sample-complexity", None, None, ["--trials", "0"], "trials 0", id="trials-zero"),
+    pytest.param("sample-complexity", None, None, ["--delta", "1.5"], "delta 1.5", id="delta-above-one"),
+    pytest.param("gen", None, None, ["--episodes", "1", "--horizon", "0"], "horizon=0", id="gen-horizon-zero"),
+    pytest.param("gen", None, None, ["--episodes", "-3"], "episodes=-3", id="gen-episodes-negative"),
 ]
 
 

@@ -8,21 +8,40 @@ termination on every grid spec of generated specs: joint policy
 iteration must converge, and block-coordinate policy iteration must
 converge to values no better than the joint optimum (equal to it on
 the monotonic suite, whose rewards certify that coordinate ascent
-reaches the optimum).  The vectorized successor draw is checked against
-one `rng.choice` per row, and the flat in-place Adam against a
-per-array Adam, bit for bit.
+reaches the optimum).  The vectorized row draw is checked against one
+`rng.choice` per row, and the flat in-place Adam against a per-array
+Adam, bit for bit.  The factored successor draw lands only on successors
+the kernel's rows give positive probability, matches a row's law in
+frequency, and equals the dense-row draw bit for bit where one variable
+is drawn.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from frl.agents.bcq import episodes_to_transitions
-from frl.agents.models import sample_rows
 from frl.approx import Mlp, Optimizer
-from frl.envs import SyntheticSpec, generate_offline_dataset, generate_synthetic, monotonic_suite, treatment_spec
+from frl.envs import (
+    SyntheticSpec,
+    generate_offline_dataset,
+    generate_synthetic,
+    monotonic_suite,
+    treatment_spec,
+    two_switch_spec,
+)
 from frl.envs.synthetic import REWARD_KINDS
-from frl.errors import DomainError, NumericError, ShapeError
-from frl.factored_mdp import FactoredPolicy, exact_q, q_table, transition_rows
+from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
+from frl.factored_mdp import (
+    FactoredPolicy,
+    SigmaTable,
+    exact_q,
+    q_table,
+    sample_rows,
+    sample_successors,
+    transition_rows,
+)
 from frl.tabular import check_model_coverage, factored_policy_iteration, joint_policy_iteration, learn_model
 
 from oracles import (
@@ -117,13 +136,25 @@ def test_xor_tie_sweep_terminates(seed):
 
 
 def test_transition_rows_reject_bad_codes():
+    # the factored draw checks its arguments the same way
     spec = grid_spec("separable_effects", "additive_monotonic", 0)
-    with pytest.raises(DomainError):
-        transition_rows(spec, [spec.n_states], [0] * spec.n_blocks)
-    with pytest.raises(DomainError):
-        transition_rows(spec, [0], [0] * (spec.n_blocks - 1) + [-1])
-    with pytest.raises(ShapeError):
-        transition_rows(spec, [0, 1], np.zeros((3, spec.n_blocks), dtype=np.int64))
+    nb = spec.n_blocks
+    base = two_switch_spec()
+    broken = dataclasses.replace(base, sigma=(SigmaTable(0, [[0], [-1]]), base.sigma[1]), validate=False)
+    cases = [
+        (spec, [spec.n_states], [0] * nb, None, DomainError),
+        (spec, [-1], [0] * nb, None, DomainError),
+        (spec, [0], [0] * (nb - 1) + [-1], None, DomainError),
+        (spec, [0], [0] * (nb - 1) + [spec.block_sizes[-1]], (nb - 1,), DomainError),
+        (spec, [0], [0] * nb, (nb,), DomainError),
+        (spec, [0, 1], np.zeros((3, nb), dtype=np.int64), None, ShapeError),
+        (broken, [0], (1, 0), None, ConfigurationError),
+    ]
+    for case_spec, states, blocks, intervening, error in cases:
+        with pytest.raises(error):
+            transition_rows(case_spec, states, blocks, intervening)
+        with pytest.raises(error):
+            sample_successors(case_spec, states, blocks, np.random.default_rng(0), intervening)
 
 
 # -- model learning ----------------------------------------------------------
@@ -160,11 +191,16 @@ def test_learn_model_matches_the_per_row_reference(structure, kind, seed):
     _assert_same_counts(learn_model(spec, **logged), learn_model_reference(spec, **logged))
 
 
-def test_learn_model_matches_the_reference_on_a_logged_treatment_dataset():
+def _logged_treatment():
+    """The treatment spec and 60 uniform-behavior episodes as `learn_model` arguments."""
     spec = treatment_spec()
     behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
     data = episodes_to_transitions(generate_offline_dataset(spec, behavior, episodes=60, seed=2), spec, flat=False)
-    logged = (data.states, data.actions, data.rewards, data.next_states)
+    return spec, (data.states, data.actions, data.rewards, data.next_states)
+
+
+def test_learn_model_matches_the_reference_on_a_logged_treatment_dataset():
+    spec, logged = _logged_treatment()
     _assert_same_counts(learn_model(spec, *logged), learn_model_reference(spec, *logged))
 
 
@@ -215,6 +251,52 @@ def test_vectorized_draw_rejects_what_choice_rejects(bad):
         choice_rows(rows, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_rows(rows, np.random.default_rng(0))
+
+
+def _random_queries(spec, n, rng):
+    states = rng.integers(spec.n_states, size=n)
+    return states, np.stack([rng.integers(size, size=n) for size in spec.block_sizes], axis=1)
+
+
+@pytest.mark.parametrize("structure, kind, seed", GRID)
+def test_factored_draws_land_on_positive_probability_successors(structure, kind, seed):
+    spec = grid_spec(structure, kind, seed)
+    rng = np.random.default_rng(seed)
+    states, blocks = _random_queries(spec, 64, rng)
+    for intervening in [None] + [(k,) for k in range(spec.n_blocks)]:
+        draws = sample_successors(spec, states, blocks, rng, intervening)
+        rows = transition_rows(spec, states, blocks, intervening)
+        assert draws.dtype == np.int64 and (rows[np.arange(len(states)), draws] > 0).all()
+
+
+def test_factored_draws_follow_the_dense_row_with_several_drawn_variables():
+    spec = grid_spec("separable_effects", "additive_monotonic", 0)
+    k, s, blocks = 0, 17, (1, 2, 1)
+    # blocks 1 and 2 follow their no-op factors, and so does every uncontrolled variable
+    assert sum(len(spec.eff_map[j]) for j in (1, 2)) + len(spec.uncontrolled_vars) >= 2
+    n = 100_000
+    draws = sample_successors(spec, np.full(n, s), blocks, np.random.default_rng(8), intervening=(k,))
+    row = transition_rows(spec, [s], blocks, intervening=(k,))[0]
+    assert 0.5 * np.abs(np.bincount(draws, minlength=spec.n_states) / n - row).sum() <= 0.02
+
+
+def _learned_treatment_spec():
+    """A learned model of the kind AD-BCQ's augmentation samples from."""
+    spec, logged = _logged_treatment()
+    return learn_model(spec, *logged).to_spec(fill_unvisited=True)[0]
+
+
+@pytest.mark.parametrize("make", [treatment_spec, two_switch_spec, _learned_treatment_spec])
+def test_one_drawn_variable_draws_what_the_dense_row_draws(make):
+    spec = make()
+    # with every block intervening only the one uncontrolled variable is drawn
+    assert len(spec.uncontrolled_vars) == 1
+    states, blocks = _random_queries(spec, 500, np.random.default_rng(3))
+    fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+    np.testing.assert_array_equal(
+        sample_successors(spec, states, blocks, fast), choice_rows(transition_rows(spec, states, blocks), slow)
+    )
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 # -- flat in-place Adam --------------------------------------------------------

@@ -8,14 +8,15 @@ Howard-iteration oracle `joint_policy_iteration` solves the same MDP
 over the flat joint action space, so the two routes cross-check each
 other.  Both pass per-state block actions to `factored_mdp.evaluate`
 (a policy's state values) and `factored_mdp.q_table` (backups of the
-joint actions, or of one block's actions with the others pinned), and
-keep a state's current action unless another beats it by more than
-float noise, so ties cannot make either planner cycle.
+joint actions, or of one block's actions with the others pinned, summed
+over each state's reachable successors), and keep a state's current
+action unless another beats it by more than float noise, so ties cannot
+make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
-transitions; it and `check_model_coverage` read table rows from the
-kernel's own index (`FactoredMdpSpec._index`), the one row coding.
+transitions; it and `check_model_coverage`, which follows reachability
+through the kernel's support, read table rows from the kernel's index.
 `sample_complexity_experiment` measures how the sup-norm estimation
 error shrinks with sample size against closed-form bounds, drawing
 its samples with `factored_mdp.sample_successors`.
@@ -43,11 +44,11 @@ from .factored_mdp import (
     QTable,
     SigmaTable,
     _check_codes,
+    _support,
     _terminal_mask,
     evaluate,
     q_table,
     sample_successors,
-    transition_rows,
 )
 
 
@@ -409,7 +410,8 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
     states = np.arange(spec.n_states)
     successor = np.zeros((spec.n_states, spec.n_states), dtype=bool)
     for blocks in spec.action_radix.table():
-        successor |= transition_rows(spec, states, blocks) > 0
+        codes, probs = _support(spec, states, blocks)
+        successor[states[:, None], codes] |= probs > 0
     successor[_terminal_mask(spec)] = False
     reachable = sk.init_dist > 0
     while True:

@@ -1,14 +1,16 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately straight-line python over the raw spec
-tables: no shared code with the library's vectorized evaluators.
+tables: no shared code with the library's vectorized evaluators.  The
+exceptions say so: the dense planning references build their rows with
+`transition_rows`, which the enumeration oracles check.
 """
 
 import itertools
 
 import numpy as np
 
-from frl.factored_mdp import q_table
+from frl.factored_mdp import QTable, _terminal_mask, q_table, transition_rows
 
 
 def _sigma_lookup(spec, k, a_k, svals):
@@ -125,6 +127,40 @@ def finite_horizon_values(spec, horizon, policy=None):
         q = q_table(spec, v)
         v = q.table.max(axis=1) if policy is None else q.values(policy.joint_codes(spec))
     return v
+
+
+def solve_dense(spec, rows):
+    """State values of the policy whose dense (S, S) transition rows are
+    `rows`: r and I - discount P read every entry of each row, zeros
+    included, and one dense linear solve runs over the non-terminal
+    states.  This is `factored_mdp._solve` before it took a support, so
+    `evaluate` must equal it bit for bit."""
+    free = ~_terminal_mask(spec)
+    r = np.einsum("ij,ij->i", rows, spec.reward)[free]
+    values = np.zeros(spec.n_states)
+    values[free] = np.linalg.solve(np.eye(len(r)) - spec.discount * rows[np.ix_(free, free)], r)
+    return values
+
+
+def evaluate_dense(spec, blocks):
+    """`factored_mdp.evaluate` over the dense rows of `transition_rows`."""
+    return solve_dense(spec, transition_rows(spec, np.arange(spec.n_states), blocks))
+
+
+def q_table_dense(spec, values, blocks=None, k=None):
+    """`factored_mdp.q_table` over dense rows: each column builds its
+    (S, S) rows with `transition_rows` and sums every entry of
+    rows * (reward + discount V), zeros included."""
+    if k is None:
+        columns = spec.action_radix.table()
+    else:
+        columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
+        columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
+    states = np.arange(spec.n_states)
+    target = spec.reward + spec.discount * np.asarray(values)
+    q = np.stack([np.einsum("ij,ij->i", transition_rows(spec, states, b), target) for b in columns], axis=1)
+    q[_terminal_mask(spec)] = 0.0
+    return QTable(k, q)
 
 
 def layer_views(buf, sizes):

@@ -464,6 +464,9 @@ CASES = [
     pytest.param("sample-complexity", None, None, ["--delta", "1.5"], "delta 1.5", id="delta-above-one"),
     pytest.param("gen", None, None, ["--episodes", "1", "--horizon", "0"], "horizon=0", id="gen-horizon-zero"),
     pytest.param("gen", None, None, ["--episodes", "-3"], "episodes=-3", id="gen-episodes-negative"),
+    # both blocks of a non-separable spec intervene on variable 0, so no episode can be logged
+    pytest.param("gen", None, None, ["--task", "random", "--structure", "non_separable", "--episodes", "5"],
+                 "share effect variable 0", id="gen-non-separable-episodes"),
 ]
 
 

@@ -2,7 +2,9 @@
 
 The batched transition kernel is checked row by row against the
 enumeration oracles, `exact_q` on both of its routes (and `q_table`)
-against the dense-solve oracle, model learning and its coverage check against
+against the dense-solve oracle, the support backups (`evaluate`,
+`q_table` and both planners) against the dense-row references they
+replaced, model learning and its coverage check against
 their one-row-at-a-time references, and both planners are run to
 termination on every grid spec of generated specs: joint policy
 iteration must converge, and block-coordinate policy iteration must
@@ -17,10 +19,12 @@ is drawn.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from frl import tabular
 from frl.agents.bcq import episodes_to_transitions
 from frl.approx import Mlp, Optimizer
 from frl.envs import (
@@ -36,6 +40,8 @@ from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
 from frl.factored_mdp import (
     FactoredPolicy,
     SigmaTable,
+    _support,
+    evaluate,
     exact_q,
     q_table,
     sample_rows,
@@ -50,8 +56,10 @@ from oracles import (
     choice_rows,
     enumerate_interventional,
     enumerate_projected,
+    evaluate_dense,
     layer_views,
     learn_model_reference,
+    q_table_dense,
     solve_q_dense,
 )
 
@@ -133,6 +141,82 @@ def test_xor_tie_sweep_terminates(seed):
         SyntheticSpec("separable_effects", 6, 3, cards=2, seed=seed, reward_kind="xor_nonmonotonic")
     )
     _mbfpi_within_joint(spec)
+
+
+# every GRID spec, then the treatment and two-switch specs
+PLANNING_SPECS = [
+    pytest.param(functools.partial(grid_spec, *g), id="-".join(map(str, g))) for g in GRID
+] + [pytest.param(treatment_spec, id="treatment"), pytest.param(two_switch_spec, id="two-switch")]
+
+
+@pytest.mark.parametrize("make", PLANNING_SPECS)
+def test_support_backups_match_the_dense_references(make):
+    spec = make()
+    rng = np.random.default_rng(spec.n_states)
+    blocks = FactoredPolicy.random(spec, rng).blocks.T
+    values = evaluate(spec, blocks)
+    # the support is scattered into the same dense matrix, so the solve is the same
+    assert values.tobytes() == evaluate_dense(spec, blocks).tobytes()
+    for k in [None] + list(range(spec.n_blocks)):
+        others = FactoredPolicy.random(spec, rng).blocks.T
+        got, want = q_table(spec, values, others, k).table, q_table_dense(spec, values, others, k).table
+        # the sums skip the zero entries of each dense row, so only the last bits may move
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+
+
+@pytest.mark.parametrize("make", PLANNING_SPECS)
+def test_planners_take_the_dense_route_steps(make, monkeypatch):
+    spec = make()
+    init = FactoredPolicy.constant(spec, [0] * spec.n_blocks)
+    runs = []
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(tabular, "evaluate", evaluate_dense)
+            monkeypatch.setattr(tabular, "q_table", q_table_dense)
+        runs.append((factored_policy_iteration(spec, init, store_q=False), joint_policy_iteration(spec)))
+    (trace, joint), (trace_ref, joint_ref) = runs
+    assert trace.final_policy.blocks.tobytes() == trace_ref.final_policy.blocks.tobytes()
+    assert trace.final_values.tobytes() == trace_ref.final_values.tobytes()
+    assert len(trace.iterations) == len(trace_ref.iterations)
+    assert joint.iterations == joint_ref.iterations
+    # joint actions whose Q values tie exactly (the xor rewards make some)
+    # are told apart by float noise, so either route may pick any of them
+    q = joint_ref.q.table
+    tied = q >= q.max(axis=1, keepdims=True) - 1e-12 * max(1.0, np.abs(q).max())
+    assert tied[np.arange(spec.n_states), joint.policy].all()
+    np.testing.assert_allclose(joint.values, joint_ref.values, rtol=0, atol=1e-12 * max(1.0, np.abs(q).max()))
+
+
+def _non_separable_spec():
+    spec = generate_synthetic(SyntheticSpec("non_separable", n_vars=4, n_blocks=2, cards=2, seed=0))
+    assert set(spec.eff_map[0]) & set(spec.eff_map[1]) == {0}
+    return spec
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [transition_rows, _support, functools.partial(sample_successors, rng=np.random.default_rng(0))],
+    ids=["transition_rows", "support", "sample_successors"],
+)
+def test_blocks_pinning_a_shared_variable_are_rejected(kernel):
+    # a variable that two intervening blocks pin has no single forced value
+    spec = _non_separable_spec()
+    with pytest.raises(ConfigurationError, match=r"blocks \(0, 1\) share effect variable 0"):
+        kernel(spec, np.arange(spec.n_states), (1, 2))
+
+
+def test_one_block_pinning_a_shared_variable_draws_the_rest_once():
+    spec = _non_separable_spec()
+    states = np.arange(spec.n_states)
+    rng = np.random.default_rng(1)
+    blocks = (1, 2)
+    for k in range(spec.n_blocks):
+        rows = transition_rows(spec, states, blocks, intervening=(k,))
+        ref = np.stack([enumerate_projected(spec, k, int(s), blocks[k]) for s in states])
+        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        draws = sample_successors(spec, states, blocks, rng, intervening=(k,))
+        assert (rows[states, draws] > 0).all()
 
 
 def test_transition_rows_reject_bad_codes():

@@ -19,6 +19,7 @@ from frl.factored_mdp import (
     SigmaTable,
     exact_q,
     noop_propensity,
+    q_table,
     transition_rows,
 )
 
@@ -164,6 +165,16 @@ def test_exact_q_matches_dense_solve():
     q = exact_q(spec, policy, None)
     q_ref, _ = solve_q_dense(spec, policy)
     assert np.abs(q.table - q_ref).max() < 1e-8
+
+
+def test_q_table_rejects_values_of_the_wrong_shape_and_a_block_without_actions():
+    spec = two_switch_spec()
+    for shape in [(spec.n_states + 1,), (spec.n_states - 1,), (spec.n_states, 1), ()]:
+        # a longer vector would be read silently through the support's codes
+        with pytest.raises(ShapeError, match="values have shape"):
+            q_table(spec, np.zeros(shape))
+    with pytest.raises(ShapeError, match="block 1"):
+        q_table(spec, np.zeros(spec.n_states), k=1)
 
 
 def test_exact_q_single_state_closed_form():

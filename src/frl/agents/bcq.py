@@ -16,10 +16,11 @@ codes, and the codes go into the networks as they are (an `Mlp` reads a
 code as its one-hot row).  Each training tick samples rows from it,
 takes one step per block (decomposed runs the batch through the learned
 tabular model first so it follows that block's projected transition),
-then one step on the mixers, then a Polyak target update.  Within a step
-each network runs forward once per parameter version: the online q and
-g paths once over the stacked [next_states; states] rows, the target q
-path once over next_states; the decomposed embeddings and heads see each
+then one step on the mixers, then a Polyak target update.  Each network
+runs forward once per parameter version: within a step the online q and
+g paths run once over the stacked [next_states; states] rows, and the
+target q path runs once per tick over every next state the tick's steps
+read (`_target_q`); the decomposed embeddings and heads see each
 distinct code once, and block k's step runs only head k.  Head and mixer
 steps score each block's columns with one shared loss (`_block_loss`).
 Targets are batch constrained: next-action candidates keep only actions
@@ -209,14 +210,16 @@ class BcqNet:
         if self.variant != "decomposed":
             full = np.zeros((len(dz), self.head_dim))
             full[:, self.block_slice(k)] = dz
-            grad, _ = self.nets[f"{path}_net"].backward(full, cache["net"], rows)
-            opts[f"{path}_net"].step(grad)
+            opt = opts[f"{path}_net"]
+            self.nets[f"{path}_net"].backward(full, cache["net"], rows, out=opt.grad)
+            opt.step(opt.grad)
             return
         index = cache["index"][rows]
-        head_grad, d_embed = self.nets[f"{path}_heads"][k].backward(dz, cache["heads"][k], index)
-        embed_grad, _ = self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], index)
-        opts[f"{path}_heads"][k].step(head_grad)
-        opts[f"{path}_embed"].step(embed_grad)
+        head_opt, embed_opt = opts[f"{path}_heads"][k], opts[f"{path}_embed"]
+        _, d_embed = self.nets[f"{path}_heads"][k].backward(dz, cache["heads"][k], index, out=head_opt.grad)
+        self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], index, out=embed_opt.grad)
+        head_opt.step(head_opt.grad)
+        embed_opt.step(embed_opt.grad)
 
     def mix_forward(self, states: np.ndarray, path: str):
         """Evaluation-path outputs: mixed vectors for decomposed, head
@@ -229,8 +232,9 @@ class BcqNet:
 
     def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
         """Backprop a mixed-output gradient at the forward rows `rows`."""
-        grad, _ = self.nets[f"{path}_mixer"].backward(dz, cache, rows)
-        opts[f"{path}_mixer"].step(grad)
+        opt = opts[f"{path}_mixer"]
+        self.nets[f"{path}_mixer"].backward(dz, cache, rows, out=opt.grad)
+        opt.step(opt.grad)
 
     # -- serialization ------------------------------------------------------
 
@@ -329,7 +333,29 @@ def _block_loss(q_next, logits_next, q_next_t, q, logits, batch: Batch, k, cfg):
     return loss_q, dz_q, loss_g, dlogits / len(q), n_fallback
 
 
-def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
+def _target_q(target_net: BcqNet, block_batches, batch: Batch):
+    """The target q values one tick's steps read, from one target forward.
+
+    The target's parameters change only at the tick's Polyak update.
+    Returns each block batch's (n, head_dim) values at its next states,
+    and the target mixer's outputs at `batch`'s next states (None unless
+    decomposed).  The decomposed embedding and heads run once over the
+    tick's distinct next-state codes; a monolithic net runs once per
+    block batch on its rows as given, because its wide outputs keep
+    their bits only at the row count they had.
+    """
+    if target_net.variant != "decomposed":
+        return [target_net.heads_forward(b.next_states, "q")[0] for b in block_batches], None
+    n = len(batch.rewards)
+    codes = np.concatenate([b.next_states for b in block_batches] + [batch.next_states])
+    z, _ = target_net.heads_forward(codes, "q")
+    mixed, _ = target_net.nets["q_mixer"].forward(z[-n:])
+    return [z[k * n : (k + 1) * n] for k in range(len(block_batches))], mixed
+
+
+def _train_block(net, q_next_t, opts, batch: Batch, k, cfg, counters):
+    """One step of block k; `q_next_t` holds the target's (n, head_dim)
+    values at the batch's next states."""
     n = len(batch.rewards)
     # One forward per network over [next_states; states]: the q step
     # below leaves the g path's parameters as they were.
@@ -337,7 +363,7 @@ def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
     own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
     q, q_cache = net.heads_forward(both, "q", k)
     g, g_cache = net.heads_forward(both, "g", k)
-    q_next_t, _ = target_net.heads_forward(batch.next_states, "q", k)
+    q_next_t = q_next_t[:, net.block_slice(k)]
     loss_q, dz_q, loss_g, dz_g, n_fallback = _block_loss(q[:n], g[:n], q_next_t, q[own], g[own], batch, k, cfg)
     counters["fallbacks"] += n_fallback
     net.heads_backward_step(dz_q, q_cache, opts, "q", k, own)
@@ -345,13 +371,14 @@ def _train_block(net, target_net, opts, batch: Batch, k, cfg, counters):
     return loss_q, loss_g
 
 
-def _train_mixers(net, target_net, opts, batch: Batch, cfg, counters):
+def _train_mixers(net, qm_next_t, opts, batch: Batch, cfg, counters):
+    """One step of the mixers; `qm_next_t` holds the target mixer's
+    outputs at the batch's next states."""
     n = len(batch.rewards)
     both = np.concatenate([batch.next_states, batch.states])
     own = slice(n, 2 * n)
     qm, q_cache = net.mix_forward(both, "q")
     gm, g_cache = net.mix_forward(both, "g")
-    qm_next_t, _ = target_net.mix_forward(batch.next_states, "q")
     slices = [net.block_slice(k) for k in range(net.n_blocks)]
     loss_q, dz_q, loss_g, dz_g, n_fallback = zip(*(
         _block_loss(qm[:n, sl], gm[:n, sl], qm_next_t[:, sl], qm[own, sl], gm[own, sl], batch, k, cfg)
@@ -429,19 +456,19 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResul
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     for t in range(1, cfg.train_steps + 1):
         batch = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
+        block_batches = [
+            augment_batch(batch, k, sampler, sampler, noop, aug_rng) if sampler is not None else batch
+            for k in range(len(block_sizes))
+        ]
+        q_next_t, qm_next_t = _target_q(target_net, block_batches, batch)
         q_losses, g_losses = [], []
-        for k in range(len(block_sizes)):
-            b_k = (
-                augment_batch(batch, k, sampler, sampler, noop, aug_rng)
-                if sampler is not None
-                else batch
-            )
-            lq, lg = _train_block(net, target_net, opts, b_k, k, cfg, counters)
+        for k, b_k in enumerate(block_batches):
+            lq, lg = _train_block(net, q_next_t[k], opts, b_k, k, cfg, counters)
             q_losses.append(lq)
             g_losses.append(lg)
         mixer_q = mixer_g = None
         if cfg.variant == "decomposed":
-            mixer_q, mixer_g = _train_mixers(net, target_net, opts, batch, cfg, counters)
+            mixer_q, mixer_g = _train_mixers(net, qm_next_t, opts, batch, cfg, counters)
         if not np.all(np.isfinite(q_losses + g_losses + [mixer_q or 0.0, mixer_g or 0.0])):
             raise NumericError(
                 f"non-finite loss at step {t}: q={q_losses}, g={g_losses}, "

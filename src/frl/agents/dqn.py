@@ -153,12 +153,10 @@ def _head_td_step(net, trunk_opts, batch: Batch, z_next, k, gamma):
     loss, dq = huber(z[rows, cols], targets)
     dz = np.zeros_like(z)
     dz[rows, cols] = dq
-    if net.shared_trunk:
-        grad, _ = net.trunks[0].backward(dz, caches[0])
-        trunk_opts[0].step(grad)
-    else:
-        grad, _ = net.trunks[k].backward(dz[:, sl], caches[k])
-        trunk_opts[k].step(grad)
+    j = 0 if net.shared_trunk else k
+    opt = trunk_opts[j]
+    net.trunks[j].backward(dz if net.shared_trunk else dz[:, sl], caches[j], out=opt.grad)
+    opt.step(opt.grad)
     return loss
 
 
@@ -174,7 +172,7 @@ def _mixer_td_step(net, target_net, mixer_opt, batch: Batch, z_next, gamma):
     targets = rewards + gamma * (1.0 - dones) * q_next
     q, cache = net.joint_q(states, actions)
     loss, dq = huber(q, targets)
-    mixer_opt.step(net.backward_mixer(dq, cache))
+    mixer_opt.step(net.backward_mixer(dq, cache, out=mixer_opt.grad))
     return loss
 
 

@@ -31,8 +31,8 @@ def _mse_step(net: Mlp, opt: Optimizer, x: np.ndarray, target: np.ndarray) -> fl
     pred, cache = net.forward(x)
     err = pred - target
     loss = float(np.mean(err**2))
-    grad, _ = net.backward(2.0 * err / err.size, cache)
-    opt.step(grad)
+    net.backward(2.0 * err / err.size, cache, out=opt.grad)
+    opt.step(opt.grad)
     return loss
 
 

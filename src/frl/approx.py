@@ -9,12 +9,24 @@ the arithmetic visible.
 Each network has one format for its parameters and gradients: one
 flat float64 buffer laid out w0, b0, w1, b1, ...  `Mlp.flat` holds
 the parameters (the per-layer weights and biases are views into it),
-`Mlp.backward` returns the gradient as one buffer with that layout,
-and `Optimizer.step` takes that buffer and updates `flat` in one
-in-place pass.  An integer input to an `Mlp` is a vector
-of codes standing for one-hot rows, so a tabular state needs no dense
-feature matrix: the first layer reads weight rows instead of
-multiplying by a one-hot matrix.
+`Mlp.backward` writes the gradient into a buffer with that layout
+(`out`, usually the `Optimizer`'s `grad`), and `Optimizer.step` takes
+that buffer and updates `flat` in place.  An integer input to an `Mlp`
+is a vector of codes standing for one-hot rows, so a tabular state
+needs no dense feature matrix: the first layer reads weight rows
+instead of multiplying by a one-hot matrix.
+
+The hot path owns its buffers, so in steady state it allocates nothing
+of a batch's size and its speed does not depend on the allocator.  Each
+`Mlp` keeps one activation buffer per hidden layer, grown to the
+largest row count it has seen; a forward's cache holds views into
+them, so a cache is valid only until the next forward of its network
+(backward raises StateError on a stale one).  Backward passes, Adam's
+chunked update, the Polyak update and the greedy candidate stacks draw
+their temporaries from one module-level scratch that every network
+shares.  Every elementwise operation keeps its operands and order, so
+results are bit-identical to computing each value in a fresh array.
+None of this is thread-safe.
 
 `DecomposedQNet` is the factored-action value network: one head of
 action values per block off a shared trunk, plus a mixer that reads the
@@ -26,11 +38,13 @@ two-layer linear bottleneck, and a three-layer ReLU network.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError, ShapeError, StateError
 
 _MLP_FORMAT = "frl-mlp-v1"
 _DECQ_FORMAT = "frl-decq-v1"
@@ -52,20 +66,34 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, out=None
     return out
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    raise ConfigurationError(f"unknown activation {name!r}")
+ACTIVATIONS = ("relu", "identity")
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ConfigurationError(f"unknown activation {name!r}")
+# Temporaries shared by every network (backward passes, Adam, the Polyak
+# update, greedy candidate stacks): name -> flat buffer, grown to the
+# largest size asked for.
+_SCRATCH: dict[str, np.ndarray] = {}
+# One stamp per forward pass; a cache is current while its stamp is its network's.
+_STAMPS = itertools.count()
+
+
+def _scratch(name: str, shape) -> np.ndarray:
+    """A view of the shared buffer `name` in `shape`, its contents undefined."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(name)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _take_rows(a: np.ndarray, rows, name: str) -> np.ndarray:
+    """a[rows]: a view for None or a slice, else gathered into scratch `name`."""
+    if rows is None:
+        return a
+    if isinstance(rows, slice):
+        return a[rows]
+    out = _scratch(name, (len(rows), a.shape[1]))
+    return np.take(a, rows, axis=0, out=out, mode="wrap")  # rows were range-checked
 
 
 def _layer_views(flat: np.ndarray, sizes) -> list[np.ndarray]:
@@ -86,8 +114,10 @@ class Mlp:
     layer.  All parameters live in one float64 buffer `flat`, laid out
     w0, b0, w1, b1, ...; `weights` and `biases` are views into it.
     Forward returns its cache next to the output and backward takes it
-    back, so interleaved evaluations on one network each keep their
-    own.
+    back.  The hidden activations live in one buffer per hidden layer
+    that the next forward of the same network overwrites, so a cache is
+    valid until then; the output is always a fresh array, and a clone
+    has buffers of its own.
 
     An integer input is a vector of codes in [0, sizes[0]): code c
     stands for the one-hot row e_c, and the first layer reads row c of
@@ -103,8 +133,9 @@ class Mlp:
     def _configure(self, sizes, activation, out_activation) -> None:
         if len(sizes) < 2:
             raise ConfigurationError("network needs at least input and output sizes")
-        _act(activation, np.zeros(1))
-        _act(out_activation, np.zeros(1))
+        for name in (activation, out_activation):
+            if name not in ACTIVATIONS:
+                raise ConfigurationError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
         self.sizes = tuple(int(s) for s in sizes)
         self.activation = activation
         self.out_activation = out_activation
@@ -116,6 +147,8 @@ class Mlp:
         self._views = _layer_views(flat, self.sizes)
         self.weights = self._views[0::2]
         self.biases = self._views[1::2]
+        self._hidden = [np.empty((0, s)) for s in self.sizes[1:-1]]
+        self._stamp = None
 
     # -- parameters ------------------------------------------------------
 
@@ -132,7 +165,14 @@ class Mlp:
 
     def forward(self, x: np.ndarray):
         """(output, cache for backward) of a vector of integer codes or
-        a 2-D float batch of rows."""
+        a 2-D float batch of rows.
+
+        Hidden layers write into this network's own buffers, grown to
+        the largest row count seen, and ReLU runs in place; the output
+        is a fresh array.  The cache holds views of those buffers (and
+        the input and output themselves), so it is valid until the next
+        forward of this network.
+        """
         x = np.asarray(x)
         codes = x.dtype.kind in "iu"
         if codes:
@@ -146,47 +186,83 @@ class Mlp:
                 raise ShapeError(f"float input must be 2-D (rows, features), got shape {x.shape}")
             if x.shape[1] != self.sizes[0]:
                 raise ShapeError(f"input has {x.shape[1]} features, network expects {self.sizes[0]}")
-        pre, post = [], [x]
+        n = len(x)
+        post = [x]
         h = x
+        self._stamp = next(_STAMPS)  # before any buffer changes: older caches are stale now
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = (w[h] if codes and i == 0 else h @ w) + b
-            pre.append(z)
-            h = _act(self._layer_act(i), z)
-            post.append(h)
-        cache = {"pre": pre, "post": post, "codes": codes}
-        return h, cache
+            if i < len(self._hidden):
+                if len(self._hidden[i]) < n:
+                    self._hidden[i] = np.empty((n, w.shape[1]))
+                z = self._hidden[i][:n]
+            else:
+                z = np.empty((n, w.shape[1]))
+            if codes and i == 0:
+                np.take(w, h, axis=0, out=z, mode="clip")  # codes were range-checked
+            else:
+                np.matmul(h, w, out=z)
+            z += b
+            if self._layer_act(i) == "relu":
+                np.maximum(z, 0.0, out=z)
+            post.append(z)
+            h = z
+        return h, {"post": post, "codes": codes, "stamp": self._stamp}
 
-    def backward(self, grad_out: np.ndarray, cache, rows=None):
+    def backward(self, grad_out: np.ndarray, cache, rows=None, out=None):
         """Grads of a scalar loss given d(loss)/d(output) and forward's cache.
 
         `rows` names the forward rows `grad_out` belongs to (all when
-        None); only their activations enter the gradients.  Returns
-        (grad, d(loss)/d(input)): `grad` is one fresh 1-D buffer laid
-        out like `flat`, ready for `Optimizer.step`; the input gradient
-        is None for a code input.
+        None; else a slice or an integer vector); only their activations
+        enter the gradients.  The flat gradient, laid out like `flat`,
+        lands in `out` (usually the optimizer's `grad`; a fresh buffer
+        when None).  Returns (that buffer, d(loss)/d(input)); the input
+        gradient is None for a code input and otherwise a view of the
+        shared scratch, valid until the next backward of any network.
+        A cache that a later forward of this network has overwritten
+        raises StateError.  ReLU's mask is read off the activations
+        (h > 0 exactly where z > 0).
         """
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        pre, post = cache["pre"], cache["post"][:-1]
-        if rows is not None:
-            pre = [z[rows] for z in pre]
-            post = [h[rows] for h in post]
-        codes = cache["codes"]
-        grad = np.empty(self.flat.size)
-        views = _layer_views(grad, self.sizes)
-        g = grad_out
+        if cache["stamp"] != self._stamp:
+            raise StateError("stale cache: this network has run forward since")
+        post, codes = cache["post"], cache["codes"]
+        n = m = len(post[0])  # forward rows, rows read
+        if isinstance(rows, slice):
+            m = len(range(n)[rows])
+        elif rows is not None:
+            rows = np.asarray(rows)
+            if rows.dtype.kind not in "iu" or rows.ndim != 1:
+                raise ShapeError(f"rows must be a slice or an integer vector, got shape {rows.shape}")
+            if rows.size and (rows.min() < -n or rows.max() >= n):
+                raise ShapeError(f"rows outside the {n} forward rows")
+            m = len(rows)
+        g = np.asarray(grad_out, dtype=np.float64)
+        if g.shape != (m, self.sizes[-1]):
+            raise ShapeError(f"output gradient has shape {g.shape}, expected {(m, self.sizes[-1])}")
+        if out is None:
+            out = np.empty(self.flat.size)
+        elif out.shape != self.flat.shape:
+            raise ShapeError(f"gradient buffer has shape {out.shape}, parameters have {self.flat.shape}")
+        views = _layer_views(out, self.sizes)
+        h = None  # the current layer's activations at `rows`
         for i in range(len(self.weights) - 1, -1, -1):
-            g = g * _act_grad(self._layer_act(i), pre[i])
-            x = post[i]
+            if self._layer_act(i) == "relu":
+                if h is None:
+                    h = _take_rows(post[i + 1], rows, "mask")
+                mask = _scratch("mask", g.shape)
+                np.greater(h, 0.0, out=mask)
+                g = np.multiply(g, mask, out=mask)
             if codes and i == 0:
-                x = np.zeros((len(x), self.sizes[0]))
-                x[np.arange(len(x)), post[0]] = 1.0
+                x = _scratch("x", (m, self.sizes[0]))
+                x.fill(0.0)
+                x[np.arange(m), post[0] if rows is None else post[0][rows]] = 1.0
+            else:
+                x = _take_rows(post[i], rows, "x")
             np.matmul(x.T, g, out=views[2 * i])
             np.sum(g, axis=0, out=views[2 * i + 1])
             if i or not codes:
-                g = g @ self.weights[i].T
-        if codes:
-            return grad, None
-        return grad, g
+                g = np.matmul(g, self.weights[i].T, out=_scratch("dx" if i == 0 else f"g{i % 2}", x.shape))
+            h = x
+        return out, (None if codes else g)
 
     # -- serialization ------------------------------------------------------
 
@@ -256,19 +332,24 @@ def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
     return float(loss.mean()), grad
 
 
+_CHUNK = 32_768  # elements per pass of Optimizer.step: its working set stays in cache
+
+
 class Optimizer:
     """Adam over the flat parameter buffer of one `Mlp`, in place.
 
-    `step` takes the network's gradient as the one buffer `Mlp.backward`
-    returns, laid out like `net.flat`, and makes one pass over `flat`
-    with preallocated scratch; it never writes into the gradient.  Every
-    elementwise operation of the per-array update keeps its order, so
+    `step` takes the network's gradient as one buffer laid out like
+    `net.flat`; `grad` is such a buffer owned by the optimizer, for
+    `Mlp.backward(..., out=opt.grad)` to fill.  The update runs over
+    chunks of `_CHUNK` elements with chunk-sized shared scratch and
+    never writes into the gradient.  Within a chunk every elementwise
+    operation of the per-array update keeps its operands and order, so
     results are bit-identical to updating each layer's array on its own.
     `m` and `v` are Adam's flat moment buffers.  Weight decay is
     decoupled: applied as a direct shrink, never mixed into the adaptive
     moments.  Raises NumericError, naming the parameter's index in the
-    layer order w0, b0, w1, b1, ..., as soon as a gradient or an updated
-    parameter stops being finite.
+    layer order w0, b0, w1, b1, ..., when a gradient is not finite (before
+    any update) or when an updated parameter is not (after the update).
     """
 
     def __init__(self, net: Mlp, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
@@ -282,43 +363,54 @@ class Optimizer:
         self.weight_decay = weight_decay
         self.t = 0
         self._ends = np.cumsum([n for a, b in zip(net.sizes, net.sizes[1:]) for n in (a * b, b)])
-        self._scratch = np.empty_like(self.flat)
+        self.grad = np.empty_like(self.flat)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self._denom = np.empty_like(self.flat)
+        self._finite = np.empty(min(_CHUNK, self.flat.size), dtype=bool)
 
-    def _first_bad(self, flat: np.ndarray) -> int | None:
-        """Layer-order index of the array holding the first non-finite entry, or None."""
-        if np.isfinite(flat).all():
+    def _chunks(self):
+        return ((lo, min(lo + _CHUNK, self.flat.size)) for lo in range(0, self.flat.size, _CHUNK))
+
+    def _first_bad(self, flat: np.ndarray, lo: int) -> int | None:
+        """Layer-order index of the array holding `flat`'s first non-finite
+        entry (`flat` starting at flat index `lo`), or None."""
+        ok = np.isfinite(flat, out=self._finite[: flat.size])
+        if ok.all():
             return None
-        return int(np.searchsorted(self._ends, np.flatnonzero(~np.isfinite(flat))[0], side="right"))
+        return int(np.searchsorted(self._ends, lo + int(ok.argmin()), side="right"))
 
     def step(self, grad: np.ndarray) -> None:
         if np.shape(grad) != self.flat.shape:
             raise ShapeError(f"gradient has shape {np.shape(grad)}, parameters have {self.flat.shape}")
-        bad = self._first_bad(grad)
-        if bad is not None:
-            raise NumericError(f"gradient {bad} is not finite")
+        for lo, hi in self._chunks():
+            bad = self._first_bad(grad[lo:hi], lo)
+            if bad is not None:
+                raise NumericError(f"gradient {bad} is not finite")
         self.t += 1
-        p, s, m, v, d = self.flat, self._scratch, self.m, self.v, self._denom
-        if self.weight_decay:
-            np.multiply(p, self.lr * self.weight_decay, out=s)
+        c1, c2 = 1 - self.beta1**self.t, 1 - self.beta2**self.t
+        bad = None
+        for lo, hi in self._chunks():
+            p, g, m, v = self.flat[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            s, d = _scratch("adam", (2, hi - lo))
+            if self.weight_decay:
+                np.multiply(p, self.lr * self.weight_decay, out=s)
+                p -= s
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=s)
+            m += s
+            v *= self.beta2
+            np.multiply(g, 1 - self.beta2, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            s /= d
             p -= s
-        m *= self.beta1
-        np.multiply(grad, 1 - self.beta1, out=s)
-        m += s
-        v *= self.beta2
-        np.multiply(grad, 1 - self.beta2, out=s)
-        s *= grad
-        v += s
-        np.divide(m, 1 - self.beta1**self.t, out=s)
-        s *= self.lr
-        np.divide(v, 1 - self.beta2**self.t, out=d)
-        np.sqrt(d, out=d)
-        d += self.eps
-        s /= d
-        p -= s
-        bad = self._first_bad(p)
+            if bad is None:
+                bad = self._first_bad(p, lo)
         if bad is not None:
             raise NumericError(f"parameter {bad} became non-finite after update")
 
@@ -327,7 +419,7 @@ def target_update(src_params, dst_params, tau: float | None = None) -> None:
     """Copy (tau=None) or Polyak-average source parameters into targets.
 
     One operation per array pair, so a list of whole-network buffers
-    costs one pass per network.
+    costs one pass per network; `tau * s` goes into one shared scratch.
     """
     src, dst = list(src_params), list(dst_params)
     if len(src) != len(dst):
@@ -337,7 +429,7 @@ def target_update(src_params, dst_params, tau: float | None = None) -> None:
             d[...] = s
         else:
             d *= 1.0 - tau
-            d += tau * s
+            d += np.multiply(s, tau, out=_scratch("polyak", np.shape(s)))
 
 
 MIXERS = ("average", "linear", "relu")
@@ -361,7 +453,7 @@ class DecomposedQNet:
     Each trunk, and the mixer unless it is the average, is an `Mlp`
     with its own flat buffer: `params()` lists those buffers, so a
     target update costs one pass per network.  A trunk's gradient comes
-    from its own `Mlp.backward`; `backward_mixer` returns the mixer's.
+    from its own `Mlp.backward`; `backward_mixer` writes the mixer's.
     """
 
     def __init__(
@@ -469,8 +561,9 @@ class DecomposedQNet:
         """Joint values (n,) from head values `z` that head_values returned."""
         return self._mix(z * self._mask(actions))[0]
 
-    def backward_mixer(self, grad_q: np.ndarray, cache) -> np.ndarray:
-        """The mixer's flat gradient given d(loss)/d(joint value).
+    def backward_mixer(self, grad_q: np.ndarray, cache, out=None) -> np.ndarray:
+        """The mixer's flat gradient given d(loss)/d(joint value), in `out`
+        as `Mlp.backward` writes it.
 
         The head values count as inputs, so the mixer trains against
         frozen heads.  The average mixer has no parameters to train
@@ -481,7 +574,7 @@ class DecomposedQNet:
         grad_q = np.asarray(grad_q, dtype=np.float64).reshape(-1)
         if grad_q.shape[0] != cache["n"]:
             raise ShapeError("gradient length does not match the cached batch")
-        grad, _ = self.mixer.backward(grad_q[:, None], cache["mix_cache"])
+        grad, _ = self.mixer.backward(grad_q[:, None], cache["mix_cache"], out=out)
         return grad
 
     # -- action selection -----------------------------------------------------
@@ -504,7 +597,8 @@ class DecomposedQNet:
         flat (e.g. freshly initialized) leaves the per-head argmax in
         place instead of collapsing every block to action 0.  Each pass
         and block scores all b candidates of all n rows with one mixer
-        forward over an (n * b, head_dim) stack.
+        forward over an (n * b, head_dim) stack of masked head vectors,
+        built in the shared scratch.
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         actions = np.stack([s.argmax(axis=1) for s in self.block_slices(z)], axis=1)
@@ -514,9 +608,15 @@ class DecomposedQNet:
         rows = np.arange(n)
         for _ in range(passes):
             for k, b in enumerate(self.block_sizes):
-                cand = np.repeat(actions, b, axis=0)
-                cand[:, k] = np.tile(np.arange(b), n)
-                scores = self.joint_q_of_heads(np.repeat(z, b, axis=0), cand).reshape(n, b)
+                # mask[r, c] selects row r's current actions with block k's set to c
+                mask = _scratch("greedy_mask", (n, b, self.head_dim))
+                mask.fill(0.0)
+                for j, a in enumerate(actions.T):
+                    if j != k:
+                        mask[rows, :, self.offsets[j] + a] = 1.0
+                mask[:, np.arange(b), self.offsets[k] + np.arange(b)] = 1.0
+                stack = np.multiply(z[:, None, :], mask, out=_scratch("greedy_stack", mask.shape))
+                scores = self._mix(stack.reshape(n * b, self.head_dim))[0].reshape(n, b)
                 best = scores.argmax(axis=1)
                 improves = scores[rows, best] > scores[rows, actions[:, k]]
                 actions[improves, k] = best[improves]

@@ -342,6 +342,7 @@ def offline_selection_run(
         candidates.extend(checkpoint_candidates(
             result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon
         ))
+        del result  # its networks and their buffers go before the next tau trains
     cutoff = ess_cutoff_frac * len(val)
     cid, val_result = select_model(candidates, cutoff)
     policies = {(cp["tau"], cp["step"]): cp["policy"] for cp in checkpoints}

@@ -469,16 +469,20 @@ class QTable:
 
         With `incumbent` (one action per state), a state keeps its
         incumbent action unless the best action beats it by more than
-        1e-12 * max(1, max|Q|).  Policy iteration passes its current
-        policy, so actions tied up to float noise never make it cycle
-        (Puterman 1994, section 6.4).
+        tol = 1e-12 * max(1, max|Q|), and a state that moves takes the
+        lowest action index within tol of the best.  Policy iteration
+        passes its current policy, so actions tied up to float noise
+        never make it cycle (Puterman 1994, section 6.4), and float
+        noise in the backup sums never picks between them.
         """
         best = self.table.argmax(axis=1)
         if incumbent is None:
             return best
         incumbent = np.asarray(incumbent, dtype=np.int64)
         tol = 1e-12 * max(1.0, float(np.abs(self.table).max()))
-        return np.where(self.values(best) - self.values(incumbent) > tol, best, incumbent)
+        top = self.values(best)
+        lowest = (self.table >= (top - tol)[:, None]).argmax(axis=1)
+        return np.where(top - self.values(incumbent) > tol, lowest, incumbent)
 
     def values(self, actions: np.ndarray) -> np.ndarray:
         return self.table[np.arange(self.table.shape[0]), actions]

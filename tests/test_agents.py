@@ -642,9 +642,10 @@ def test_bcq_net_takes_only_a_vector_of_state_codes(variant):
 
 
 def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
-    """Per step with two blocks: q, g and target q on embedding + head k for
-    each block (12), q, g and target q heads for the mixers (9), and the
-    two online mixers plus the target q mixer (3)."""
+    """Per step with two blocks: q and g on embedding + head k for each
+    block (8), q and g embeddings and heads for the mixers (6) and the two
+    online mixers (2); the target q path once per tick on its embedding,
+    both heads and its mixer (4)."""
     spec, logs = _offline_setup(episodes=20, seed=1)
     forwards, heads, in_step = [], [], [False]
     mlp_forward, heads_forward = Mlp.forward, BcqNet.heads_forward
@@ -672,10 +673,11 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     monkeypatch.setattr(BcqNet, "heads_forward", counted_heads)
     monkeypatch.setattr(bcq_module, "_train_block", in_a_step(bcq_module._train_block))
     monkeypatch.setattr(bcq_module, "_train_mixers", in_a_step(bcq_module._train_mixers))
+    monkeypatch.setattr(bcq_module, "_target_q", in_a_step(bcq_module._target_q))
     cfg = BcqConfig(variant="decomposed", hidden=16, batch_size=16, train_steps=5, checkpoint_every=5, seed=2)
     ad_bcq_train(logs, cfg, spec)
-    assert len(forwards) == 24 * cfg.train_steps
-    assert len(heads) == 9 * cfg.train_steps
+    assert len(forwards) == 20 * cfg.train_steps
+    assert len(heads) == 7 * cfg.train_steps
     # embeddings read each distinct state code once
     codes = [x for x in forwards if x.dtype.kind == "i"]
     assert codes and all(len(np.unique(x)) == len(x) for x in codes)
@@ -701,12 +703,33 @@ def test_decomposed_bcq_steps_match_the_per_path_reference():
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     for _ in range(3):
         batch = data.take(rng.integers(0, len(data.rewards), size=12))
+        q_next_t, qm_next_t = bcq_module._target_q(target, [batch] * net.n_blocks, batch)
         for k in range(net.n_blocks):
-            bcq_module._train_block(net, target, opts, batch, k, cfg, counters)
-        bcq_module._train_mixers(net, target, opts, batch, cfg, counters)
+            bcq_module._train_block(net, q_next_t[k], opts, batch, k, cfg, counters)
+        bcq_module._train_mixers(net, qm_next_t, opts, batch, cfg, counters)
         bcq_tick_reference(ref, ref_target, ref_opts, batch, cfg.tau_bcq, cfg.discount)
     for got, want in zip(net.params(), ref.params()):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
+def test_one_target_forward_per_tick_equals_one_per_step(variant):
+    spec, logs = _offline_setup(episodes=20, seed=3)
+    data = episodes_to_transitions(logs, spec, flat=variant == "flat")
+    net = BcqNet(spec.n_states, (spec.n_actions,) if variant == "flat" else spec.block_sizes, variant,
+                 hidden=16, rng=np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    batch = data.take(rng.integers(0, len(data.rewards), size=12))
+    # block batches that left their own next states, as augmentation makes them
+    moved = [batch._replace(next_states=rng.integers(0, spec.n_states, size=12)) for _ in range(net.n_blocks)]
+    for block_batches in ([batch] * net.n_blocks, moved):
+        q_next_t, qm_next_t = bcq_module._target_q(net, block_batches, batch)
+        for got, b in zip(q_next_t, block_batches, strict=True):
+            np.testing.assert_allclose(got, net.heads_forward(b.next_states, "q")[0], rtol=0, atol=1e-12)
+        if variant == "decomposed":
+            np.testing.assert_allclose(qm_next_t, net.mix_forward(batch.next_states, "q")[0], rtol=0, atol=1e-12)
+        else:
+            assert qm_next_t is None
 
 
 def test_flat_variant_rejects_augmentation():

@@ -18,7 +18,7 @@ from frl.approx import (
     huber,
     target_update,
 )
-from frl.errors import ConfigurationError, NumericError, ShapeError
+from frl.errors import ConfigurationError, NumericError, ShapeError, StateError
 from oracles import coordinate_sweep_greedy, finite_difference_grads, layer_views
 
 
@@ -95,21 +95,74 @@ def test_in_place_glorot_matches_uniform_draws():
 def test_mlp_code_input_matches_one_hot_rows(sizes):
     rng = np.random.default_rng(sum(sizes))
     net = Mlp(sizes, rng=rng)
+    twin = net.clone()  # buffers of its own, so a cache of each stays valid
     codes = rng.integers(0, sizes[0], size=12)
-    onehot = np.eye(sizes[0])[codes]
     out_c, cache_c = net.forward(codes)
-    out_f, cache_f = net.forward(onehot)
+    out_f, cache_f = twin.forward(np.eye(sizes[0])[codes])
     np.testing.assert_array_equal(out_c, out_f)
     g = rng.normal(size=out_c.shape)
-    grad_c, dx_c = net.backward(g, cache_c)
-    grad_f, _ = net.backward(g, cache_f)
-    assert dx_c is None
+    grad_c, grad_f = np.full(net.flat.size, np.nan), np.full(net.flat.size, np.nan)
+    assert net.backward(g, cache_c, out=grad_c)[1] is None
+    twin.backward(g, cache_f, out=grad_f)
     np.testing.assert_array_equal(grad_c, grad_f)
+    assert np.isfinite(grad_c).all() and np.abs(grad_c).max() > 0
     # backward over a subset of the forward rows equals a forward on that subset
     rows = np.array([7, 2, 2, 9])
-    sub_out, sub_cache = net.forward(codes[rows])
+    sub_grad = net.backward(g[rows], cache_c, rows)[0]
+    sub_out, sub_cache = twin.forward(codes[rows])
     np.testing.assert_array_equal(sub_out, out_c[rows])
-    np.testing.assert_array_equal(net.backward(g[rows], cache_c, rows)[0], net.backward(g[rows], sub_cache)[0])
+    np.testing.assert_array_equal(sub_grad, twin.backward(g[rows], sub_cache)[0])
+
+
+def test_a_cache_is_valid_until_its_network_runs_forward_again():
+    rng = np.random.default_rng(21)
+    net = Mlp((3, 8, 8, 2), rng=rng)
+    x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    out, cache = net.forward(x)
+    kept = out.copy()
+    want = net.backward(g, cache)[0]
+    # forwards of a clone or of another network at the same row count
+    # use buffers of their own
+    net.clone().forward(rng.normal(size=(5, 3)))
+    Mlp((3, 8, 8, 2), rng=rng).forward(rng.normal(size=(5, 3)))
+    np.testing.assert_array_equal(net.backward(g, cache)[0], want)
+    net.forward(rng.normal(size=(5, 3)))
+    with pytest.raises(StateError):
+        net.backward(g, cache)
+    # the output is the caller's: later forwards leave it as it was
+    np.testing.assert_array_equal(out, kept)
+
+
+def test_forwards_at_many_row_counts_keep_one_buffer_per_hidden_layer():
+    rng = np.random.default_rng(22)
+    net = Mlp((4, 6, 5, 3), rng=rng)
+    for n in rng.permutation(np.arange(1, 41)):
+        x = rng.normal(size=(n, 4))
+        np.testing.assert_array_equal(net.forward(x)[0], manual_mlp_forward(net, x))
+        codes = rng.integers(0, 4, size=n)
+        np.testing.assert_array_equal(net.forward(codes)[0], manual_mlp_forward(net, np.eye(4)[codes]))
+    assert [b.shape for b in net._hidden] == [(40, 6), (40, 5)]
+
+
+@pytest.mark.parametrize("codes", [True, False])
+def test_backward_over_gathered_rows_after_the_buffers_grew(codes):
+    rng = np.random.default_rng(23)
+    net = Mlp((6, 8, 8, 3), rng=rng)
+    fresh = net.clone()
+    # grow this network's buffers, and the shared scratch, past what the next calls need
+    big = rng.integers(0, 6, size=300)
+    out, cache = net.forward(big)
+    net.backward(rng.normal(size=out.shape), cache, np.arange(300)[::-1])
+    x = rng.integers(0, 6, size=12) if codes else rng.normal(size=(12, 6))
+    rows = np.array([7, 2, 2, 9, 11, 0, -1])
+    g = rng.normal(size=(len(rows), 3))
+    got = net.backward(g, net.forward(x)[1], rows)[0]
+    np.testing.assert_array_equal(got, fresh.backward(g, fresh.forward(x)[1], rows)[0])
+    # and equals a backward of a forward on those rows alone
+    np.testing.assert_array_equal(got, fresh.backward(g, fresh.forward(x[rows])[1])[0])
+    for bad in (np.array([12]), np.array([-13]), np.array([0.5])):
+        with pytest.raises(ShapeError):
+            net.backward(g[:1], net.forward(x)[1], bad)
 
 
 def test_mlp_rejects_codes_out_of_range():

@@ -311,6 +311,13 @@ def test_qtable_greedy_keeps_incumbent_unless_beaten_beyond_noise():
     assert big.greedy(incumbent=np.array([1])).tolist() == [1]
 
 
+def test_qtable_greedy_moves_to_the_lowest_action_tied_with_the_best():
+    q = QTable(None, np.array([[0.0, 1.0, 1.0 + 1e-15, 1.0 - 1e-15], [0.0, 1.0 - 1e-9, 1.0, 1.0]]))
+    # actions 1-3 of state 0 tie up to noise, so the lowest of them wins
+    assert q.greedy(incumbent=np.array([0, 0])).tolist() == [1, 2]
+    assert q.greedy(incumbent=np.array([3, 3])).tolist() == [3, 3]
+
+
 def test_policy_validation():
     spec = two_switch_spec()
     with pytest.raises(ShapeError):

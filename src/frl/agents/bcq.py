@@ -20,9 +20,12 @@ then one step on the mixers, then a Polyak target update.  Each network
 runs forward once per parameter version: within a step the online q and
 g paths run once over the stacked [next_states; states] rows, and the
 target q path runs once per tick over every next state the tick's steps
-read (`_target_q`); the decomposed embeddings and heads see each
-distinct code once, and block k's step runs only head k.  Head and mixer
-steps score each block's columns with one shared loss (`_block_loss`).
+read (`_target_q`); block k's step runs only head k.  Logged data
+repeats a few states many times, so every network, in every shape, runs
+forward once per distinct code and gathers the rows back, and runs
+backward once per distinct code too: the rows' output gradients are
+summed per code first (`_sum_by_code`).  Head and mixer steps score each
+block's columns with one shared loss (`_block_loss`).
 Targets are batch constrained: next-action candidates keep only actions
 whose generative propensity is within `tau_bcq` of the state's best
 before the argmax, which is taken on the online net and evaluated on the
@@ -116,6 +119,22 @@ def filtered_argmax(q: np.ndarray, logp: np.ndarray, tau: float):
     return np.where(allowed, q, -np.inf).argmax(axis=1), int(fallback.sum())
 
 
+def _sum_by_code(dz: np.ndarray, index: np.ndarray, rows, width: int, cols=slice(None)):
+    """A batch's output gradient summed per distinct code, for backward.
+
+    `dz` holds the gradient at the rows `rows` (a slice or an integer
+    vector) of a forward over distinct codes, where `index` maps each
+    row to its code's forward row.  Returns (used, g): the forward rows
+    those rows read, ascending, and the (len(used), width) gradient whose
+    row j holds, in columns `cols`, the sum of dz's rows that read
+    used[j].
+    """
+    used, inv = np.unique(index[rows], return_inverse=True)
+    g = np.zeros((len(used), width))
+    np.add.at(g[:, cols], inv, dz)
+    return used, g
+
+
 class BcqNet:
     """Q and generative networks in one of the three shapes above.
 
@@ -178,62 +197,68 @@ class BcqNet:
         `states` must be an integer vector of codes (ShapeError
         otherwise).  Returns the (n, head_dim) outputs, or block k's
         (n, b_k) columns when k is given, and a cache for
-        heads_backward_step.  The decomposed shape runs its embedding
-        and heads (head k only when k is given) once per distinct code
-        and gathers the rows back; a monolithic net runs on the rows as
-        given, because its wide outputs come out of BLAS bit-identical
-        only when the row count is kept.
+        heads_backward_step.  Every shape runs its networks (the
+        decomposed embedding and heads, head k only when k is given, or
+        the monolithic net) once per distinct code and gathers the rows
+        back.  The cache's "index" maps each row to its code's row of
+        "distinct", the outputs at the distinct codes in code order.
         """
         states = np.asarray(states)
         if states.dtype.kind not in "iu" or states.ndim != 1:
             raise ShapeError(f"expected a vector of state codes, got {states.dtype} of shape {states.shape}")
-        if self.variant != "decomposed":
-            out, cache = self.nets[f"{path}_net"].forward(states)
-            return (out if k is None else out[:, self.block_slice(k)]), {"net": cache}
-        heads = self.nets[f"{path}_heads"]
         codes, index = np.unique(states, return_inverse=True)
-        e, e_cache = self.nets[f"{path}_embed"].forward(codes)
-        ks = range(self.n_blocks) if k is None else (k,)
-        outs, caches = zip(*(heads[j].forward(e) for j in ks))
-        out = np.concatenate(outs, axis=1) if k is None else outs[0]
-        return out[index], {"embed": e_cache, "heads": dict(zip(ks, caches)), "index": index}
+        if self.variant == "decomposed":
+            heads = self.nets[f"{path}_heads"]
+            e, e_cache = self.nets[f"{path}_embed"].forward(codes)
+            ks = range(self.n_blocks) if k is None else (k,)
+            outs, caches = zip(*(heads[j].forward(e) for j in ks))
+            out = np.concatenate(outs, axis=1) if k is None else outs[0]
+            cache = {"embed": e_cache, "heads": dict(zip(ks, caches))}
+        else:
+            out, net_cache = self.nets[f"{path}_net"].forward(codes)
+            out = out if k is None else out[:, self.block_slice(k)]
+            cache = {"net": net_cache}
+        return out[index], {**cache, "index": index, "distinct": out}
 
     def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int, rows) -> None:
         """Backprop block k's output gradient and apply the optimizers.
 
-        `dz` is d(loss)/d(block k's columns) at the forward rows `rows`;
-        backward reads only those rows' activations.  `opts` is a table
-        from `optimizers`.  For the decomposed shape only block k's head
+        `dz` is d(loss)/d(block k's columns) at the forward rows `rows`.
+        Rows that share a code have their gradients summed, so backward
+        runs once per distinct code among them.  `opts` is a table from
+        `optimizers`.  For the decomposed shape only block k's head
         (plus the shared embedding) is touched; monolithic shapes update
         the whole net.
         """
-        if self.variant != "decomposed":
-            full = np.zeros((len(dz), self.head_dim))
-            full[:, self.block_slice(k)] = dz
-            opt = opts[f"{path}_net"]
-            self.nets[f"{path}_net"].backward(full, cache["net"], rows, out=opt.grad)
-            opt.step(opt.grad)
+        if self.variant == "decomposed":
+            used, g = _sum_by_code(dz, cache["index"], rows, dz.shape[1])
+            head_opt, embed_opt = opts[f"{path}_heads"][k], opts[f"{path}_embed"]
+            _, d_embed = self.nets[f"{path}_heads"][k].backward(g, cache["heads"][k], used, out=head_opt.grad)
+            self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], used, out=embed_opt.grad)
+            head_opt.step(head_opt.grad)
+            embed_opt.step(embed_opt.grad)
             return
-        index = cache["index"][rows]
-        head_opt, embed_opt = opts[f"{path}_heads"][k], opts[f"{path}_embed"]
-        _, d_embed = self.nets[f"{path}_heads"][k].backward(dz, cache["heads"][k], index, out=head_opt.grad)
-        self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], index, out=embed_opt.grad)
-        head_opt.step(head_opt.grad)
-        embed_opt.step(embed_opt.grad)
+        used, g = _sum_by_code(dz, cache["index"], rows, self.head_dim, self.block_slice(k))
+        opt = opts[f"{path}_net"]
+        self.nets[f"{path}_net"].backward(g, cache["net"], used, out=opt.grad)
+        opt.step(opt.grad)
 
     def mix_forward(self, states: np.ndarray, path: str):
         """Evaluation-path outputs: mixed vectors for decomposed, head
         outputs otherwise.  Returns (values, mixer cache or None); the
-        mixer runs on the rows as given."""
-        z, _ = self.heads_forward(states, path)
+        mixer runs once per distinct code, like the heads it reads."""
+        z, cache = self.heads_forward(states, path)
         if self.variant != "decomposed":
             return z, None
-        return self.nets[f"{path}_mixer"].forward(z)
+        mixed, m_cache = self.nets[f"{path}_mixer"].forward(cache["distinct"])
+        return mixed[cache["index"]], {"mixer": m_cache, "index": cache["index"]}
 
     def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
-        """Backprop a mixed-output gradient at the forward rows `rows`."""
+        """Backprop a mixed-output gradient at the forward rows `rows`,
+        summed per distinct code as in heads_backward_step."""
+        used, g = _sum_by_code(dz, cache["index"], rows, dz.shape[1])
         opt = opts[f"{path}_mixer"]
-        self.nets[f"{path}_mixer"].backward(dz, cache, rows, out=opt.grad)
+        self.nets[f"{path}_mixer"].backward(g, cache["mixer"], used, out=opt.grad)
         opt.step(opt.grad)
 
     # -- serialization ------------------------------------------------------
@@ -339,18 +364,19 @@ def _target_q(target_net: BcqNet, block_batches, batch: Batch):
     The target's parameters change only at the tick's Polyak update.
     Returns each block batch's (n, head_dim) values at its next states,
     and the target mixer's outputs at `batch`'s next states (None unless
-    decomposed).  The decomposed embedding and heads run once over the
-    tick's distinct next-state codes; a monolithic net runs once per
-    block batch on its rows as given, because its wide outputs keep
-    their bits only at the row count they had.
+    decomposed).  The networks run once over the tick's distinct
+    next-state codes, the target mixer once over the distinct codes
+    among `batch`'s next states.
     """
-    if target_net.variant != "decomposed":
-        return [target_net.heads_forward(b.next_states, "q")[0] for b in block_batches], None
     n = len(batch.rewards)
     codes = np.concatenate([b.next_states for b in block_batches] + [batch.next_states])
-    z, _ = target_net.heads_forward(codes, "q")
-    mixed, _ = target_net.nets["q_mixer"].forward(z[-n:])
-    return [z[k * n : (k + 1) * n] for k in range(len(block_batches))], mixed
+    z, cache = target_net.heads_forward(codes, "q")
+    q = [z[k * n : (k + 1) * n] for k in range(len(block_batches))]
+    if target_net.variant != "decomposed":
+        return q, None
+    own, at = np.unique(cache["index"][-n:], return_inverse=True)
+    mixed, _ = target_net.nets["q_mixer"].forward(cache["distinct"][own])
+    return q, mixed[at]
 
 
 def _train_block(net, q_next_t, opts, batch: Batch, k, cfg, counters):

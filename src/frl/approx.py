@@ -14,7 +14,8 @@ the parameters (the per-layer weights and biases are views into it),
 that buffer and updates `flat` in place.  An integer input to an `Mlp`
 is a vector of codes standing for one-hot rows, so a tabular state
 needs no dense feature matrix: the first layer reads weight rows
-instead of multiplying by a one-hot matrix.
+instead of multiplying by a one-hot matrix, and backward scatter-adds
+each row's gradient into the weight-gradient row of its code.
 
 The hot path owns its buffers, so in steady state it allocates nothing
 of a batch's size and its speed does not depend on the allocator.  Each
@@ -77,12 +78,13 @@ _SCRATCH: dict[str, np.ndarray] = {}
 _STAMPS = itertools.count()
 
 
-def _scratch(name: str, shape) -> np.ndarray:
-    """A view of the shared buffer `name` in `shape`, its contents undefined."""
+def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """A view of the shared buffer `name` in `shape`, its contents undefined;
+    a name always asks for the same dtype."""
     size = math.prod(shape)
     buf = _SCRATCH.get(name)
     if buf is None or buf.size < size:
-        buf = _SCRATCH[name] = np.empty(size)
+        buf = _SCRATCH[name] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -252,16 +254,21 @@ class Mlp:
                 np.greater(h, 0.0, out=mask)
                 g = np.multiply(g, mask, out=mask)
             if codes and i == 0:
-                x = _scratch("x", (m, self.sizes[0]))
-                x.fill(0.0)
-                x[np.arange(m), post[0] if rows is None else post[0][rows]] = 1.0
+                # row c of w0's gradient sums the rows of g whose code is c,
+                # scattered through flat indices: numpy's add.at runs several
+                # times faster on a 1-D target
+                x = post[0] if rows is None else post[0][rows]
+                index = _scratch("code_index", g.shape, np.intp)
+                np.multiply(x[:, None], g.shape[1], out=index, dtype=np.intp)  # any integer dtype
+                index += np.arange(g.shape[1])
+                views[0].fill(0.0)
+                np.add.at(views[0].reshape(-1), index.reshape(-1), g.reshape(-1))
             else:
-                x = _take_rows(post[i], rows, "x")
-            np.matmul(x.T, g, out=views[2 * i])
+                h = _take_rows(post[i], rows, "x")
+                np.matmul(h.T, g, out=views[2 * i])
             np.sum(g, axis=0, out=views[2 * i + 1])
             if i or not codes:
-                g = np.matmul(g, self.weights[i].T, out=_scratch("dx" if i == 0 else f"g{i % 2}", x.shape))
-            h = x
+                g = np.matmul(g, self.weights[i].T, out=_scratch("dx" if i == 0 else f"g{i % 2}", h.shape))
         return out, (None if codes else g)
 
     # -- serialization ------------------------------------------------------
@@ -373,7 +380,16 @@ class Optimizer:
 
     def _first_bad(self, flat: np.ndarray, lo: int) -> int | None:
         """Layer-order index of the array holding `flat`'s first non-finite
-        entry (`flat` starting at flat index `lo`), or None."""
+        entry (`flat` starting at flat index `lo`), or None.
+
+        A finite sum means every entry is finite, so one reduction
+        settles the usual case; only a sum that is not finite (a NaN or
+        an infinity, or finite entries that overflow) runs the search.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # finite entries may overflow, inf - inf is NaN
+            total = np.add.reduce(flat)
+        if math.isfinite(total):
+            return None
         ok = np.isfinite(flat, out=self._finite[: flat.size])
         if ok.all():
             return None

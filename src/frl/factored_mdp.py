@@ -100,8 +100,10 @@ class SigmaTable:
 class _KernelIndex:
     """Per-state index arrays the transition kernel gathers through.
 
-    `pre_rows[k][s]` is block k's precondition row at state s and
-    `eff_codes[k][s]` the code of block k's effect values in s.  Variable
+    `pre_rows[k][s]` is block k's precondition row at state s,
+    `eff_codes[k][s]` the code of block k's effect values in s, and
+    `forced_base[k][c]` the joint-state code of block k's effect values
+    at effect code c, every other variable at 0.  Variable
     m's no-op row index splits into a current-state part (the state
     parents) and a next-state part (the eff parents): `factors[m]` is
     (state_rows, rows, probs).  state_rows[s] is the state-parent code of
@@ -114,6 +116,7 @@ class _KernelIndex:
 
     pre_rows: tuple[np.ndarray, ...]
     eff_codes: tuple[np.ndarray, ...]
+    forced_base: tuple[np.ndarray, ...]
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
@@ -342,6 +345,9 @@ class FactoredMdpSpec:
         return _KernelIndex(
             pre_rows=tuple(codes(p) for p in self.pre_map),
             eff_codes=tuple(codes(e) for e in self.eff_map),
+            forced_base=tuple(
+                radix.table() @ np.take(self.state_radix.strides, e) for radix, e in zip(self.eff_radix, self.eff_map)
+            ),
             factors=tuple(factors),
         )
 
@@ -518,17 +524,31 @@ def _check_block(spec: FactoredMdpSpec, k) -> int:
     return int(k)
 
 
-def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
-    """Checked (states, base codes, drawn variables): a base code holds the
-    values the pinned blocks force, every other variable at 0; drawn are
-    the unpinned effect variables of blocks that do not intervene, then
-    the uncontrolled ones, so eff parents come before their readers."""
+def _query(spec: FactoredMdpSpec, states, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(states, blocks) of a kernel query as int64 arrays, blocks broadcast
+    to (n, n_blocks); ShapeError unless they fit."""
     states = np.asarray(states, dtype=np.int64)
     try:
         blocks = np.broadcast_to(np.asarray(blocks, dtype=np.int64), (len(states), spec.n_blocks))
     except ValueError as e:
         raise ShapeError(f"block actions do not fit {len(states)} states x {spec.n_blocks} blocks") from e
+    return states, blocks
+
+
+def _checked_query(spec: FactoredMdpSpec, states, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """`_query`, and DomainError unless every code is in range."""
+    states, blocks = _query(spec, states, blocks)
     _check_codes(spec, states, blocks)
+    return states, blocks
+
+
+def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
+    """(states, base codes, drawn variables) of a query whose codes are in
+    range: a base code holds the values the pinned blocks force, every
+    other variable at 0; drawn are the unpinned effect variables of
+    blocks that do not intervene, then the uncontrolled ones, so eff
+    parents come before their readers."""
+    states, blocks = _query(spec, states, blocks)
     pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
     if any(not 0 <= k < spec.n_blocks for k in pinned):
         raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")
@@ -538,8 +558,7 @@ def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
         raise ConfigurationError(f"intervening blocks {tuple(pinned)} share effect variable {shared[0]}")
     base = np.zeros(len(states), dtype=np.int64)
     for k in pinned:
-        forced = _forced_codes(spec, k, states, blocks[:, k])
-        base += spec.eff_radix[k].table()[forced] @ np.take(spec.state_radix.strides, spec.eff_map[k])
+        base += spec._index.forced_base[k][_forced_codes(spec, k, states, blocks[:, k])]
     free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k] if v not in pinned_vars]
     return states, base, list(dict.fromkeys(free)) + list(spec.uncontrolled_vars)
 
@@ -548,7 +567,8 @@ def _support(spec: FactoredMdpSpec, states, blocks, intervening=None) -> tuple[n
     """The next states a `transition_rows` query can reach (Boutilier,
     Dearden & Goldszmidt 2000), as (n, D) codes and probs: the base code
     plus every assignment of the drawn variables, and the product of
-    their factor probabilities at that code, in drawing order."""
+    their factor probabilities at that code, in drawing order.  The
+    public entry points check the codes; this trusts them."""
     states, base, drawn = _successor_args(spec, states, blocks, intervening)
     offsets = np.zeros(1, dtype=np.int64)
     for m in drawn:
@@ -571,7 +591,7 @@ def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> 
     follows its no-op factor, conditioning on the candidate next state
     for its eff parents.
     """
-    codes, probs = _support(spec, states, blocks, intervening)
+    codes, probs = _support(spec, *_checked_query(spec, states, blocks), intervening)
     out = np.zeros((len(codes), spec.n_states))
     np.put_along_axis(out, codes, probs, axis=1)
     return out
@@ -608,7 +628,7 @@ def sample_successors(spec: FactoredMdpSpec, states, blocks, rng: np.random.Gene
     the draws and the generator's state equal `sample_rows` on the dense
     rows: the same uniform lands on the same code.
     """
-    states, codes, drawn = _successor_args(spec, states, blocks, intervening)
+    states, codes, drawn = _successor_args(spec, *_checked_query(spec, states, blocks), intervening)
     strides = spec.state_radix.strides
     for m in drawn:
         state_rows, rows, _ = spec._index.factors[m]
@@ -714,7 +734,7 @@ def _q_table(spec: FactoredMdpSpec, values: np.ndarray, blocks, k: int | None, s
 def evaluate(spec: FactoredMdpSpec, blocks) -> np.ndarray:
     """State values of the deterministic policy that takes block actions
     blocks[s] (an (S, n_blocks) array) in state s."""
-    return _solve(spec, *_support(spec, np.arange(spec.n_states), blocks))
+    return _solve(spec, *_support(spec, *_checked_query(spec, np.arange(spec.n_states), blocks)))
 
 
 def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) -> QTable:
@@ -728,11 +748,12 @@ def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) ->
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (spec.n_states,):
         raise ShapeError(f"values have shape {values.shape}, expected ({spec.n_states},)")
+    states = np.arange(spec.n_states)
     if k is not None:
         k = _check_block(spec, k)
         if blocks is None:
             raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
-    states = np.arange(spec.n_states)
+        _, blocks = _checked_query(spec, states, blocks)  # once for every column
     return _q_table(spec, values, blocks, k, lambda b: _support(spec, states, b))
 
 

@@ -38,48 +38,49 @@ def _factor_lookup(spec, m, svals, nvals):
     return float(fac.table[row, nvals[m]])
 
 
+def _path_probability(spec, svals, forced, nvals):
+    """0 unless next values `nvals` carry the `forced` ones, else the
+    product of every other variable's no-op probability along them."""
+    for v, val in forced.items():
+        if nvals[v] != val:
+            return 0.0
+    p = 1.0
+    for m in range(spec.n_vars):
+        if m not in forced:
+            p *= _factor_lookup(spec, m, svals, nvals)
+    return p
+
+
+def _enumerate(spec, svals, forced):
+    out = np.zeros(spec.n_states)
+    for nvals in itertools.product(*[range(c) for c in spec.state_vars]):
+        out[spec.state_radix.encode(nvals)] = _path_probability(spec, svals, forced, nvals)
+    return out
+
+
 def enumerate_interventional(spec, s, a_blocks):
     """Joint next-state distribution when every block intervenes."""
     svals = spec.state_radix.decode(s)
     forced = {}
     for k, a_k in enumerate(a_blocks):
         forced.update(_sigma_lookup(spec, k, a_k, svals))
-    out = np.zeros(spec.n_states)
-    for nvals in itertools.product(*[range(c) for c in spec.state_vars]):
-        p = 1.0
-        for v, val in forced.items():
-            if nvals[v] != val:
-                p = 0.0
-                break
-        if p == 0.0:
-            continue
-        for m in range(spec.n_vars):
-            if m in forced:
-                continue
-            p *= _factor_lookup(spec, m, svals, nvals)
-        out[spec.state_radix.encode(nvals)] = p
-    return out
+    return _enumerate(spec, svals, forced)
 
 
 def enumerate_projected(spec, k, s, a_k):
     """Next-state distribution when only block k intervenes."""
     svals = spec.state_radix.decode(s)
-    forced = _sigma_lookup(spec, k, a_k, svals)
-    out = np.zeros(spec.n_states)
-    for nvals in itertools.product(*[range(c) for c in spec.state_vars]):
-        p = 1.0
-        for v, val in forced.items():
-            if nvals[v] != val:
-                p = 0.0
-                break
-        if p == 0.0:
-            continue
-        for m in range(spec.n_vars):
-            if m in forced:
-                continue
-            p *= _factor_lookup(spec, m, svals, nvals)
-        out[spec.state_radix.encode(nvals)] = p
-    return out
+    return _enumerate(spec, svals, _sigma_lookup(spec, k, a_k, svals))
+
+
+def draw_probability(spec, s, a_blocks, s_next, intervening=None):
+    """P(s_next | s, a_blocks) read along the one path to s_next, with the
+    blocks in `intervening` (all when None) pinning their effect values."""
+    svals = spec.state_radix.decode(s)
+    forced = {}
+    for k in range(spec.n_blocks) if intervening is None else intervening:
+        forced.update(_sigma_lookup(spec, k, a_blocks[k], svals))
+    return _path_probability(spec, svals, forced, spec.state_radix.decode(s_next))
 
 
 def solve_q_dense(spec, policy, tol_unused=None):
@@ -336,15 +337,17 @@ def _filtered_argmax(q, logp, tau):
 
 
 def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
-    """One step per block, then one on the mixers, of a decomposed BcqNet.
+    """One step per block, then one on the mixers, of a BcqNet of any shape.
 
     Written the direct way: states are one-hot feature rows, and every
-    forward runs the embedding and all heads (and the mixer) over the
-    batch's own rows, next states and states separately, right before
-    the value is used.  Networks are read from `net.nets` by name, and
-    `opts` maps the same names to `ListAdam`s over each network's
-    per-layer arrays, which are fed the per-layer views of each flat
-    gradient.
+    forward runs the whole path (the embedding and all heads, or the
+    monolithic net, and the mixer) over the batch's own rows, next
+    states and states separately, right before the value is used; every
+    backward runs over those rows as they are, duplicates included.
+    Networks are read from `net.nets` by name, and `opts` maps the same
+    names to `ListAdam`s over each network's per-layer arrays, which are
+    fed the per-layer views of each flat gradient.  Monolithic shapes
+    have no mixers.
     """
     from frl.approx import huber
 
@@ -353,14 +356,36 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
     n = len(batch.rewards)
     rows = np.arange(n)
     actions = batch.actions
+    decomposed = net.variant == "decomposed"
 
     def heads(model, feats, path):
-        e, e_cache = model.nets[f"{path}_embed"].forward(feats)
+        """Every block's outputs, and a function that backprops block
+        k's column gradient through the networks that made them."""
+        if not decomposed:
+            whole = model.nets[f"{path}_net"]
+            out, cache = whole.forward(feats)
+
+            def back(k, sl, dz):
+                full = np.zeros((n, out.shape[1]))
+                full[:, sl] = dz
+                opts[f"{path}_net"].step(layer_views(whole.backward(full, cache)[0], whole.sizes))
+
+            return out, back
+        embed = model.nets[f"{path}_embed"]
+        e, e_cache = embed.forward(feats)
         outs = [h.forward(e) for h in model.nets[f"{path}_heads"]]
-        return np.concatenate([o for o, _ in outs], axis=1), e_cache, [c for _, c in outs]
+
+        def back(k, sl, dz):
+            head = model.nets[f"{path}_heads"][k]
+            head_grad, d_embed = head.backward(dz, outs[k][1])
+            embed_grad, _ = embed.backward(d_embed, e_cache)
+            opts[f"{path}_heads"][k].step(layer_views(head_grad, head.sizes))
+            opts[f"{path}_embed"].step(layer_views(embed_grad, embed.sizes))
+
+        return np.concatenate([o for o, _ in outs], axis=1), back
 
     def mixed(model, feats, path):
-        z, _, _ = heads(model, feats, path)
+        z, _ = heads(model, feats, path)
         return model.nets[f"{path}_mixer"].forward(z)
 
     for k in range(net.n_blocks):
@@ -371,7 +396,7 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
         a_star = _filtered_argmax(q_next, _log_softmax(g_next), tau)
         targets = batch.rewards + discount * (1.0 - batch.dones) * heads(target_net, x_next, "q")[0][:, sl][rows, a_star]
         for path in ("q", "g"):
-            z, e_cache, h_caches = heads(net, x, path)
+            z, back = heads(net, x, path)
             if path == "q":
                 _, dq = huber(z[:, sl][rows, a_k], targets)
                 dz = np.zeros((n, sl.stop - sl.start))
@@ -380,12 +405,9 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 dz = np.exp(_log_softmax(z[:, sl]))
                 dz[rows, a_k] -= 1.0
                 dz = dz / n
-            head = net.nets[f"{path}_heads"][k]
-            embed = net.nets[f"{path}_embed"]
-            head_grad, d_embed = head.backward(dz, h_caches[k])
-            embed_grad, _ = embed.backward(d_embed, e_cache)
-            opts[f"{path}_heads"][k].step(layer_views(head_grad, head.sizes))
-            opts[f"{path}_embed"].step(layer_views(embed_grad, embed.sizes))
+            back(k, sl, dz)
+    if not decomposed:
+        return
 
     qm_next, _ = mixed(net, x_next, "q")
     gm_next, _ = mixed(net, x_next, "g")
@@ -405,8 +427,7 @@ def bcq_tick_reference(net, target_net, opts, batch, tau, discount):
                 d[rows, actions[:, k]] -= 1.0
                 dz[:, sl] = d / n
         mixer = net.nets[f"{path}_mixer"]
-        grad, _ = mixer.backward(dz, cache)
-        opts[f"{path}_mixer"].step(layer_views(grad, mixer.sizes))
+        opts[f"{path}_mixer"].step(layer_views(mixer.backward(dz, cache)[0], mixer.sizes))
 
 
 def wis_ess_reference(episodes, target, gamma=1.0, clip=1000.0):

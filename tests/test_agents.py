@@ -645,15 +645,23 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     """Per step with two blocks: q and g on embedding + head k for each
     block (8), q and g embeddings and heads for the mixers (6) and the two
     online mixers (2); the target q path once per tick on its embedding,
-    both heads and its mixer (4)."""
+    both heads and its mixer (4).  Backward runs on head k and the
+    embedding per block and path (8) and on the two mixers (2), each
+    over distinct rows."""
     spec, logs = _offline_setup(episodes=20, seed=1)
-    forwards, heads, in_step = [], [], [False]
-    mlp_forward, heads_forward = Mlp.forward, BcqNet.heads_forward
+    forwards, backwards, heads, in_step = [], [], [], [False]
+    mlp_forward, mlp_backward, heads_forward = Mlp.forward, Mlp.backward, BcqNet.heads_forward
 
     def counted_forward(self, x):
         if in_step[0]:
             forwards.append(np.array(x))
         return mlp_forward(self, x)
+
+    def counted_backward(self, grad_out, cache, rows=None, out=None):
+        if in_step[0]:
+            inputs = cache["post"][0]
+            backwards.append(inputs[np.arange(len(inputs)) if rows is None else rows])
+        return mlp_backward(self, grad_out, cache, rows, out)
 
     def counted_heads(self, *args, **kwargs):
         if in_step[0]:
@@ -670,6 +678,7 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
         return run
 
     monkeypatch.setattr(Mlp, "forward", counted_forward)
+    monkeypatch.setattr(Mlp, "backward", counted_backward)
     monkeypatch.setattr(BcqNet, "heads_forward", counted_heads)
     monkeypatch.setattr(bcq_module, "_train_block", in_a_step(bcq_module._train_block))
     monkeypatch.setattr(bcq_module, "_train_mixers", in_a_step(bcq_module._train_mixers))
@@ -681,6 +690,10 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     # embeddings read each distinct state code once
     codes = [x for x in forwards if x.dtype.kind == "i"]
     assert codes and all(len(np.unique(x)) == len(x) for x in codes)
+    # and every backward reads distinct inputs: codes, or rows of distinct embeddings or head outputs
+    assert len(backwards) == 10 * cfg.train_steps
+    assert all(len(np.unique(x, axis=0)) == len(x) for x in backwards)
+    assert sum(x.dtype.kind == "i" for x in backwards) == 4 * cfg.train_steps
 
 
 def _list_adams(net, **kwargs):
@@ -689,27 +702,56 @@ def _list_adams(net, **kwargs):
     return {name: [one(m) for m in v] if isinstance(v, list) else one(v) for name, v in net.nets.items()}
 
 
+def _assert_ticks_match_the_reference(net, batches, cfg, lr):
+    """Run one tick per batch (one step per block, then the mixers) and
+    require the parameters `bcq_tick_reference` reaches from the same start."""
+    target = net.clone()
+    for p in target.params():
+        p += 0.01  # keep online and target apart
+    ref, ref_target = net.clone(), target.clone()
+    opts, ref_opts = net.optimizers(lr=lr), _list_adams(ref, lr=lr)
+    counters = {"fallbacks": 0, "mixer_fallbacks": 0}
+    for batch in batches:
+        q_next_t, qm_next_t = bcq_module._target_q(target, [batch] * net.n_blocks, batch)
+        for k in range(net.n_blocks):
+            bcq_module._train_block(net, q_next_t[k], opts, batch, k, cfg, counters)
+        if net.variant == "decomposed":
+            bcq_module._train_mixers(net, qm_next_t, opts, batch, cfg, counters)
+        bcq_tick_reference(ref, ref_target, ref_opts, batch, cfg.tau_bcq, cfg.discount)
+    for got, want in zip(net.params(), ref.params(), strict=True):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 def test_decomposed_bcq_steps_match_the_per_path_reference():
     spec, logs = _offline_setup(episodes=20, seed=4)
     data = episodes_to_transitions(logs, spec, flat=False)
     cfg = BcqConfig(variant="decomposed", tau_bcq=0.3, hidden=16, discount=0.9)
     net = BcqNet(spec.n_states, spec.block_sizes, "decomposed", hidden=16, rng=np.random.default_rng(6))
-    target = net.clone()
-    for p in target.params():
-        p += 0.01  # keep online and target apart
-    ref, ref_target = net.clone(), target.clone()
-    opts, ref_opts = net.optimizers(lr=0.05), _list_adams(ref, lr=0.05)
     rng = np.random.default_rng(7)
-    counters = {"fallbacks": 0, "mixer_fallbacks": 0}
-    for _ in range(3):
-        batch = data.take(rng.integers(0, len(data.rewards), size=12))
-        q_next_t, qm_next_t = bcq_module._target_q(target, [batch] * net.n_blocks, batch)
-        for k in range(net.n_blocks):
-            bcq_module._train_block(net, q_next_t[k], opts, batch, k, cfg, counters)
-        bcq_module._train_mixers(net, qm_next_t, opts, batch, cfg, counters)
-        bcq_tick_reference(ref, ref_target, ref_opts, batch, cfg.tau_bcq, cfg.discount)
-    for got, want in zip(net.params(), ref.params()):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+    batches = [data.take(rng.integers(0, len(data.rewards), size=12)) for _ in range(3)]
+    _assert_ticks_match_the_reference(net, batches, cfg, lr=0.05)
+
+
+@pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
+def test_bcq_steps_on_a_duplicate_heavy_batch_match_the_per_row_reference(variant):
+    # 48 rows over 5 distinct state codes: backward sums each code's rows first
+    spec = treatment_spec()
+    block_sizes = (spec.n_actions,) if variant == "flat" else spec.block_sizes
+    rng = np.random.default_rng(11)
+    codes = rng.choice(spec.n_states, size=5, replace=False)
+    n = 48
+    batch = Batch(
+        states=rng.choice(codes, size=n),
+        actions=np.stack([rng.integers(b, size=n) for b in block_sizes], axis=1),
+        rewards=rng.normal(size=n),
+        next_states=rng.choice(codes, size=n),
+        dones=(rng.random(n) < 0.2).astype(np.float64),
+    )
+    cfg = BcqConfig(variant=variant, tau_bcq=0.3, hidden=16, discount=0.9)
+    net = BcqNet(spec.n_states, block_sizes, variant, hidden=16, rng=np.random.default_rng(12))
+    # at the config's learning rate: Adam divides by the gradient's scale, so a
+    # large rate carries the reordered sums' last bits into the parameters
+    _assert_ticks_match_the_reference(net, [batch] * 3, cfg, lr=cfg.lr)
 
 
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])

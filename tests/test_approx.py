@@ -114,6 +114,16 @@ def test_mlp_code_input_matches_one_hot_rows(sizes):
     np.testing.assert_array_equal(sub_grad, twin.backward(g[rows], sub_cache)[0])
 
 
+def test_code_input_gradient_is_the_same_for_every_integer_dtype():
+    # code * width overflows a narrow dtype: 39 * 16 > 255
+    net = Mlp((40, 16, 3), rng=np.random.default_rng(17))
+    codes = np.array([39, 0, 39, 21, 7])
+    g = np.random.default_rng(18).normal(size=(len(codes), 3))
+    want = net.backward(g, net.forward(codes)[1])[0]
+    for dtype in (np.uint8, np.int16, np.uint64):
+        np.testing.assert_array_equal(net.backward(g, net.forward(codes.astype(dtype))[1])[0], want)
+
+
 def test_a_cache_is_valid_until_its_network_runs_forward_again():
     rng = np.random.default_rng(21)
     net = Mlp((3, 8, 8, 2), rng=rng)

@@ -54,6 +54,7 @@ from oracles import (
     ListAdam,
     check_model_coverage_reference,
     choice_rows,
+    draw_probability,
     enumerate_interventional,
     enumerate_projected,
     evaluate_dense,
@@ -352,6 +353,24 @@ def test_factored_draws_land_on_positive_probability_successors(structure, kind,
         assert draws.dtype == np.int64 and (rows[np.arange(len(states)), draws] > 0).all()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(grid_spec, *case) for case in GRID] + [treatment_spec],
+    ids=["-".join(map(str, case)) for case in GRID] + ["treatment"],
+)
+def test_each_factored_draw_has_its_dense_row_probability(make):
+    # the exact law: the factor probabilities along a draw's path multiply to its row entry
+    spec = make()
+    rng = np.random.default_rng(5)
+    states, blocks = _random_queries(spec, 40, rng)
+    for intervening in [None] + [(k,) for k in range(spec.n_blocks)]:
+        draws = sample_successors(spec, states, blocks, rng, intervening)
+        rows = transition_rows(spec, states, blocks, intervening)
+        law = [draw_probability(spec, int(s), tuple(b), int(d), intervening) for s, b, d in zip(states, blocks, draws)]
+        assert min(law) > 0
+        np.testing.assert_allclose(law, rows[np.arange(len(states)), draws], rtol=1e-12, atol=0)
+
+
 def test_factored_draws_follow_the_dense_row_with_several_drawn_variables():
     spec = grid_spec("separable_effects", "additive_monotonic", 0)
     k, s, blocks = 0, 17, (1, 2, 1)
@@ -450,3 +469,35 @@ def test_flat_adam_names_the_parameter_that_broke():
         # Adam's first step moves each parameter by about lr against its gradient's sign
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"parameter {index} became non-finite"):
             Optimizer(net, lr=1e308).step(grad)
+
+
+def test_flat_adam_steps_when_finite_entries_overflow_their_sum():
+    net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(9))
+    ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
+    fast, slow = Optimizer(net, lr=1e-3), ListAdam(ref, lr=1e-3)
+    grad = np.zeros_like(net.flat)
+    grad[:2] = 1e308  # each entry finite, their sum not
+    with np.errstate(over="ignore"):  # Adam's second moment squares them
+        fast.step(grad)
+        slow.step(layer_views(grad, net.sizes))
+    assert fast.t == 1
+    # parameters whose sum overflows after the update pass the check too
+    for p in (net.flat, ref[0].reshape(-1)):
+        p[2:4] = 1e308
+    fast.step(np.zeros_like(net.flat))
+    slow.step(layer_views(np.zeros_like(net.flat), net.sizes))
+    for got, want in zip(layer_views(net.flat, net.sizes), ref):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf, -np.inf]], ids=["nan", "inf-minus-inf"])
+def test_flat_adam_names_the_layer_of_a_non_finite_gradient(bad):
+    net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(10))
+    before = net.flat.copy()
+    grad = np.ones_like(net.flat)
+    views = layer_views(grad, net.sizes)
+    views[0].reshape(-1)[:2] = 1e308  # an earlier layer whose finite entries overflow the sum
+    views[3][: len(bad)] = bad
+    with pytest.raises(NumericError, match="gradient 3 is not finite"):
+        Optimizer(net).step(grad)
+    assert net.flat.tobytes() == before.tobytes()

@@ -119,17 +119,23 @@ def filtered_argmax(q: np.ndarray, logp: np.ndarray, tau: float):
     return np.where(allowed, q, -np.inf).argmax(axis=1), int(fallback.sum())
 
 
-def _sum_by_code(dz: np.ndarray, index: np.ndarray, rows, width: int, cols=slice(None)):
+def _rows_read(index: np.ndarray, rows):
+    """(used, inv) of the rows `rows` (a slice or an integer vector) of a
+    forward over distinct codes, where `index` maps each row to its
+    code's forward row: the forward rows they read, ascending, and the
+    position in `used` of the forward row each one reads."""
+    return np.unique(index[rows], return_inverse=True)
+
+
+def _sum_by_code(dz: np.ndarray, read, width: int, cols=slice(None)):
     """A batch's output gradient summed per distinct code, for backward.
 
-    `dz` holds the gradient at the rows `rows` (a slice or an integer
-    vector) of a forward over distinct codes, where `index` maps each
-    row to its code's forward row.  Returns (used, g): the forward rows
-    those rows read, ascending, and the (len(used), width) gradient whose
-    row j holds, in columns `cols`, the sum of dz's rows that read
-    used[j].
+    `dz` holds the gradient at the rows whose `_rows_read` is `read`.
+    Returns (used, g): the forward rows those rows read, and the
+    (len(used), width) gradient whose row j holds, in columns `cols`,
+    the sum of dz's rows that read used[j].
     """
-    used, inv = np.unique(index[rows], return_inverse=True)
+    used, inv = read
     g = np.zeros((len(used), width))
     np.add.at(g[:, cols], inv, dz)
     return used, g
@@ -191,7 +197,7 @@ class BcqNet:
 
     # -- forward paths ----------------------------------------------------
 
-    def heads_forward(self, states: np.ndarray, path: str, k: int | None = None):
+    def heads_forward(self, states: np.ndarray, path: str, k: int | None = None, distinct=None):
         """Per-block outputs at state codes for one path ('q'|'g').
 
         `states` must be an integer vector of codes (ShapeError
@@ -200,13 +206,15 @@ class BcqNet:
         heads_backward_step.  Every shape runs its networks (the
         decomposed embedding and heads, head k only when k is given, or
         the monolithic net) once per distinct code and gathers the rows
-        back.  The cache's "index" maps each row to its code's row of
-        "distinct", the outputs at the distinct codes in code order.
+        back.  The cache's "codes" are the distinct codes, ascending,
+        "index" maps each row to its code's row of them, and "distinct"
+        holds the outputs at them.  `distinct`, the (codes, index) of an
+        earlier forward over the same `states`, saves finding them again.
         """
         states = np.asarray(states)
         if states.dtype.kind not in "iu" or states.ndim != 1:
             raise ShapeError(f"expected a vector of state codes, got {states.dtype} of shape {states.shape}")
-        codes, index = np.unique(states, return_inverse=True)
+        codes, index = np.unique(states, return_inverse=True) if distinct is None else distinct
         if self.variant == "decomposed":
             heads = self.nets[f"{path}_heads"]
             e, e_cache = self.nets[f"{path}_embed"].forward(codes)
@@ -218,12 +226,13 @@ class BcqNet:
             out, net_cache = self.nets[f"{path}_net"].forward(codes)
             out = out if k is None else out[:, self.block_slice(k)]
             cache = {"net": net_cache}
-        return out[index], {**cache, "index": index, "distinct": out}
+        return out[index], {**cache, "codes": codes, "index": index, "distinct": out}
 
-    def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int, rows) -> None:
+    def heads_backward_step(self, dz: np.ndarray, cache, opts, path: str, k: int, read) -> None:
         """Backprop block k's output gradient and apply the optimizers.
 
-        `dz` is d(loss)/d(block k's columns) at the forward rows `rows`.
+        `dz` is d(loss)/d(block k's columns) at the forward rows whose
+        `_rows_read` is `read`.
         Rows that share a code have their gradients summed, so backward
         runs once per distinct code among them.  `opts` is a table from
         `optimizers`.  For the decomposed shape only block k's head
@@ -231,32 +240,35 @@ class BcqNet:
         the whole net.
         """
         if self.variant == "decomposed":
-            used, g = _sum_by_code(dz, cache["index"], rows, dz.shape[1])
+            used, g = _sum_by_code(dz, read, dz.shape[1])
             head_opt, embed_opt = opts[f"{path}_heads"][k], opts[f"{path}_embed"]
             _, d_embed = self.nets[f"{path}_heads"][k].backward(g, cache["heads"][k], used, out=head_opt.grad)
             self.nets[f"{path}_embed"].backward(d_embed, cache["embed"], used, out=embed_opt.grad)
             head_opt.step(head_opt.grad)
             embed_opt.step(embed_opt.grad)
             return
-        used, g = _sum_by_code(dz, cache["index"], rows, self.head_dim, self.block_slice(k))
+        used, g = _sum_by_code(dz, read, self.head_dim, self.block_slice(k))
         opt = opts[f"{path}_net"]
         self.nets[f"{path}_net"].backward(g, cache["net"], used, out=opt.grad)
         opt.step(opt.grad)
 
-    def mix_forward(self, states: np.ndarray, path: str):
+    def mix_forward(self, states: np.ndarray, path: str, distinct=None):
         """Evaluation-path outputs: mixed vectors for decomposed, head
         outputs otherwise.  Returns (values, mixer cache or None); the
-        mixer runs once per distinct code, like the heads it reads."""
-        z, cache = self.heads_forward(states, path)
+        mixer runs once per distinct code, like the heads it reads, and
+        its cache keeps their "codes" and "index".  `distinct` is as in
+        heads_forward."""
+        z, cache = self.heads_forward(states, path, distinct=distinct)
         if self.variant != "decomposed":
             return z, None
         mixed, m_cache = self.nets[f"{path}_mixer"].forward(cache["distinct"])
-        return mixed[cache["index"]], {"mixer": m_cache, "index": cache["index"]}
+        return mixed[cache["index"]], {"mixer": m_cache, "codes": cache["codes"], "index": cache["index"]}
 
-    def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, rows) -> None:
-        """Backprop a mixed-output gradient at the forward rows `rows`,
-        summed per distinct code as in heads_backward_step."""
-        used, g = _sum_by_code(dz, cache["index"], rows, dz.shape[1])
+    def mix_backward_step(self, dz: np.ndarray, cache, opts, path: str, read) -> None:
+        """Backprop a mixed-output gradient at the forward rows whose
+        `_rows_read` is `read`, summed per distinct code as in
+        heads_backward_step."""
+        used, g = _sum_by_code(dz, read, dz.shape[1])
         opt = opts[f"{path}_mixer"]
         self.nets[f"{path}_mixer"].backward(g, cache["mixer"], used, out=opt.grad)
         opt.step(opt.grad)
@@ -374,7 +386,7 @@ def _target_q(target_net: BcqNet, block_batches, batch: Batch):
     q = [z[k * n : (k + 1) * n] for k in range(len(block_batches))]
     if target_net.variant != "decomposed":
         return q, None
-    own, at = np.unique(cache["index"][-n:], return_inverse=True)
+    own, at = _rows_read(cache["index"], slice(-n, None))
     mixed, _ = target_net.nets["q_mixer"].forward(cache["distinct"][own])
     return q, mixed[at]
 
@@ -387,13 +399,16 @@ def _train_block(net, q_next_t, opts, batch: Batch, k, cfg, counters):
     # below leaves the g path's parameters as they were.
     both = np.concatenate([batch.next_states, batch.states])
     own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
+    # Both paths read the same rows, so the q path's distinct codes serve
+    # the g path and both backward passes.
     q, q_cache = net.heads_forward(both, "q", k)
-    g, g_cache = net.heads_forward(both, "g", k)
+    g, g_cache = net.heads_forward(both, "g", k, distinct=(q_cache["codes"], q_cache["index"]))
     q_next_t = q_next_t[:, net.block_slice(k)]
     loss_q, dz_q, loss_g, dz_g, n_fallback = _block_loss(q[:n], g[:n], q_next_t, q[own], g[own], batch, k, cfg)
     counters["fallbacks"] += n_fallback
-    net.heads_backward_step(dz_q, q_cache, opts, "q", k, own)
-    net.heads_backward_step(dz_g, g_cache, opts, "g", k, own)
+    read = _rows_read(q_cache["index"], own)
+    net.heads_backward_step(dz_q, q_cache, opts, "q", k, read)
+    net.heads_backward_step(dz_g, g_cache, opts, "g", k, read)
     return loss_q, loss_g
 
 
@@ -404,15 +419,16 @@ def _train_mixers(net, qm_next_t, opts, batch: Batch, cfg, counters):
     both = np.concatenate([batch.next_states, batch.states])
     own = slice(n, 2 * n)
     qm, q_cache = net.mix_forward(both, "q")
-    gm, g_cache = net.mix_forward(both, "g")
+    gm, g_cache = net.mix_forward(both, "g", distinct=(q_cache["codes"], q_cache["index"]))
     slices = [net.block_slice(k) for k in range(net.n_blocks)]
     loss_q, dz_q, loss_g, dz_g, n_fallback = zip(*(
         _block_loss(qm[:n, sl], gm[:n, sl], qm_next_t[:, sl], qm[own, sl], gm[own, sl], batch, k, cfg)
         for k, sl in enumerate(slices)
     ))
     counters["mixer_fallbacks"] += sum(n_fallback)
-    net.mix_backward_step(np.concatenate(dz_q, axis=1), q_cache, opts, "q", own)
-    net.mix_backward_step(np.concatenate(dz_g, axis=1), g_cache, opts, "g", own)
+    read = _rows_read(q_cache["index"], own)
+    net.mix_backward_step(np.concatenate(dz_q, axis=1), q_cache, opts, "q", read)
+    net.mix_backward_step(np.concatenate(dz_g, axis=1), g_cache, opts, "g", read)
     return sum(loss_q), sum(loss_g)
 
 

@@ -20,10 +20,10 @@ reach and their probabilities, gathering through index arrays the spec
 builds on first use.  `transition_rows` scatters it into dense rows;
 `sample_successors` draws one next state per query from the factors,
 one variable at a time.  Planners pass per-state block actions, never
-rows: `evaluate` gives a policy's state values (one dense linear solve)
-and `q_table` the backups of every joint action, or of one block's
-actions with the other blocks pinned, each summed over the reachable
-next states alone.  `exact_q` computes a block's table the other way,
+rows: `evaluate` gives a policy's state values (restarted GMRES on the
+operator the support defines) and `q_table` the backups of every joint
+action, or of one block's actions with the other blocks pinned, each
+summed over the reachable next states alone.  `exact_q` computes a block's table the other way,
 through the projected support reweighted by the no-op propensity of
 the pinned blocks.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -683,6 +684,11 @@ def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> fl
 
 # -- policy evaluation and Q tables -----------------------------------------
 
+_GMRES_TOL = 1e-13
+_GMRES_RESTART = 50
+_GMRES_CYCLES = 20
+_GMRES_ROUNDING = 8 * np.finfo(np.float64).eps
+
 
 def _terminal_mask(spec: FactoredMdpSpec) -> np.ndarray:
     mask = np.zeros(spec.n_states, dtype=bool)
@@ -690,28 +696,102 @@ def _terminal_mask(spec: FactoredMdpSpec) -> np.ndarray:
     return mask
 
 
+def _rewards_at(spec: FactoredMdpSpec, codes: np.ndarray) -> np.ndarray:
+    """reward[s, codes[s, d]] for every state s, shaped like the (S, D) codes."""
+    return np.take(spec.reward, np.arange(spec.n_states)[:, None] * spec.n_states + codes)
+
+
+def _check_absorbing(codes: np.ndarray, probs: np.ndarray, free: np.ndarray) -> None:
+    """NumericError unless every state reaches a terminal state along the
+    support's positive entries: at discount 1 the values of a closed
+    class of non-terminal states are undefined, and I - P is singular."""
+    reach, moves = ~free, probs > 0
+    while True:
+        grown = reach | (moves & reach[codes]).any(axis=1)
+        if (grown == reach).all():
+            break
+        reach = grown
+    if not reach.all():
+        raise NumericError(
+            f"policy evaluation at discount 1 is undefined: {int((~reach).sum())} states, "
+            f"first {int(np.flatnonzero(~reach)[0])}, never reach a terminal state"
+        )
+
+
 def _solve(spec: FactoredMdpSpec, codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """State values of the policy whose support from state s is (codes[s],
-    probs[s]): the support is scattered once into a dense (S, S) P, which
-    becomes I - discount P in place for one dense linear solve over the
-    non-terminal states.  Terminal states keep value zero.
+    probs[s]): restarted GMRES (Saad & Schultz 1986) from zero on
+    (I - discount P) V = r, applying the operator straight from the
+    support, so no (S, S) array is built.  Terminal rows of P and r are
+    zero, so terminal states keep value zero.
+
+    A cycle runs up to `_GMRES_RESTART` = 50 steps, orthogonalising each
+    Krylov vector by classical Gram-Schmidt twice and triangularising the
+    Hessenberg matrix by Givens rotations.  Each cycle stops once the
+    rotations' residual estimate is at most `_GMRES_TOL` = 1e-13 ||r||;
+    the solve returns once the recomputed residual is, or once it is
+    within `_GMRES_ROUNDING` = 8 eps (||r|| + (1 + discount) ||V||) of
+    zero, the rounding error of computing it, which near discount 1
+    lies above the relative target.  NumericError at discount 1 unless
+    every state reaches a terminal state, else when `_GMRES_CYCLES` = 20
+    cycles do not get there or the system is singular to working
+    precision.
     """
-    rows = np.zeros((spec.n_states, spec.n_states))
-    np.put_along_axis(rows, codes, probs, axis=1)
     free = ~_terminal_mask(spec)
-    r = np.einsum("ij,ij->i", rows, spec.reward)[free]
-    a = rows if free.all() else rows[np.ix_(free, free)]
-    a *= -spec.discount
-    a.reshape(-1)[:: len(r) + 1] += 1.0
-    try:
-        sol = np.linalg.solve(a, r)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"policy evaluation solve failed: {e}") from e
-    if not np.isfinite(sol).all():
-        raise NumericError("policy evaluation produced non-finite values")
+    if spec.discount == 1.0:
+        _check_absorbing(codes, probs, free)
+    weights = np.where(free[:, None], spec.discount * probs, 0.0)
+    rhs = np.where(free, np.einsum("ij,ij->i", probs, _rewards_at(spec, codes)), 0.0)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return x - np.einsum("ij,ij->i", weights, x[codes])
+
+    norm_rhs = math.sqrt(rhs @ rhs)
+    target = _GMRES_TOL * norm_rhs
     values = np.zeros(spec.n_states)
-    values[free] = sol
-    return values
+    basis = np.empty((_GMRES_RESTART + 1, spec.n_states))
+    for _ in range(_GMRES_CYCLES):
+        residual = rhs - apply(values)
+        beta = math.sqrt(residual @ residual)
+        rounding = _GMRES_ROUNDING * (norm_rhs + (1.0 + spec.discount) * math.sqrt(values @ values))
+        if beta <= max(target, rounding):
+            return values
+        basis[0] = residual / beta
+        # the triangular factor by columns, its rotations and the rotated beta e1
+        tri, cos, sin, g = [], [], [], [beta]
+        for j in range(_GMRES_RESTART):
+            w = apply(basis[j])
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            again = basis[: j + 1] @ w
+            w -= again @ basis[: j + 1]
+            col = (h + again).tolist()
+            norm = math.sqrt(w @ w)
+            for i in range(j):
+                col[i], col[i + 1] = cos[i] * col[i] + sin[i] * col[i + 1], cos[i] * col[i + 1] - sin[i] * col[i]
+            rho = math.hypot(col[j], norm)
+            if rho == 0.0:
+                raise NumericError("policy evaluation is singular to working precision")
+            cos.append(col[j] / rho)
+            sin.append(norm / rho)
+            col[j] = rho
+            tri.append(col)
+            g.append(-sin[j] * g[j])
+            g[j] *= cos[j]
+            if abs(g[j + 1]) <= target or norm == 0.0:
+                break
+            basis[j + 1] = w / norm
+        k = len(tri)
+        r = np.zeros((k, k))
+        for j, col in enumerate(tri):
+            r[: j + 1, j] = col
+        y = np.linalg.solve(r, g[:k])
+        if not np.isfinite(y).all():
+            raise NumericError("policy evaluation is singular to working precision")
+        values += y @ basis[:k]
+    raise NumericError(
+        f"policy evaluation did not converge in {_GMRES_CYCLES} GMRES cycles of {_GMRES_RESTART} steps"
+    )
 
 
 def _q_table(spec: FactoredMdpSpec, values: np.ndarray, blocks, k: int | None, support_of) -> QTable:
@@ -724,8 +804,7 @@ def _q_table(spec: FactoredMdpSpec, values: np.ndarray, blocks, k: int | None, s
     else:
         columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
         columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
-    row_starts = np.arange(spec.n_states)[:, None] * spec.n_states  # of each state's reward row, flat
-    q = np.stack([np.einsum("ij,ij->i", p, np.take(spec.reward, row_starts + c) + spec.discount * values[c])
+    q = np.stack([np.einsum("ij,ij->i", p, _rewards_at(spec, c) + spec.discount * values[c])
                   for c, p in map(support_of, columns)], axis=1)
     q[_terminal_mask(spec)] = 0.0
     return QTable(k, q)
@@ -733,7 +812,8 @@ def _q_table(spec: FactoredMdpSpec, values: np.ndarray, blocks, k: int | None, s
 
 def evaluate(spec: FactoredMdpSpec, blocks) -> np.ndarray:
     """State values of the deterministic policy that takes block actions
-    blocks[s] (an (S, n_blocks) array) in state s."""
+    blocks[s] (an (S, n_blocks) array) in state s; NumericError where
+    `_solve` finds none."""
     return _solve(spec, *_support(spec, *_checked_query(spec, np.arange(spec.n_states), blocks)))
 
 

@@ -7,11 +7,11 @@ intervention table), and greedily improves that block.  The joint
 Howard-iteration oracle `joint_policy_iteration` solves the same MDP
 over the flat joint action space, so the two routes cross-check each
 other.  Both pass per-state block actions to `factored_mdp.evaluate`
-(a policy's state values) and `factored_mdp.q_table` (backups of the
-joint actions, or of one block's actions with the others pinned, summed
-over each state's reachable successors), and keep a state's current
-action unless another beats it by more than float noise, so ties cannot
-make either planner cycle.
+(a policy's state values, by GMRES on each state's reachable
+successors) and `factored_mdp.q_table` (backups of the joint actions,
+or of one block's actions with the others pinned, summed over the same
+successors), and keep a state's current action unless another beats it
+by more than float noise, so ties cannot make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
@@ -120,8 +120,8 @@ def factored_policy_iteration(
     converted to a spec, with unreachable rows imputed uniform and the
     imputations recorded in the trace.
 
-    One iteration = evaluate the current policy by a dense linear solve
-    (reused while iterations leave the policy unchanged), then improve
+    One iteration = evaluate the current policy (`factored_mdp.evaluate`,
+    reused while iterations leave the policy unchanged), then improve
     one block greedily per state against its projected Q table.  A
     state keeps its current action unless another beats it by more than
     float noise (`QTable.greedy` with an incumbent), and ties between
@@ -219,7 +219,7 @@ def joint_policy_iteration(
 ) -> JointPiResult:
     """Howard policy iteration over the flat joint action space.
 
-    Policy evaluation is a direct dense linear solve.  Improvement is
+    Policy evaluation is `factored_mdp.evaluate`.  Improvement is
     greedy, keeps a state's current action unless another beats it by
     more than float noise, and breaks ties between new actions to the
     lowest index.  Serves as the exact oracle the block-coordinate

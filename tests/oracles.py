@@ -134,8 +134,8 @@ def solve_dense(spec, rows):
     """State values of the policy whose dense (S, S) transition rows are
     `rows`: r and I - discount P read every entry of each row, zeros
     included, and one dense linear solve runs over the non-terminal
-    states.  This is `factored_mdp._solve` before it took a support, so
-    `evaluate` must equal it bit for bit."""
+    states.  It is the dense LU reference for `factored_mdp._solve`'s
+    GMRES on the support, which must match it up to float noise."""
     free = ~_terminal_mask(spec)
     r = np.einsum("ij,ij->i", rows, spec.reward)[free]
     values = np.zeros(spec.n_states)

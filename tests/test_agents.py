@@ -647,10 +647,18 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     online mixers (2); the target q path once per tick on its embedding,
     both heads and its mixer (4).  Backward runs on head k and the
     embedding per block and path (8) and on the two mixers (2), each
-    over distinct rows."""
+    over distinct rows.  The distinct codes are found 8 times: once per
+    block step and once for the mixers over the stacked rows, with the
+    rows the backward passes read, and twice for the target."""
     spec, logs = _offline_setup(episodes=20, seed=1)
-    forwards, backwards, heads, in_step = [], [], [], [False]
+    forwards, backwards, heads, uniques, in_step = [], [], [], [], [False]
     mlp_forward, mlp_backward, heads_forward = Mlp.forward, Mlp.backward, BcqNet.heads_forward
+    np_unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        if in_step[0]:
+            uniques.append(1)
+        return np_unique(*args, **kwargs)
 
     def counted_forward(self, x):
         if in_step[0]:
@@ -680,6 +688,7 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     monkeypatch.setattr(Mlp, "forward", counted_forward)
     monkeypatch.setattr(Mlp, "backward", counted_backward)
     monkeypatch.setattr(BcqNet, "heads_forward", counted_heads)
+    monkeypatch.setattr(np, "unique", counted_unique)
     monkeypatch.setattr(bcq_module, "_train_block", in_a_step(bcq_module._train_block))
     monkeypatch.setattr(bcq_module, "_train_mixers", in_a_step(bcq_module._train_mixers))
     monkeypatch.setattr(bcq_module, "_target_q", in_a_step(bcq_module._target_q))
@@ -687,6 +696,7 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     ad_bcq_train(logs, cfg, spec)
     assert len(forwards) == 20 * cfg.train_steps
     assert len(heads) == 7 * cfg.train_steps
+    assert len(uniques) == 8 * cfg.train_steps
     # embeddings read each distinct state code once
     codes = [x for x in forwards if x.dtype.kind == "i"]
     assert codes and all(len(np.unique(x)) == len(x) for x in codes)

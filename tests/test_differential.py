@@ -144,10 +144,29 @@ def test_xor_tie_sweep_terminates(seed):
     _mbfpi_within_joint(spec)
 
 
-# every GRID spec, then the treatment and two-switch specs
-PLANNING_SPECS = [
-    pytest.param(functools.partial(grid_spec, *g), id="-".join(map(str, g))) for g in GRID
-] + [pytest.param(treatment_spec, id="treatment"), pytest.param(two_switch_spec, id="two-switch")]
+def xor_spec(cards, discount):
+    return generate_synthetic(
+        SyntheticSpec("separable_effects", 6, 3, cards=cards, reward_kind="xor_nonmonotonic", discount=discount)
+    )
+
+
+# every GRID spec, the treatment and two-switch specs, then xor specs at
+# S = 64 and 729 with discounts near 1, where evaluation takes the most
+# Krylov steps
+PLANNING_SPECS = (
+    [pytest.param(functools.partial(grid_spec, *g), id="-".join(map(str, g))) for g in GRID]
+    + [pytest.param(treatment_spec, id="treatment"), pytest.param(two_switch_spec, id="two-switch")]
+    + [
+        pytest.param(functools.partial(xor_spec, cards, discount), id=f"xor-{cards ** 6}-{discount}")
+        for cards in (2, 3)
+        for discount in (0.99, 0.999)
+    ]
+)
+
+
+def assert_values_close(got, want):
+    """Equal up to the last bits a different solve of the same system moves."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
 @pytest.mark.parametrize("make", PLANNING_SPECS)
@@ -156,8 +175,8 @@ def test_support_backups_match_the_dense_references(make):
     rng = np.random.default_rng(spec.n_states)
     blocks = FactoredPolicy.random(spec, rng).blocks.T
     values = evaluate(spec, blocks)
-    # the support is scattered into the same dense matrix, so the solve is the same
-    assert values.tobytes() == evaluate_dense(spec, blocks).tobytes()
+    # GMRES on the support and LU on the dense rows solve the same system
+    assert_values_close(values, evaluate_dense(spec, blocks))
     for k in [None] + list(range(spec.n_blocks)):
         others = FactoredPolicy.random(spec, rng).blocks.T
         got, want = q_table(spec, values, others, k).table, q_table_dense(spec, values, others, k).table
@@ -177,7 +196,7 @@ def test_planners_take_the_dense_route_steps(make, monkeypatch):
         runs.append((factored_policy_iteration(spec, init, store_q=False), joint_policy_iteration(spec)))
     (trace, joint), (trace_ref, joint_ref) = runs
     assert trace.final_policy.blocks.tobytes() == trace_ref.final_policy.blocks.tobytes()
-    assert trace.final_values.tobytes() == trace_ref.final_values.tobytes()
+    assert_values_close(trace.final_values, trace_ref.final_values)
     assert len(trace.iterations) == len(trace_ref.iterations)
     assert joint.iterations == joint_ref.iterations
     # joint actions whose Q values tie up to float noise (the xor rewards

@@ -17,6 +17,7 @@ from frl.factored_mdp import (
     NoopFactor,
     QTable,
     SigmaTable,
+    evaluate,
     exact_q,
     noop_propensity,
     q_table,
@@ -233,6 +234,19 @@ def test_terminal_states_absorb():
     for s in range(spec.n_states):
         if s not in terminal:
             assert q.values(policy.joint_codes(spec))[s] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_an_undiscounted_closed_class_of_non_terminal_states_raises():
+    blocks = np.broadcast_to(two_switch_spec().action_as_blocks(3), (8, 2))
+    # joint action 3 never reaches state 0, and its states pay reward
+    spec = dataclasses.replace(two_switch_spec(), discount=1.0, terminal_states=(0,))
+    with pytest.raises(NumericError, match="policy evaluation"):
+        evaluate(spec, blocks)
+    # it does reach state 6
+    spec = dataclasses.replace(spec, terminal_states=(6,))
+    values = evaluate(spec, blocks)
+    assert values[6] == 0.0
+    assert np.abs(values).max() == pytest.approx(10 / 3, abs=1e-12)
 
 
 # -- validation ----------------------------------------------------------------

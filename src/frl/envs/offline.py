@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from ..factored_mdp import FactoredMdpSpec, transition_rows
+from ..factored_mdp import FactoredMdpSpec, _cdfs_in_place, _choice_error, _terminal_mask, transition_rows
 from ..ope import EpisodeLog
 
 
@@ -27,6 +27,17 @@ def generate_offline_dataset(
     Every step records (state, joint action, reward, behavior propensity).
     Rewards are whatever the spec assigns, so terminal-transition specs
     give the +/-100-on-absorption convention used by the offline tasks.
+
+    Draws: each episode's initial state, then per step the joint action
+    and the next state, each take one uniform u = rng.random() and the
+    first index whose entry of the row's normalised CDF exceeds u
+    (`cdf.searchsorted(u, side="right")`).  The CDFs of `init_dist`, the
+    behavior rows and the transition rows are built once per call with
+    rng.choice's arithmetic, so the episodes and the generator's state
+    equal one rng.choice(n, p=row) call per draw.  A row choice would
+    reject (a NaN, a negative entry, a sum off 1 by more than sqrt(eps))
+    raises ValueError at the first draw from it, naming the episode and
+    step; rows no episode reaches never raise.
     """
     if episodes < 1 or horizon < 1:
         raise DomainError(f"need at least 1 episode and a horizon of at least 1; got {episodes=}, {horizon=}")
@@ -37,24 +48,45 @@ def generate_offline_dataset(
         )
     if (behavior < 0).any() or np.abs(behavior.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValidationError("behavior rows must be distributions")
-    rng = np.random.default_rng(seed)
-    terminal = spec.terminal_states
-    out = []
-    rows = np.empty((spec.n_states, spec.n_actions, spec.n_states))
+    n, n_actions = spec.n_states, spec.n_actions
+    # every draw's CDF, built once: each joint action's transition rows
+    # turn into their CDFs in place, so no second (S, A, S) array is held
+    step_cdf = np.empty((n, n_actions, n))
+    step_bad = np.empty((n, n_actions), dtype=bool)
     for a, blocks in enumerate(spec.action_radix.table()):
-        rows[:, a] = transition_rows(spec, np.arange(spec.n_states), blocks)
-    for _ in range(episodes):
-        s = int(rng.choice(spec.n_states, p=spec.init_dist))
+        step_cdf[:, a] = transition_rows(spec, np.arange(n), blocks)
+        step_bad[:, a] = _cdfs_in_place(step_cdf[:, a])
+    step_bad = step_bad.tolist()
+    act_cdf = behavior.copy()
+    act_bad = _cdfs_in_place(act_cdf).tolist()
+    init_cdf = spec.init_dist.copy()
+    init_bad = _cdfs_in_place(init_cdf)
+    terminal = _terminal_mask(spec).tolist()
+    reward = spec.reward
+    if init_bad:
+        raise ValueError(f"episode 0: initial distribution: {_choice_error(spec.init_dist)}")
+    rng = np.random.default_rng(seed)
+    out = []
+    for episode in range(episodes):
+        s = int(init_cdf.searchsorted(rng.random(), side="right"))
         states, actions, rewards, props = [], [], [], []
-        for _ in range(horizon):
-            a = int(rng.choice(spec.n_actions, p=behavior[s]))
-            s_next = int(rng.choice(spec.n_states, p=rows[s, a]))
+        for step in range(horizon):
+            if act_bad[s]:
+                raise ValueError(f"episode {episode}, step {step}: behavior row {s}: {_choice_error(behavior[s])}")
+            a = int(act_cdf[s].searchsorted(rng.random(), side="right"))
+            if step_bad[s][a]:
+                row = transition_rows(spec, [s], spec.action_as_blocks(a))[0]
+                raise ValueError(
+                    f"episode {episode}, step {step}: transition row of state {s}, joint action {a}: "
+                    f"{_choice_error(row)}"
+                )
+            s_next = int(step_cdf[s, a].searchsorted(rng.random(), side="right"))
             states.append(s)
             actions.append(a)
-            rewards.append(float(spec.reward[s, s_next]))
-            props.append(float(behavior[s, a]))
+            rewards.append(reward.item(s, s_next))
+            props.append(behavior.item(s, a))
             s = s_next
-            if s in terminal:
+            if terminal[s]:
                 break
         out.append(
             EpisodeLog(

@@ -23,9 +23,10 @@ one variable at a time.  Planners pass per-state block actions, never
 rows: `evaluate` gives a policy's state values (restarted GMRES on the
 operator the support defines) and `q_table` the backups of every joint
 action, or of one block's actions with the other blocks pinned, each
-summed over the reachable next states alone.  `exact_q` computes a block's table the other way,
-through the projected support reweighted by the no-op propensity of
-the pinned blocks.
+summed over the reachable next states alone; `_joint_supports` lists
+every joint action's support once, for joint policy iteration.
+`exact_q` computes a block's table the other way, through the projected
+support reweighted by the no-op propensity of the pinned blocks.
 """
 
 from __future__ import annotations
@@ -582,6 +583,34 @@ def _support(spec: FactoredMdpSpec, states, blocks, intervening=None) -> tuple[n
     return codes, probs
 
 
+def _joint_supports(spec: FactoredMdpSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every joint action's support from every state, as (base, offsets,
+    index, probs): joint action a's support from state s is the codes
+    base[a, s] + offsets with the probabilities probs[index[a, s]].
+
+    With every block intervening the drawn variables are the uncontrolled
+    ones whatever the action, so each row's codes are its base code plus
+    offsets shared by every row, and its probabilities depend only on the
+    row of each drawn factor's no-op table that s and the base code
+    select.  Pairs that select the same rows share a row of `probs`,
+    which one `_support` call over a representative of each computes with
+    the same products in the same order; no (A, S, D) array is built.
+    """
+    n, n_actions = spec.n_states, spec.n_actions
+    states, actions = np.arange(n), spec.action_radix.table()
+    base = np.empty((n_actions, n), dtype=np.int64)
+    for a, blocks in enumerate(actions):
+        _, base[a], drawn = _successor_args(spec, states, blocks, None)
+    key = np.zeros_like(base)
+    for m in drawn:
+        state_rows, rows, _ = spec._index.factors[m]
+        key = key * len(spec.noop_dynamics[m].table) + rows[state_rows, base]
+        key = np.unique(key, return_inverse=True)[1].reshape(base.shape)  # renumbered from 0
+    _, first, index = np.unique(key, return_index=True, return_inverse=True)
+    codes, probs = _support(spec, first % n, actions[first // n])
+    return base, codes[0] - base.flat[first[0]], index.reshape(n_actions, n), probs
+
+
 def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
     """Next-state distributions of a batch of (state, block actions) pairs.
 
@@ -598,24 +627,47 @@ def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> 
     return out
 
 
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _cdfs_in_place(rows: np.ndarray) -> np.ndarray:
+    """Turn each row along the last axis of the float64 array `rows` into
+    its normalised CDF, in place and by rng.choice's arithmetic (cdf =
+    p.cumsum(); cdf /= cdf[-1]), and return which rows choice rejects: a
+    NaN, a negative entry, or a sum off 1 by more than sqrt(eps).  The
+    sum is the CDF's last entry; choice's compensated sum differs from it
+    in the last bits only."""
+    bad = ~(rows >= 0).all(axis=-1)  # NaN compares False
+    np.cumsum(rows, axis=-1, out=rows)
+    totals = rows[..., -1:].copy()
+    bad |= np.abs(totals[..., 0] - 1.0) > _CHOICE_ATOL
+    with np.errstate(divide="ignore", invalid="ignore"):  # a bad row may sum to 0
+        rows /= totals
+    return bad
+
+
+def _choice_error(row: np.ndarray) -> str:
+    """Why rng.choice rejects the distribution `row`."""
+    if np.isnan(row).any():
+        return "probabilities contain NaN"
+    if (row < 0).any():
+        return "probabilities are not non-negative"
+    return f"probabilities sum to {float(row.sum())!r}, not 1"
+
+
 def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One index drawn from each row's distribution, in one pass: the
     number of entries of the row's normalised CDF at or below one uniform
     from `rng`.  That is how rng.choice(len(row), p=row) draws, so the
     draws and the generator's state equal one such call per row.  Raises
-    ValueError where choice would: a NaN, a negative entry, or a row sum
-    off 1 by more than sqrt(eps).
+    ValueError where choice would (`_cdfs_in_place`).
     """
     rows = np.asarray(rows, dtype=np.float64)
-    totals = rows.sum(axis=1)
-    if np.isnan(totals).any():
-        raise ValueError("probabilities contain NaN")
-    if (rows < 0).any():
-        raise ValueError("probabilities are not non-negative")
-    if (np.abs(totals - 1.0) > np.sqrt(np.finfo(np.float64).eps)).any():
-        raise ValueError("probabilities do not sum to 1")
-    cdf = np.cumsum(rows, axis=1)
-    cdf /= cdf[:, -1:]
+    cdf = rows.copy()
+    bad = _cdfs_in_place(cdf)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"row {i}: {_choice_error(rows[i])}")
     u = rng.random(len(rows))
     return (cdf <= u[:, None]).sum(axis=1)
 
@@ -794,18 +846,22 @@ def _solve(spec: FactoredMdpSpec, codes: np.ndarray, probs: np.ndarray) -> np.nd
     )
 
 
-def _q_table(spec: FactoredMdpSpec, values: np.ndarray, blocks, k: int | None, support_of) -> QTable:
-    """One backup column per action: every joint action when k is None,
-    else each of block k's actions with the other blocks at `blocks`.
-    `support_of` maps one column's block actions to its (codes, probs)
-    support; each column sums over its support alone."""
+def _q_columns(spec: FactoredMdpSpec, blocks, k: int | None) -> np.ndarray:
+    """Block actions of each Q-table column: every joint action when k is
+    None, else each of block k's actions with the other blocks at the
+    (S, n_blocks) array `blocks`."""
     if k is None:
-        columns = spec.action_radix.table()
-    else:
-        columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
-        columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
+        return spec.action_radix.table()
+    columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
+    columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
+    return columns
+
+
+def _q_table(spec: FactoredMdpSpec, values: np.ndarray, supports, k: int | None) -> QTable:
+    """One backup column per (codes, probs) support in `supports`, one per
+    `_q_columns` column in order; each column sums over its support alone."""
     q = np.stack([np.einsum("ij,ij->i", p, _rewards_at(spec, c) + spec.discount * values[c])
-                  for c, p in map(support_of, columns)], axis=1)
+                  for c, p in supports], axis=1)
     q[_terminal_mask(spec)] = 0.0
     return QTable(k, q)
 
@@ -834,7 +890,7 @@ def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) ->
         if blocks is None:
             raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
         _, blocks = _checked_query(spec, states, blocks)  # once for every column
-    return _q_table(spec, values, blocks, k, lambda b: _support(spec, states, b))
+    return _q_table(spec, values, (_support(spec, states, b) for b in _q_columns(spec, blocks, k)), k)
 
 
 def _reweighted_support(spec: FactoredMdpSpec, k: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -875,4 +931,4 @@ def exact_q(spec: FactoredMdpSpec, policy: FactoredPolicy, block: int | None = N
         return q_table(spec, evaluate(spec, blocks))
     k = _check_block(spec, block)
     support_of = functools.partial(_reweighted_support, spec, k)
-    return _q_table(spec, _solve(spec, *support_of(blocks)), blocks, k, support_of)
+    return _q_table(spec, _solve(spec, *support_of(blocks)), map(support_of, _q_columns(spec, blocks, k)), k)

@@ -6,12 +6,14 @@ one block (every other block pinned to the policy through its
 intervention table), and greedily improves that block.  The joint
 Howard-iteration oracle `joint_policy_iteration` solves the same MDP
 over the flat joint action space, so the two routes cross-check each
-other.  Both pass per-state block actions to `factored_mdp.evaluate`
+other.  MBFPI passes per-state block actions to `factored_mdp.evaluate`
 (a policy's state values, by GMRES on each state's reachable
 successors) and `factored_mdp.q_table` (backups of the joint actions,
 or of one block's actions with the others pinned, summed over the same
-successors), and keep a state's current action unless another beats it
-by more than float noise, so ties cannot make either planner cycle.
+successors); joint PI builds every joint action's successors once and
+runs the same solve and backups on them.  Both keep a state's current
+action unless another beats it by more than float noise, so ties cannot
+make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
@@ -44,6 +46,9 @@ from .factored_mdp import (
     QTable,
     SigmaTable,
     _check_codes,
+    _joint_supports,
+    _q_table,
+    _solve,
     _support,
     _terminal_mask,
     evaluate,
@@ -219,21 +224,26 @@ def joint_policy_iteration(
 ) -> JointPiResult:
     """Howard policy iteration over the flat joint action space.
 
-    Policy evaluation is `factored_mdp.evaluate`.  Improvement is
-    greedy, keeps a state's current action unless another beats it by
-    more than float noise, and breaks ties between new actions to the
-    lowest index.  Serves as the exact oracle the block-coordinate
-    method is compared against.
+    Every joint action's support is built once per call
+    (`factored_mdp._joint_supports`), since it depends on neither the
+    policy nor the values.  Policy evaluation is `factored_mdp.evaluate`'s
+    solve on the policy's rows of those supports, and the backups are
+    `factored_mdp.q_table`'s over them, the same terms in the same order.
+    Improvement is greedy, keeps a state's current action unless another
+    beats it by more than float noise, and breaks ties between new
+    actions to the lowest index.  Serves as the exact oracle the
+    block-coordinate method is compared against.
     """
     n, A = spec.n_states, spec.n_actions
     term = _terminal_mask(spec)
     policy = np.zeros(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64).copy()
     if policy.shape != (n,) or policy.min() < 0 or policy.max() >= A:
         raise DomainError("init policy must map every state to a joint action code")
-    actions = spec.action_radix.table()  # (A, n_blocks): block actions of each joint code
+    states = np.arange(n)
+    base, offsets, index, probs = _joint_supports(spec)
     for it in range(max_iters):
-        values = evaluate(spec, actions[policy])
-        q = q_table(spec, values)
+        values = _solve(spec, base[policy, states][:, None] + offsets, probs[index[policy, states]])
+        q = _q_table(spec, values, ((b[:, None] + offsets, probs[i]) for b, i in zip(base, index)), None)
         new_policy = q.greedy(incumbent=policy)
         new_policy[term] = 0
         if np.array_equal(new_policy, policy):

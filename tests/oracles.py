@@ -2,8 +2,9 @@
 
 Everything here is deliberately straight-line python over the raw spec
 tables: no shared code with the library's vectorized evaluators.  The
-exceptions say so: the dense planning references build their rows with
-`transition_rows`, which the enumeration oracles check.
+exceptions say so: the dense planning references and the offline dataset
+reference build their rows with `transition_rows`, which the enumeration
+oracles check.
 """
 
 import itertools
@@ -11,6 +12,8 @@ import itertools
 import numpy as np
 
 from frl.factored_mdp import QTable, _terminal_mask, q_table, transition_rows
+from frl.ope import EpisodeLog
+from frl.tabular import JointPiResult
 
 
 def _sigma_lookup(spec, k, a_k, svals):
@@ -164,6 +167,25 @@ def q_table_dense(spec, values, blocks=None, k=None):
     return QTable(k, q)
 
 
+def joint_policy_iteration_dense(spec, max_iters=500):
+    """`tabular.joint_policy_iteration` from the all-zero policy over dense
+    rows: each iteration runs `evaluate_dense` at the policy and
+    `q_table_dense` at its values, then keeps the incumbent up to float
+    noise and sets terminal states to action 0."""
+    actions = spec.action_radix.table()
+    term = _terminal_mask(spec)
+    policy = np.zeros(spec.n_states, dtype=np.int64)
+    for it in range(max_iters):
+        values = evaluate_dense(spec, actions[policy])
+        q = q_table_dense(spec, values)
+        new_policy = q.greedy(incumbent=policy)
+        new_policy[term] = 0
+        if np.array_equal(new_policy, policy):
+            return JointPiResult(policy, q, values, it + 1)
+        policy = new_policy
+    raise AssertionError(f"dense joint policy iteration did not converge in {max_iters} iterations")
+
+
 def layer_views(buf, sizes):
     """[w0, b0, w1, b1, ...] as views of a buffer laid out like `Mlp.flat`."""
     views, pos = [], 0
@@ -285,6 +307,32 @@ class ListRing:
 def choice_rows(rows, rng):
     """One `rng.choice(len(row), p=row)` call per row, in row order."""
     return np.array([rng.choice(len(row), p=row) for row in rows], dtype=np.int64)
+
+
+def offline_dataset_reference(spec, behavior, episodes, seed, horizon=20):
+    """Logged episodes of `behavior` on `spec` with one `rng.choice` call
+    per draw: the initial state, then each step's joint action and next
+    state, from dense rows built by `transition_rows`."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((spec.n_states, spec.n_actions, spec.n_states))
+    for a, blocks in enumerate(spec.action_radix.table()):
+        rows[:, a] = transition_rows(spec, np.arange(spec.n_states), blocks)
+    out = []
+    for _ in range(episodes):
+        s = int(rng.choice(spec.n_states, p=spec.init_dist))
+        states, actions, rewards, props = [], [], [], []
+        for _ in range(horizon):
+            a = int(rng.choice(spec.n_actions, p=behavior[s]))
+            s_next = int(rng.choice(spec.n_states, p=rows[s, a]))
+            states.append(s)
+            actions.append(a)
+            rewards.append(float(spec.reward[s, s_next]))
+            props.append(float(behavior[s, a]))
+            s = s_next
+            if s in spec.terminal_states:
+                break
+        out.append(EpisodeLog(np.array(states), np.array(actions), np.array(rewards), np.array(props), s))
+    return out
 
 
 class ListAdam:

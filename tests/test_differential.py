@@ -15,7 +15,9 @@ reaches the optimum).  The vectorized row draw is checked against one
 Adam, bit for bit.  The factored successor draw lands only on successors
 the kernel's rows give positive probability, matches a row's law in
 frequency, and equals the dense-row draw bit for bit where one variable
-is drawn.
+is drawn.  The offline dataset generator logs the same episodes as one
+`rng.choice` per draw, and raises in the episode whose draw first reads
+a row that choice rejects.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ from frl.envs import (
     monotonic_suite,
     treatment_spec,
     two_switch_spec,
+    xor_trap_spec,
 )
 from frl.envs.synthetic import REWARD_KINDS
 from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
@@ -58,8 +61,10 @@ from oracles import (
     enumerate_interventional,
     enumerate_projected,
     evaluate_dense,
+    joint_policy_iteration_dense,
     layer_views,
     learn_model_reference,
+    offline_dataset_reference,
     q_table_dense,
     solve_q_dense,
 )
@@ -188,13 +193,12 @@ def test_support_backups_match_the_dense_references(make):
 def test_planners_take_the_dense_route_steps(make, monkeypatch):
     spec = make()
     init = FactoredPolicy.constant(spec, [0] * spec.n_blocks)
-    runs = []
-    for dense in (False, True):
-        if dense:
-            monkeypatch.setattr(tabular, "evaluate", evaluate_dense)
-            monkeypatch.setattr(tabular, "q_table", q_table_dense)
-        runs.append((factored_policy_iteration(spec, init, store_q=False), joint_policy_iteration(spec)))
-    (trace, joint), (trace_ref, joint_ref) = runs
+    trace, joint = factored_policy_iteration(spec, init, store_q=False), joint_policy_iteration(spec)
+    monkeypatch.setattr(tabular, "evaluate", evaluate_dense)
+    monkeypatch.setattr(tabular, "q_table", q_table_dense)
+    trace_ref = factored_policy_iteration(spec, init, store_q=False)
+    # joint PI reads its own cached supports, so its dense route is the oracle's loop
+    joint_ref = joint_policy_iteration_dense(spec)
     assert trace.final_policy.blocks.tobytes() == trace_ref.final_policy.blocks.tobytes()
     assert_values_close(trace.final_values, trace_ref.final_values)
     assert len(trace.iterations) == len(trace_ref.iterations)
@@ -418,6 +422,80 @@ def test_one_drawn_variable_draws_what_the_dense_row_draws(make):
         sample_successors(spec, states, blocks, fast), choice_rows(transition_rows(spec, states, blocks), slow)
     )
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+# -- offline dataset draws -----------------------------------------------------
+
+
+def _two_drawn_spec():
+    spec = grid_spec("separable_effects", "additive_monotonic", 0)
+    # with every block intervening the uncontrolled variables are the drawn ones
+    assert len(spec.uncontrolled_vars) >= 2
+    return spec
+
+
+def _dataset_behaviors(spec):
+    """Uniform, and 0.6 on the joint-PI optimum with the rest uniform."""
+    uniform = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    greedy = 0.4 * uniform
+    greedy[np.arange(spec.n_states), joint_policy_iteration(spec).policy] += 0.6
+    return uniform, greedy
+
+
+@pytest.mark.parametrize(
+    "make", [treatment_spec, two_switch_spec, xor_trap_spec, _two_drawn_spec],
+    ids=["treatment", "two-switch", "xor-trap", "two-drawn"],
+)
+@pytest.mark.parametrize("horizon", [1, 20])
+def test_dataset_draws_equal_one_choice_per_draw(make, horizon):
+    spec = make()
+    for behavior in _dataset_behaviors(spec):
+        for seed in range(5):
+            got = generate_offline_dataset(spec, behavior, episodes=30, seed=seed, horizon=horizon)
+            want = offline_dataset_reference(spec, behavior, episodes=30, seed=seed, horizon=horizon)
+            assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+def _halved_noop_row_spec():
+    """The treatment spec, unvalidated, with row 63 of the severity
+    factor scaled by 0.5: the 25 transition rows that read it sum to
+    less than 1, and rng.choice rejects them."""
+    spec = treatment_spec()
+    factors = list(spec.noop_dynamics)
+    table = factors[0].table.copy()
+    table[63] *= 0.5
+    factors[0] = dataclasses.replace(factors[0], table=table)
+    return dataclasses.replace(spec, noop_dynamics=tuple(factors), validate=False)
+
+
+def test_dataset_raises_in_the_episode_whose_draw_choice_rejects():
+    spec = _halved_noop_row_spec()
+    uniform = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    for first in range(1, 41):  # the reference's first episode count that raises
+        try:
+            want = offline_dataset_reference(spec, uniform, episodes=first, seed=0)
+        except ValueError:
+            break
+    else:
+        pytest.fail("no episode reached the halved row")
+    assert first >= 2
+    got = generate_offline_dataset(spec, uniform, episodes=first - 1, seed=0)
+    assert [e.to_json() for e in got] == [e.to_json() for e in want]
+    with pytest.raises(ValueError, match=f"episode {first - 1}, step .*sum to"):
+        generate_offline_dataset(spec, uniform, episodes=first, seed=0)
+
+
+def test_dataset_never_reaching_a_rejected_row_draws_like_the_reference():
+    spec = _halved_noop_row_spec()
+    states = np.arange(spec.n_states)
+    sums = np.stack([transition_rows(spec, states, b).sum(axis=1) for b in spec.action_radix.table()], axis=1)
+    reads = np.abs(sums - 1.0) > 1e-6
+    assert reads.any() and not reads.all(axis=1).any()
+    behavior = np.where(reads, 0.0, 1.0)
+    behavior /= behavior.sum(axis=1, keepdims=True)
+    got = generate_offline_dataset(spec, behavior, episodes=200, seed=0)
+    want = offline_dataset_reference(spec, behavior, episodes=200, seed=0)
+    assert [e.to_json() for e in got] == [e.to_json() for e in want]
 
 
 # -- flat in-place Adam --------------------------------------------------------

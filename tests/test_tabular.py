@@ -20,9 +20,11 @@ from frl import (
     NoopFactor,
     ShapeError,
     SigmaTable,
+    factored_mdp,
     transition_rows,
 )
-from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, two_switch_spec, xor_trap_spec
+from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, treatment_spec, two_switch_spec, xor_trap_spec
+from frl.factored_mdp import evaluate, q_table
 from frl.tabular import (
     check_model_coverage,
     error_bounds_at,
@@ -59,6 +61,34 @@ def test_joint_pi_matches_exhaustive_enumeration_two_switch():
     np.testing.assert_allclose(res.values, v_star, atol=1e-8)
     # greedy at the fixed point reproduces the returned policy
     assert np.array_equal(res.q.greedy(), res.policy)
+
+
+def _six_var_spec(cards, seed, reward_kind="additive_monotonic"):
+    return generate_synthetic(
+        SyntheticSpec("separable_effects", n_vars=6, n_blocks=3, cards=cards, seed=seed, reward_kind=reward_kind)
+    )
+
+
+JOINT_PI_SPECS = (
+    [pytest.param(lambda: _six_var_spec(3, 1), id="s729")]
+    + [pytest.param(lambda s=s: _six_var_spec(2, s, "xor_nonmonotonic"), id=f"xor-{s}") for s in range(8)]
+    + [pytest.param(treatment_spec, id="treatment"), pytest.param(two_switch_spec, id="two-switch")]
+)
+
+
+@pytest.mark.parametrize("make", JOINT_PI_SPECS)
+def test_joint_pi_builds_its_supports_once_and_backs_up_like_q_table(make, monkeypatch):
+    spec = make()
+    calls = []
+    support = factored_mdp._support
+    monkeypatch.setattr(factored_mdp, "_support", lambda *args, **kw: calls.append(args) or support(*args, **kw))
+    res = joint_policy_iteration(spec)
+    monkeypatch.undo()
+    # the supports depend on neither the policy nor the values: one build serves every iteration
+    assert res.iterations >= 2 and len(calls) == 1
+    values = evaluate(spec, spec.action_radix.table()[res.policy])
+    assert res.values.tobytes() == values.tobytes()
+    assert res.q.table.tobytes() == q_table(spec, values).table.tobytes()
 
 
 # -- block-coordinate policy iteration ---------------------------------------

@@ -30,7 +30,6 @@ from .factored_mdp import (
     SigmaTable,
     exact_q,
     noop_propensity,
-    transition_rows,
 )
 from .indexing import MixedRadix
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from ..factored_mdp import FactoredMdpSpec, _cdfs_in_place, _choice_error, _terminal_mask, transition_rows
+from ..factored_mdp import FactoredMdpSpec, _cdfs_in_place, _choice_error, _joint_supports, _support, _terminal_mask
 from ..ope import EpisodeLog
 
 
@@ -32,12 +32,15 @@ def generate_offline_dataset(
     and the next state, each take one uniform u = rng.random() and the
     first index whose entry of the row's normalised CDF exceeds u
     (`cdf.searchsorted(u, side="right")`).  The CDFs of `init_dist`, the
-    behavior rows and the transition rows are built once per call with
-    rng.choice's arithmetic, so the episodes and the generator's state
-    equal one rng.choice(n, p=row) call per draw.  A row choice would
-    reject (a NaN, a negative entry, a sum off 1 by more than sqrt(eps))
-    raises ValueError at the first draw from it, naming the episode and
-    step; rows no episode reaches never raise.
+    behavior rows and the distinct rows of `factored_mdp._joint_supports`
+    are built once per call with rng.choice's arithmetic.  A support row
+    lists its reachable next states in code order, and its CDF equals the
+    dense row's at those codes, so the episodes and the generator's state
+    equal one rng.choice(n, p=row) call per draw on the dense rows.  A
+    transition row choice would reject (a NaN, a negative entry, a sum
+    off 1 by more than sqrt(eps)) raises ValueError at the first draw
+    from it, naming the episode and step; rows no episode reaches never
+    raise.
     """
     if episodes < 1 or horizon < 1:
         raise DomainError(f"need at least 1 episode and a horizon of at least 1; got {episodes=}, {horizon=}")
@@ -46,19 +49,13 @@ def generate_offline_dataset(
         raise ValidationError(
             f"behavior table has shape {behavior.shape}, expected {(spec.n_states, spec.n_actions)}"
         )
-    if (behavior < 0).any() or np.abs(behavior.sum(axis=1) - 1.0).max() > 1e-9:
+    if not (behavior >= 0).all() or not (np.abs(behavior.sum(axis=1) - 1.0) <= 1e-9).all():  # NaN compares False
         raise ValidationError("behavior rows must be distributions")
-    n, n_actions = spec.n_states, spec.n_actions
-    # every draw's CDF, built once: each joint action's transition rows
-    # turn into their CDFs in place, so no second (S, A, S) array is held
-    step_cdf = np.empty((n, n_actions, n))
-    step_bad = np.empty((n, n_actions), dtype=bool)
-    for a, blocks in enumerate(spec.action_radix.table()):
-        step_cdf[:, a] = transition_rows(spec, np.arange(n), blocks)
-        step_bad[:, a] = _cdfs_in_place(step_cdf[:, a])
-    step_bad = step_bad.tolist()
+    base, offsets, index, step_cdf = _joint_supports(spec)
+    step_bad = _cdfs_in_place(step_cdf)[index].tolist()
+    base, offsets, index = base.tolist(), offsets.tolist(), index.tolist()
     act_cdf = behavior.copy()
-    act_bad = _cdfs_in_place(act_cdf).tolist()
+    _cdfs_in_place(act_cdf)  # no row is bad: the check above is tighter than choice's
     init_cdf = spec.init_dist.copy()
     init_bad = _cdfs_in_place(init_cdf)
     terminal = _terminal_mask(spec).tolist()
@@ -71,16 +68,14 @@ def generate_offline_dataset(
         s = int(init_cdf.searchsorted(rng.random(), side="right"))
         states, actions, rewards, props = [], [], [], []
         for step in range(horizon):
-            if act_bad[s]:
-                raise ValueError(f"episode {episode}, step {step}: behavior row {s}: {_choice_error(behavior[s])}")
             a = int(act_cdf[s].searchsorted(rng.random(), side="right"))
-            if step_bad[s][a]:
-                row = transition_rows(spec, [s], spec.action_as_blocks(a))[0]
+            if step_bad[a][s]:
+                _, probs = _support(spec, [s], spec.action_as_blocks(a))
                 raise ValueError(
                     f"episode {episode}, step {step}: transition row of state {s}, joint action {a}: "
-                    f"{_choice_error(row)}"
+                    f"{_choice_error(probs[0])}"
                 )
-            s_next = int(step_cdf[s, a].searchsorted(rng.random(), side="right"))
+            s_next = base[a][s] + offsets[step_cdf[index[a][s]].searchsorted(rng.random(), side="right")]
             states.append(s)
             actions.append(a)
             rewards.append(reward.item(s, s_next))

@@ -84,9 +84,8 @@ def _additive_reward(cards, eff_map, rng, state_values):
     """Reward on next state: sum over blocks of a per-block utility with one
     outstanding value per block, plus a small term on the uncontrolled part.
 
-    Returns (reward table over (s, s'), per-block utility tables, gap).
-    The gap is the worst-case margin between the best and second-best
-    utility a single block can realize, used to certify dominance.
+    Returns (reward table over (s, s'), per-block utility tables); the
+    caller certifies dominance from each table's `_utility_gap`.
     """
     n_states = len(state_values)
     utils = []

@@ -17,16 +17,19 @@ Joint states and joint actions are dense mixed-radix codes (see
 `_support` is the one transition kernel: for any mix of states, block
 actions and intervening blocks it lists the next states each query can
 reach and their probabilities, gathering through index arrays the spec
-builds on first use.  `transition_rows` scatters it into dense rows;
+builds on first use; no dense next-state row is ever built.
 `sample_successors` draws one next state per query from the factors,
-one variable at a time.  Planners pass per-state block actions, never
-rows: `evaluate` gives a policy's state values (restarted GMRES on the
-operator the support defines) and `q_table` the backups of every joint
-action, or of one block's actions with the other blocks pinned, each
-summed over the reachable next states alone; `_joint_supports` lists
-every joint action's support once, for joint policy iteration.
-`exact_q` computes a block's table the other way, through the projected
-support reweighted by the no-op propensity of the pinned blocks.
+one variable at a time.  `_joint_supports` lists every joint action's
+support from every state once, compressed to its distinct rows; every
+caller that enumerates all joint actions reads it: joint policy
+iteration, `q_table`'s joint table and the offline dataset generator.
+Planners pass per-state block actions, never rows: `evaluate` gives a
+policy's state values (restarted GMRES on the operator the support
+defines) and `q_table` the backups of every joint action, or of one
+block's actions with the other blocks pinned, each summed over the
+reachable next states alone.  `exact_q` computes a block's table the
+other way, through the projected support reweighted by the no-op
+propensity of the pinned blocks.
 """
 
 from __future__ import annotations
@@ -301,7 +304,7 @@ class FactoredMdpSpec:
             raise ValidationError("reward table has non-finite entries")
         if self.init_dist.shape != (self.n_states,):
             raise ShapeError("init_dist must have one entry per joint state")
-        if (self.init_dist < 0).any() or abs(self.init_dist.sum() - 1.0) > _PROB_TOL:
+        if not (self.init_dist >= 0).all() or not abs(self.init_dist.sum() - 1.0) <= _PROB_TOL:  # NaN compares False
             raise ValidationError("init_dist is not a distribution")
         if not 0.0 < self.discount <= 1.0:
             raise ValidationError(f"discount must be in (0, 1], got {self.discount}")
@@ -566,11 +569,15 @@ def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
 
 
 def _support(spec: FactoredMdpSpec, states, blocks, intervening=None) -> tuple[np.ndarray, np.ndarray]:
-    """The next states a `transition_rows` query can reach (Boutilier,
-    Dearden & Goldszmidt 2000), as (n, D) codes and probs: the base code
-    plus every assignment of the drawn variables, and the product of
-    their factor probabilities at that code, in drawing order.  The
-    public entry points check the codes; this trusts them."""
+    """The next states each (state, block actions) query can reach
+    (Boutilier, Dearden & Goldszmidt 2000), as (n, D) codes and probs:
+    the base code plus every assignment of the drawn variables, and the
+    product of their factor probabilities at that code, in drawing order.
+    Blocks in `intervening` (every block when None) pin their effect
+    variables to their intervention-table values; every other variable
+    follows its no-op factor, conditioning on the candidate next state
+    for its eff parents.  The public entry points check the codes; this
+    trusts them."""
     states, base, drawn = _successor_args(spec, states, blocks, intervening)
     offsets = np.zeros(1, dtype=np.int64)
     for m in drawn:
@@ -595,6 +602,8 @@ def _joint_supports(spec: FactoredMdpSpec) -> tuple[np.ndarray, np.ndarray, np.n
     select.  Pairs that select the same rows share a row of `probs`,
     which one `_support` call over a representative of each computes with
     the same products in the same order; no (A, S, D) array is built.
+    The drawn variables come in ascending index order, so `offsets`
+    ascend, and each row's codes are its support in code order.
     """
     n, n_actions = spec.n_states, spec.n_actions
     states, actions = np.arange(n), spec.action_radix.table()
@@ -609,22 +618,6 @@ def _joint_supports(spec: FactoredMdpSpec) -> tuple[np.ndarray, np.ndarray, np.n
     _, first, index = np.unique(key, return_index=True, return_inverse=True)
     codes, probs = _support(spec, first % n, actions[first // n])
     return base, codes[0] - base.flat[first[0]], index.reshape(n_actions, n), probs
-
-
-def transition_rows(spec: FactoredMdpSpec, states, blocks, intervening=None) -> np.ndarray:
-    """Next-state distributions of a batch of (state, block actions) pairs.
-
-    Row i of the (n, n_states) result is P(s' | states[i], blocks[i]).
-    `blocks` is (n, n_blocks), or one action per block for every row.
-    Blocks in `intervening` (every block when None) pin their effect
-    variables to their intervention-table values; every other variable
-    follows its no-op factor, conditioning on the candidate next state
-    for its eff parents.
-    """
-    codes, probs = _support(spec, *_checked_query(spec, states, blocks), intervening)
-    out = np.zeros((len(codes), spec.n_states))
-    np.put_along_axis(out, codes, probs, axis=1)
-    return out
 
 
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -673,13 +666,14 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_successors(spec: FactoredMdpSpec, states, blocks, rng: np.random.Generator, intervening=None) -> np.ndarray:
-    """One next-state code per row of a `transition_rows` query, drawn by
-    ancestral sampling (Koller & Friedman 2009, section 12.1): pinned
-    effect variables take their forced values, then each drawn variable
-    takes one `sample_rows` draw from its no-op row read at the partial
-    code, which already holds its eff parents.  With one drawn variable
-    the draws and the generator's state equal `sample_rows` on the dense
-    rows: the same uniform lands on the same code.
+    """One next-state code per (state, block actions) query of `_support`,
+    drawn by ancestral sampling (Koller & Friedman 2009, section 12.1):
+    pinned effect variables take their forced values, then each drawn
+    variable takes one `sample_rows` draw from its no-op row read at the
+    partial code, which already holds its eff parents.  With one drawn
+    variable the draws and the generator's state equal `sample_rows` on
+    the queries' dense next-state rows: the same uniform lands on the
+    same code.
     """
     states, codes, drawn = _successor_args(spec, *_checked_query(spec, states, blocks), intervening)
     strides = spec.state_radix.strides
@@ -846,12 +840,9 @@ def _solve(spec: FactoredMdpSpec, codes: np.ndarray, probs: np.ndarray) -> np.nd
     )
 
 
-def _q_columns(spec: FactoredMdpSpec, blocks, k: int | None) -> np.ndarray:
-    """Block actions of each Q-table column: every joint action when k is
-    None, else each of block k's actions with the other blocks at the
-    (S, n_blocks) array `blocks`."""
-    if k is None:
-        return spec.action_radix.table()
+def _q_columns(spec: FactoredMdpSpec, blocks: np.ndarray, k: int) -> np.ndarray:
+    """Block actions of each column of block k's Q table: each of block
+    k's actions with the other blocks at the (S, n_blocks) array `blocks`."""
     columns = np.repeat(np.asarray(blocks, dtype=np.int64)[None], spec.block_sizes[k], axis=0)
     columns[:, :, k] = np.arange(spec.block_sizes[k])[:, None]
     return columns
@@ -859,7 +850,8 @@ def _q_columns(spec: FactoredMdpSpec, blocks, k: int | None) -> np.ndarray:
 
 def _q_table(spec: FactoredMdpSpec, values: np.ndarray, supports, k: int | None) -> QTable:
     """One backup column per (codes, probs) support in `supports`, one per
-    `_q_columns` column in order; each column sums over its support alone."""
+    joint action or `_q_columns` column in order; each column sums over
+    its support alone."""
     q = np.stack([np.einsum("ij,ij->i", p, _rewards_at(spec, c) + spec.discount * values[c])
                   for c, p in supports], axis=1)
     q[_terminal_mask(spec)] = 0.0
@@ -877,19 +869,20 @@ def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) ->
     """Interventional backups sum_s' P(s' | s, a)(reward[s, s'] + discount V(s')),
     zero on terminal states.
 
-    With k None the table covers every joint action.  Otherwise it covers
-    block k's actions, the other blocks taking their actions in the
-    (S, n_blocks) array `blocks`.
+    With k None the table covers every joint action, over the supports
+    of `_joint_supports`.  Otherwise it covers block k's actions, the
+    other blocks taking their actions in the (S, n_blocks) array `blocks`.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (spec.n_states,):
         raise ShapeError(f"values have shape {values.shape}, expected ({spec.n_states},)")
-    states = np.arange(spec.n_states)
-    if k is not None:
-        k = _check_block(spec, k)
-        if blocks is None:
-            raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
-        _, blocks = _checked_query(spec, states, blocks)  # once for every column
+    if k is None:
+        base, offsets, index, probs = _joint_supports(spec)
+        return _q_table(spec, values, ((b[:, None] + offsets, probs[i]) for b, i in zip(base, index)), None)
+    k = _check_block(spec, k)
+    if blocks is None:
+        raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
+    states, blocks = _checked_query(spec, np.arange(spec.n_states), blocks)  # once for every column
     return _q_table(spec, values, (_support(spec, states, b) for b in _q_columns(spec, blocks, k)), k)
 
 

@@ -58,11 +58,14 @@ class EpisodeLog:
         for name in ("states", "actions", "rewards", "propensities"):
             if getattr(self, name).shape != (n,):
                 raise ShapeError(f"{name} is not a list of {n} per-step values")
-        bad = np.flatnonzero((self.propensities <= 0) | (self.propensities > 1))
+        bad = np.flatnonzero(~((self.propensities > 0) & (self.propensities <= 1)))  # NaN compares False
         if len(bad):
             raise DataError(
                 f"propensity out of (0, 1] at step {int(bad[0])}: {self.propensities[bad[0]]}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.rewards))
+        if len(bad):
+            raise DataError(f"non-finite reward at step {int(bad[0])}: {self.rewards[bad[0]]}")
 
     def __len__(self) -> int:
         return len(self.states)

@@ -2,18 +2,35 @@
 
 Everything here is deliberately straight-line python over the raw spec
 tables: no shared code with the library's vectorized evaluators.  The
-exceptions say so: the dense planning references and the offline dataset
-reference build their rows with `transition_rows`, which the enumeration
-oracles check.
+exceptions say so: `transition_rows` scatters the library's transition
+kernel into dense rows, which the enumeration oracles check, and the
+dense planning references and the offline dataset reference build their
+rows with it.
 """
 
 import itertools
 
 import numpy as np
 
-from frl.factored_mdp import QTable, _terminal_mask, q_table, transition_rows
+from frl.factored_mdp import QTable, _checked_query, _support, _terminal_mask, q_table
 from frl.ope import EpisodeLog
 from frl.tabular import JointPiResult
+
+
+def transition_rows(spec, states, blocks, intervening=None):
+    """Next-state distributions of a batch of (state, block actions) pairs.
+
+    Row i of the (n, n_states) result is P(s' | states[i], blocks[i]):
+    `factored_mdp._support`'s reachable next states and probabilities,
+    scattered into a dense row.  `blocks` is (n, n_blocks), or one action
+    per block for every row; blocks in `intervening` (every block when
+    None) pin their effect variables.  Codes are checked as the library's
+    public entry points check them.
+    """
+    codes, probs = _support(spec, *_checked_query(spec, states, blocks), intervening)
+    out = np.zeros((len(codes), spec.n_states))
+    np.put_along_axis(out, codes, probs, axis=1)
+    return out
 
 
 def _sigma_lookup(spec, k, a_k, svals):

@@ -43,8 +43,7 @@ from frl.approx import DecomposedQNet, Mlp, Optimizer, huber, target_update
 from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.envs.point_mass import FlattenedEnv
 from frl.errors import ConfigurationError, DataError, DomainError, ShapeError, StateError
-from frl.factored_mdp import transition_rows
-from oracles import ListAdam, ListRing, bcq_tick_reference, layer_views
+from oracles import ListAdam, ListRing, bcq_tick_reference, layer_views, transition_rows
 
 
 def _row(i, n_blocks=2):

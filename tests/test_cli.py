@@ -304,19 +304,20 @@ def test_ope_rejects_a_policy_that_is_not_integer_codes(workspace, capsys, polic
 
 def test_episode_line_with_a_bad_propensity_exits_two(workspace, capsys):
     run = _gen_two_switch(workspace, episodes=3)
-    lines = (run / "episodes.jsonl").read_text().splitlines()
-    broken = json.loads(lines[1])
-    broken["propensities"][0] = 1.5
-    lines[1] = json.dumps(broken)
-    bad = workspace / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValidationError, match=r"line 2: propensity out of \(0, 1\] at step 0"):
-        load_episodes(bad)
     policy_path = workspace / "policy.json"
     policy_path.write_text(json.dumps({"policy": [0] * 8}))
-    capsys.readouterr()
-    assert main(["ope", "--episodes", str(bad), "--policy", str(policy_path), "--n-actions", "4"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for propensity in (1.5, float("nan")):  # json writes NaN, and reads it back
+        lines = (run / "episodes.jsonl").read_text().splitlines()
+        broken = json.loads(lines[1])
+        broken["propensities"][0] = propensity
+        lines[1] = json.dumps(broken)
+        bad = workspace / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=r"line 2: propensity out of \(0, 1\] at step 0"):
+            load_episodes(bad)
+        capsys.readouterr()
+        assert main(["ope", "--episodes", str(bad), "--policy", str(policy_path), "--n-actions", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("line", ['{"id": "a", "wis": 2.0}', '{"id": "a", "ess": 2.0}', "[2.0, 5.0]"])
@@ -452,6 +453,11 @@ CASES = [
     pytest.param("ope", "policy", json.dumps([True] + [0] * 7), [], None, id="ope-policy-bool-action"),
     pytest.param("report", "metrics", _lines({"episode": 0, "return": True}), [], None,
                  id="report-metrics-bool-value"),
+    # json reads the NaN literal; neither a NaN probability nor a NaN reward is data
+    pytest.param("validate", "spec", json.dumps({**json.loads(SPEC_TEXT), "init_dist": [float("nan")] + [0.0] * 7}),
+                 [], "init_dist is not a distribution", id="validate-spec-nan-init-dist"),
+    pytest.param("ope", "episodes", _lines({**EPISODE, "rewards": [float("nan"), 0.0]}), [], None,
+                 id="ope-episodes-nan-reward"),
     pytest.param("train-online", None, None, ["--set", "episodes=abc"], "episodes", id="set-episodes"),
     pytest.param("train-online", None, None, ["--set", "hidden=abc"], "hidden", id="set-hidden"),
     pytest.param("train-offline", None, None, ["--set", "train_steps=abc"], "train_steps",

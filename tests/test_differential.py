@@ -15,7 +15,8 @@ reaches the optimum).  The vectorized row draw is checked against one
 Adam, bit for bit.  The factored successor draw lands only on successors
 the kernel's rows give positive probability, matches a row's law in
 frequency, and equals the dense-row draw bit for bit where one variable
-is drawn.  The offline dataset generator logs the same episodes as one
+is drawn.  The joint supports equal the kernel's rows bit for bit, in
+code order.  The offline dataset generator logs the same episodes as one
 `rng.choice` per draw, and raises in the episode whose draw first reads
 a row that choice rejects.
 """
@@ -43,13 +44,13 @@ from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
 from frl.factored_mdp import (
     FactoredPolicy,
     SigmaTable,
+    _joint_supports,
     _support,
     evaluate,
     exact_q,
     q_table,
     sample_rows,
     sample_successors,
-    transition_rows,
 )
 from frl.tabular import check_model_coverage, factored_policy_iteration, joint_policy_iteration, learn_model
 
@@ -67,6 +68,7 @@ from oracles import (
     offline_dataset_reference,
     q_table_dense,
     solve_q_dense,
+    transition_rows,
 )
 
 GRID = [
@@ -425,6 +427,25 @@ def test_one_drawn_variable_draws_what_the_dense_row_draws(make):
 
 
 # -- offline dataset draws -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [functools.partial(grid_spec, *case) for case in GRID[::4]] + [treatment_spec, two_switch_spec, xor_trap_spec],
+    ids=["-".join(map(str, case)) for case in GRID[::4]] + ["treatment", "two-switch", "xor-trap"],
+)
+def test_joint_supports_list_each_support_in_code_order(make):
+    # the dataset draws and the joint Q table read these rows in place of
+    # the kernel's: equal bit for bit, and in ascending code order, so a
+    # row's CDF equals the dense row's at its codes
+    spec = make()
+    base, offsets, index, probs = _joint_supports(spec)
+    assert (np.diff(offsets) > 0).all()
+    states = np.arange(spec.n_states)
+    for a, blocks in enumerate(spec.action_radix.table()):
+        codes, want = _support(spec, states, blocks)
+        np.testing.assert_array_equal(base[a][:, None] + offsets, codes)
+        assert probs[index[a]].tobytes() == want.tobytes()
 
 
 def _two_drawn_spec():

@@ -5,6 +5,8 @@ decoupled axes against a coordinate swap, and the dataset logger
 against empirical transition frequencies of the spec it rolled out.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from frl.envs import (
 )
 from frl.envs.point_mass import BOX, DAMPING, DT, FlattenedEnv
 from frl.errors import DomainError, ValidationError
-from frl.factored_mdp import transition_rows
+
+from oracles import transition_rows
 
 
 # -- point mass ---------------------------------------------------------------
@@ -162,6 +165,24 @@ def test_dataset_rejects_malformed_behavior():
     bad[0] *= 2.0
     with pytest.raises(ValidationError):
         generate_offline_dataset(spec, bad, episodes=1, seed=0)
+    # a NaN row passes both a sign and a sum test; no episode need reach it
+    bad = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    bad[120] = np.nan
+    with pytest.raises(ValidationError, match="behavior rows must be distributions"):
+        generate_offline_dataset(spec, bad, episodes=1, seed=0)
+
+
+def test_dataset_peak_memory_stays_below_one_dense_square():
+    # S = 729 and A = 27: a dense (S, A, S) table of transition rows would take 115 MB
+    spec = generate_synthetic(SyntheticSpec("separable_effects", 6, 3, 3, seed=0))
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    tracemalloc.start()
+    try:
+        generate_offline_dataset(spec, behavior, episodes=200, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.n_states**2 * np.dtype(np.float64).itemsize
 
 
 def test_same_seed_datasets_are_identical():

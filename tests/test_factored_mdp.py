@@ -21,10 +21,9 @@ from frl.factored_mdp import (
     exact_q,
     noop_propensity,
     q_table,
-    transition_rows,
 )
 
-from oracles import enumerate_interventional, enumerate_projected, solve_q_dense
+from oracles import enumerate_interventional, enumerate_projected, solve_q_dense, transition_rows
 
 
 def random_specs(n, seed=0, max_vars=6, max_blocks=3):
@@ -266,6 +265,15 @@ def test_validation_rejects_bad_rows():
     factors = (NoopFactor(0, (0,), (), bad_table),) + spec.noop_dynamics[1:]
     with pytest.raises(ValidationError, match="sum to 1"):
         dataclasses.replace(spec, noop_dynamics=factors)
+
+
+@pytest.mark.parametrize("entry", [-0.5, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_validation_rejects_an_init_dist_that_is_not_a_distribution(entry):
+    spec = two_switch_spec()
+    init = spec.init_dist.copy()
+    init[3] = entry
+    with pytest.raises(ValidationError, match="init_dist is not a distribution"):
+        dataclasses.replace(spec, init_dist=init)
 
 
 def test_validation_rejects_discount_one_without_terminals():

@@ -166,6 +166,11 @@ def test_episode_log_validation():
         EpisodeLog(states=[0], actions=[0], rewards=[0.0], propensities=[0.0])
     with pytest.raises(DataError):
         EpisodeLog(states=[0], actions=[0], rewards=[0.0], propensities=[1.5])
+    with pytest.raises(DataError, match="propensity out of .* at step 1: nan"):
+        EpisodeLog(states=[0, 1], actions=[0, 0], rewards=[0.0, 0.0], propensities=[0.5, np.nan])
+    for reward in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match="non-finite reward at step 1"):
+            EpisodeLog(states=[0, 1], actions=[0, 0], rewards=[0.0, reward], propensities=[0.5, 0.5])
 
 
 def test_episode_round_trip_preserves_final_state(tmp_path):

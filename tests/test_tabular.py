@@ -21,7 +21,6 @@ from frl import (
     ShapeError,
     SigmaTable,
     factored_mdp,
-    transition_rows,
 )
 from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, treatment_spec, two_switch_spec, xor_trap_spec
 from frl.factored_mdp import evaluate, q_table
@@ -34,7 +33,7 @@ from frl.tabular import (
     sample_complexity_experiment,
     theorem_sample_bounds,
 )
-from oracles import enumerate_interventional, enumerate_optimal_values, finite_horizon_values
+from oracles import enumerate_interventional, enumerate_optimal_values, finite_horizon_values, transition_rows
 
 
 def tiny_spec():

@@ -28,8 +28,6 @@ from .factored_mdp import (
     NoopFactor,
     QTable,
     SigmaTable,
-    exact_q,
-    noop_propensity,
 )
 from .indexing import MixedRadix
 

@@ -104,8 +104,8 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _load_spec(path: str, validate: bool = True) -> FactoredMdpSpec:
-    return read_json(path, "spec", lambda doc: FactoredMdpSpec.from_doc(doc, validate=validate))
+def _load_spec(path: str) -> FactoredMdpSpec:
+    return read_json(path, "spec", FactoredMdpSpec.from_doc)
 
 
 def _parse_overrides(pairs, make, preset: str) -> dict:
@@ -156,8 +156,12 @@ def _numbers(text: str, kind=float) -> list:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_spec(args.spec, validate=False)
-    spec.check(require_disjoint_effects=args.require_assumption_1)
+    def checked(doc) -> FactoredMdpSpec:
+        spec = FactoredMdpSpec.from_doc(doc, validate=False)
+        spec.check(require_disjoint_effects=args.require_assumption_1)
+        return spec
+
+    spec = read_json(args.spec, "spec", checked)
     print(
         f"OK: {spec.n_vars} state vars ({spec.n_states} states), "
         f"{spec.n_blocks} blocks ({spec.n_actions} joint actions), "

@@ -1,7 +1,6 @@
 from .synthetic import (
     SyntheticSpec,
     generate_synthetic,
-    monotonic_suite,
     treatment_spec,
     two_switch_spec,
     xor_trap_spec,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, ValidationError
-from ..factored_mdp import FactoredMdpSpec, _cdfs_in_place, _choice_error, _joint_supports, _support, _terminal_mask
+from ..factored_mdp import FactoredMdpSpec, _cdfs_in_place, _choice_error, _support, _terminal_mask
 from ..ope import EpisodeLog
 
 
@@ -32,10 +32,11 @@ def generate_offline_dataset(
     and the next state, each take one uniform u = rng.random() and the
     first index whose entry of the row's normalised CDF exceeds u
     (`cdf.searchsorted(u, side="right")`).  The CDFs of `init_dist`, the
-    behavior rows and the distinct rows of `factored_mdp._joint_supports`
-    are built once per call with rng.choice's arithmetic.  A support row
-    lists its reachable next states in code order, and its CDF equals the
-    dense row's at those codes, so the episodes and the generator's state
+    behavior rows and the distinct rows of one `factored_mdp._support`
+    call over every state, with a column per joint action, are built
+    once per call with rng.choice's arithmetic.  A support row lists its
+    reachable next states in code order, and its CDF equals the dense
+    row's at those codes, so the episodes and the generator's state
     equal one rng.choice(n, p=row) call per draw on the dense rows.  A
     transition row choice would reject (a NaN, a negative entry, a sum
     off 1 by more than sqrt(eps)) raises ValueError at the first draw
@@ -51,7 +52,7 @@ def generate_offline_dataset(
         )
     if not (behavior >= 0).all() or not (np.abs(behavior.sum(axis=1) - 1.0) <= 1e-9).all():  # NaN compares False
         raise ValidationError("behavior rows must be distributions")
-    base, offsets, index, step_cdf = _joint_supports(spec)
+    base, offsets, index, step_cdf = _support(spec, np.arange(spec.n_states), spec.action_radix.table()[:, None])
     step_bad = _cdfs_in_place(step_cdf)[index].tolist()
     base, offsets, index = base.tolist(), offsets.tolist(), index.tolist()
     act_cdf = behavior.copy()
@@ -70,10 +71,10 @@ def generate_offline_dataset(
         for step in range(horizon):
             a = int(act_cdf[s].searchsorted(rng.random(), side="right"))
             if step_bad[a][s]:
-                _, probs = _support(spec, [s], spec.action_as_blocks(a))
+                _, _, row, probs = _support(spec, [s], spec.action_as_blocks(a))
                 raise ValueError(
                     f"episode {episode}, step {step}: transition row of state {s}, joint action {a}: "
-                    f"{_choice_error(probs[0])}"
+                    f"{_choice_error(probs[row[0, 0]])}"
                 )
             s_next = base[a][s] + offsets[step_cdf[index[a][s]].searchsorted(rng.random(), side="right")]
             states.append(s)

@@ -225,33 +225,6 @@ def _utility_gap(u: np.ndarray) -> float:
     return float(top[0] - top[1]) if len(top) > 1 else float(top[0])
 
 
-def monotonic_suite(n_instances: int, seed: int = 0) -> list[FactoredMdpSpec]:
-    """Instances whose additive rewards carry a certified dominance margin,
-    so block-coordinate policy improvement reaches the joint optimum."""
-    out = []
-    rng = np.random.default_rng(seed)
-    i = 0
-    while len(out) < n_instances:
-        K = int(rng.integers(2, 4))
-        M = int(rng.integers(K, min(K + 3, 6) + 1))
-        cards = tuple(int(c) for c in rng.integers(2, 4, size=M))
-        structure = "fully_separable" if rng.random() < 0.3 else "separable_effects"
-        params = SyntheticSpec(
-            structure=structure,
-            n_vars=M,
-            n_blocks=K,
-            cards=cards,
-            seed=int(rng.integers(0, 2**31)) + i,
-            reward_kind="additive_monotonic",
-        )
-        i += 1
-        try:
-            out.append(generate_synthetic(params))
-        except ConfigurationError:
-            continue
-    return out
-
-
 def two_switch_spec(
     flip1: float = 0.1,
     flip2: float = 0.1,

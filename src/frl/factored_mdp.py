@@ -14,22 +14,21 @@ state within a single step.
 Joint states and joint actions are dense mixed-radix codes (see
 `frl.indexing`); every table in this module is a dense ndarray.
 
-`_support` is the one transition kernel: for any mix of states, block
-actions and intervening blocks it lists the next states each query can
-reach and their probabilities, gathering through index arrays the spec
-builds on first use; no dense next-state row is ever built.
+`_support` is the one transition kernel.  With every block intervening,
+it lists the next states that one or more columns of (state, block
+actions) queries can reach, and their probabilities, in one compact
+form: each query's base code plus offsets shared by every query, and
+an index into the distinct probability rows, which depend only on the
+no-op table rows the query selects.  It gathers through index arrays
+the spec builds on first use, and no dense next-state row is built.
 `sample_successors` draws one next state per query from the factors,
-one variable at a time.  `_joint_supports` lists every joint action's
-support from every state once, compressed to its distinct rows; every
-caller that enumerates all joint actions reads it: joint policy
-iteration, `q_table`'s joint table and the offline dataset generator.
+one variable at a time, with every block or only some intervening.
 Planners pass per-state block actions, never rows: `evaluate` gives a
 policy's state values (restarted GMRES on the operator the support
 defines) and `q_table` the backups of every joint action, or of one
 block's actions with the other blocks pinned, each summed over the
-reachable next states alone.  `exact_q` computes a block's table the
-other way, through the projected support reweighted by the no-op
-propensity of the pinned blocks.
+reachable next states alone.  Joint policy iteration, the offline
+dataset generator and the model coverage check read the same form.
 """
 
 from __future__ import annotations
@@ -117,12 +116,19 @@ class _KernelIndex:
     P(s'_m | parents), the entry of that row at s'_m.  The kernel,
     `tabular.learn_model` and `tabular.check_model_coverage` all read
     their rows here.
+
+    `row_key` is (state_key, next_key): with every block intervening,
+    state_key[s] + next_key[s'] codes the values of the uncontrolled
+    variables' state parents in s and of their eff parents in s', which
+    are exactly what selects each uncontrolled variable's no-op row.
+    The key is below n_states**2.
     """
 
     pre_rows: tuple[np.ndarray, ...]
     eff_codes: tuple[np.ndarray, ...]
     forced_base: tuple[np.ndarray, ...]
     factors: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    row_key: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -341,6 +347,11 @@ class FactoredMdpSpec:
             radix = MixedRadix([self.state_vars[v] for v in variables])
             return radix.encode_many(vals[:, list(variables)])
 
+        drawn = [self.noop_dynamics[m] for m in self.uncontrolled_vars]
+        state_parents = sorted({v for fac in drawn for v in fac.state_parents})
+        eff_parents = sorted({v for fac in drawn for v in fac.eff_parents})
+        n_eff = int(np.prod([self.state_vars[v] for v in eff_parents], dtype=np.int64))
+
         factors = []
         for fac in self.noop_dynamics:
             n_state_rows = int(np.prod([self.state_vars[v] for v in fac.state_parents], dtype=np.int64))
@@ -354,6 +365,7 @@ class FactoredMdpSpec:
                 radix.table() @ np.take(self.state_radix.strides, e) for radix, e in zip(self.eff_radix, self.eff_map)
             ),
             factors=tuple(factors),
+            row_key=(codes(state_parents) * n_eff, codes(eff_parents)),
         )
 
     # -- serialization ---------------------------------------------------
@@ -568,56 +580,44 @@ def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
     return states, base, list(dict.fromkeys(free)) + list(spec.uncontrolled_vars)
 
 
-def _support(spec: FactoredMdpSpec, states, blocks, intervening=None) -> tuple[np.ndarray, np.ndarray]:
-    """The next states each (state, block actions) query can reach
-    (Boutilier, Dearden & Goldszmidt 2000), as (n, D) codes and probs:
-    the base code plus every assignment of the drawn variables, and the
-    product of their factor probabilities at that code, in drawing order.
-    Blocks in `intervening` (every block when None) pin their effect
-    variables to their intervention-table values; every other variable
-    follows its no-op factor, conditioning on the candidate next state
-    for its eff parents.  The public entry points check the codes; this
-    trusts them."""
-    states, base, drawn = _successor_args(spec, states, blocks, intervening)
+def _support(spec: FactoredMdpSpec, states, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The next states each (state, block actions) query can reach with
+    every block intervening (Boutilier, Dearden & Goldszmidt 2000), for
+    one or more columns of queries over `states`: columns[c] holds block
+    actions as an (n, n_blocks) array or one action per block for every
+    state, and a `columns` of fewer than three axes is one column.
+    Returns (base, offsets, index, rows): query (c, i) reaches the codes
+    base[c, i] + offsets with probabilities rows[index[c, i]].
+
+    Every block pins its effect variables to its intervention-table
+    values, so the drawn variables are the uncontrolled ones whatever
+    the action, and `offsets` (D,) lists every assignment of them.  They
+    come in ascending index order, so `offsets` ascend and each support
+    is in code order.  A row is the product of the drawn variables'
+    factor probabilities, in drawing order, and depends only on the
+    no-op table rows the state and the base code select
+    (`_KernelIndex.row_key`).  Queries that select the same rows share
+    one of the (U, D) `rows`, computed once from a representative; no
+    (C, n, D) array is built.  The public entry points check the codes;
+    this trusts them."""
+    states = np.asarray(states, dtype=np.int64)
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.ndim < 3:
+        columns = columns[None]
+    base = np.empty((len(columns), len(states)), dtype=np.int64)
+    for c, blocks in enumerate(columns):
+        _, base[c], drawn = _successor_args(spec, states, blocks, None)
+    state_key, next_key = spec._index.row_key
+    _, first, index = np.unique((state_key[states] + next_key[base]).ravel(), return_index=True, return_inverse=True)
     offsets = np.zeros(1, dtype=np.int64)
     for m in drawn:
         offsets = (offsets[:, None] + np.arange(spec.state_vars[m]) * spec.state_radix.strides[m]).reshape(-1)
-    codes = base[:, None] + offsets
-    probs = np.ones(codes.shape)
+    rep_states, codes = states[first % len(states)], base.flat[first][:, None] + offsets
+    rows = np.ones(codes.shape)
     for m in drawn:
         state_rows, _, p = spec._index.factors[m]
-        probs *= np.take(p, state_rows[states][:, None] * spec.n_states + codes)  # ~2x faster than a 2-D gather
-    return codes, probs
-
-
-def _joint_supports(spec: FactoredMdpSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every joint action's support from every state, as (base, offsets,
-    index, probs): joint action a's support from state s is the codes
-    base[a, s] + offsets with the probabilities probs[index[a, s]].
-
-    With every block intervening the drawn variables are the uncontrolled
-    ones whatever the action, so each row's codes are its base code plus
-    offsets shared by every row, and its probabilities depend only on the
-    row of each drawn factor's no-op table that s and the base code
-    select.  Pairs that select the same rows share a row of `probs`,
-    which one `_support` call over a representative of each computes with
-    the same products in the same order; no (A, S, D) array is built.
-    The drawn variables come in ascending index order, so `offsets`
-    ascend, and each row's codes are its support in code order.
-    """
-    n, n_actions = spec.n_states, spec.n_actions
-    states, actions = np.arange(n), spec.action_radix.table()
-    base = np.empty((n_actions, n), dtype=np.int64)
-    for a, blocks in enumerate(actions):
-        _, base[a], drawn = _successor_args(spec, states, blocks, None)
-    key = np.zeros_like(base)
-    for m in drawn:
-        state_rows, rows, _ = spec._index.factors[m]
-        key = key * len(spec.noop_dynamics[m].table) + rows[state_rows, base]
-        key = np.unique(key, return_inverse=True)[1].reshape(base.shape)  # renumbered from 0
-    _, first, index = np.unique(key, return_index=True, return_inverse=True)
-    codes, probs = _support(spec, first % n, actions[first // n])
-    return base, codes[0] - base.flat[first[0]], index.reshape(n_actions, n), probs
+        rows *= np.take(p, state_rows[rep_states][:, None] * spec.n_states + codes)  # ~2x faster than a 2-D gather
+    return base, offsets, index.reshape(base.shape), rows
 
 
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -666,14 +666,14 @@ def sample_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_successors(spec: FactoredMdpSpec, states, blocks, rng: np.random.Generator, intervening=None) -> np.ndarray:
-    """One next-state code per (state, block actions) query of `_support`,
-    drawn by ancestral sampling (Koller & Friedman 2009, section 12.1):
-    pinned effect variables take their forced values, then each drawn
-    variable takes one `sample_rows` draw from its no-op row read at the
-    partial code, which already holds its eff parents.  With one drawn
-    variable the draws and the generator's state equal `sample_rows` on
-    the queries' dense next-state rows: the same uniform lands on the
-    same code.
+    """One next-state code per (state, block actions) query, drawn by
+    ancestral sampling (Koller & Friedman 2009, section 12.1): blocks in
+    `intervening` (every block when None) pin their effect variables to
+    their forced values, then each drawn variable takes one
+    `sample_rows` draw from its no-op row read at the partial code,
+    which already holds its eff parents.  With one drawn variable the
+    draws and the generator's state equal `sample_rows` on the queries'
+    dense next-state rows: the same uniform lands on the same code.
     """
     states, codes, drawn = _successor_args(spec, *_checked_query(spec, states, blocks), intervening)
     strides = spec.state_radix.strides
@@ -682,50 +682,6 @@ def sample_successors(spec: FactoredMdpSpec, states, blocks, rng: np.random.Gene
         table = spec.noop_dynamics[m].table[rows[state_rows[states], codes]]
         codes += sample_rows(table, rng) * strides[m]
     return codes
-
-
-def _propensity(
-    spec: FactoredMdpSpec, k: int, states: np.ndarray, blocks: np.ndarray, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(consistent, rho), both shaped like the (n, m) next-state `codes`,
-    over the blocks i != k acting with blocks[j] from states[j]: whether
-    codes[j] carries every such block's forced values, and the product of
-    the no-op probabilities of those values."""
-    consistent = np.ones(codes.shape, dtype=bool)
-    rho = np.ones(codes.shape)
-    for i in range(spec.n_blocks):
-        if i == k:
-            continue
-        consistent &= spec._index.eff_codes[i][codes] == _forced_codes(spec, i, states, blocks[:, i])[:, None]
-        for v in spec.eff_map[i]:
-            state_rows, _, p = spec._index.factors[v]
-            rho *= np.take(p, state_rows[states][:, None] * spec.n_states + codes)
-    return consistent, rho
-
-
-def noop_propensity(spec: FactoredMdpSpec, k: int, s: int, s_next: int, a) -> float:
-    """Product over blocks i != k of the no-op probability of the effect
-    values that block i's intervention would have forced.
-
-    Requires s_next to be consistent with those forced values; dividing
-    the projected transition by this propensity recovers the fully
-    interventional transition on its support.
-    """
-    k = _check_block(spec, k)
-    blocks = np.array([spec.action_as_blocks(a)])
-    _check_codes(spec, np.array([s, s_next]), blocks)
-    consistent, rho = _propensity(spec, k, np.array([s]), blocks, np.array([[s_next]]))
-    if not consistent[0, 0]:
-        raise DomainError(
-            f"next state {s_next} does not carry the values the other blocks' "
-            f"interventions force from state {s}"
-        )
-    if rho[0, 0] <= 0.0:
-        raise NumericError(
-            "a no-op factor has zero probability at an intervened value; "
-            "reweighting is undefined without positivity"
-        )
-    return float(rho[0, 0])
 
 
 # -- policy evaluation and Q tables -----------------------------------------
@@ -747,11 +703,14 @@ def _rewards_at(spec: FactoredMdpSpec, codes: np.ndarray) -> np.ndarray:
     return np.take(spec.reward, np.arange(spec.n_states)[:, None] * spec.n_states + codes)
 
 
-def _check_absorbing(codes: np.ndarray, probs: np.ndarray, free: np.ndarray) -> None:
+def _check_absorbing(support, free: np.ndarray) -> None:
     """NumericError unless every state reaches a terminal state along the
-    support's positive entries: at discount 1 the values of a closed
-    class of non-terminal states are undefined, and I - P is singular."""
-    reach, moves = ~free, probs > 0
+    positive entries of the one-column `_support` `support`: at discount
+    1 the values of a closed class of non-terminal states are undefined,
+    and I - P is singular."""
+    base, offsets, index, rows = support
+    codes, moves = base[0][:, None] + offsets, (rows > 0)[index[0]]
+    reach = ~free
     while True:
         grown = reach | (moves & reach[codes]).any(axis=1)
         if (grown == reach).all():
@@ -764,12 +723,13 @@ def _check_absorbing(codes: np.ndarray, probs: np.ndarray, free: np.ndarray) -> 
         )
 
 
-def _solve(spec: FactoredMdpSpec, codes: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """State values of the policy whose support from state s is (codes[s],
-    probs[s]): restarted GMRES (Saad & Schultz 1986) from zero on
-    (I - discount P) V = r, applying the operator straight from the
-    support, so no (S, S) array is built.  Terminal rows of P and r are
-    zero, so terminal states keep value zero.
+def _solve(spec: FactoredMdpSpec, support) -> np.ndarray:
+    """State values of the policy whose support from every state is the
+    one-column `_support` `support`, in state order: restarted GMRES
+    (Saad & Schultz 1986) from zero on (I - discount P) V = r, applying
+    the operator straight from the support, so no (S, S) array is built.
+    Terminal rows of P and r are zero, so terminal states keep value
+    zero.
 
     A cycle runs up to `_GMRES_RESTART` = 50 steps, orthogonalising each
     Krylov vector by classical Gram-Schmidt twice and triangularising the
@@ -785,7 +745,9 @@ def _solve(spec: FactoredMdpSpec, codes: np.ndarray, probs: np.ndarray) -> np.nd
     """
     free = ~_terminal_mask(spec)
     if spec.discount == 1.0:
-        _check_absorbing(codes, probs, free)
+        _check_absorbing(support, free)
+    base, offsets, index, rows = support
+    codes, probs = base[0][:, None] + offsets, rows[index[0]]
     weights = np.where(free[:, None], spec.discount * probs, 0.0)
     rhs = np.where(free, np.einsum("ij,ij->i", probs, _rewards_at(spec, codes)), 0.0)
 
@@ -848,12 +810,15 @@ def _q_columns(spec: FactoredMdpSpec, blocks: np.ndarray, k: int) -> np.ndarray:
     return columns
 
 
-def _q_table(spec: FactoredMdpSpec, values: np.ndarray, supports, k: int | None) -> QTable:
-    """One backup column per (codes, probs) support in `supports`, one per
-    joint action or `_q_columns` column in order; each column sums over
-    its support alone."""
-    q = np.stack([np.einsum("ij,ij->i", p, _rewards_at(spec, c) + spec.discount * values[c])
-                  for c, p in supports], axis=1)
+def _q_table(spec: FactoredMdpSpec, values: np.ndarray, support, k: int | None) -> QTable:
+    """One backup column per column of the `_support` `support` over every
+    state, one per joint action or `_q_columns` column in order; each
+    column sums over its support alone."""
+    base, offsets, index, rows = support
+    q = np.empty((spec.n_states, len(base)))
+    for c, (b, i) in enumerate(zip(base, index)):
+        codes = b[:, None] + offsets
+        q[:, c] = np.einsum("ij,ij->i", rows[i], _rewards_at(spec, codes) + spec.discount * values[codes])
     q[_terminal_mask(spec)] = 0.0
     return QTable(k, q)
 
@@ -862,66 +827,27 @@ def evaluate(spec: FactoredMdpSpec, blocks) -> np.ndarray:
     """State values of the deterministic policy that takes block actions
     blocks[s] (an (S, n_blocks) array) in state s; NumericError where
     `_solve` finds none."""
-    return _solve(spec, *_support(spec, *_checked_query(spec, np.arange(spec.n_states), blocks)))
+    return _solve(spec, _support(spec, *_checked_query(spec, np.arange(spec.n_states), blocks)))
 
 
 def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) -> QTable:
     """Interventional backups sum_s' P(s' | s, a)(reward[s, s'] + discount V(s')),
     zero on terminal states.
 
-    With k None the table covers every joint action, over the supports
-    of `_joint_supports`.  Otherwise it covers block k's actions, the
-    other blocks taking their actions in the (S, n_blocks) array `blocks`.
+    With k None the table covers every joint action, over one
+    `_support` call with a column per joint action.  Otherwise it covers
+    block k's actions, the other blocks taking their actions in the
+    (S, n_blocks) array `blocks`, over one call with a column per
+    action of block k (`_q_columns`).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (spec.n_states,):
         raise ShapeError(f"values have shape {values.shape}, expected ({spec.n_states},)")
+    states = np.arange(spec.n_states)
     if k is None:
-        base, offsets, index, probs = _joint_supports(spec)
-        return _q_table(spec, values, ((b[:, None] + offsets, probs[i]) for b, i in zip(base, index)), None)
+        return _q_table(spec, values, _support(spec, states, spec.action_radix.table()[:, None]), None)
     k = _check_block(spec, k)
     if blocks is None:
         raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
-    states, blocks = _checked_query(spec, np.arange(spec.n_states), blocks)  # once for every column
-    return _q_table(spec, values, (_support(spec, states, b) for b in _q_columns(spec, blocks, k)), k)
-
-
-def _reweighted_support(spec: FactoredMdpSpec, k: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block k's projected support, divided by the no-op propensity of
-    the other blocks' forced values on the next states consistent with
-    them and 0 on the others.
-
-    This renormalizes the projected transition onto the slice where
-    every other block's intervention holds.
-    """
-    states = np.arange(spec.n_states)
-    codes, probs = _support(spec, states, blocks, intervening=(k,))
-    consistent, rho = _propensity(spec, k, states, blocks, codes)
-    support = (probs > 0) & consistent
-    empty = ~support.any(axis=1) & ~_terminal_mask(spec)
-    if empty.any():
-        raise NumericError(
-            f"no next state is consistent with the pinned interventions from state "
-            f"{int(np.flatnonzero(empty)[0])}; a no-op factor assigns zero probability "
-            f"to an intervened value"
-        )
-    return codes, np.divide(probs, rho, out=np.zeros_like(probs), where=support)
-
-
-def exact_q(spec: FactoredMdpSpec, policy: FactoredPolicy, block: int | None = None) -> QTable:
-    """Exact action-value table of a deterministic factored policy.
-
-    With block=None the table covers joint actions and uses the fully
-    interventional transition.  With block=k the table covers block k's
-    projected actions and is computed through the projected transition
-    reweighted by the no-op propensity of the remaining blocks, whose
-    actions are pinned to the policy.  The two routes agree state-wise:
-    the joint value function equals the reweighted projected one.
-    """
-    policy.check(spec)
-    blocks = policy.blocks.T
-    if block is None:
-        return q_table(spec, evaluate(spec, blocks))
-    k = _check_block(spec, block)
-    support_of = functools.partial(_reweighted_support, spec, k)
-    return _q_table(spec, _solve(spec, *support_of(blocks)), map(support_of, _q_columns(spec, blocks, k)), k)
+    states, blocks = _checked_query(spec, states, blocks)
+    return _q_table(spec, values, _support(spec, states, _q_columns(spec, blocks, k)), k)

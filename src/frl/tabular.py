@@ -46,7 +46,6 @@ from .factored_mdp import (
     QTable,
     SigmaTable,
     _check_codes,
-    _joint_supports,
     _q_table,
     _solve,
     _support,
@@ -224,11 +223,12 @@ def joint_policy_iteration(
 ) -> JointPiResult:
     """Howard policy iteration over the flat joint action space.
 
-    Every joint action's support is built once per call
-    (`factored_mdp._joint_supports`), since it depends on neither the
-    policy nor the values.  Policy evaluation is `factored_mdp.evaluate`'s
-    solve on the policy's rows of those supports, and the backups are
-    `factored_mdp.q_table`'s over them, the same terms in the same order.
+    Every joint action's support is built once per call, by one
+    `factored_mdp._support` call with a column per joint action, since it
+    depends on neither the policy nor the values.  Policy evaluation is
+    `factored_mdp.evaluate`'s solve on the policy's entries of that
+    support, and the backups are `factored_mdp.q_table`'s over it, the
+    same terms in the same order.
     Improvement is greedy, keeps a state's current action unless another
     beats it by more than float noise, and breaks ties between new
     actions to the lowest index.  Serves as the exact oracle the
@@ -240,10 +240,10 @@ def joint_policy_iteration(
     if policy.shape != (n,) or policy.min() < 0 or policy.max() >= A:
         raise DomainError("init policy must map every state to a joint action code")
     states = np.arange(n)
-    base, offsets, index, probs = _joint_supports(spec)
+    base, offsets, index, rows = support = _support(spec, states, spec.action_radix.table()[:, None])
     for it in range(max_iters):
-        values = _solve(spec, base[policy, states][:, None] + offsets, probs[index[policy, states]])
-        q = _q_table(spec, values, ((b[:, None] + offsets, probs[i]) for b, i in zip(base, index)), None)
+        values = _solve(spec, (base[policy, states][None], offsets, index[policy, states][None], rows))
+        q = _q_table(spec, values, support, None)
         new_policy = q.greedy(incumbent=policy)
         new_policy[term] = 0
         if np.array_equal(new_policy, policy):
@@ -410,6 +410,10 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
     could touch.  Reachability is expanded through a uniform-imputed
     copy of the model, which can only widen the reachable set.
 
+    Reachability is a frontier search: each round reads the supports of
+    every joint action from the non-terminal states the last round
+    reached first, and keeps the codes with positive probability.
+
     Per reachable state: every intervention cell, then each uncontrolled
     variable's no-op rows (ascending) over the eff-parent values visited
     cells force, one variable at a time.  Joint planning intervenes
@@ -417,18 +421,17 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
     """
     spec, _ = model.to_spec(fill_unvisited=True)
     sk = model.skeleton
-    states = np.arange(spec.n_states)
-    successor = np.zeros((spec.n_states, spec.n_states), dtype=bool)
-    for blocks in spec.action_radix.table():
-        codes, probs = _support(spec, states, blocks)
-        successor[states[:, None], codes] |= probs > 0
-    successor[_terminal_mask(spec)] = False
+    terminal = _terminal_mask(spec)
     reachable = sk.init_dist > 0
-    while True:
-        grown = reachable | successor[reachable].any(axis=0)
-        if (grown == reachable).all():
-            break
-        reachable = grown
+    frontier = reachable & ~terminal
+    while frontier.any():
+        base, offsets, row_index, rows = _support(spec, np.flatnonzero(frontier), spec.action_radix.table()[:, None])
+        positive = rows > 0
+        reached = np.zeros_like(reachable)
+        for b, i in zip(base, row_index):
+            reached[(b[:, None] + offsets)[positive[i]]] = True
+        frontier = reached & ~reachable & ~terminal
+        reachable |= reached
     index = sk._index
     vals = sk.state_values
     sigma_hat = model.sigma_hat

@@ -2,32 +2,72 @@
 
 Everything here is deliberately straight-line python over the raw spec
 tables: no shared code with the library's vectorized evaluators.  The
-exceptions say so: `transition_rows` scatters the library's transition
-kernel into dense rows, which the enumeration oracles check, and the
-dense planning references and the offline dataset reference build their
-rows with it.
+exceptions say so: `dense_support` lists each query's support from the
+library's pinned and drawn variables, `transition_rows` scatters it into
+dense rows, which the enumeration oracles check, and the dense planning
+references and the offline dataset reference build their rows with it.
+`exact_q` runs the library's solve and backups on the reweighted
+projected supports.
 """
 
 import itertools
 
 import numpy as np
 
-from frl.factored_mdp import QTable, _checked_query, _support, _terminal_mask, q_table
+from frl.envs import SyntheticSpec, generate_synthetic
+from frl.errors import ConfigurationError, DomainError, NumericError
+from frl.factored_mdp import (
+    QTable,
+    _check_block,
+    _check_codes,
+    _checked_query,
+    _forced_codes,
+    _q_columns,
+    _q_table,
+    _solve,
+    _successor_args,
+    _terminal_mask,
+    evaluate,
+    q_table,
+)
 from frl.ope import EpisodeLog
 from frl.tabular import JointPiResult
+
+
+def dense_support(spec, states, blocks, intervening=None):
+    """The next states each (state, block actions) query can reach, as
+    (n, D) codes and probs: the base code plus every assignment of the
+    drawn variables (`factored_mdp._successor_args`), and the product of
+    their factor probabilities at that code, in drawing order.  Blocks
+    in `intervening` (every block when None) pin their effect variables
+    to their intervention-table values; every other variable follows
+    its no-op factor, conditioning on the candidate next state for its
+    eff parents.  With every block intervening, `factored_mdp._support`
+    lists the same codes and probabilities bit for bit.  Trusts the
+    codes."""
+    states, base, drawn = _successor_args(spec, states, blocks, intervening)
+    offsets = np.zeros(1, dtype=np.int64)
+    for m in drawn:
+        offsets = (offsets[:, None] + np.arange(spec.state_vars[m]) * spec.state_radix.strides[m]).reshape(-1)
+    codes = base[:, None] + offsets
+    probs = np.ones(codes.shape)
+    for m in drawn:
+        state_rows, _, p = spec._index.factors[m]
+        probs *= np.take(p, state_rows[states][:, None] * spec.n_states + codes)
+    return codes, probs
 
 
 def transition_rows(spec, states, blocks, intervening=None):
     """Next-state distributions of a batch of (state, block actions) pairs.
 
     Row i of the (n, n_states) result is P(s' | states[i], blocks[i]):
-    `factored_mdp._support`'s reachable next states and probabilities,
-    scattered into a dense row.  `blocks` is (n, n_blocks), or one action
-    per block for every row; blocks in `intervening` (every block when
-    None) pin their effect variables.  Codes are checked as the library's
-    public entry points check them.
+    `dense_support`'s reachable next states and probabilities, scattered
+    into a dense row.  `blocks` is (n, n_blocks), or one action per block
+    for every row; blocks in `intervening` (every block when None) pin
+    their effect variables.  Codes are checked as the library's public
+    entry points check them.
     """
-    codes, probs = _support(spec, *_checked_query(spec, states, blocks), intervening)
+    codes, probs = dense_support(spec, *_checked_query(spec, states, blocks), intervening)
     out = np.zeros((len(codes), spec.n_states))
     np.put_along_axis(out, codes, probs, axis=1)
     return out
@@ -101,6 +141,102 @@ def draw_probability(spec, s, a_blocks, s_next, intervening=None):
     for k in range(spec.n_blocks) if intervening is None else intervening:
         forced.update(_sigma_lookup(spec, k, a_blocks[k], svals))
     return _path_probability(spec, svals, forced, spec.state_radix.decode(s_next))
+
+
+# -- the reweighting identity -------------------------------------------------
+
+
+def _propensity(spec, k, states, blocks, codes):
+    """(consistent, rho), both shaped like the (n, m) next-state `codes`,
+    over the blocks i != k acting with blocks[j] from states[j]: whether
+    codes[j] carries every such block's forced values, and the product of
+    the no-op probabilities of those values."""
+    consistent = np.ones(codes.shape, dtype=bool)
+    rho = np.ones(codes.shape)
+    for i in range(spec.n_blocks):
+        if i == k:
+            continue
+        consistent &= spec._index.eff_codes[i][codes] == _forced_codes(spec, i, states, blocks[:, i])[:, None]
+        for v in spec.eff_map[i]:
+            state_rows, _, p = spec._index.factors[v]
+            rho *= np.take(p, state_rows[states][:, None] * spec.n_states + codes)
+    return consistent, rho
+
+
+def noop_propensity(spec, k, s, s_next, a):
+    """Product over blocks i != k of the no-op probability of the effect
+    values that block i's intervention would have forced.
+
+    Requires s_next to be consistent with those forced values; dividing
+    the projected transition by this propensity recovers the fully
+    interventional transition on its support.
+    """
+    k = _check_block(spec, k)
+    blocks = np.array([spec.action_as_blocks(a)])
+    _check_codes(spec, np.array([s, s_next]), blocks)
+    consistent, rho = _propensity(spec, k, np.array([s]), blocks, np.array([[s_next]]))
+    if not consistent[0, 0]:
+        raise DomainError(
+            f"next state {s_next} does not carry the values the other blocks' "
+            f"interventions force from state {s}"
+        )
+    if rho[0, 0] <= 0.0:
+        raise NumericError(
+            "a no-op factor has zero probability at an intervened value; "
+            "reweighting is undefined without positivity"
+        )
+    return float(rho[0, 0])
+
+
+def _reweighted_support(spec, k, blocks):
+    """Block k's projected support, divided by the no-op propensity of
+    the other blocks' forced values on the next states consistent with
+    them and 0 on the others.
+
+    This renormalizes the projected transition onto the slice where
+    every other block's intervention holds.
+    """
+    states = np.arange(spec.n_states)
+    codes, probs = dense_support(spec, states, blocks, intervening=(k,))
+    consistent, rho = _propensity(spec, k, states, blocks, codes)
+    support = (probs > 0) & consistent
+    empty = ~support.any(axis=1) & ~_terminal_mask(spec)
+    if empty.any():
+        raise NumericError(
+            f"no next state is consistent with the pinned interventions from state "
+            f"{int(np.flatnonzero(empty)[0])}; a no-op factor assigns zero probability "
+            f"to an intervened value"
+        )
+    return codes, np.divide(probs, rho, out=np.zeros_like(probs), where=support)
+
+
+def _compact(supports):
+    """Dense (codes, probs) supports over every state, one per column, in
+    `factored_mdp._support`'s (base, offsets, index, rows) form with one
+    row per query: the codes share their offsets, and the first is 0."""
+    codes = np.stack([c for c, _ in supports])
+    rows = np.concatenate([p for _, p in supports])
+    return codes[:, :, 0], codes[0, 0] - codes[0, 0, 0], np.arange(len(rows)).reshape(codes.shape[:2]), rows
+
+
+def exact_q(spec, policy, block=None):
+    """Exact action-value table of a deterministic factored policy.
+
+    With block=None the table covers joint actions and uses the fully
+    interventional transition.  With block=k the table covers block k's
+    projected actions and is computed through the projected transition
+    reweighted by the no-op propensity of the remaining blocks, whose
+    actions are pinned to the policy.  The two routes agree state-wise:
+    the joint value function equals the reweighted projected one.
+    """
+    policy.check(spec)
+    blocks = policy.blocks.T
+    if block is None:
+        return q_table(spec, evaluate(spec, blocks))
+    k = _check_block(spec, block)
+    values = _solve(spec, _compact([_reweighted_support(spec, k, blocks)]))
+    columns = [_reweighted_support(spec, k, b) for b in _q_columns(spec, blocks, k)]
+    return _q_table(spec, values, _compact(columns), k)
 
 
 def solve_q_dense(spec, policy, tol_unused=None):
@@ -626,3 +762,30 @@ def check_model_coverage_reference(model):
                 if model.noop_counts[m][r].sum() == 0:
                     missing.append(f"noop factor {m} row {r} (state {s})")
     return list(dict.fromkeys(missing))
+
+
+def monotonic_suite(n_instances, seed=0):
+    """Instances whose additive rewards carry a certified dominance margin,
+    so block-coordinate policy improvement reaches the joint optimum."""
+    out = []
+    rng = np.random.default_rng(seed)
+    i = 0
+    while len(out) < n_instances:
+        K = int(rng.integers(2, 4))
+        M = int(rng.integers(K, min(K + 3, 6) + 1))
+        cards = tuple(int(c) for c in rng.integers(2, 4, size=M))
+        structure = "fully_separable" if rng.random() < 0.3 else "separable_effects"
+        params = SyntheticSpec(
+            structure=structure,
+            n_vars=M,
+            n_blocks=K,
+            cards=cards,
+            seed=int(rng.integers(0, 2**31)) + i,
+            reward_kind="additive_monotonic",
+        )
+        i += 1
+        try:
+            out.append(generate_synthetic(params))
+        except ConfigurationError:
+            continue
+    return out

@@ -416,7 +416,8 @@ def _column(name: str, item: str):
             "wrong field type": wrong_field}[name]
 
 
-# (command, input, content, extra argv, what stderr must name: None for the input's path)
+# (command, input, content, extra argv, what stderr must name: None for the input's
+# path, else a string formatted with the input paths)
 CASES = [
     pytest.param(cmd, item, _column(col, item), [], None, id=f"{cmd}-{item}-{col}")
     for cmd, item in ROWS for col in COLUMNS
@@ -455,7 +456,7 @@ CASES = [
                  id="report-metrics-bool-value"),
     # json reads the NaN literal; neither a NaN probability nor a NaN reward is data
     pytest.param("validate", "spec", json.dumps({**json.loads(SPEC_TEXT), "init_dist": [float("nan")] + [0.0] * 7}),
-                 [], "init_dist is not a distribution", id="validate-spec-nan-init-dist"),
+                 [], "{spec}: init_dist is not a distribution", id="validate-spec-nan-init-dist"),
     pytest.param("ope", "episodes", _lines({**EPISODE, "rewards": [float("nan"), 0.0]}), [], None,
                  id="ope-episodes-nan-reward"),
     pytest.param("train-online", None, None, ["--set", "episodes=abc"], "episodes", id="set-episodes"),
@@ -502,4 +503,4 @@ def test_malformed_input_exits_two_naming_it(workspace, capsys, command, item, c
         return
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
-    assert (named or paths[item]) in err
+    assert (paths[item] if named is None else named.format(**paths)) in err

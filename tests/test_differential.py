@@ -1,10 +1,10 @@
 """Randomized differential tests of the fast paths against oracles.
 
 The batched transition kernel is checked row by row against the
-enumeration oracles, `exact_q` on both of its routes (and `q_table`)
-against the dense-solve oracle, the support backups (`evaluate`,
-`q_table` and both planners) against the dense-row references they
-replaced, model learning and its coverage check against
+enumeration oracles, the oracles' `exact_q` on both of its routes (and
+`q_table`) against the dense-solve oracle, the support backups
+(`evaluate`, `q_table` and both planners) against the dense-row
+references they replaced, model learning and its coverage check against
 their one-row-at-a-time references, and both planners are run to
 termination on every grid spec of generated specs: joint policy
 iteration must converge, and block-coordinate policy iteration must
@@ -15,10 +15,11 @@ reaches the optimum).  The vectorized row draw is checked against one
 Adam, bit for bit.  The factored successor draw lands only on successors
 the kernel's rows give positive probability, matches a row's law in
 frequency, and equals the dense-row draw bit for bit where one variable
-is drawn.  The joint supports equal the kernel's rows bit for bit, in
-code order.  The offline dataset generator logs the same episodes as one
-`rng.choice` per draw, and raises in the episode whose draw first reads
-a row that choice rejects.
+is drawn.  The kernel's compact supports equal the dense oracle's bit
+for bit, in code order, on every column the planners read.  The offline
+dataset generator logs the same episodes as one `rng.choice` per draw,
+and raises in the episode whose draw first reads a row that choice
+rejects.
 """
 
 import dataclasses
@@ -34,7 +35,6 @@ from frl.envs import (
     SyntheticSpec,
     generate_offline_dataset,
     generate_synthetic,
-    monotonic_suite,
     treatment_spec,
     two_switch_spec,
     xor_trap_spec,
@@ -44,10 +44,9 @@ from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
 from frl.factored_mdp import (
     FactoredPolicy,
     SigmaTable,
-    _joint_supports,
+    _q_columns,
     _support,
     evaluate,
-    exact_q,
     q_table,
     sample_rows,
     sample_successors,
@@ -58,13 +57,16 @@ from oracles import (
     ListAdam,
     check_model_coverage_reference,
     choice_rows,
+    dense_support,
     draw_probability,
     enumerate_interventional,
     enumerate_projected,
     evaluate_dense,
+    exact_q,
     joint_policy_iteration_dense,
     layer_views,
     learn_model_reference,
+    monotonic_suite,
     offline_dataset_reference,
     q_table_dense,
     solve_q_dense,
@@ -431,21 +433,35 @@ def test_one_drawn_variable_draws_what_the_dense_row_draws(make):
 
 @pytest.mark.parametrize(
     "make",
-    [functools.partial(grid_spec, *case) for case in GRID[::4]] + [treatment_spec, two_switch_spec, xor_trap_spec],
-    ids=["-".join(map(str, case)) for case in GRID[::4]] + ["treatment", "two-switch", "xor-trap"],
+    [functools.partial(grid_spec, *case) for case in GRID] + [treatment_spec, two_switch_spec, xor_trap_spec],
+    ids=["-".join(map(str, case)) for case in GRID] + ["treatment", "two-switch", "xor-trap"],
 )
-def test_joint_supports_list_each_support_in_code_order(make):
-    # the dataset draws and the joint Q table read these rows in place of
-    # the kernel's: equal bit for bit, and in ascending code order, so a
-    # row's CDF equals the dense row's at its codes
+def test_support_lists_each_query_in_code_order_like_the_dense_oracle(make):
+    # every reader of the kernel takes its compact form: each query's codes
+    # are its base plus ascending offsets, so a row's CDF equals the dense
+    # row's at its codes, and its row of the distinct rows equals the
+    # dense oracle's probabilities bit for bit.  The columns are every
+    # joint action, and every column MBFPI reads under random policies.
     spec = make()
-    base, offsets, index, probs = _joint_supports(spec)
-    assert (np.diff(offsets) > 0).all()
     states = np.arange(spec.n_states)
-    for a, blocks in enumerate(spec.action_radix.table()):
-        codes, want = _support(spec, states, blocks)
-        np.testing.assert_array_equal(base[a][:, None] + offsets, codes)
-        assert probs[index[a]].tobytes() == want.tobytes()
+    rng = np.random.default_rng(0)
+    policies = [FactoredPolicy.random(spec, rng).blocks.T for _ in range(2)]
+    cases = [spec.action_radix.table()[:, None]] + [
+        _q_columns(spec, blocks, k) for blocks in policies for k in range(spec.n_blocks)
+    ]
+    for columns in cases:
+        base, offsets, index, rows = _support(spec, states, columns)
+        assert (np.diff(offsets) > 0).all()
+        assert base.shape == index.shape == (len(columns), spec.n_states)
+        # one row per distinct tuple of the no-op table rows the drawn
+        # factors read; the zero row keeps one key when nothing is drawn
+        factors = [spec._index.factors[m] for m in spec.uncontrolled_vars]
+        keys = np.stack([np.zeros_like(base)] + [table_rows[state_rows[states], base] for state_rows, table_rows, _ in factors])
+        assert len(rows) == np.unique(keys.reshape(len(keys), -1), axis=1).shape[1]
+        for c, blocks in enumerate(np.broadcast_to(columns, base.shape + (spec.n_blocks,))):
+            codes, want = dense_support(spec, states, blocks)
+            np.testing.assert_array_equal(base[c][:, None] + offsets, codes)
+            assert rows[index[c]].tobytes() == want.tobytes()
 
 
 def _two_drawn_spec():

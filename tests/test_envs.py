@@ -15,14 +15,13 @@ from frl.envs import (
     SyntheticSpec,
     generate_offline_dataset,
     generate_synthetic,
-    monotonic_suite,
     point_mass_step,
     treatment_spec,
 )
 from frl.envs.point_mass import BOX, DAMPING, DT, FlattenedEnv
 from frl.errors import DomainError, ValidationError
 
-from oracles import transition_rows
+from oracles import monotonic_suite, transition_rows
 
 
 # -- point mass ---------------------------------------------------------------

@@ -18,12 +18,17 @@ from frl.factored_mdp import (
     QTable,
     SigmaTable,
     evaluate,
-    exact_q,
-    noop_propensity,
     q_table,
 )
 
-from oracles import enumerate_interventional, enumerate_projected, solve_q_dense, transition_rows
+from oracles import (
+    enumerate_interventional,
+    enumerate_projected,
+    exact_q,
+    noop_propensity,
+    solve_q_dense,
+    transition_rows,
+)
 
 
 def random_specs(n, seed=0, max_vars=6, max_blocks=3):

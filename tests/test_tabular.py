@@ -20,9 +20,9 @@ from frl import (
     NoopFactor,
     ShapeError,
     SigmaTable,
-    factored_mdp,
+    tabular,
 )
-from frl.envs import SyntheticSpec, generate_synthetic, monotonic_suite, treatment_spec, two_switch_spec, xor_trap_spec
+from frl.envs import SyntheticSpec, generate_synthetic, treatment_spec, two_switch_spec, xor_trap_spec
 from frl.factored_mdp import evaluate, q_table
 from frl.tabular import (
     check_model_coverage,
@@ -33,7 +33,13 @@ from frl.tabular import (
     sample_complexity_experiment,
     theorem_sample_bounds,
 )
-from oracles import enumerate_interventional, enumerate_optimal_values, finite_horizon_values, transition_rows
+from oracles import (
+    enumerate_interventional,
+    enumerate_optimal_values,
+    finite_horizon_values,
+    monotonic_suite,
+    transition_rows,
+)
 
 
 def tiny_spec():
@@ -79,8 +85,8 @@ JOINT_PI_SPECS = (
 def test_joint_pi_builds_its_supports_once_and_backs_up_like_q_table(make, monkeypatch):
     spec = make()
     calls = []
-    support = factored_mdp._support
-    monkeypatch.setattr(factored_mdp, "_support", lambda *args, **kw: calls.append(args) or support(*args, **kw))
+    support = tabular._support
+    monkeypatch.setattr(tabular, "_support", lambda *args, **kw: calls.append(args) or support(*args, **kw))
     res = joint_policy_iteration(spec)
     monkeypatch.undo()
     # the supports depend on neither the policy nor the values: one build serves every iteration

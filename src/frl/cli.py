@@ -318,6 +318,62 @@ def split_episodes(episodes, fractions, seed: int):
     return train, val, test
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class _RecordList(logging.Handler):
+    """Keeps each WARNING-or-higher record in `records`, its message
+    formatted and its arguments dropped, so that it pickles."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = self.format(record), None, None
+        self.records.append(record)
+
+
+def _tau_run(train, cfg, spec):
+    """`ad_bcq_train` at one threshold, in a worker process.
+
+    Returns (records, metrics, checkpoints); `records` are the run's
+    WARNING-or-higher log records, for the parent to log.  An exception
+    carries the records logged before it in its `records` attribute.
+    """
+    handler = _RecordList()
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        result = ad_bcq_train(train, cfg, spec)
+        return handler.records, result.metrics, result.checkpoints
+    except Exception as e:
+        e.records = handler.records
+        raise
+    finally:
+        root.removeHandler(handler)
+
+
+def _log_records(records) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
+@contextlib.contextmanager
+def _blas_threads(n: int):
+    """Set the BLAS thread-count variables to `n`, restoring them on exit."""
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(n)))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def offline_selection_run(
     episodes,
     spec: FactoredMdpSpec,
@@ -332,21 +388,49 @@ def offline_selection_run(
 ):
     """Train one offline preset across the threshold grid and pick a model.
 
+    The taus train in `min(len(tau_grid), usable CPUs)` spawned worker
+    processes, each with its BLAS pool capped at cpus // workers threads
+    (the BLAS variables are set only while the workers start).  Results
+    are gathered in grid order, and each tau's WARNING-or-higher log
+    records are logged here as it is gathered.  The first failure in
+    grid order is re-raised, the taus not yet started are cancelled,
+    and no worker outlives the call.  Each worker imports the caller's
+    main module, so a script must make this call under
+    `if __name__ == "__main__":`.
+
     Returns (selection dict, combined metrics list, checkpoints list);
     the selection records the winning (tau, step), its validation score,
     and the chosen policy's test-set score.
     """
+    # Imported here: the pool's modules add about 1.7 MB to the resident
+    # set of every process that imports this module.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     train, val, test = split_episodes(episodes, split, seed)
+    configs = [offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {})) for tau in tau_grid]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(len(configs), cpus))  # an empty grid starts no worker
     candidates, metrics, checkpoints = [], [], []
-    for tau in tau_grid:
-        cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
-        result = ad_bcq_train(train, cfg, spec)
-        metrics.extend({"tau": float(tau), **line} for line in result.metrics)
-        checkpoints.extend(result.checkpoints)
-        candidates.extend(checkpoint_candidates(
-            result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon
-        ))
-        del result  # its networks and their buffers go before the next tau trains
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _blas_threads(max(1, cpus // workers)):  # a spawn pool starts its workers in submit
+            futures = [pool.submit(_tau_run, train, cfg, spec) for cfg in configs]
+        try:
+            for cfg, future in zip(configs, futures):
+                try:
+                    records, run_metrics, run_checkpoints = future.result()
+                except Exception as e:
+                    _log_records(getattr(e, "records", ()))
+                    raise
+                _log_records(records)
+                metrics.extend({"tau": cfg.tau_bcq, **line} for line in run_metrics)
+                checkpoints.extend(run_checkpoints)
+                candidates.extend(checkpoint_candidates(
+                    run_checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon
+                ))
+        finally:
+            for future in futures:
+                future.cancel()
     cutoff = ess_cutoff_frac * len(val)
     cid, val_result = select_model(candidates, cutoff)
     policies = {(cp["tau"], cp["step"]): cp["policy"] for cp in checkpoints}

@@ -17,14 +17,21 @@ from .errors import DataError, DomainError, SelectionError, ShapeError, Validati
 from .jsonio import read_jsonl
 
 
+def _check_code(x, what: str) -> None:
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{what} {x!r} is not an integer code")
+
+
 def _codes(values, what: str) -> np.ndarray:
     """`values` as int64 codes.  A float or bool code is a ValidationError:
-    int64 conversion would truncate 5.7 to 5 and read true as 1."""
+    int64 conversion would truncate 5.7 to 5 and read true as 1.  An
+    integer array, or a flat sequence of plain ints, is checked by its
+    dtype and element types alone; anything else one element at a time."""
     arr = np.asarray(values)
-    if isinstance(values, (list, tuple)) or arr.dtype.kind not in "iu":
+    plain = isinstance(values, np.ndarray) or (arr.ndim == 1 and set(map(type, values)) == {int})
+    if arr.dtype.kind not in "iu" or not plain:
         for x in np.asarray(values, dtype=object).ravel():
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValidationError(f"{what} {x!r} is not an integer code")
+            _check_code(x, what)
     return arr.astype(np.int64, copy=False)
 
 
@@ -51,21 +58,21 @@ class EpisodeLog:
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.propensities = np.asarray(self.propensities, dtype=np.float64)
         if self.final_state is not None:
-            self.final_state = int(_codes([self.final_state], "final state")[0])
+            _check_code(self.final_state, "final state")
+            self.final_state = int(np.int64(self.final_state))
         n = len(self.states)
         if n == 0:
             raise DataError("episode has no steps")
         for name in ("states", "actions", "rewards", "propensities"):
             if getattr(self, name).shape != (n,):
                 raise ShapeError(f"{name} is not a list of {n} per-step values")
-        bad = np.flatnonzero(~((self.propensities > 0) & (self.propensities <= 1)))  # NaN compares False
-        if len(bad):
-            raise DataError(
-                f"propensity out of (0, 1] at step {int(bad[0])}: {self.propensities[bad[0]]}"
-            )
-        bad = np.flatnonzero(~np.isfinite(self.rewards))
-        if len(bad):
-            raise DataError(f"non-finite reward at step {int(bad[0])}: {self.rewards[bad[0]]}")
+        p = self.propensities
+        if not (p.min() > 0 and p.max() <= 1):  # a NaN makes both compare False
+            bad = int(np.flatnonzero(~((p > 0) & (p <= 1)))[0])
+            raise DataError(f"propensity out of (0, 1] at step {bad}: {p[bad]}")
+        if not np.isfinite(self.rewards).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.rewards))[0])
+            raise DataError(f"non-finite reward at step {bad}: {self.rewards[bad]}")
 
     def __len__(self) -> int:
         return len(self.states)

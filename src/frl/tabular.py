@@ -418,6 +418,8 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
     variable's no-op rows (ascending) over the eff-parent values visited
     cells force, one variable at a time.  Joint planning intervenes
     every block, so controlled variables' no-op rows are never read.
+    What the cells force depends on the state only through its tuple of
+    precondition rows, so it is worked out once per tuple.
     """
     spec, _ = model.to_spec(fill_unvisited=True)
     sk = model.skeleton
@@ -433,26 +435,53 @@ def check_model_coverage(model: LearnedModel) -> list[str]:
         frontier = reached & ~reachable & ~terminal
         reachable |= reached
     index = sk._index
-    vals = sk.state_values
     sigma_hat = model.sigma_hat
     missing = []
+    by_pre_rows = {}
     for s in np.flatnonzero(reachable & ~_terminal_mask(sk)).tolist():
-        value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced from s
-        for k in range(sk.n_blocks):
-            pre_row = int(index.pre_rows[k][s])
-            empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
-            for a_k in np.flatnonzero(empty).tolist():
+        pre_rows = tuple(int(pre[s]) for pre in index.pre_rows)
+        if pre_rows not in by_pre_rows:
+            by_pre_rows[pre_rows] = _forced_by_pre_rows(model, sigma_hat, pre_rows)
+        empty_actions, columns = by_pre_rows[pre_rows]
+        for k, (pre_row, actions) in enumerate(zip(pre_rows, empty_actions)):
+            for a_k in actions:
                 missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
-            forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
-            for v in sk.eff_map[k]:
-                value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
-        for m in sk.uncontrolled_vars:
+        for m, cols in zip(sk.uncontrolled_vars, columns):
             state_rows, rows, _ = index.factors[m]
-            parents_forced = value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1)
-            for r in np.unique(rows[state_rows[s], parents_forced]).tolist():
-                if model.noop_counts[m][r].sum() == 0:
-                    missing.append(f"noop factor {m} row {r} (state {s})")
+            noop_rows = rows[state_rows[s], cols]
+            for r in noop_rows[model.noop_counts[m][noop_rows].sum(axis=1) == 0].tolist():
+                missing.append(f"noop factor {m} row {r} (state {s})")
     return missing
+
+
+def _forced_by_pre_rows(model: LearnedModel, sigma_hat, pre_rows: tuple[int, ...]):
+    """What visited cells force at a state with these precondition rows.
+
+    Returns (empty_actions, columns): per block, the actions whose cell
+    has no count; per uncontrolled variable m, the next states s' whose
+    eff-parent values are all forced, one per distinct no-op row, in
+    ascending row order.  rows[r, s'] is r times the number of eff-parent
+    rows plus the eff-parent code of s', so these columns pick every
+    state's distinct rows, ascending, whatever its state parents.
+    """
+    sk = model.skeleton
+    index = sk._index
+    vals = sk.state_values
+    value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced
+    empty_actions = []
+    for k, pre_row in enumerate(pre_rows):
+        empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
+        empty_actions.append(np.flatnonzero(empty).tolist())
+        forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
+        for v in sk.eff_map[k]:
+            value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
+    columns = []
+    for m in sk.uncontrolled_vars:
+        _, rows, _ = index.factors[m]
+        parents_forced = np.flatnonzero(value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1))
+        _, first = np.unique(rows[0, parents_forced], return_index=True)
+        columns.append(parents_forced[first])
+    return empty_actions, columns
 
 
 # -- sample-complexity harness -------------------------------------------------

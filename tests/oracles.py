@@ -7,13 +7,16 @@ library's pinned and drawn variables, `transition_rows` scatters it into
 dense rows, which the enumeration oracles check, and the dense planning
 references and the offline dataset reference build their rows with it.
 `exact_q` runs the library's solve and backups on the reweighted
-projected supports.
+projected supports, and `offline_selection_reference` runs the
+library's trainer and scorers one tau after another in this process.
 """
 
 import itertools
 
 import numpy as np
 
+from frl.agents import ad_bcq_train, checkpoint_candidates, offline_preset
+from frl.cli import split_episodes
 from frl.envs import SyntheticSpec, generate_synthetic
 from frl.errors import ConfigurationError, DomainError, NumericError
 from frl.factored_mdp import (
@@ -26,11 +29,12 @@ from frl.factored_mdp import (
     _q_table,
     _solve,
     _successor_args,
+    _support,
     _terminal_mask,
     evaluate,
     q_table,
 )
-from frl.ope import EpisodeLog
+from frl.ope import EpisodeLog, select_model, soften, wis_ess
 from frl.tabular import JointPiResult
 
 
@@ -762,6 +766,71 @@ def check_model_coverage_reference(model):
                 if model.noop_counts[m][r].sum() == 0:
                     missing.append(f"noop factor {m} row {r} (state {s})")
     return list(dict.fromkeys(missing))
+
+
+def check_model_coverage_per_state(model):
+    """`tabular.check_model_coverage` with its forced values rebuilt at
+    every reachable state: an (S, n_vars) mask and `np.isin` per block
+    and effect variable, then `np.unique` of each no-op variable's rows.
+    Reachability reads the library's supports, as the library does."""
+    spec, _ = model.to_spec(fill_unvisited=True)
+    sk = model.skeleton
+    terminal = _terminal_mask(spec)
+    reachable = sk.init_dist > 0
+    frontier = reachable & ~terminal
+    while frontier.any():
+        base, offsets, row_index, rows = _support(spec, np.flatnonzero(frontier), spec.action_radix.table()[:, None])
+        positive = rows > 0
+        reached = np.zeros_like(reachable)
+        for b, i in zip(base, row_index):
+            reached[(b[:, None] + offsets)[positive[i]]] = True
+        frontier = reached & ~reachable & ~terminal
+        reachable |= reached
+    index = sk._index
+    vals = sk.state_values
+    sigma_hat = model.sigma_hat
+    missing = []
+    for s in np.flatnonzero(reachable & ~_terminal_mask(sk)).tolist():
+        value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced from s
+        for k in range(sk.n_blocks):
+            pre_row = int(index.pre_rows[k][s])
+            empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
+            for a_k in np.flatnonzero(empty).tolist():
+                missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
+            forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
+            for v in sk.eff_map[k]:
+                value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
+        for m in sk.uncontrolled_vars:
+            state_rows, rows, _ = index.factors[m]
+            parents_forced = value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1)
+            for r in np.unique(rows[state_rows[s], parents_forced]).tolist():
+                if model.noop_counts[m][r].sum() == 0:
+                    missing.append(f"noop factor {m} row {r} (state {s})")
+    return missing
+
+
+def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split=(0.7, 0.15, 0.15),
+                                ess_cutoff_frac=0.1, soften_epsilon=0.01, overrides=None):
+    """`cli.offline_selection_run` in this process, one tau after another."""
+    train, val, test = split_episodes(episodes, split, seed)
+    candidates, metrics, checkpoints = [], [], []
+    for tau in tau_grid:
+        cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
+        result = ad_bcq_train(train, cfg, spec)
+        metrics.extend({"tau": float(tau), **line} for line in result.metrics)
+        checkpoints.extend(result.checkpoints)
+        candidates.extend(checkpoint_candidates(result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon))
+    cutoff = ess_cutoff_frac * len(val)
+    cid, val_result = select_model(candidates, cutoff)
+    policy = np.asarray(next(cp["policy"] for cp in checkpoints if (cp["tau"], cp["step"]) == cid), dtype=np.int64)
+    test_result = wis_ess(test, soften(policy, soften_epsilon, spec.n_actions))
+    selection = {
+        "preset": preset, "seed": seed, "tau": cid[0], "step": cid[1], "ess_cutoff": cutoff,
+        "val_wis": val_result.wis, "val_ess": val_result.ess,
+        "test_wis": test_result.wis, "test_ess": test_result.ess,
+        "policy": policy.tolist(), "n_train": len(train), "n_val": len(val), "n_test": len(test),
+    }
+    return selection, metrics, checkpoints
 
 
 def monotonic_suite(n_instances, seed=0):

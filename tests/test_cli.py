@@ -4,16 +4,21 @@ Commands run in-process through `main(argv)`; each test works inside a
 temporary directory via the FRL_OUT environment override.
 """
 
+import dataclasses
 import json
+import logging
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frl.cli import main, split_episodes
-from frl.envs import generate_offline_dataset, two_switch_spec
+from frl.cli import main, offline_selection_run, split_episodes
+from frl.envs import generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.errors import ConfigurationError, ValidationError
 from frl.ope import load_episodes, soften, wis_ess
+from oracles import offline_selection_reference
 
 
 @pytest.fixture()
@@ -173,6 +178,67 @@ def test_failed_run_keeps_incomplete_marker(workspace):
     assert code == 2
     marker = workspace / "fail" / "AD-BCQ-seed0" / "INCOMPLETE"
     assert marker.exists() and "failed" in marker.read_text()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SMALL_BCQ = {"train_steps": 20, "checkpoint_every": 10, "hidden": 16, "batch_size": 16}
+
+
+@pytest.mark.parametrize("seed, blas_env", [
+    (0, {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "3"}),
+    (7, {}),
+])
+def test_offline_selection_run_equals_the_sequential_oracle(seed, blas_env, monkeypatch):
+    """Three taus, so that they outnumber the workers on a 2-CPU machine;
+    the BLAS variables read as before the call, unset ones included."""
+    spec = treatment_spec()
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    episodes = generate_offline_dataset(spec, behavior, episodes=60, seed=seed)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas_env.items():
+        monkeypatch.setenv(var, value)
+    kwargs = {"tau_grid": (0.0, 0.1, 0.5), "overrides": SMALL_BCQ}
+    got = offline_selection_run(episodes, spec, "AD-BCQ", seed, **kwargs)
+    assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == {var: blas_env.get(var) for var in BLAS_THREAD_VARS}
+    assert not multiprocessing.active_children()
+    want = offline_selection_reference(episodes, spec, "AD-BCQ", seed, **kwargs)
+    for got_part, want_part in zip(got, want):  # selection, metrics, checkpoints
+        assert json.dumps(got_part) == json.dumps(want_part)
+
+
+def test_worker_warnings_reach_the_parent_log_once_per_tau(caplog):
+    spec = two_switch_spec()
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    episodes = [dataclasses.replace(ep, final_state=None)
+                for ep in generate_offline_dataset(spec, behavior, episodes=20, seed=0)]
+    with caplog.at_level(logging.WARNING):
+        selection, _, _ = offline_selection_run(episodes, spec, "AD-BCQ", 0, tau_grid=(0.0, 0.1, 0.5),
+                                                overrides=SMALL_BCQ)
+    dropped = [r.getMessage() for r in caplog.records if r.name == "frl.agents.bcq"]
+    n_train = selection["n_train"]
+    assert dropped == [f"dropped {n_train} episode-final transitions with unlogged successors"] * 3
+
+
+def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, capsys, caplog):
+    """Every episode is one step long with no final state, so every tau
+    run fails in its worker; the first one's error is the CLI's."""
+    run = _gen_two_switch(workspace)
+    episode = {"states": [0], "actions": [1], "rewards": [0.0], "propensities": [0.25]}
+    log = workspace / "one-step.jsonl"
+    log.write_text((json.dumps(episode) + "\n") * 20)
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING):
+        code = main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                     "--episodes", str(log), "--seeds", "0", "--tau-grid", "0.1,0.5",
+                     "--set", "train_steps=5", "--out", "empty"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: dataset has no usable transitions\n"
+    assert not multiprocessing.active_children()
+    # the failing run's warning reached this process's log before its error
+    assert [r.getMessage() for r in caplog.records if r.name == "frl.agents.bcq"] == [
+        "dropped 14 episode-final transitions with unlogged successors"]
 
 
 def test_split_episodes_partitions_without_overlap():

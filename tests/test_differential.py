@@ -55,6 +55,7 @@ from frl.tabular import check_model_coverage, factored_policy_iteration, joint_p
 
 from oracles import (
     ListAdam,
+    check_model_coverage_per_state,
     check_model_coverage_reference,
     choice_rows,
     dense_support,
@@ -326,6 +327,24 @@ def test_model_coverage_matches_the_reference_on_partial_models():
             assert missing == check_model_coverage_reference(model)
             found += missing
     # both kinds of cell were listed somewhere
+    assert any(cell.startswith("sigma") for cell in found)
+    assert any(cell.startswith("noop") for cell in found)
+
+
+def test_model_coverage_matches_the_per_state_loop_on_random_learned_models():
+    """The forced values worked out once per tuple of precondition rows
+    list the same cells, in the same order, as rebuilding them at every
+    reachable state; the S=729 spec has 27 reachable successors a step."""
+    specs = [grid_spec(*g) for g in GRID[::5]]
+    specs.append(generate_synthetic(SyntheticSpec("separable_effects", n_vars=6, n_blocks=3, cards=3, seed=0)))
+    found = []
+    for i, spec in enumerate(specs):
+        rng = np.random.default_rng(i)
+        for n in (10, 300, 3000):
+            model = learn_model(spec, **_logged_rows(spec, n, rng))
+            missing = check_model_coverage(model)
+            assert missing == check_model_coverage_per_state(model)
+            found += missing
     assert any(cell.startswith("sigma") for cell in found)
     assert any(cell.startswith("noop") for cell in found)
 

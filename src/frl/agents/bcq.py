@@ -301,17 +301,16 @@ class BcqNet:
 # -- dataset plumbing ---------------------------------------------------------
 
 
-def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool) -> Batch:
+def episodes_to_transitions(episodes, spec: FactoredMdpSpec) -> Batch:
     """Expand logged episodes into one replay batch, an episode at a time.
 
     The batch holds state codes in `states` and `next_states` (they go
-    into the networks as they are) and one action row per step:
-    per-block indices, or the whole joint code as a single block when
-    `flat`; `dones` marks entry into one of the spec's terminal states.
-    Every step is fully intervened, so the non-flat arrays are also what
-    `learn_model` counts.  Episodes truncated by the logging horizon lose
-    their final transition unless the log recorded the successor in
-    `final_state`.
+    into the networks as they are) and one row of per-block action
+    indices per step; `dones` marks entry into one of the spec's
+    terminal states.  Every step is fully intervened, so the arrays are
+    also what `learn_model` counts.  Episodes truncated by the logging
+    horizon lose their final transition unless the log recorded the
+    successor in `final_state`; one warning counts those dropped.
     """
     parts = []
     dropped = 0
@@ -334,7 +333,7 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec, flat: bool) -> Batc
         raise DomainError(f"logged joint action codes out of range [0, {spec.n_actions})")
     return Batch(
         states=states,
-        actions=codes[:, None] if flat else spec.action_radix.table()[codes],
+        actions=spec.action_radix.table()[codes],
         rewards=rewards,
         next_states=nexts,
         dones=np.isin(nexts, list(spec.terminal_states)).astype(np.float64),
@@ -398,7 +397,7 @@ def _train_block(net, q_next_t, opts, batch: Batch, k, cfg, counters):
     # One forward per network over [next_states; states]: the q step
     # below leaves the g path's parameters as they were.
     both = np.concatenate([batch.next_states, batch.states])
-    own = slice(n, 2 * n)  # the rows of `states`; a slice keeps backward's reads views
+    own = slice(n, 2 * n)  # the rows of `states`
     # Both paths read the same rows, so the q path's distinct codes serve
     # the g path and both backward passes.
     q, q_cache = net.heads_forward(both, "q", k)
@@ -456,22 +455,22 @@ class BcqResult:
     net: BcqNet
     checkpoints: list[dict] = field(default_factory=list)
     metrics: list[dict] = field(default_factory=list)
-    learned_spec: FactoredMdpSpec | None = None
 
 
-def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResult:
+def ad_bcq_train(data: Batch, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResult:
     """Train one offline run at the config's threshold; see module docstring.
 
-    `spec` supplies structure only — state/action coding, terminal
-    states and (for the decomposed variant) the skeleton the tabular
-    dynamics/reward estimator is fitted over from the logged data.  The
-    checkpoint stream carries greedy policy tables ready for
-    importance-sampling evaluation.
+    `data` is the logged dataset as `episodes_to_transitions` returns
+    it, with per-block actions; the flat variant trains on their joint
+    codes as one block.  `spec` supplies structure only — state/action
+    coding, terminal states and (for the decomposed variant) the
+    skeleton the tabular dynamics/reward estimator is fitted over from
+    `data`.  The checkpoint stream carries greedy policy tables ready
+    for importance-sampling evaluation.
     """
     cfg = config
     flat = cfg.variant == "flat"
     block_sizes = (spec.n_actions,) if flat else tuple(spec.block_sizes)
-    data = episodes_to_transitions(episodes, spec, flat)
     if not len(data.rewards):
         raise ConfigurationError("dataset has no usable transitions")
 
@@ -483,13 +482,13 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResul
     opts = net.optimizers(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     sampler = None
-    learned_spec = None
     if cfg.augmentation:
         if flat:
             raise ConfigurationError("augmentation projects per block; the flat variant has none")
         model = learn_model(spec, data.states, data.actions, data.rewards, data.next_states)
-        learned_spec, _ = model.to_spec(fill_unvisited=True)
-        sampler = TabularModelSampler(learned_spec, noop_actions=(0,) * spec.n_blocks)
+        sampler = TabularModelSampler(model.to_spec(fill_unvisited=True)[0])
+    if flat:
+        data = data._replace(actions=spec.action_radix.encode_many(data.actions)[:, None])
     noop = (0,) * len(block_sizes)
 
     all_states = np.arange(spec.n_states)
@@ -537,7 +536,7 @@ def ad_bcq_train(episodes, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResul
                 "mixer_target_fallbacks": counters["mixer_fallbacks"],
             }
             metrics.append(line)
-    return BcqResult(net=net, checkpoints=checkpoints, metrics=metrics, learned_spec=learned_spec)
+    return BcqResult(net=net, checkpoints=checkpoints, metrics=metrics)
 
 
 def checkpoint_candidates(checkpoints, val_episodes, n_actions: int, *, soften_epsilon=0.01, gamma=1.0, clip=1000.0):

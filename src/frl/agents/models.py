@@ -171,9 +171,8 @@ class TabularModelSampler:
     fitted from fully-intervened logs can support.
     """
 
-    def __init__(self, spec: FactoredMdpSpec, noop_actions=None):
+    def __init__(self, spec: FactoredMdpSpec):
         self.spec = spec
-        self.noop_actions = (0,) * spec.n_blocks if noop_actions is None else tuple(int(a) for a in noop_actions)
         self.terminal = _terminal_mask(spec)
 
     def _codes(self, states) -> np.ndarray:
@@ -184,14 +183,11 @@ class TabularModelSampler:
             raise ShapeError(f"state code outside [0, {self.spec.n_states})")
         return codes
 
-    def ready(self, k=None) -> bool:
-        return True
-
-    def sample_projected_next(self, states, k: int, actions_k, noop_actions=None, rng=None) -> np.ndarray:
-        """Successor codes under do(a_k), one draw per row."""
+    def sample_projected_next(self, states, k: int, actions_k, noop_actions, rng) -> np.ndarray:
+        """Successor codes under do(a_k), one draw per row, the other
+        blocks at `noop_actions`."""
         codes = self._codes(states)
-        noop = noop_actions if noop_actions is not None else self.noop_actions
-        blocks = np.tile(np.asarray(noop, dtype=np.int64), (len(codes), 1))
+        blocks = np.tile(np.asarray(noop_actions, dtype=np.int64), (len(codes), 1))
         blocks[:, k] = actions_k
         return sample_successors(self.spec, codes, blocks, rng)
 

@@ -89,11 +89,9 @@ def _scratch(name: str, shape, dtype=np.float64) -> np.ndarray:
 
 
 def _take_rows(a: np.ndarray, rows, name: str) -> np.ndarray:
-    """a[rows]: a view for None or a slice, else gathered into scratch `name`."""
+    """a[rows]: `a` itself for None, else gathered into scratch `name`."""
     if rows is None:
         return a
-    if isinstance(rows, slice):
-        return a[rows]
     out = _scratch(name, (len(rows), a.shape[1]))
     return np.take(a, rows, axis=0, out=out, mode="wrap")  # rows were range-checked
 
@@ -214,7 +212,7 @@ class Mlp:
         """Grads of a scalar loss given d(loss)/d(output) and forward's cache.
 
         `rows` names the forward rows `grad_out` belongs to (all when
-        None; else a slice or an integer vector); only their activations
+        None; else an integer vector); only their activations
         enter the gradients.  The flat gradient, laid out like `flat`,
         lands in `out` (usually the optimizer's `grad`; a fresh buffer
         when None).  Returns (that buffer, d(loss)/d(input)); the input
@@ -228,12 +226,10 @@ class Mlp:
             raise StateError("stale cache: this network has run forward since")
         post, codes = cache["post"], cache["codes"]
         n = m = len(post[0])  # forward rows, rows read
-        if isinstance(rows, slice):
-            m = len(range(n)[rows])
-        elif rows is not None:
+        if rows is not None:
             rows = np.asarray(rows)
             if rows.dtype.kind not in "iu" or rows.ndim != 1:
-                raise ShapeError(f"rows must be a slice or an integer vector, got shape {rows.shape}")
+                raise ShapeError(f"rows must be an integer vector, got shape {rows.shape}")
             if rows.size and (rows.min() < -n or rows.max() >= n):
                 raise ShapeError(f"rows outside the {n} forward rows")
             m = len(rows)

@@ -37,6 +37,7 @@ from .agents import (
     ad_bcq_train,
     ad_dqn_train,
     checkpoint_candidates,
+    episodes_to_transitions,
     offline_preset,
     online_preset,
 )
@@ -321,42 +322,11 @@ def split_episodes(episodes, fractions, seed: int):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class _RecordList(logging.Handler):
-    """Keeps each WARNING-or-higher record in `records`, its message
-    formatted and its arguments dropped, so that it pickles."""
-
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = self.format(record), None, None
-        self.records.append(record)
-
-
-def _tau_run(train, cfg, spec):
-    """`ad_bcq_train` at one threshold, in a worker process.
-
-    Returns (records, metrics, checkpoints); `records` are the run's
-    WARNING-or-higher log records, for the parent to log.  An exception
-    carries the records logged before it in its `records` attribute.
-    """
-    handler = _RecordList()
-    root = logging.getLogger()
-    root.addHandler(handler)
-    try:
-        result = ad_bcq_train(train, cfg, spec)
-        return handler.records, result.metrics, result.checkpoints
-    except Exception as e:
-        e.records = handler.records
-        raise
-    finally:
-        root.removeHandler(handler)
-
-
-def _log_records(records) -> None:
-    for record in records:
-        logging.getLogger(record.name).handle(record)
+def _tau_run(data, cfg, spec):
+    """`ad_bcq_train` at one threshold, in a worker process; returns
+    (metrics, checkpoints)."""
+    result = ad_bcq_train(data, cfg, spec)
+    return result.metrics, result.checkpoints
 
 
 @contextlib.contextmanager
@@ -388,14 +358,16 @@ def offline_selection_run(
 ):
     """Train one offline preset across the threshold grid and pick a model.
 
-    The taus train in `min(len(tau_grid), usable CPUs)` spawned worker
-    processes, each with its BLAS pool capped at cpus // workers threads
-    (the BLAS variables are set only while the workers start).  Results
-    are gathered in grid order, and each tau's WARNING-or-higher log
-    records are logged here as it is gathered.  The first failure in
-    grid order is re-raised, the taus not yet started are cancelled,
-    and no worker outlives the call.  Each worker imports the caller's
-    main module, so a script must make this call under
+    The train split is converted to one transitions batch here, once,
+    so a log with truncated episodes warns of its dropped transitions
+    once per call.  Every tau trains on that batch in one of
+    `min(len(tau_grid), usable CPUs)` spawned worker processes, each
+    with its BLAS pool capped at cpus // workers threads (the BLAS
+    variables are set only while the workers start); the workers relay
+    no log records.  Results are gathered in grid order.  The first
+    failure in grid order is re-raised, the taus not yet started are
+    cancelled, and no worker outlives the call.  Each worker imports
+    the caller's main module, so a script must make this call under
     `if __name__ == "__main__":`.
 
     Returns (selection dict, combined metrics list, checkpoints list);
@@ -408,21 +380,17 @@ def offline_selection_run(
     from concurrent.futures import ProcessPoolExecutor
 
     train, val, test = split_episodes(episodes, split, seed)
+    data = episodes_to_transitions(train, spec)
     configs = [offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {})) for tau in tau_grid]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(len(configs), cpus))  # an empty grid starts no worker
     candidates, metrics, checkpoints = [], [], []
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         with _blas_threads(max(1, cpus // workers)):  # a spawn pool starts its workers in submit
-            futures = [pool.submit(_tau_run, train, cfg, spec) for cfg in configs]
+            futures = [pool.submit(_tau_run, data, cfg, spec) for cfg in configs]
         try:
             for cfg, future in zip(configs, futures):
-                try:
-                    records, run_metrics, run_checkpoints = future.result()
-                except Exception as e:
-                    _log_records(getattr(e, "records", ()))
-                    raise
-                _log_records(records)
+                run_metrics, run_checkpoints = future.result()
                 metrics.extend({"tau": cfg.tau_bcq, **line} for line in run_metrics)
                 checkpoints.extend(run_checkpoints)
                 candidates.extend(checkpoint_candidates(
@@ -456,6 +424,7 @@ def offline_selection_run(
 
 def _one_offline_run(seed: int, args, tau_grid, split, episodes, spec, overrides, root: Path) -> dict:
     cfg_doc = offline_preset(args.preset, seed=seed, **overrides).to_doc()
+    del cfg_doc["tau_bcq"]  # each run trains at every tau of tau_grid
     config = {"subcommand": "train-offline", "preset": args.preset, "seed": seed,
               "tau_grid": tau_grid, "split": split,
               "ess_cutoff_frac": args.ess_cutoff_frac, **cfg_doc}

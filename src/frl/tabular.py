@@ -496,22 +496,6 @@ def _bound_sizes(spec: FactoredMdpSpec) -> tuple[int, int, int, list[tuple[int, 
     return u_dom, c_dom, spec.n_states, blocks
 
 
-def theorem_sample_bounds(spec: FactoredMdpSpec, eps: float, delta: float) -> dict:
-    """Closed-form sample counts sufficient for eps-accurate tables.
-
-    n_p covers the no-op/uncontrolled dynamics: parameter-set size is
-    the uncontrolled domain, conditioning-set size the full state domain
-    times the controlled domain.  n_sigma covers the intervention tables
-    per block (effect domain times precondition domain).
-    """
-    if not (0 < eps and 0 < delta < 1):
-        raise DomainError("need eps > 0 and delta in (0, 1)")
-    u_dom, c_dom, s_dom, blocks = _bound_sizes(spec)
-    n_p = u_dom * s_dom * c_dom / eps**2 * math.log(2 * s_dom * c_dom / delta)
-    n_sigma = [e_dom * p_dom / eps**2 * math.log(2 * p_dom / delta) for e_dom, p_dom in blocks]
-    return {"n_p": n_p, "n_sigma": n_sigma}
-
-
 def error_bounds_at(spec: FactoredMdpSpec, n: int, delta: float) -> dict:
     """Invert the sample-count formulas: the error the bounds certify
     after n samples."""

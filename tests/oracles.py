@@ -7,20 +7,25 @@ library's pinned and drawn variables, `transition_rows` scatters it into
 dense rows, which the enumeration oracles check, and the dense planning
 references and the offline dataset reference build their rows with it.
 `exact_q` runs the library's solve and backups on the reweighted
-projected supports, and `offline_selection_reference` runs the
-library's trainer and scorers one tau after another in this process.
+projected supports, `offline_selection_reference` runs the library's
+trainer and scorers one tau after another in this process, and
+`theorem_sample_bounds` reads the library's domain sizes.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from frl.agents import ad_bcq_train, checkpoint_candidates, offline_preset
+from frl.agents import ad_bcq_train, checkpoint_candidates, episodes_to_transitions, offline_preset
 from frl.cli import split_episodes
 from frl.envs import SyntheticSpec, generate_synthetic
 from frl.errors import ConfigurationError, DomainError, NumericError
 from frl.factored_mdp import (
+    FactoredMdpSpec,
+    NoopFactor,
     QTable,
+    SigmaTable,
     _check_block,
     _check_codes,
     _checked_query,
@@ -34,8 +39,9 @@ from frl.factored_mdp import (
     evaluate,
     q_table,
 )
+from frl.indexing import MixedRadix
 from frl.ope import EpisodeLog, select_model, soften, wis_ess
-from frl.tabular import JointPiResult
+from frl.tabular import JointPiResult, _bound_sizes
 
 
 def dense_support(spec, states, blocks, intervening=None):
@@ -813,10 +819,11 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
                                 ess_cutoff_frac=0.1, soften_epsilon=0.01, overrides=None):
     """`cli.offline_selection_run` in this process, one tau after another."""
     train, val, test = split_episodes(episodes, split, seed)
+    data = episodes_to_transitions(train, spec)
     candidates, metrics, checkpoints = [], [], []
     for tau in tau_grid:
         cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
-        result = ad_bcq_train(train, cfg, spec)
+        result = ad_bcq_train(data, cfg, spec)
         metrics.extend({"tau": float(tau), **line} for line in result.metrics)
         checkpoints.extend(result.checkpoints)
         candidates.extend(checkpoint_candidates(result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon))
@@ -831,6 +838,103 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
         "policy": policy.tolist(), "n_train": len(train), "n_val": len(val), "n_test": len(test),
     }
     return selection, metrics, checkpoints
+
+
+def random_spec(rng):
+    """A spec drawn from the space `FactoredMdpSpec.check` accepts, well
+    beyond the generators' corner of it.
+
+    1-5 state variables of cardinality 1-3 with at most 200 states; 1-3
+    blocks of 1-3 actions whose disjoint effect sets often hold several
+    variables, and some variables left uncontrolled; intervention tables
+    drawn with repeats, over 0-2 precondition variables; factors with
+    0-2 state parents and, on uncontrolled variables, 0-2 eff parents;
+    zero factor entries in half the specs (`assume_positive` set on
+    some of the rest), and terminal sets in a third, at discount 0.5,
+    0.9 or 0.99.  A fifth of the specs run at discount 1 instead: an
+    uncontrolled variable is a clock whose top value every factor row
+    reaches with positive probability and never leaves, and the states
+    at the top are terminal, so every policy reaches a terminal state.
+    """
+    def some(pool):  # 0-2 distinct entries of pool
+        return [int(v) for v in rng.choice(pool, size=rng.integers(0, min(2, len(pool)) + 1), replace=False)]
+
+    proper = rng.random() < 0.2
+    while True:
+        cards = rng.choice([1, 2, 3], p=[0.2, 0.4, 0.4], size=rng.integers(2 if proper else 1, 6))
+        if proper:
+            cards[-1] = max(cards[-1], 2)  # the clock, uncontrolled below
+        if np.prod(cards) <= 200:
+            break
+    n_vars = len(cards)
+    n_blocks = int(rng.integers(1, min(3, n_vars - proper) + 1))
+    n_controlled = int(rng.integers(n_blocks, n_vars - proper + 1))
+    order = rng.permutation(n_vars - proper)[:n_controlled]
+    cuts = np.sort(rng.choice(np.arange(1, n_controlled), size=n_blocks - 1, replace=False))
+    eff_map = [tuple(sorted(int(v) for v in part)) for part in np.split(order, cuts)]
+    controlled = sorted(int(v) for v in order)
+    pre_map = [tuple(some(range(n_vars))) for _ in range(n_blocks)]
+    block_sizes = [int(b) for b in rng.integers(1, 4, size=n_blocks)]
+    sigma = [
+        SigmaTable(k, rng.integers(0, np.prod(cards[list(eff)]), size=(size, int(np.prod(cards[list(pre)])))))
+        for k, (size, eff, pre) in enumerate(zip(block_sizes, eff_map, pre_map))
+    ]
+    zeros = rng.random() < 0.5
+    clock = n_vars - 1 if proper else None
+    factors = []
+    for m in range(n_vars):
+        state_parents = some([v for v in range(n_vars) if v != clock])
+        if m == clock:
+            state_parents.insert(0, clock)
+        eff_parents = [] if m in controlled else some(controlled)
+        n_rows = int(np.prod(cards[state_parents + eff_parents]))
+        table = rng.dirichlet(np.ones(cards[m]), size=n_rows)
+        if zeros:
+            cut = rng.random(table.shape) < 0.3
+            cut[np.arange(n_rows), table.argmax(axis=1)] = False
+            table[cut] = 0.0
+        if m == clock:
+            top = cards[m] - 1
+            table[:, top] += 0.05  # every row moves to the top with positive probability
+            table[n_rows // cards[m] * top:] = np.eye(cards[m])[top]  # rows whose clock is at the top stay there
+        factors.append(NoopFactor(m, state_parents, eff_parents, table / table.sum(axis=1, keepdims=True)))
+    n_states = int(np.prod(cards))
+    if proper:
+        terminal = np.flatnonzero(MixedRadix(cards).table()[:, clock] == cards[clock] - 1)
+    elif rng.random() < 1 / 3:
+        terminal = rng.choice(n_states, size=rng.integers(1, min(3, n_states) + 1), replace=False)
+    else:
+        terminal = []
+    return FactoredMdpSpec(
+        state_vars=tuple(int(c) for c in cards),
+        action_blocks=tuple((b,) for b in block_sizes),
+        eff_map=tuple(eff_map),
+        pre_map=tuple(pre_map),
+        sigma=tuple(sigma),
+        noop_dynamics=tuple(factors),
+        reward=rng.normal(size=(n_states, n_states)),
+        init_dist=rng.dirichlet(np.ones(n_states)),
+        discount=1.0 if proper else float(rng.choice((0.5, 0.9, 0.99))),
+        assume_positive=not (zeros or proper) and rng.random() < 0.5,
+        terminal_states=frozenset(int(s) for s in terminal),
+    )
+
+
+def theorem_sample_bounds(spec, eps, delta):
+    """Closed-form sample counts sufficient for eps-accurate tables, the
+    form `tabular.error_bounds_at` inverts.
+
+    n_p covers the no-op/uncontrolled dynamics: parameter-set size is
+    the uncontrolled domain, conditioning-set size the full state domain
+    times the controlled domain.  n_sigma covers the intervention tables
+    per block (effect domain times precondition domain).
+    """
+    if not (0 < eps and 0 < delta < 1):
+        raise DomainError("need eps > 0 and delta in (0, 1)")
+    u_dom, c_dom, s_dom, blocks = _bound_sizes(spec)
+    n_p = u_dom * s_dom * c_dom / eps**2 * math.log(2 * s_dom * c_dom / delta)
+    n_sigma = [e_dom * p_dom / eps**2 * math.log(2 * p_dom / delta) for e_dom, p_dom in blocks]
+    return {"n_p": n_p, "n_sigma": n_sigma}
 
 
 def monotonic_suite(n_instances, seed=0):

@@ -212,7 +212,7 @@ def test_dynamics_model_fits_point_mass_physics():
 
 def test_augmentation_matches_projected_transition_distribution():
     spec = two_switch_spec(reward="weighted")
-    sampler = TabularModelSampler(spec, noop_actions=(0, 0))
+    sampler = TabularModelSampler(spec)
     s, n = 2, 10_000
     base = Batch(np.full(n, s), np.tile([1, 1], (n, 1)), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n))
     rng = np.random.default_rng(11)
@@ -236,7 +236,7 @@ def test_sampler_takes_state_codes_only():
     rng = np.random.default_rng(0)
     for bad in (np.eye(spec.n_states)[[0, 1]], np.array([0, spec.n_states]), np.array([-1])):
         with pytest.raises(ShapeError):
-            sampler.sample_projected_next(bad, 0, np.array([1] * len(bad)), rng=rng)
+            sampler.sample_projected_next(bad, 0, np.array([1] * len(bad)), (0, 0), rng)
     np.testing.assert_array_equal(
         sampler.terminal_of(np.arange(spec.n_states)),
         [s in spec.terminal_states for s in range(spec.n_states)],
@@ -245,7 +245,7 @@ def test_sampler_takes_state_codes_only():
 
 def test_padded_sampler_refreshes_terminal_flags():
     spec = treatment_spec()
-    sampler = TabularModelSampler(spec, noop_actions=(0, 0))
+    sampler = TabularModelSampler(spec)
     # a state one severity step from the healthy terminal
     source = next(s for s in range(spec.n_states)
                   if spec.state_radix.decode(s)[0] == 1
@@ -458,7 +458,7 @@ def _offline_setup(episodes=80, seed=0):
 
 def test_episode_expansion_marks_terminals_and_splits_actions():
     spec, logs = _offline_setup(episodes=30)
-    data = episodes_to_transitions(logs, spec, flat=False)
+    data = episodes_to_transitions(logs, spec)
     assert all(ep.final_state is not None for ep in logs)
     assert len(data.rewards) == sum(len(ep) for ep in logs)
     i = 0
@@ -471,25 +471,26 @@ def test_episode_expansion_marks_terminals_and_splits_actions():
             assert data.dones[i] == (nexts[t] in spec.terminal_states)
             i += 1
     assert data.dones.any()  # some episodes do terminate
-    flat = episodes_to_transitions(logs, spec, flat=True)
-    np.testing.assert_array_equal(flat.actions[:, 0], np.concatenate([ep.actions for ep in logs]))
+    # the flat variant's one-block codes are the logged joint codes
+    joint_codes = np.concatenate([ep.actions for ep in logs])
+    np.testing.assert_array_equal(spec.action_radix.encode_many(data.actions), joint_codes)
 
 
 def test_episode_expansion_drops_unlogged_successors_and_bad_codes():
     spec, logs = _offline_setup(episodes=5)
     cut = [dataclasses.replace(ep, final_state=None) for ep in logs]
-    data = episodes_to_transitions(cut, spec, flat=False)
+    data = episodes_to_transitions(cut, spec)
     assert len(data.rewards) == sum(len(ep) - 1 for ep in logs)
     np.testing.assert_array_equal(data.next_states[: len(logs[0]) - 1], logs[0].states[1:])
     bad = dataclasses.replace(logs[0], actions=np.full(len(logs[0]), spec.n_actions))
     with pytest.raises(DomainError):
-        episodes_to_transitions([bad], spec, flat=True)
+        episodes_to_transitions([bad], spec)
 
 
 def test_bcq_rejects_a_dataset_without_transitions():
     spec = treatment_spec()
     with pytest.raises(ConfigurationError):
-        ad_bcq_train([], BcqConfig(train_steps=5), spec)
+        ad_bcq_train(episodes_to_transitions([], spec), BcqConfig(train_steps=5), spec)
 
 
 @pytest.mark.parametrize(
@@ -520,7 +521,7 @@ def test_bcq_never_selects_an_unsupported_action():
     assert kept and all((ep.actions != banned).all() for ep in kept)
     cfg = BcqConfig(variant="flat", tau_bcq=0.3, hidden=48, batch_size=32,
                     train_steps=400, checkpoint_every=400, seed=1)
-    res = ad_bcq_train(kept, cfg, spec)
+    res = ad_bcq_train(episodes_to_transitions(kept, spec), cfg, spec)
     policy = np.asarray(res.checkpoints[-1]["policy"])
     seen_states = sorted({int(s) for ep in kept for s in ep.states})
     assert (policy[seen_states] != banned).all()
@@ -530,8 +531,9 @@ def test_bcq_runs_are_deterministic_given_seed():
     spec, logs = _offline_setup(episodes=25, seed=5)
     cfg = BcqConfig(variant="decomposed", tau_bcq=0.1, hidden=24, batch_size=16,
                     train_steps=60, checkpoint_every=30, seed=9)
-    a = ad_bcq_train(logs, cfg, spec)
-    b = ad_bcq_train(logs, cfg, spec)
+    data = episodes_to_transitions(logs, spec)
+    a = ad_bcq_train(data, cfg, spec)
+    b = ad_bcq_train(data, cfg, spec)
     assert a.checkpoints == b.checkpoints
     assert json.dumps(a.metrics) == json.dumps(b.metrics)
 
@@ -692,7 +694,7 @@ def test_decomposed_bcq_step_runs_each_network_once_per_version(monkeypatch):
     monkeypatch.setattr(bcq_module, "_train_mixers", in_a_step(bcq_module._train_mixers))
     monkeypatch.setattr(bcq_module, "_target_q", in_a_step(bcq_module._target_q))
     cfg = BcqConfig(variant="decomposed", hidden=16, batch_size=16, train_steps=5, checkpoint_every=5, seed=2)
-    ad_bcq_train(logs, cfg, spec)
+    ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
     assert len(forwards) == 20 * cfg.train_steps
     assert len(heads) == 7 * cfg.train_steps
     assert len(uniques) == 8 * cfg.train_steps
@@ -733,7 +735,7 @@ def _assert_ticks_match_the_reference(net, batches, cfg, lr):
 
 def test_decomposed_bcq_steps_match_the_per_path_reference():
     spec, logs = _offline_setup(episodes=20, seed=4)
-    data = episodes_to_transitions(logs, spec, flat=False)
+    data = episodes_to_transitions(logs, spec)
     cfg = BcqConfig(variant="decomposed", tau_bcq=0.3, hidden=16, discount=0.9)
     net = BcqNet(spec.n_states, spec.block_sizes, "decomposed", hidden=16, rng=np.random.default_rng(6))
     rng = np.random.default_rng(7)
@@ -766,7 +768,7 @@ def test_bcq_steps_on_a_duplicate_heavy_batch_match_the_per_row_reference(varian
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
 def test_one_target_forward_per_tick_equals_one_per_step(variant):
     spec, logs = _offline_setup(episodes=20, seed=3)
-    data = episodes_to_transitions(logs, spec, flat=variant == "flat")
+    data = episodes_to_transitions(logs, spec)
     net = BcqNet(spec.n_states, (spec.n_actions,) if variant == "flat" else spec.block_sizes, variant,
                  hidden=16, rng=np.random.default_rng(8))
     rng = np.random.default_rng(9)
@@ -785,15 +787,16 @@ def test_one_target_forward_per_tick_equals_one_per_step(variant):
 
 def test_flat_variant_rejects_augmentation():
     spec, logs = _offline_setup(episodes=10)
+    cfg = BcqConfig(variant="flat", augmentation=True, train_steps=5)
     with pytest.raises(ConfigurationError):
-        ad_bcq_train(logs, BcqConfig(variant="flat", augmentation=True, train_steps=5), spec)
+        ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
 
 
 def test_checkpoint_candidates_feed_model_selection():
     spec, logs = _offline_setup(episodes=40, seed=2)
     cfg = BcqConfig(variant="factored", tau_bcq=0.0, hidden=24, batch_size=16,
                     train_steps=40, checkpoint_every=20, seed=0)
-    res = ad_bcq_train(logs, cfg, spec)
+    res = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
     cands = checkpoint_candidates(res.checkpoints, logs, spec.n_actions)
     assert [cid for cid, _ in cands] == [(0.0, 20), (0.0, 40)]
     for _, ope in cands:
@@ -811,7 +814,7 @@ def test_extreme_threshold_clones_the_behavior_mode():
     logs = generate_offline_dataset(spec, behavior, episodes=80, seed=8)
     cfg = BcqConfig(variant="flat", tau_bcq=0.9999, hidden=48, batch_size=32,
                     train_steps=600, checkpoint_every=600, seed=4)
-    res = ad_bcq_train(logs, cfg, spec)
+    res = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
     policy = np.asarray(res.checkpoints[-1]["policy"])
     visits = np.bincount(
         np.concatenate([ep.states for ep in logs]), minlength=spec.n_states

@@ -170,7 +170,7 @@ def test_backward_over_gathered_rows_after_the_buffers_grew(codes):
     np.testing.assert_array_equal(got, fresh.backward(g, fresh.forward(x)[1], rows)[0])
     # and equals a backward of a forward on those rows alone
     np.testing.assert_array_equal(got, fresh.backward(g, fresh.forward(x[rows])[1])[0])
-    for bad in (np.array([12]), np.array([-13]), np.array([0.5])):
+    for bad in (np.array([12]), np.array([-13]), np.array([0.5]), slice(0, 1)):
         with pytest.raises(ShapeError):
             net.backward(g[:1], net.forward(x)[1], bad)
 

@@ -167,6 +167,16 @@ def test_train_offline_selection_artifacts(workspace):
     assert len(summary) == 2
 
 
+def test_train_offline_config_records_the_tau_grid_and_no_single_tau(workspace):
+    run = _gen_two_switch(workspace, episodes=20)
+    assert main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                 "--episodes", str(run / "episodes.jsonl"), "--tau-grid", "0.0,0.5",
+                 "--set", "train_steps=2", "--set", "checkpoint_every=1", "--out", "off"]) == 0
+    config = json.loads((workspace / "off" / "AD-BCQ-seed0" / "config.json").read_text())
+    assert config["tau_grid"] == [0.0, 0.5] and config["train_steps"] == 2
+    assert "tau_bcq" not in config
+
+
 def test_failed_run_keeps_incomplete_marker(workspace):
     run = _gen_two_switch(workspace, episodes=6)
     code = main(["train-offline", "--preset", "AD-BCQ",
@@ -207,7 +217,8 @@ def test_offline_selection_run_equals_the_sequential_oracle(seed, blas_env, monk
         assert json.dumps(got_part) == json.dumps(want_part)
 
 
-def test_worker_warnings_reach_the_parent_log_once_per_tau(caplog):
+def test_truncated_episodes_warn_once_per_selection_run(caplog):
+    """The train split is converted once, in this process, for every tau."""
     spec = two_switch_spec()
     behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
     episodes = [dataclasses.replace(ep, final_state=None)
@@ -217,7 +228,7 @@ def test_worker_warnings_reach_the_parent_log_once_per_tau(caplog):
                                                 overrides=SMALL_BCQ)
     dropped = [r.getMessage() for r in caplog.records if r.name == "frl.agents.bcq"]
     n_train = selection["n_train"]
-    assert dropped == [f"dropped {n_train} episode-final transitions with unlogged successors"] * 3
+    assert dropped == [f"dropped {n_train} episode-final transitions with unlogged successors"]
 
 
 def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, capsys, caplog):
@@ -236,7 +247,7 @@ def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, 
     assert code == 2
     assert err == "error: dataset has no usable transitions\n"
     assert not multiprocessing.active_children()
-    # the failing run's warning reached this process's log before its error
+    # the train split's conversion warned once, before the workers failed
     assert [r.getMessage() for r in caplog.records if r.name == "frl.agents.bcq"] == [
         "dropped 14 episode-final transitions with unlogged successors"]
 

@@ -307,7 +307,7 @@ def _logged_treatment():
     """The treatment spec and 60 uniform-behavior episodes as `learn_model` arguments."""
     spec = treatment_spec()
     behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
-    data = episodes_to_transitions(generate_offline_dataset(spec, behavior, episodes=60, seed=2), spec, flat=False)
+    data = episodes_to_transitions(generate_offline_dataset(spec, behavior, episodes=60, seed=2), spec)
     return spec, (data.states, data.actions, data.rewards, data.next_states)
 
 

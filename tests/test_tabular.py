@@ -31,13 +31,13 @@ from frl.tabular import (
     joint_policy_iteration,
     learn_model,
     sample_complexity_experiment,
-    theorem_sample_bounds,
 )
 from oracles import (
     enumerate_interventional,
     enumerate_optimal_values,
     finite_horizon_values,
     monotonic_suite,
+    theorem_sample_bounds,
     transition_rows,
 )
 

@@ -62,9 +62,8 @@ class BcqConfig:
     """Hyperparameters for `ad_bcq_train`.
 
     `tau_bcq` constrains both the training targets and the extracted
-    greedy policy, so each trained run is tied to its threshold.
-    `augmentation=None` resolves to True for the decomposed variant and
-    False otherwise.
+    greedy policy, so each trained run is tied to its threshold.  The
+    decomposed variant, and only it, trains on model-augmented batches.
     """
 
     variant: str = "decomposed"
@@ -77,7 +76,6 @@ class BcqConfig:
     batch_size: int = 128
     train_steps: int = 2000
     checkpoint_every: int = 500
-    augmentation: bool | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -93,8 +91,6 @@ class BcqConfig:
                 raise ConfigurationError(f"{name} must be in (0, 1], got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigurationError(f"lr must be positive, got {self.lr}")
-        if self.augmentation is None:
-            self.augmentation = self.variant == "decomposed"
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -310,7 +306,9 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec) -> Batch:
     terminal states.  Every step is fully intervened, so the arrays are
     also what `learn_model` counts.  Episodes truncated by the logging
     horizon lose their final transition unless the log recorded the
-    successor in `final_state`; one warning counts those dropped.
+    successor in `final_state`; one warning counts those dropped.  A
+    logged action or state code (`final_state` included) outside the
+    spec's range is a DomainError.
     """
     parts = []
     dropped = 0
@@ -331,6 +329,8 @@ def episodes_to_transitions(episodes, spec: FactoredMdpSpec) -> Batch:
     states, codes, rewards, nexts = (np.concatenate(col) for col in zip(empty, *parts))
     if ((codes < 0) | (codes >= spec.n_actions)).any():
         raise DomainError(f"logged joint action codes out of range [0, {spec.n_actions})")
+    if ((states < 0) | (states >= spec.n_states) | (nexts < 0) | (nexts >= spec.n_states)).any():
+        raise DomainError(f"logged state codes out of range [0, {spec.n_states})")
     return Batch(
         states=states,
         actions=spec.action_radix.table()[codes],
@@ -482,9 +482,7 @@ def ad_bcq_train(data: Batch, config: BcqConfig, spec: FactoredMdpSpec) -> BcqRe
     opts = net.optimizers(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     sampler = None
-    if cfg.augmentation:
-        if flat:
-            raise ConfigurationError("augmentation projects per block; the flat variant has none")
+    if cfg.variant == "decomposed":
         model = learn_model(spec, data.states, data.actions, data.rewards, data.next_states)
         sampler = TabularModelSampler(model.to_spec(fill_unvisited=True)[0])
     if flat:
@@ -539,16 +537,17 @@ def ad_bcq_train(data: Batch, config: BcqConfig, spec: FactoredMdpSpec) -> BcqRe
     return BcqResult(net=net, checkpoints=checkpoints, metrics=metrics)
 
 
-def checkpoint_candidates(checkpoints, val_episodes, n_actions: int, *, soften_epsilon=0.01, gamma=1.0, clip=1000.0):
+def checkpoint_candidates(checkpoints, val_episodes, n_actions: int, *, soften_epsilon=0.01):
     """Score each checkpoint's policy on validation episodes.
 
     Returns [( (tau, step), OpeResult ), ...] ready for `select_model`;
     the deterministic greedy table is softened before weighting so
-    off-policy actions keep nonzero target propensity.
+    off-policy actions keep nonzero target propensity, and weighted at
+    `wis_ess`'s defaults (undiscounted returns, ratios clipped at 1000).
     """
     out = []
     for cp in checkpoints:
         table = soften(np.asarray(cp["policy"], dtype=np.int64), soften_epsilon, n_actions)
-        res = wis_ess(val_episodes, table, gamma=gamma, clip=clip)
+        res = wis_ess(val_episodes, table)
         out.append(((cp["tau"], cp["step"]), res))
     return out

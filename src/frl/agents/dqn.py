@@ -116,21 +116,21 @@ class SelectionMeta:
     explored: bool
 
 
-def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noop_actions=None) -> SelectionMeta:
+def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noop_actions) -> SelectionMeta:
     """Epsilon-greedy with projected-action exploration.
 
     With probability epsilon the step explores; inside exploration,
     with probability p one uniformly chosen block takes a uniform
-    action while every other block stays at its no-op index (the step
-    is tagged with that block), otherwise every block draws uniformly.
-    Greedy steps use the network's coordinate-sweep argmax, untagged.
+    action while every other block stays at its `noop_actions` index
+    (the step is tagged with that block), otherwise every block draws
+    uniformly.  Greedy steps use the network's coordinate-sweep argmax,
+    untagged.
     """
     sizes = net.block_sizes
-    noop = tuple(int(a) for a in noop_actions) if noop_actions is not None else (0,) * len(sizes)
     if rng.random() < epsilon:
         if rng.random() < p:
             k = int(rng.integers(len(sizes)))
-            action = list(noop)
+            action = list(noop_actions)
             action[k] = int(rng.integers(sizes[k]))
             return SelectionMeta(tuple(action), k, True)
         return SelectionMeta(tuple(int(rng.integers(b)) for b in sizes), None, True)

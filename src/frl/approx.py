@@ -68,6 +68,8 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, out=None
 
 
 ACTIVATIONS = ("relu", "identity")
+# Coordinate passes a greedy call takes through the mixer.
+GREEDY_PASSES = 2
 
 
 # Temporaries shared by every network (backward passes, Adam, the Polyak
@@ -591,26 +593,26 @@ class DecomposedQNet:
 
     # -- action selection -----------------------------------------------------
 
-    def greedy(self, states: np.ndarray, passes: int = 2) -> np.ndarray:
+    def greedy(self, states: np.ndarray) -> np.ndarray:
         """Per-block greedy actions via coordinate sweeps through the mixer.
 
         Costs one trunk forward for the batch, then one stacked mixer
         forward per pass and block; greedy_of_heads runs the sweep.
         """
         z, _ = self.head_values(states)
-        return self.greedy_of_heads(z, passes)
+        return self.greedy_of_heads(z)
 
-    def greedy_of_heads(self, z: np.ndarray, passes: int = 2) -> np.ndarray:
+    def greedy_of_heads(self, z: np.ndarray) -> np.ndarray:
         """Greedy actions for head values `z` (n, head_dim) from head_values.
 
-        Starts at each head's own argmax; each pass re-picks every block
-        against the others' current choices.  A block only moves when
-        the switch strictly improves the mixed value, so a mixer that is
-        flat (e.g. freshly initialized) leaves the per-head argmax in
-        place instead of collapsing every block to action 0.  Each pass
-        and block scores all b candidates of all n rows with one mixer
-        forward over an (n * b, head_dim) stack of masked head vectors,
-        built in the shared scratch.
+        Starts at each head's own argmax; each of `GREEDY_PASSES` passes
+        re-picks every block against the others' current choices.  A
+        block only moves when the switch strictly improves the mixed
+        value, so a mixer that is flat (e.g. freshly initialized) leaves
+        the per-head argmax in place instead of collapsing every block to
+        action 0.  Each pass and block scores all b candidates of all n
+        rows with one mixer forward over an (n * b, head_dim) stack of
+        masked head vectors, built in the shared scratch.
         """
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         actions = np.stack([s.argmax(axis=1) for s in self.block_slices(z)], axis=1)
@@ -618,7 +620,7 @@ class DecomposedQNet:
             return actions
         n = z.shape[0]
         rows = np.arange(n)
-        for _ in range(passes):
+        for _ in range(GREEDY_PASSES):
             for k, b in enumerate(self.block_sizes):
                 # mask[r, c] selects row r's current actions with block k's set to c
                 mask = _scratch("greedy_mask", (n, b, self.head_dim))

@@ -27,8 +27,8 @@ Planners pass per-state block actions, never rows: `evaluate` gives a
 policy's state values (restarted GMRES on the operator the support
 defines) and `q_table` the backups of every joint action, or of one
 block's actions with the other blocks pinned, each summed over the
-reachable next states alone.  Joint policy iteration, the offline
-dataset generator and the model coverage check read the same form.
+reachable next states alone.  Joint policy iteration and the offline
+dataset generator read the same form.
 """
 
 from __future__ import annotations
@@ -113,9 +113,8 @@ class _KernelIndex:
     (state_rows, rows, probs).  state_rows[s] is the state-parent code of
     s; for a transition s -> s', rows[state_rows[s], s'] is the row of
     m's no-op table it reads and probs[state_rows[s], s'] is
-    P(s'_m | parents), the entry of that row at s'_m.  The kernel,
-    `tabular.learn_model` and `tabular.check_model_coverage` all read
-    their rows here.
+    P(s'_m | parents), the entry of that row at s'_m.  The kernel and
+    `tabular.learn_model` both read their rows here.
 
     `row_key` is (state_key, next_key): with every block intervening,
     state_key[s] + next_key[s'] codes the values of the uncontrolled

@@ -218,7 +218,7 @@ def wis_ess(episodes, target, gamma: float = 1.0, clip: float = 1000.0) -> OpeRe
 
 def select_model(candidates, ess_cutoff: float):
     """Pick the candidate with the best WIS among those whose ESS clears
-    the cutoff; ties prefer higher ESS, then the lower candidate id.
+    the cutoff; ties prefer higher ESS, then the first-listed candidate.
 
     Args:
         candidates: iterable of (candidate_id, OpeResult).
@@ -237,5 +237,4 @@ def select_model(candidates, ess_cutoff: float):
             f"no candidate reached ESS {ess_cutoff}; best available was "
             f"{0.0 if best_ess is None else best_ess:.3f}"
         )
-    feasible.sort(key=lambda item: (-item[1].wis, -item[1].ess, str(item[0])))
-    return feasible[0]
+    return min(feasible, key=lambda item: (-item[1].wis, -item[1].ess))

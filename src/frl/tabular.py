@@ -17,8 +17,8 @@ make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
-transitions; it and `check_model_coverage`, which follows reachability
-through the kernel's support, read table rows from the kernel's index.
+transitions, reading table rows from the kernel's index; a planner
+reaches it through `LearnedModel.to_spec`.
 `sample_complexity_experiment` measures how the sup-norm estimation
 error shrinks with sample size against closed-form bounds, drawing
 its samples with `factored_mdp.sample_successors`.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,6 @@ class PolicyIterationTrace:
     final_policy: FactoredPolicy
     final_values: np.ndarray
     terminated: str  # "converged" | "budget"
-    imputed_cells: list[str] = field(default_factory=list)
 
     def to_jsonl(self) -> str:
         lines = []
@@ -100,7 +99,6 @@ class PolicyIterationTrace:
                     "terminated": self.terminated,
                     "final_policy": self.final_policy.blocks.tolist(),
                     "final_values": self.final_values.tolist(),
-                    "imputed_cells": self.imputed_cells,
                 }
             )
         )
@@ -108,7 +106,7 @@ class PolicyIterationTrace:
 
 
 def factored_policy_iteration(
-    model,
+    spec: FactoredMdpSpec,
     init_policy: FactoredPolicy,
     *,
     block_order: str = "round_robin",
@@ -118,11 +116,9 @@ def factored_policy_iteration(
 ) -> PolicyIterationTrace:
     """Block-coordinate policy iteration over projected Q tables.
 
-    Accepts an exact spec or a `LearnedModel`; a learned model is first
-    checked for zero-count cells on states reachable from the initial
-    distribution (raising `ModelCoverageError` listing them), then
-    converted to a spec, with unreachable rows imputed uniform and the
-    imputations recorded in the trace.
+    Plans on a spec; a caller with a `LearnedModel` converts it first
+    with `LearnedModel.to_spec`, which raises on zero-count cells or,
+    with `fill_unvisited`, imputes them and returns the imputed cells.
 
     One iteration = evaluate the current policy (`factored_mdp.evaluate`,
     reused while iterations leave the policy unchanged), then improve
@@ -135,18 +131,6 @@ def factored_policy_iteration(
     `max_sweeps` defaults to the finite-termination bound
     n_states * sum(block sizes).
     """
-    imputed: list[str] = []
-    if isinstance(model, LearnedModel):
-        missing = check_model_coverage(model)
-        if missing:
-            raise ModelCoverageError(
-                "learned model has zero-count cells on reachable states: "
-                + "; ".join(missing[:20])
-                + (f" (+{len(missing) - 20} more)" if len(missing) > 20 else "")
-            )
-        spec, imputed = model.to_spec(fill_unvisited=True)
-    else:
-        spec = model
     policy = init_policy.copy()
     policy.check(spec)
     K = spec.n_blocks
@@ -201,7 +185,6 @@ def factored_policy_iteration(
         final_policy=policy,
         final_values=values,
         terminated=terminated,
-        imputed_cells=imputed,
     )
 
 
@@ -403,85 +386,6 @@ def learn_model(skeleton: FactoredMdpSpec, states, actions, rewards, next_states
     np.add.at(reward_sum, (states, next_states), rewards)
     np.add.at(reward_count, (states, next_states), 1)
     return LearnedModel(sk, sigma_counts, noop_counts, reward_sum, reward_count)
-
-
-def check_model_coverage(model: LearnedModel) -> list[str]:
-    """Zero-count cells that planning from the initial distribution
-    could touch.  Reachability is expanded through a uniform-imputed
-    copy of the model, which can only widen the reachable set.
-
-    Reachability is a frontier search: each round reads the supports of
-    every joint action from the non-terminal states the last round
-    reached first, and keeps the codes with positive probability.
-
-    Per reachable state: every intervention cell, then each uncontrolled
-    variable's no-op rows (ascending) over the eff-parent values visited
-    cells force, one variable at a time.  Joint planning intervenes
-    every block, so controlled variables' no-op rows are never read.
-    What the cells force depends on the state only through its tuple of
-    precondition rows, so it is worked out once per tuple.
-    """
-    spec, _ = model.to_spec(fill_unvisited=True)
-    sk = model.skeleton
-    terminal = _terminal_mask(spec)
-    reachable = sk.init_dist > 0
-    frontier = reachable & ~terminal
-    while frontier.any():
-        base, offsets, row_index, rows = _support(spec, np.flatnonzero(frontier), spec.action_radix.table()[:, None])
-        positive = rows > 0
-        reached = np.zeros_like(reachable)
-        for b, i in zip(base, row_index):
-            reached[(b[:, None] + offsets)[positive[i]]] = True
-        frontier = reached & ~reachable & ~terminal
-        reachable |= reached
-    index = sk._index
-    sigma_hat = model.sigma_hat
-    missing = []
-    by_pre_rows = {}
-    for s in np.flatnonzero(reachable & ~_terminal_mask(sk)).tolist():
-        pre_rows = tuple(int(pre[s]) for pre in index.pre_rows)
-        if pre_rows not in by_pre_rows:
-            by_pre_rows[pre_rows] = _forced_by_pre_rows(model, sigma_hat, pre_rows)
-        empty_actions, columns = by_pre_rows[pre_rows]
-        for k, (pre_row, actions) in enumerate(zip(pre_rows, empty_actions)):
-            for a_k in actions:
-                missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
-        for m, cols in zip(sk.uncontrolled_vars, columns):
-            state_rows, rows, _ = index.factors[m]
-            noop_rows = rows[state_rows[s], cols]
-            for r in noop_rows[model.noop_counts[m][noop_rows].sum(axis=1) == 0].tolist():
-                missing.append(f"noop factor {m} row {r} (state {s})")
-    return missing
-
-
-def _forced_by_pre_rows(model: LearnedModel, sigma_hat, pre_rows: tuple[int, ...]):
-    """What visited cells force at a state with these precondition rows.
-
-    Returns (empty_actions, columns): per block, the actions whose cell
-    has no count; per uncontrolled variable m, the next states s' whose
-    eff-parent values are all forced, one per distinct no-op row, in
-    ascending row order.  rows[r, s'] is r times the number of eff-parent
-    rows plus the eff-parent code of s', so these columns pick every
-    state's distinct rows, ascending, whatever its state parents.
-    """
-    sk = model.skeleton
-    index = sk._index
-    vals = sk.state_values
-    value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced
-    empty_actions = []
-    for k, pre_row in enumerate(pre_rows):
-        empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
-        empty_actions.append(np.flatnonzero(empty).tolist())
-        forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
-        for v in sk.eff_map[k]:
-            value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
-    columns = []
-    for m in sk.uncontrolled_vars:
-        _, rows, _ = index.factors[m]
-        parents_forced = np.flatnonzero(value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1))
-        _, first = np.unique(rows[0, parents_forced], return_index=True)
-        columns.append(parents_forced[first])
-    return empty_actions, columns
 
 
 # -- sample-complexity harness -------------------------------------------------

@@ -34,7 +34,6 @@ from frl.factored_mdp import (
     _q_table,
     _solve,
     _successor_args,
-    _support,
     _terminal_mask,
     evaluate,
     q_table,
@@ -717,102 +716,6 @@ def learn_model_reference(skeleton, states, actions, rewards, next_states, block
         reward_sum[s, s_next] += float(rewards[i])
         reward_count[s, s_next] += 1
     return LearnedModel(sk, sigma_counts, noop_counts, reward_sum, reward_count)
-
-
-def check_model_coverage_reference(model):
-    """`tabular.check_model_coverage` one reachable state at a time.
-
-    Reachability is expanded through the enumeration oracle on the
-    uniform-imputed model; no-op rows are built as sets of codes over
-    the per-variable forced values, listed in ascending order, and
-    repeated messages are dropped.
-    """
-    spec, _ = model.to_spec(fill_unvisited=True)
-    sk = model.skeleton
-    successor = np.zeros((spec.n_states, spec.n_states), dtype=bool)
-    for s in range(spec.n_states):
-        if s in spec.terminal_states:
-            continue
-        for a in range(spec.n_actions):
-            successor[s] |= enumerate_interventional(spec, s, spec.action_as_blocks(a)) > 0
-    reachable = {s for s in range(spec.n_states) if sk.init_dist[s] > 0}
-    frontier = list(reachable)
-    while frontier:
-        for s2 in np.flatnonzero(successor[frontier.pop()]).tolist():
-            if s2 not in reachable:
-                reachable.add(s2)
-                frontier.append(s2)
-    missing = []
-    sigma_hat = model.sigma_hat
-    for s in sorted(reachable):
-        if s in sk.terminal_states:
-            continue
-        svals = sk.state_radix.decode(s)
-        achievable = []  # per block, set of effect codes reachable from s
-        for k in range(sk.n_blocks):
-            pre_row = _row_code(sk, sk.pre_map[k], svals)
-            codes = set()
-            for a_k in range(sk.block_sizes[k]):
-                if model.sigma_value_counts[k][a_k, pre_row].sum() == 0:
-                    missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
-                else:
-                    codes.add(int(sigma_hat[k][a_k, pre_row]))
-            achievable.append(codes)
-        for m in range(sk.n_vars):
-            if int(sk.var_block[m]) >= 0:
-                continue  # joint planning intervenes every block; its no-op rows are never read
-            fac = sk.noop_dynamics[m]
-            rows = {_row_code(sk, fac.state_parents, svals)}
-            for v in fac.eff_parents:
-                k = int(sk.var_block[v])
-                pos = sk.eff_map[k].index(v)
-                vals = {sk.eff_radix[k].decode(code)[pos] for code in achievable[k]}
-                rows = {r * sk.state_vars[v] + int(val) for r in rows for val in vals}
-            for r in sorted(rows):
-                if model.noop_counts[m][r].sum() == 0:
-                    missing.append(f"noop factor {m} row {r} (state {s})")
-    return list(dict.fromkeys(missing))
-
-
-def check_model_coverage_per_state(model):
-    """`tabular.check_model_coverage` with its forced values rebuilt at
-    every reachable state: an (S, n_vars) mask and `np.isin` per block
-    and effect variable, then `np.unique` of each no-op variable's rows.
-    Reachability reads the library's supports, as the library does."""
-    spec, _ = model.to_spec(fill_unvisited=True)
-    sk = model.skeleton
-    terminal = _terminal_mask(spec)
-    reachable = sk.init_dist > 0
-    frontier = reachable & ~terminal
-    while frontier.any():
-        base, offsets, row_index, rows = _support(spec, np.flatnonzero(frontier), spec.action_radix.table()[:, None])
-        positive = rows > 0
-        reached = np.zeros_like(reachable)
-        for b, i in zip(base, row_index):
-            reached[(b[:, None] + offsets)[positive[i]]] = True
-        frontier = reached & ~reachable & ~terminal
-        reachable |= reached
-    index = sk._index
-    vals = sk.state_values
-    sigma_hat = model.sigma_hat
-    missing = []
-    for s in np.flatnonzero(reachable & ~_terminal_mask(sk)).tolist():
-        value_forced = np.ones((sk.n_states, sk.n_vars), dtype=bool)  # [s', v]: v's value in s' is forced from s
-        for k in range(sk.n_blocks):
-            pre_row = int(index.pre_rows[k][s])
-            empty = model.sigma_value_counts[k][:, pre_row].sum(axis=1) == 0
-            for a_k in np.flatnonzero(empty).tolist():
-                missing.append(f"sigma[{k}] cell (action {a_k}, pre row {pre_row}) (state {s})")
-            forced = np.isin(index.eff_codes[k], sigma_hat[k][~empty, pre_row])
-            for v in sk.eff_map[k]:
-                value_forced[:, v] = np.isin(vals[:, v], vals[forced, v])
-        for m in sk.uncontrolled_vars:
-            state_rows, rows, _ = index.factors[m]
-            parents_forced = value_forced[:, list(sk.noop_dynamics[m].eff_parents)].all(axis=1)
-            for r in np.unique(rows[state_rows[s], parents_forced]).tolist():
-                if model.noop_counts[m][r].sum() == 0:
-                    missing.append(f"noop factor {m} row {r} (state {s})")
-    return missing
 
 
 def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split=(0.7, 0.15, 0.15),

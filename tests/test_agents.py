@@ -148,7 +148,7 @@ def test_full_random_exploration_never_tags():
     net = _net()
     rng = np.random.default_rng(7)
     for _ in range(500):
-        meta = select_action(net, np.zeros(4), epsilon=1.0, p=0.0, rng=rng)
+        meta = select_action(net, np.zeros(4), epsilon=1.0, p=0.0, rng=rng, noop_actions=(0, 0))
         assert meta.block_tag is None and meta.explored
 
 
@@ -156,7 +156,7 @@ def test_greedy_selection_is_per_head_argmax_for_average_mixer():
     net = _net(mixer="average", seed=3)
     rng = np.random.default_rng(1)
     state = rng.normal(size=4)
-    meta = select_action(net, state, epsilon=0.0, p=0.5, rng=rng)
+    meta = select_action(net, state, epsilon=0.0, p=0.5, rng=rng, noop_actions=(0, 0))
     z, _ = net.head_values(state[None])
     expected = tuple(int(s.argmax()) for s in net.block_slices(z))
     assert meta.action == expected and not meta.explored and meta.block_tag is None
@@ -427,7 +427,7 @@ def test_presets_cover_the_configuration_grid():
     with pytest.raises(ConfigurationError):
         online_preset("AD-DQN-9z")
     assert offline_preset("BCQ").variant == "flat"
-    assert offline_preset("AD-BCQ", tau_bcq=0.3).augmentation
+    assert offline_preset("AD-BCQ", tau_bcq=0.3).variant == "decomposed"
 
 
 # -- offline learner ----------------------------------------------------------
@@ -485,6 +485,10 @@ def test_episode_expansion_drops_unlogged_successors_and_bad_codes():
     bad = dataclasses.replace(logs[0], actions=np.full(len(logs[0]), spec.n_actions))
     with pytest.raises(DomainError):
         episodes_to_transitions([bad], spec)
+    for bad in (dataclasses.replace(logs[0], final_state=spec.n_states),
+                dataclasses.replace(logs[0], states=np.full(len(logs[0]), spec.n_states))):
+        with pytest.raises(DomainError, match=rf"state codes out of range \[0, {spec.n_states}\)"):
+            episodes_to_transitions([logs[1], bad], spec)
 
 
 def test_bcq_rejects_a_dataset_without_transitions():
@@ -783,13 +787,6 @@ def test_one_target_forward_per_tick_equals_one_per_step(variant):
             np.testing.assert_allclose(qm_next_t, net.mix_forward(batch.next_states, "q")[0], rtol=0, atol=1e-12)
         else:
             assert qm_next_t is None
-
-
-def test_flat_variant_rejects_augmentation():
-    spec, logs = _offline_setup(episodes=10)
-    cfg = BcqConfig(variant="flat", augmentation=True, train_steps=5)
-    with pytest.raises(ConfigurationError):
-        ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
 
 
 def test_checkpoint_candidates_feed_model_selection():

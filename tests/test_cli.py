@@ -252,6 +252,24 @@ def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, 
         "dropped 14 episode-final transitions with unlogged successors"]
 
 
+@pytest.mark.parametrize("preset", ["AD-BCQ", "BCQ"])
+def test_train_offline_on_a_final_state_out_of_range_exits_two_before_training(workspace, capsys, preset):
+    """The first episode, in the train split at seed 0, ends in state 999:
+    the parent's conversion names the range before any worker starts."""
+    run = _gen_two_switch(workspace, episodes=20)
+    lines = (run / "episodes.jsonl").read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "final_state": 999})
+    log = workspace / "bad-final.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["train-offline", "--preset", preset, "--spec", str(run / "spec.json"),
+                 "--episodes", str(log), "--seeds", "0", "--tau-grid", "0.1,0.5",
+                 "--set", "train_steps=5", "--out", "bad-final"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: logged state codes out of range [0, 8)\n"
+    assert not multiprocessing.active_children()
+
+
 def test_split_episodes_partitions_without_overlap():
     spec = two_switch_spec()
     behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)

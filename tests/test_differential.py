@@ -4,8 +4,8 @@ The batched transition kernel is checked row by row against the
 enumeration oracles, the oracles' `exact_q` on both of its routes (and
 `q_table`) against the dense-solve oracle, the support backups
 (`evaluate`, `q_table` and both planners) against the dense-row
-references they replaced, model learning and its coverage check against
-their one-row-at-a-time references, and both planners are run to
+references they replaced, model learning against its
+one-row-at-a-time reference, and both planners are run to
 termination on every grid spec of generated specs: joint policy
 iteration must converge, and block-coordinate policy iteration must
 converge to values no better than the joint optimum (equal to it on
@@ -51,12 +51,10 @@ from frl.factored_mdp import (
     sample_rows,
     sample_successors,
 )
-from frl.tabular import check_model_coverage, factored_policy_iteration, joint_policy_iteration, learn_model
+from frl.tabular import factored_policy_iteration, joint_policy_iteration, learn_model
 
 from oracles import (
     ListAdam,
-    check_model_coverage_per_state,
-    check_model_coverage_reference,
     choice_rows,
     dense_support,
     draw_probability,
@@ -314,39 +312,6 @@ def _logged_treatment():
 def test_learn_model_matches_the_reference_on_a_logged_treatment_dataset():
     spec, logged = _logged_treatment()
     _assert_same_counts(learn_model(spec, *logged), learn_model_reference(spec, *logged))
-
-
-def test_model_coverage_matches_the_reference_on_partial_models():
-    found = []
-    for structure, kind, seed in [g for g in GRID if g[0] == "separable_effects"][1::3]:
-        spec = grid_spec(structure, kind, seed)
-        rng = np.random.default_rng(seed)
-        for n in (10, 100, 1000):
-            model = learn_model(spec, **_logged_rows(spec, n, rng))
-            missing = check_model_coverage(model)
-            assert missing == check_model_coverage_reference(model)
-            found += missing
-    # both kinds of cell were listed somewhere
-    assert any(cell.startswith("sigma") for cell in found)
-    assert any(cell.startswith("noop") for cell in found)
-
-
-def test_model_coverage_matches_the_per_state_loop_on_random_learned_models():
-    """The forced values worked out once per tuple of precondition rows
-    list the same cells, in the same order, as rebuilding them at every
-    reachable state; the S=729 spec has 27 reachable successors a step."""
-    specs = [grid_spec(*g) for g in GRID[::5]]
-    specs.append(generate_synthetic(SyntheticSpec("separable_effects", n_vars=6, n_blocks=3, cards=3, seed=0)))
-    found = []
-    for i, spec in enumerate(specs):
-        rng = np.random.default_rng(i)
-        for n in (10, 300, 3000):
-            model = learn_model(spec, **_logged_rows(spec, n, rng))
-            missing = check_model_coverage(model)
-            assert missing == check_model_coverage_per_state(model)
-            found += missing
-    assert any(cell.startswith("sigma") for cell in found)
-    assert any(cell.startswith("noop") for cell in found)
 
 
 # -- successor draws ---------------------------------------------------------

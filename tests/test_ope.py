@@ -253,3 +253,11 @@ def test_select_model_tie_breaking_and_failure():
     assert cid == "early"  # equal WIS, higher ESS wins
     with pytest.raises(SelectionError, match="0.9"):
         select_model([("x", _result(1.0, 0.9))], ess_cutoff=5.0)
+
+
+def test_select_model_exact_tie_goes_to_the_first_listed_candidate():
+    """Checkpoints are listed by tau, then by step, so an exact tie goes
+    to the earliest checkpoint, whatever the ids' string order."""
+    cands = [((0.1, 500), _result(0.1, 3.0)), ((0.1, 1000), _result(0.1, 3.0))]
+    assert select_model(cands, ess_cutoff=1.0)[0] == (0.1, 500)
+    assert select_model(cands[::-1], ess_cutoff=1.0)[0] == (0.1, 1000)

@@ -8,7 +8,11 @@ At each fixed seed: joint and per-block `q_table` equal the enumeration
 oracle's backups at sampled states, `evaluate` the dense solve, joint
 policy iteration reaches the values of the dense route and a policy
 greedy on its Q table, MBFPI converges to values no better than the
-joint optimum, and the spec survives its JSON round trip.  A failing
+joint optimum, and the spec survives its JSON round trip.  The offline
+dataset generator logs the reference's episodes under a random
+behaviour table, every `sample_successors` draw has positive
+probability along its one path, and `learn_model` counts the
+reference's tables on rows drawn that way with block tags.  A failing
 seed prints its spec; it is mended in the code, not replaced.
 """
 
@@ -17,10 +21,19 @@ import contextlib
 import numpy as np
 import pytest
 
-from frl.factored_mdp import FactoredMdpSpec, FactoredPolicy, evaluate, q_table
-from frl.tabular import factored_policy_iteration, joint_policy_iteration
+from frl.envs import generate_offline_dataset
+from frl.factored_mdp import FactoredMdpSpec, FactoredPolicy, evaluate, q_table, sample_successors
+from frl.tabular import factored_policy_iteration, joint_policy_iteration, learn_model
 
-from oracles import enumerate_interventional, evaluate_dense, joint_policy_iteration_dense, random_spec
+from oracles import (
+    draw_probability,
+    enumerate_interventional,
+    evaluate_dense,
+    joint_policy_iteration_dense,
+    learn_model_reference,
+    offline_dataset_reference,
+    random_spec,
+)
 
 SEEDS = range(120)
 
@@ -99,3 +112,50 @@ def test_json_round_trip_keeps_every_table(seed):
         assert back.reward.tobytes() == spec.reward.tobytes()
         assert back.init_dist.tobytes() == spec.init_dist.tobytes()
         assert back.terminal_states == spec.terminal_states and back.discount == spec.discount
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_offline_dataset_equals_the_reference_under_a_random_behavior(seed):
+    with drawn(seed) as spec:
+        rng = np.random.default_rng(3000 + seed)
+        behavior = rng.random((spec.n_states, spec.n_actions)) * (rng.random((spec.n_states, spec.n_actions)) < 0.7)
+        behavior[np.arange(spec.n_states), rng.integers(spec.n_actions, size=spec.n_states)] += 0.1
+        behavior /= behavior.sum(axis=1, keepdims=True)
+        got = generate_offline_dataset(spec, behavior, episodes=4, seed=seed)
+        want = offline_dataset_reference(spec, behavior, episodes=4, seed=seed)
+        assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+def _tagged_draws(spec, rng, n=60):
+    """`learn_model` arguments for n rows at uniform states and block
+    actions, each drawn by `sample_successors` with every block
+    intervening (tag -1) or only the tagged block."""
+    states = rng.integers(spec.n_states, size=n)
+    actions = np.stack([rng.integers(size, size=n) for size in spec.block_sizes], axis=1)
+    tags = rng.integers(-1, spec.n_blocks, size=n)
+    next_states = np.empty(n, dtype=np.int64)
+    for tag in range(-1, spec.n_blocks):
+        sel = tags == tag
+        next_states[sel] = sample_successors(spec, states[sel], actions[sel], rng, None if tag < 0 else (tag,))
+    return dict(states=states, actions=actions, rewards=rng.normal(size=n), next_states=next_states, block_tags=tags)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_successor_draws_land_on_positive_probability(seed):
+    with drawn(seed) as spec:
+        rows = _tagged_draws(spec, np.random.default_rng(4000 + seed))
+        for s, blocks, s_next, tag in zip(rows["states"], rows["actions"], rows["next_states"], rows["block_tags"]):
+            intervening = None if tag < 0 else (int(tag),)
+            assert draw_probability(spec, int(s), tuple(blocks), int(s_next), intervening) > 0, (s, blocks, tag)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_learn_model_equals_the_reference_on_tagged_draws(seed):
+    with drawn(seed) as spec:
+        rows = _tagged_draws(spec, np.random.default_rng(4000 + seed))
+        got, want = learn_model(spec, **rows), learn_model_reference(spec, **rows)
+        for a, b in zip(got.sigma_value_counts + got.noop_counts, want.sigma_value_counts + want.noop_counts,
+                        strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.reward_count.tobytes() == want.reward_count.tobytes()
+        assert got.reward_sum.tobytes() == want.reward_sum.tobytes()

@@ -25,7 +25,6 @@ from frl import (
 from frl.envs import SyntheticSpec, generate_synthetic, treatment_spec, two_switch_spec, xor_trap_spec
 from frl.factored_mdp import evaluate, q_table
 from frl.tabular import (
-    check_model_coverage,
     error_bounds_at,
     factored_policy_iteration,
     joint_policy_iteration,
@@ -333,7 +332,7 @@ def test_mbfpi_on_learned_model_matches_true_plan():
     spec = two_switch_spec()
     model = learn_model(spec, **_generative_samples(spec, 20_000, seed=2))
     init = FactoredPolicy.constant(spec, (0, 0))
-    est = factored_policy_iteration(model, init, store_q=False)
+    est = factored_policy_iteration(model.to_spec()[0], init, store_q=False)
     true = factored_policy_iteration(spec, init, store_q=False)
     np.testing.assert_array_equal(est.final_policy.blocks, true.final_policy.blocks)
     assert np.abs(est.final_values - true.final_values).max() < 0.1
@@ -346,9 +345,6 @@ def test_learn_model_zero_count_cells_block_planning():
     assert missing
     with pytest.raises(ModelCoverageError):
         model.to_spec()
-    assert check_model_coverage(model)
-    with pytest.raises(ModelCoverageError):
-        factored_policy_iteration(model, FactoredPolicy.constant(spec, (0, 0)))
 
 
 def test_learn_model_majority_vote_sigma():

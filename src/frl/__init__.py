@@ -15,7 +15,6 @@ from .errors import (
     DataError,
     DomainError,
     FrlError,
-    ModelCoverageError,
     NumericError,
     SelectionError,
     ShapeError,

@@ -1,5 +1,5 @@
 from .replay import Batch, ReplayBuffers, RingBuffer
-from .models import DynamicsModel, RewardModel, TabularModelSampler, augment_batch
+from .models import DynamicsModel, RewardModel, augment_batch
 from .dqn import (
     DqnConfig,
     DqnResult,
@@ -34,7 +34,6 @@ __all__ = [
     "RingBuffer",
     "DynamicsModel",
     "RewardModel",
-    "TabularModelSampler",
     "augment_batch",
     "DqnConfig",
     "DqnResult",

@@ -10,13 +10,13 @@ Three network shapes share one training loop:
   emit re-mixed per-block vectors used for evaluation.
 
 `BcqNet` keeps every network in one ordered table, `nets`, so its
-parameters, clones, optimizers and checkpoint docs are one pass over it
-whatever the shape.  The logged dataset is one replay `Batch` of state
-codes, and the codes go into the networks as they are (an `Mlp` reads a
-code as its one-hot row).  Each training tick samples rows from it,
-takes one step per block (decomposed runs the batch through the learned
-tabular model first so it follows that block's projected transition),
-then one step on the mixers, then a Polyak target update.  Each network
+parameters, clones and optimizers are one pass over it whatever the
+shape.  The logged dataset is one replay `Batch` of state codes, and
+the codes go into the networks as they are (an `Mlp` reads a code as
+its one-hot row).  Each training tick samples rows from it, takes one
+step per block (decomposed first redraws the batch from the spec it is
+handed so it follows that block's projected transition), then one step
+on the mixers, then a Polyak target update.  Each network
 runs forward once per parameter version: within a step the online q and
 g paths run once over the stacked [next_states; states] rows, and the
 target q path runs once per tick over every next state the tick's steps
@@ -42,19 +42,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..approx import Mlp, Optimizer, huber, load_matching, target_update
+from ..approx import Mlp, Optimizer, huber, target_update
 from ..errors import ConfigurationError, DomainError, NumericError, ShapeError
-from ..factored_mdp import FactoredMdpSpec
+from ..factored_mdp import FactoredMdpSpec, sample_successors
 from ..indexing import MixedRadix
 from ..ope import soften, wis_ess
-from ..tabular import learn_model
-from .models import TabularModelSampler, augment_batch
 from .replay import Batch
 
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("flat", "factored", "decomposed")
-_BCQ_FORMAT = "frl-bcq-v1"
 
 
 @dataclass
@@ -143,8 +140,7 @@ class BcqNet:
     `nets` is the one table of networks, keyed by name in parameter
     order: `q_embed`, `q_heads` (a list, one per block), `q_mixer`, then
     the same three for `g`; or `q_net` and `g_net` for the monolithic
-    shapes.  Parameters, clones, optimizers and checkpoint docs are all
-    one pass over it.
+    shapes.  Parameters, clones and optimizers are all one pass over it.
     """
 
     def __init__(self, state_dim: int, block_sizes, variant: str = "decomposed", hidden: int = 128, rng=None):
@@ -268,30 +264,6 @@ class BcqNet:
         opt = opts[f"{path}_mixer"]
         self.nets[f"{path}_mixer"].backward(g, cache["mixer"], used, out=opt.grad)
         opt.step(opt.grad)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_doc(self) -> dict:
-        return {
-            "format": _BCQ_FORMAT,
-            "state_dim": self.state_dim,
-            "block_sizes": list(self.block_sizes),
-            "variant": self.variant,
-            "hidden": self.hidden,
-            "nets": self._map(Mlp.to_doc),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "BcqNet":
-        if doc.get("format") != _BCQ_FORMAT:
-            raise ConfigurationError(f"unexpected checkpoint format {doc.get('format')!r}")
-        net = cls(doc["state_dim"], doc["block_sizes"], doc["variant"], doc["hidden"], rng=np.random.default_rng(0))
-        for name, built in net.nets.items():
-            if isinstance(built, list):
-                net.nets[name] = load_matching(doc["nets"][name], built)
-            else:
-                net.nets[name] = load_matching([doc["nets"][name]], [built])[0]
-        return net
 
 
 # -- dataset plumbing ---------------------------------------------------------
@@ -457,46 +429,57 @@ class BcqResult:
     metrics: list[dict] = field(default_factory=list)
 
 
-def ad_bcq_train(data: Batch, config: BcqConfig, spec: FactoredMdpSpec) -> BcqResult:
+def _projected_batch(model: FactoredMdpSpec, batch: Batch, k: int, rng: np.random.Generator) -> Batch:
+    """`batch` redrawn to follow block k's projected transition in `model`.
+
+    Every row keeps its state and block k's logged action, and every
+    other block takes action index 0.  Each row's next state is one
+    `sample_successors` draw under those actions, and its reward and
+    done flag are read off `model` at that successor.
+    """
+    actions = np.zeros_like(batch.actions)
+    actions[:, k] = batch.actions[:, k]
+    next_states = sample_successors(model, batch.states, actions, rng)
+    dones = np.isin(next_states, list(model.terminal_states)).astype(np.float64)
+    return Batch(batch.states, actions, model.reward[batch.states, next_states], next_states, dones)
+
+
+def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqResult:
     """Train one offline run at the config's threshold; see module docstring.
 
     `data` is the logged dataset as `episodes_to_transitions` returns
     it, with per-block actions; the flat variant trains on their joint
-    codes as one block.  `spec` supplies structure only — state/action
-    coding, terminal states and (for the decomposed variant) the
-    skeleton the tabular dynamics/reward estimator is fitted over from
-    `data`.  The checkpoint stream carries greedy policy tables ready
-    for importance-sampling evaluation.
+    codes as one block.  `model` supplies the state and action coding,
+    and the decomposed variant draws each block's projected batches
+    from it (`_projected_batch`); `offline_selection_run` hands in the
+    tabular model it fitted to the train split.  The checkpoint stream
+    carries greedy policy tables ready for importance-sampling
+    evaluation.
     """
     cfg = config
     flat = cfg.variant == "flat"
-    block_sizes = (spec.n_actions,) if flat else tuple(spec.block_sizes)
+    block_sizes = (model.n_actions,) if flat else tuple(model.block_sizes)
     if not len(data.rewards):
         raise ConfigurationError("dataset has no usable transitions")
 
     net_ss, batch_ss, aug_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     batch_rng = np.random.default_rng(batch_ss)
     aug_rng = np.random.default_rng(aug_ss)
-    net = BcqNet(spec.n_states, block_sizes, cfg.variant, cfg.hidden, rng=np.random.default_rng(net_ss))
+    net = BcqNet(model.n_states, block_sizes, cfg.variant, cfg.hidden, rng=np.random.default_rng(net_ss))
     target_net = net.clone()
     opts = net.optimizers(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    sampler = None
-    if cfg.variant == "decomposed":
-        model = learn_model(spec, data.states, data.actions, data.rewards, data.next_states)
-        sampler = TabularModelSampler(model.to_spec(fill_unvisited=True)[0])
     if flat:
-        data = data._replace(actions=spec.action_radix.encode_many(data.actions)[:, None])
-    noop = (0,) * len(block_sizes)
+        data = data._replace(actions=model.action_radix.encode_many(data.actions)[:, None])
 
-    all_states = np.arange(spec.n_states)
+    all_states = np.arange(model.n_states)
     checkpoints: list[dict] = []
     metrics: list[dict] = []
     counters = {"fallbacks": 0, "mixer_fallbacks": 0}
     for t in range(1, cfg.train_steps + 1):
         batch = data.take(batch_rng.integers(0, len(data.rewards), size=cfg.batch_size))
         block_batches = [
-            augment_batch(batch, k, sampler, sampler, noop, aug_rng) if sampler is not None else batch
+            _projected_batch(model, batch, k, aug_rng) if cfg.variant == "decomposed" else batch
             for k in range(len(block_sizes))
         ]
         q_next_t, qm_next_t = _target_q(target_net, block_batches, batch)

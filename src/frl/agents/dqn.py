@@ -142,20 +142,21 @@ def _head_td_step(net, trunk_opts, batch: Batch, z_next, k, gamma):
     """One Huber TD step on block k's head at the taken block action.
 
     `z_next` holds the target network's head values at the batch's
-    next states.
+    next states.  Only the trunk that outputs block k's values runs
+    forward: the shared one, or block k's own.
     """
     states, actions, rewards, _, dones = batch
     sl = slice(int(net.offsets[k]), int(net.offsets[k + 1]))
     targets = rewards + gamma * (1.0 - dones) * z_next[:, sl].max(axis=1)
-    z, caches = net.head_values(states)
+    j = 0 if net.shared_trunk else k
+    trunk, opt = net.trunks[j], trunk_opts[j]
+    z, cache = trunk.forward(np.atleast_2d(np.asarray(states, dtype=np.float64)))
     rows = np.arange(len(states))
-    cols = net.offsets[k] + actions[:, k]
+    cols = actions[:, k] + (sl.start if net.shared_trunk else 0)
     loss, dq = huber(z[rows, cols], targets)
     dz = np.zeros_like(z)
     dz[rows, cols] = dq
-    j = 0 if net.shared_trunk else k
-    opt = trunk_opts[j]
-    net.trunks[j].backward(dz if net.shared_trunk else dz[:, sl], caches[j], out=opt.grad)
+    trunk.backward(dz, cache, out=opt.grad)
     opt.step(opt.grad)
     return loss
 

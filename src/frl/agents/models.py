@@ -9,12 +9,9 @@ block k's model on the forced action and every other block's model on
 its no-op action, copying any dimensions no block controls.
 
 The reward model is a small ReLU network over (s, s', block indices).
-For tabular tasks `TabularModelSampler` exposes the same two-method
-surface (sample_projected_next / predict) backed by an estimated spec,
-so `augment_batch` is agnostic about which one it is driving.  The
-sampler reads and returns state codes and draws a batch of successors
-from the spec's factors (`factored_mdp.sample_successors`), with no
-dense row.  `augment_batch` takes and returns a replay `Batch`.
+`augment_batch` drives the two models on a replay `Batch` for the
+online learner; offline tabular runs draw their projected batches from
+a spec instead (`bcq._projected_batch`).
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
-from ..factored_mdp import FactoredMdpSpec, _terminal_mask, sample_successors
 from .replay import Batch
 
 
@@ -162,48 +158,11 @@ class RewardModel:
         return out[:, 0]
 
 
-class TabularModelSampler:
-    """Exact-sampling stand-in for the neural models on tabular tasks.
-
-    States are codes of an estimated spec and rewards come from the
-    spec's (s, s') table.  A successor under do(a_k) pins every other
-    block to its no-op action index, the only conditional a model
-    fitted from fully-intervened logs can support.
-    """
-
-    def __init__(self, spec: FactoredMdpSpec):
-        self.spec = spec
-        self.terminal = _terminal_mask(spec)
-
-    def _codes(self, states) -> np.ndarray:
-        codes = np.asarray(states)
-        if codes.dtype.kind not in "iu" or codes.ndim != 1:
-            raise ShapeError(f"expected a vector of state codes, got {codes.dtype} of shape {codes.shape}")
-        if codes.size and (codes.min() < 0 or codes.max() >= self.spec.n_states):
-            raise ShapeError(f"state code outside [0, {self.spec.n_states})")
-        return codes
-
-    def sample_projected_next(self, states, k: int, actions_k, noop_actions, rng) -> np.ndarray:
-        """Successor codes under do(a_k), one draw per row, the other
-        blocks at `noop_actions`."""
-        codes = self._codes(states)
-        blocks = np.tile(np.asarray(noop_actions, dtype=np.int64), (len(codes), 1))
-        blocks[:, k] = actions_k
-        return sample_successors(self.spec, codes, blocks, rng)
-
-    def predict(self, states, actions, next_states) -> np.ndarray:
-        return self.spec.reward[self._codes(states), self._codes(next_states)]
-
-    def terminal_of(self, next_states) -> np.ndarray:
-        """Whether each successor code is one of the spec's terminals."""
-        return self.terminal[self._codes(next_states)]
-
-
 def augment_batch(
     batch: Batch,
     k: int,
-    dynamics,
-    reward_model,
+    dynamics: DynamicsModel,
+    reward_model: RewardModel,
     noop_actions,
     rng: np.random.Generator,
 ) -> Batch:
@@ -212,15 +171,11 @@ def augment_batch(
     Every row keeps its state; the action collapses to block k's entry
     padded with no-ops, the next state is re-sampled from the dynamics
     model under do(a_k), and the reward is re-evaluated by the reward
-    model at the synthesized successor.  Dynamics models that can
-    recognize terminal successors (`terminal_of`) refresh the done
-    flags; otherwise the original flags are carried over.
+    model at the synthesized successor.  The done flags are carried
+    over.
     """
     actions = np.tile(np.asarray(noop_actions, dtype=np.int64), (len(batch.rewards), 1))
     actions[:, k] = batch.actions[:, k]
     next_states = dynamics.sample_projected_next(batch.states, k, batch.actions[:, k], noop_actions, rng)
     rewards = reward_model.predict(batch.states, actions, next_states)
-    dones = batch.dones
-    if hasattr(dynamics, "terminal_of"):
-        dones = dynamics.terminal_of(next_states).astype(np.float64)
-    return Batch(batch.states, actions, rewards, next_states, dones)
+    return Batch(batch.states, actions, rewards, next_states, batch.dones)

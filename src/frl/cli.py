@@ -61,7 +61,7 @@ from .errors import (
 from .factored_mdp import FactoredMdpSpec, FactoredPolicy
 from .jsonio import read_json, read_jsonl
 from .ope import OpeResult, load_episodes, save_episodes, select_model, soften, wis_ess
-from .tabular import factored_policy_iteration, sample_complexity_experiment
+from .tabular import factored_policy_iteration, learn_model, sample_complexity_experiment
 
 logger = logging.getLogger(__name__)
 
@@ -322,10 +322,10 @@ def split_episodes(episodes, fractions, seed: int):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _tau_run(data, cfg, spec):
+def _tau_run(data, cfg, model):
     """`ad_bcq_train` at one threshold, in a worker process; returns
     (metrics, checkpoints)."""
-    result = ad_bcq_train(data, cfg, spec)
+    result = ad_bcq_train(data, cfg, model)
     return result.metrics, result.checkpoints
 
 
@@ -358,13 +358,16 @@ def offline_selection_run(
 ):
     """Train one offline preset across the threshold grid and pick a model.
 
-    The train split is converted to one transitions batch here, once,
-    so a log with truncated episodes warns of its dropped transitions
-    once per call.  Every tau trains on that batch in one of
-    `min(len(tau_grid), usable CPUs)` spawned worker processes, each
-    with its BLAS pool capped at cpus // workers threads (the BLAS
-    variables are set only while the workers start); the workers relay
-    no log records.  Results are gathered in grid order.  The first
+    Every episode's `final_state` is range-checked first, whichever
+    split it lands in.  The train split is converted to one transitions
+    batch here, once, so a log with truncated episodes warns of its
+    dropped transitions once per call, and the tabular model is fitted
+    to that batch once (`learn_model`, then `LearnedModel.to_spec`,
+    which imputes the unvisited cells).  Every tau trains on that batch
+    and model in one of `min(len(tau_grid), usable CPUs)` spawned
+    worker processes, each with its BLAS pool capped at cpus // workers
+    threads (the BLAS variables are set only while the workers start);
+    the workers relay no log records.  Results are gathered in grid order.  The first
     failure in grid order is re-raised, the taus not yet started are
     cancelled, and no worker outlives the call.  Each worker imports
     the caller's main module, so a script must make this call under
@@ -372,22 +375,26 @@ def offline_selection_run(
 
     Returns (selection dict, combined metrics list, checkpoints list);
     the selection records the winning (tau, step), its validation score,
-    and the chosen policy's test-set score.
+    the chosen policy's test-set score, and how many cells the model
+    imputed.
     """
     # Imported here: the pool's modules add about 1.7 MB to the resident
     # set of every process that imports this module.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if any(ep.final_state is not None and not 0 <= ep.final_state < spec.n_states for ep in episodes):
+        raise DomainError(f"logged state codes out of range [0, {spec.n_states})")
     train, val, test = split_episodes(episodes, split, seed)
     data = episodes_to_transitions(train, spec)
+    model, imputed = learn_model(spec, data.states, data.actions, data.rewards, data.next_states).to_spec()
     configs = [offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {})) for tau in tau_grid]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(len(configs), cpus))  # an empty grid starts no worker
     candidates, metrics, checkpoints = [], [], []
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         with _blas_threads(max(1, cpus // workers)):  # a spawn pool starts its workers in submit
-            futures = [pool.submit(_tau_run, data, cfg, spec) for cfg in configs]
+            futures = [pool.submit(_tau_run, data, cfg, model) for cfg in configs]
         try:
             for cfg, future in zip(configs, futures):
                 run_metrics, run_checkpoints = future.result()
@@ -418,6 +425,7 @@ def offline_selection_run(
         "n_train": len(train),
         "n_val": len(val),
         "n_test": len(test),
+        "imputed_cells": len(imputed),
     }
     return selection, metrics, checkpoints
 

@@ -33,9 +33,5 @@ class DataError(FrlError, ValueError):
     """Logged data is unusable (e.g. zero behavior propensity on a taken action)."""
 
 
-class ModelCoverageError(FrlError, RuntimeError):
-    """A learned model is missing cells that planning would need on reachable states."""
-
-
 class SelectionError(FrlError, RuntimeError):
     """No candidate survives the model-selection constraints."""

@@ -17,8 +17,9 @@ make either planner cycle.
 
 `learn_model` fits intervention tables (majority vote per cell), no-op
 factors and rewards (empirical frequencies/means) from arrays of logged
-transitions, reading table rows from the kernel's index; a planner
-reaches it through `LearnedModel.to_spec`.
+transitions, reading table rows from the kernel's index;
+`LearnedModel.to_spec` turns the fit into a spec that planners and
+the offline learner read, with every unvisited cell imputed.
 `sample_complexity_experiment` measures how the sup-norm estimation
 error shrinks with sample size against closed-form bounds, drawing
 its samples with `factored_mdp.sample_successors`.
@@ -35,7 +36,6 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DomainError,
-    ModelCoverageError,
     NumericError,
     ShapeError,
 )
@@ -117,8 +117,8 @@ def factored_policy_iteration(
     """Block-coordinate policy iteration over projected Q tables.
 
     Plans on a spec; a caller with a `LearnedModel` converts it first
-    with `LearnedModel.to_spec`, which raises on zero-count cells or,
-    with `fill_unvisited`, imputes them and returns the imputed cells.
+    with `LearnedModel.to_spec`, which imputes its zero-count cells and
+    returns them.
 
     One iteration = evaluate the current policy (`factored_mdp.evaluate`,
     reused while iterations leave the policy unchanged), then improve
@@ -243,8 +243,9 @@ class LearnedModel:
     """Empirical tables estimated from logged transitions.
 
     Mirrors the structure of the skeleton spec it was fitted to; rows
-    with zero visit count keep zero probability and appear in
-    `zero_count_cells()` rather than being silently uniform.
+    with zero visit count keep zero probability here, are listed by
+    `zero_count_cells()`, and are imputed only by `to_spec`, which
+    returns them.
     """
 
     skeleton: FactoredMdpSpec
@@ -284,30 +285,25 @@ class LearnedModel:
                 missing.append(f"noop factor {m} row {row}")
         return missing
 
-    def to_spec(self, fill_unvisited: bool = False) -> tuple[FactoredMdpSpec, list[str]]:
-        """Materialize a spec from the estimates.
+    def to_spec(self) -> tuple[FactoredMdpSpec, list[str]]:
+        """Materialize a spec from the estimates, and the cells it imputed.
 
-        Unvisited rows are only ever imputed (uniform) when
-        `fill_unvisited` is set; the imputed cells are returned so the
-        caller can surface them.
+        An unvisited intervention cell forces effect code 0, and an
+        unvisited no-op row is uniform; `zero_count_cells()` names them,
+        so the caller can surface them.
         """
         missing = self.zero_count_cells()
-        if missing and not fill_unvisited:
-            raise ModelCoverageError(
-                "model has zero-count cells: " + "; ".join(missing[:20])
-            )
         sk = self.skeleton
         sigmas = []
         for k, hat in enumerate(self.sigma_hat):
             t = hat.copy()
-            if fill_unvisited:
-                t[t < 0] = 0
+            t[t < 0] = 0
             sigmas.append(SigmaTable(k, t))
         factors = []
         for m, table in enumerate(self.noop_tables):
             t = table.copy()
             empty = t.sum(axis=1) == 0
-            if fill_unvisited and empty.any():
+            if empty.any():
                 t[empty] = 1.0 / t.shape[1]
             factors.append(
                 NoopFactor(

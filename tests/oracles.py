@@ -40,7 +40,7 @@ from frl.factored_mdp import (
 )
 from frl.indexing import MixedRadix
 from frl.ope import EpisodeLog, select_model, soften, wis_ess
-from frl.tabular import JointPiResult, _bound_sizes
+from frl.tabular import JointPiResult, _bound_sizes, learn_model
 
 
 def dense_support(spec, states, blocks, intervening=None):
@@ -723,10 +723,11 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
     """`cli.offline_selection_run` in this process, one tau after another."""
     train, val, test = split_episodes(episodes, split, seed)
     data = episodes_to_transitions(train, spec)
+    model, imputed = learn_model(spec, data.states, data.actions, data.rewards, data.next_states).to_spec()
     candidates, metrics, checkpoints = [], [], []
     for tau in tau_grid:
         cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
-        result = ad_bcq_train(data, cfg, spec)
+        result = ad_bcq_train(data, cfg, model)
         metrics.extend({"tau": float(tau), **line} for line in result.metrics)
         checkpoints.extend(result.checkpoints)
         candidates.extend(checkpoint_candidates(result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon))
@@ -739,6 +740,7 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
         "val_wis": val_result.wis, "val_ess": val_result.ess,
         "test_wis": test_result.wis, "test_ess": test_result.ess,
         "policy": policy.tolist(), "n_train": len(train), "n_val": len(val), "n_test": len(test),
+        "imputed_cells": len(imputed),
     }
     return selection, metrics, checkpoints
 

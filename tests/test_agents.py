@@ -26,10 +26,8 @@ from frl.agents import (
     ReplayBuffers,
     RewardModel,
     RingBuffer,
-    TabularModelSampler,
     ad_bcq_train,
     ad_dqn_train,
-    augment_batch,
     checkpoint_candidates,
     episodes_to_transitions,
     extract_policy,
@@ -43,6 +41,8 @@ from frl.approx import DecomposedQNet, Mlp, Optimizer, huber, target_update
 from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.envs.point_mass import FlattenedEnv
 from frl.errors import ConfigurationError, DataError, DomainError, ShapeError, StateError
+from frl.factored_mdp import sample_successors
+from frl.tabular import learn_model
 from oracles import ListAdam, ListRing, bcq_tick_reference, layer_views, transition_rows
 
 
@@ -210,13 +210,11 @@ def test_dynamics_model_fits_point_mass_physics():
     np.testing.assert_allclose(pred, next_states[:16][:, [0, 2]], atol=1e-3)
 
 
-def test_augmentation_matches_projected_transition_distribution():
+def test_projected_batch_matches_projected_transition_distribution():
     spec = two_switch_spec(reward="weighted")
-    sampler = TabularModelSampler(spec)
     s, n = 2, 10_000
     base = Batch(np.full(n, s), np.tile([1, 1], (n, 1)), np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n))
-    rng = np.random.default_rng(11)
-    out = augment_batch(base, 0, sampler, sampler, (0, 0), rng)
+    out = bcq_module._projected_batch(spec, base, 0, np.random.default_rng(11))
     assert out.next_states.shape == base.next_states.shape
     np.testing.assert_array_equal(out.states, base.states)
     # forced block kept, other padded to no-op
@@ -230,22 +228,48 @@ def test_augmentation_matches_projected_transition_distribution():
     np.testing.assert_array_equal(out.rewards, spec.reward[s, codes])
 
 
-def test_sampler_takes_state_codes_only():
-    spec = two_switch_spec()
-    sampler = TabularModelSampler(spec)
-    rng = np.random.default_rng(0)
-    for bad in (np.eye(spec.n_states)[[0, 1]], np.array([0, spec.n_states]), np.array([-1])):
-        with pytest.raises(ShapeError):
-            sampler.sample_projected_next(bad, 0, np.array([1] * len(bad)), (0, 0), rng)
-    np.testing.assert_array_equal(
-        sampler.terminal_of(np.arange(spec.n_states)),
-        [s in spec.terminal_states for s in range(spec.n_states)],
-    )
+def test_projected_batch_draws_from_the_spec_it_is_handed():
+    """Next states, rewards and done flags all come from the handed model,
+    a fit to a small log that differs from the spec the log came from."""
+    spec, logs = _offline_setup(episodes=20, seed=6)
+    data = episodes_to_transitions(logs, spec)
+    model, imputed = learn_model(spec, data.states, data.actions, data.rewards, data.next_states).to_spec()
+    assert imputed and not np.array_equal(model.reward, spec.reward)
+    batch = data
+    for k in range(spec.n_blocks):
+        out = bcq_module._projected_batch(model, batch, k, np.random.default_rng(k))
+        blocks = np.zeros_like(batch.actions)
+        blocks[:, k] = batch.actions[:, k]
+        np.testing.assert_array_equal(out.actions, blocks)
+        # the same draws, in the same generator order, as one query of the model
+        np.testing.assert_array_equal(
+            out.next_states, sample_successors(model, batch.states, blocks, np.random.default_rng(k)))
+        np.testing.assert_array_equal(out.rewards, model.reward[batch.states, out.next_states])
+        np.testing.assert_array_equal(out.dones, [float(s in model.terminal_states) for s in out.next_states])
+    bad = batch._replace(states=np.full(len(batch.rewards), spec.n_states))
+    with pytest.raises(DomainError):
+        bcq_module._projected_batch(model, bad, 0, np.random.default_rng(0))
 
 
-def test_padded_sampler_refreshes_terminal_flags():
+def test_decomposed_bcq_augments_from_the_spec_it_is_handed(monkeypatch):
+    spec, logs = _offline_setup(episodes=20, seed=1)
+    handed, projected = [], bcq_module._projected_batch
+
+    def recorded(model, *args):
+        handed.append(model)
+        return projected(model, *args)
+
+    monkeypatch.setattr(bcq_module, "_projected_batch", recorded)
+    cfg = BcqConfig(variant="decomposed", hidden=8, batch_size=8, train_steps=3, checkpoint_every=3)
+    ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
+    assert len(handed) == cfg.train_steps * spec.n_blocks and all(m is spec for m in handed)
+    for variant in ("flat", "factored"):
+        ad_bcq_train(episodes_to_transitions(logs, spec), dataclasses.replace(cfg, variant=variant), spec)
+    assert len(handed) == cfg.train_steps * spec.n_blocks
+
+
+def test_projected_batch_refreshes_terminal_flags():
     spec = treatment_spec()
-    sampler = TabularModelSampler(spec)
     # a state one severity step from the healthy terminal
     source = next(s for s in range(spec.n_states)
                   if spec.state_radix.decode(s)[0] == 1
@@ -253,7 +277,7 @@ def test_padded_sampler_refreshes_terminal_flags():
     n = 400
     rows = Batch(np.full(n, source), np.zeros((n, 2), dtype=np.int64), np.zeros(n),
                  np.full(n, source), np.zeros(n))
-    out = augment_batch(rows, 0, sampler, sampler, (0, 0), np.random.default_rng(3))
+    out = bcq_module._projected_batch(spec, rows, 0, np.random.default_rng(3))
     flags = [code in spec.terminal_states for code in out.next_states]
     assert any(flags) and not all(flags)
     # done mirrors terminal entry
@@ -383,11 +407,36 @@ def test_training_step_trunk_forwards(monkeypatch, augmentation):
     ad_dqn_train(PointMassEnv(bins=3, episode_len=15, seed=2), cfg)
     batch_sized = [c for c in calls if len(c) == cfg.batch_size]
     assert steps and bool(augmented) == augmentation
-    # two-block env: one shared target forward, one online forward per
-    # head step and one for the mixer step
-    assert len(batch_sized) == 4 * len(steps) + len(augmented)
+    # one shared target forward and one online forward for the mixer
+    # step; the head steps run their trunk without head_values
+    assert len(batch_sized) == 2 * len(steps) + len(augmented)
     for next_states in augmented:
         assert any(np.array_equal(next_states, c) for c in batch_sized)
+
+
+@pytest.mark.parametrize("preset", ["AD-DQN-2n", "AD-DQN-3n"])
+def test_head_step_runs_one_trunk_forward(monkeypatch, preset):
+    """A head step forwards the trunk that outputs its block's values, the
+    shared one or the block's own, and no other network."""
+    forwards, per_step = [], []
+    mlp_forward, head_step = Mlp.forward, dqn_module._head_td_step
+
+    def counted_forward(self, x):
+        forwards.append(self)
+        return mlp_forward(self, x)
+
+    def counted_head_step(net, trunk_opts, batch, z_next, k, gamma):
+        forwards.clear()
+        loss = head_step(net, trunk_opts, batch, z_next, k, gamma)
+        per_step.append(forwards == [net.trunks[0 if net.shared_trunk else k]])
+        return loss
+
+    monkeypatch.setattr(Mlp, "forward", counted_forward)
+    monkeypatch.setattr(dqn_module, "_head_td_step", counted_head_step)
+    cfg = online_preset(preset, hidden=(12,), mixer_hidden=6, batch_size=8, episodes=3, episode_len=15,
+                        learning_starts=1, eval_every=2, eval_episodes=1, seed=5)
+    ad_dqn_train(PointMassEnv(bins=3, episode_len=15, seed=2), cfg)
+    assert per_step and all(per_step)
 
 
 def test_augmentation_requires_block_dims():
@@ -540,77 +589,6 @@ def test_bcq_runs_are_deterministic_given_seed():
     b = ad_bcq_train(data, cfg, spec)
     assert a.checkpoints == b.checkpoints
     assert json.dumps(a.metrics) == json.dumps(b.metrics)
-
-
-BCQ_V1_DOC = {
-    "format": "frl-bcq-v1", "state_dim": 3, "block_sizes": [2, 1], "variant": "decomposed", "hidden": 2,
-    "nets": {
-        "q_embed": {"format": "frl-mlp-v1", "sizes": [3, 2, 2], "activation": "relu", "out_activation": "identity",
-                    "weights": [[[0.01, 0.11], [0.99, 0.59], [0.24, 0.98]], [[0.23, -0.91], [-0.93, 0.03]]],
-                    "biases": [[-0.57, -0.68], [-0.07, 0.83]]},
-        "q_heads": [
-            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 2], "activation": "relu", "out_activation": "identity",
-             "weights": [[[0.26, 0.03], [-0.01, -0.5]], [[0.38, -0.6], [-0.26, -0.99]], [[-0.46, 0.76], [0.02, 0.69]]],
-             "biases": [[-0.98, -0.62], [0.66, -0.69], [0.28, 0.48]]},
-            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 1], "activation": "relu", "out_activation": "identity",
-             "weights": [[[-0.82, 0.08], [0.02, 0.74]], [[-0.88, -0.22], [-0.35, -0.7]], [[0.96], [0.18]]],
-             "biases": [[-0.28, 0.2], [0.63, -0.24], [0.21]]},
-        ],
-        "q_mixer": {"format": "frl-mlp-v1", "sizes": [3, 2, 2, 3], "activation": "relu", "out_activation": "identity",
-                    "weights": [[[0.28, 0.35], [-0.7, -0.12], [-0.52, -0.2]], [[-0.57, 0.34], [-0.4, 0.75]],
-                                [[0.69, 0.89, 0.81], [0.14, -0.71, -0.62]]],
-                    "biases": [[-0.81, 0.94], [0.32, -0.74], [0.86, 0.1, -0.64]]},
-        "g_embed": {"format": "frl-mlp-v1", "sizes": [3, 2, 2], "activation": "relu", "out_activation": "identity",
-                    "weights": [[[0.77, 0.28], [0.14, -0.25], [-0.18, -0.52]], [[-0.06, 0.1], [-0.36, 0.5]]],
-                    "biases": [[-0.92, 0.75], [-0.95, -0.26]]},
-        "g_heads": [
-            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 2], "activation": "relu", "out_activation": "identity",
-             "weights": [[[-0.94, -0.75], [0.93, 0.32]], [[0.75, -0.31], [0.18, 0.37]], [[0.53, 0.82], [-0.7, 0.87]]],
-             "biases": [[-0.14, 0.05], [-0.29, 0.04], [-0.99, 0.51]]},
-            {"format": "frl-mlp-v1", "sizes": [2, 2, 2, 1], "activation": "relu", "out_activation": "identity",
-             "weights": [[[0.62, -0.73], [-0.16, 0.63]], [[0.59, 0.03], [0.45, -0.55]], [[-0.64], [-0.31]]],
-             "biases": [[-0.97, 0.26], [-0.6, -0.27], [0.9]]},
-        ],
-        "g_mixer": {"format": "frl-mlp-v1", "sizes": [3, 2, 2, 3], "activation": "relu", "out_activation": "identity",
-                    "weights": [[[0.15, -0.32], [-0.46, 0.9], [-0.11, 0.96]], [[0.79, 0.49], [0.16, -0.15]],
-                                [[0.85, -0.86, -0.14], [0.04, 0.9, -0.5]]],
-                    "biases": [[0.03, 0.04], [0.76, -0.18], [0.61, 0.35, 0.43]]},
-    },
-}
-
-
-def test_stored_bcq_checkpoint_still_loads():
-    net = BcqNet.from_doc(copy.deepcopy(BCQ_V1_DOC))
-    states = np.arange(3)
-    q, _ = net.mix_forward(states, "q")
-    g, _ = net.mix_forward(states, "g")
-    np.testing.assert_allclose(q, [[0.88613004608, 0.13370397248, -0.60932559808],
-                                   [0.8912323808, 0.1402852448, -0.6033359008],
-                                   [0.8853498024704, 0.1326975713024, -0.6102415362304]], rtol=1e-12)
-    np.testing.assert_allclose(g, [[1.55883476039024, -0.609997522277184, 0.273721333582784],
-                                   [1.5394427864416, -0.59037740745856, 0.27691530576256],
-                                   [1.52857734204016, -0.579384134299456, 0.278704908369856]], rtol=1e-12)
-    assert net.to_doc() == BCQ_V1_DOC
-    codes, _ = extract_policy(net, states, tau=0.0)
-    assert codes.tolist() == [0, 0, 0]
-
-
-def test_bcq_loader_checks_each_network():
-    for field, value in (("block_sizes", [1, 2]), ("block_sizes", [2]), ("state_dim", 4), ("hidden", 3)):
-        doc = copy.deepcopy(BCQ_V1_DOC)
-        doc[field] = value
-        with pytest.raises(ShapeError):
-            BcqNet.from_doc(doc)
-    doc = copy.deepcopy(BCQ_V1_DOC)
-    doc["nets"]["g_mixer"]["out_activation"] = "relu"
-    with pytest.raises(ShapeError):
-        BcqNet.from_doc(doc)
-    flat = BcqNet(3, (2,), "flat", hidden=4, rng=np.random.default_rng(0)).to_doc()
-    flat["variant"] = "factored"
-    BcqNet.from_doc(flat)  # same networks: a flat net is a one-block factored net
-    flat["block_sizes"] = [2, 1]
-    with pytest.raises(ShapeError):
-        BcqNet.from_doc(flat)
 
 
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])

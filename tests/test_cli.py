@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frl.cli as cli_module
 from frl.cli import main, offline_selection_run, split_episodes
 from frl.envs import generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.errors import ConfigurationError, ValidationError
@@ -159,6 +160,7 @@ def test_train_offline_selection_artifacts(workspace):
     assert selection["tau"] in (0.0, 0.1) and selection["step"] in (15, 30)
     assert np.isfinite(selection["val_wis"]) and np.isfinite(selection["test_wis"])
     assert len(selection["policy"]) == 8
+    assert type(selection["imputed_cells"]) is int and selection["imputed_cells"] >= 0
     policies = list((out / "checkpoints").glob("policy-tau*.json"))
     assert len(policies) == 4  # two taus x two checkpoints
     lines = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
@@ -231,6 +233,26 @@ def test_truncated_episodes_warn_once_per_selection_run(caplog):
     assert dropped == [f"dropped {n_train} episode-final transitions with unlogged successors"]
 
 
+def test_offline_selection_run_fits_the_model_once_in_this_process(monkeypatch):
+    """One `learn_model` call per run, whatever the grid; the selection
+    counts the cells its `to_spec` imputed."""
+    spec = treatment_spec()
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    episodes = generate_offline_dataset(spec, behavior, episodes=40, seed=3)
+    fits, fit = [], cli_module.learn_model
+
+    def counted(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(cli_module, "learn_model", counted)
+    selection, _, _ = offline_selection_run(episodes, spec, "AD-BCQ", 3, tau_grid=(0.0, 0.1, 0.5),
+                                            overrides=SMALL_BCQ)
+    assert len(fits) == 1
+    imputed = fits[0].to_spec()[1]
+    assert imputed and selection["imputed_cells"] == len(imputed)
+
+
 def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, capsys, caplog):
     """Every episode is one step long with no final state, so every tau
     run fails in its worker; the first one's error is the CLI's."""
@@ -252,13 +274,18 @@ def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, 
         "dropped 14 episode-final transitions with unlogged successors"]
 
 
+@pytest.mark.parametrize("part", ["train", "validation"])
 @pytest.mark.parametrize("preset", ["AD-BCQ", "BCQ"])
-def test_train_offline_on_a_final_state_out_of_range_exits_two_before_training(workspace, capsys, preset):
-    """The first episode, in the train split at seed 0, ends in state 999:
-    the parent's conversion names the range before any worker starts."""
+def test_train_offline_on_a_final_state_out_of_range_exits_two_before_training(workspace, capsys, preset, part):
+    """An episode of the seed-0 train or validation split ends in state
+    999: the parent's check names the range before any worker starts,
+    whichever split the episode lands in."""
     run = _gen_two_switch(workspace, episodes=20)
+    episodes = load_episodes(str(run / "episodes.jsonl"))
+    train, val, _ = split_episodes(episodes, (0.7, 0.15, 0.15), 0)
+    bad = next(i for i, ep in enumerate(episodes) if ep is (train if part == "train" else val)[0])
     lines = (run / "episodes.jsonl").read_text().splitlines()
-    lines[0] = json.dumps({**json.loads(lines[0]), "final_state": 999})
+    lines[bad] = json.dumps({**json.loads(lines[bad]), "final_state": 999})
     log = workspace / "bad-final.jsonl"
     log.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

@@ -396,7 +396,7 @@ def test_factored_draws_follow_the_dense_row_with_several_drawn_variables():
 def _learned_treatment_spec():
     """A learned model of the kind AD-BCQ's augmentation samples from."""
     spec, logged = _logged_treatment()
-    return learn_model(spec, *logged).to_spec(fill_unvisited=True)[0]
+    return learn_model(spec, *logged).to_spec()[0]
 
 
 @pytest.mark.parametrize("make", [treatment_spec, two_switch_spec, _learned_treatment_spec])

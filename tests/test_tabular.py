@@ -16,7 +16,6 @@ from frl import (
     DomainError,
     FactoredMdpSpec,
     FactoredPolicy,
-    ModelCoverageError,
     NoopFactor,
     ShapeError,
     SigmaTable,
@@ -338,13 +337,22 @@ def test_mbfpi_on_learned_model_matches_true_plan():
     assert np.abs(est.final_values - true.final_values).max() < 0.1
 
 
-def test_learn_model_zero_count_cells_block_planning():
+def test_learn_model_to_spec_imputes_and_returns_zero_count_cells():
     spec = two_switch_spec()
     model = learn_model(spec, **_generative_samples(spec, 10, seed=3))
     missing = model.zero_count_cells()
     assert missing
-    with pytest.raises(ModelCoverageError):
-        model.to_spec()
+    learned, imputed = model.to_spec()
+    assert imputed == missing
+    for hat, sigma in zip(model.sigma_hat, learned.sigma):
+        np.testing.assert_array_equal(sigma.table, np.where(hat < 0, 0, hat))
+    for counts, factor in zip(model.noop_counts, learned.noop_dynamics):
+        empty = counts.sum(axis=1) == 0
+        assert (factor.table[empty] == 1.0 / factor.table.shape[1]).all()
+        np.testing.assert_array_equal(factor.table[~empty], model.noop_tables[factor.var][~empty])
+    # the imputed spec plans
+    trace = factored_policy_iteration(learned, FactoredPolicy.constant(spec, (0, 0)), store_q=False)
+    assert trace.terminated == "converged"
 
 
 def test_learn_model_majority_vote_sigma():

@@ -32,6 +32,9 @@ before the argmax, which is taken on the online net and evaluated on the
 target net.  A state whose candidate set comes up empty falls back to
 the unfiltered argmax and bumps a counter.  The generative net takes the
 logged action's negative log-likelihood.
+
+The paper's fixed rates are module constants: Adam step `LR` = 3e-4,
+decoupled weight decay `WEIGHT_DECAY` = 1e-3, Polyak rate `POLYAK` = 0.005.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ from .replay import Batch
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("flat", "factored", "decomposed")
+LR = 3e-4
+WEIGHT_DECAY = 1e-3
+POLYAK = 0.005
 
 
 @dataclass
@@ -66,10 +72,7 @@ class BcqConfig:
     variant: str = "decomposed"
     tau_bcq: float = 0.1
     hidden: int = 128
-    lr: float = 3e-4
-    weight_decay: float = 1e-3
     discount: float = 0.99
-    polyak: float = 0.005
     batch_size: int = 128
     train_steps: int = 2000
     checkpoint_every: int = 500
@@ -83,11 +86,8 @@ class BcqConfig:
         for name in ("train_steps", "batch_size", "checkpoint_every", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
-        for name in ("discount", "polyak"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1], got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.discount <= 1.0:
+            raise ConfigurationError(f"discount must be in (0, 1], got {self.discount}")
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -467,7 +467,7 @@ def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqR
     aug_rng = np.random.default_rng(aug_ss)
     net = BcqNet(model.n_states, block_sizes, cfg.variant, cfg.hidden, rng=np.random.default_rng(net_ss))
     target_net = net.clone()
-    opts = net.optimizers(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opts = net.optimizers(lr=LR, weight_decay=WEIGHT_DECAY)
 
     if flat:
         data = data._replace(actions=model.action_radix.encode_many(data.actions)[:, None])
@@ -496,7 +496,7 @@ def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqR
                 f"non-finite loss at step {t}: q={q_losses}, g={g_losses}, "
                 f"mixer=({mixer_q}, {mixer_g})"
             )
-        target_update(net.params(), target_net.params(), cfg.polyak)
+        target_update(net.params(), target_net.params(), POLYAK)
         if t % cfg.checkpoint_every == 0 or t == cfg.train_steps:
             policy, n_fall = extract_policy(net, all_states, cfg.tau_bcq)
             checkpoints.append(

@@ -13,8 +13,16 @@ frozen; the average mixer has nothing to train.  The target network's
 head values at B's next states are computed once per batch and shared
 by every head step on B and by the mixer step, whose greedy target
 sweep runs on the mixer alone; only a batch rewritten by augmentation
-needs its own target forward.  Dynamics and reward models train once
-per episode from recent replay data.
+needs its own target forward.  Dynamics and reward models take one
+step each per episode on recent replay data.
+
+The paper's fixed hyperparameters are module constants: Adam step `LR`
+= 1e-4, `DISCOUNT` = 0.99, epsilon annealed from `EPSILON_START` = 1.0
+to `EPSILON_END` = 0.1 over the first `ANNEAL_FRACTION` = 0.5 of the
+planned steps, projected exploration at `NOOP_FRACTION` = 0.1, a replay
+buffer of `BUFFER_CAPACITY` = 100,000, and model batches from the last
+`MODEL_WINDOW_EPISODES` = 200 episodes.  A TD step follows every
+environment step, and target updates are hard copies.
 
 Randomness is split into fixed streams (network init, action selection,
 batch indices, model batches, augmentation noise) so metric streams are
@@ -26,7 +34,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,14 +45,24 @@ from .replay import Batch, ReplayBuffers
 
 logger = logging.getLogger(__name__)
 
+LR = 1e-4
+DISCOUNT = 0.99
+EPSILON_START = 1.0
+EPSILON_END = 0.1
+ANNEAL_FRACTION = 0.5
+NOOP_FRACTION = 0.1
+BUFFER_CAPACITY = 100_000
+MODEL_WINDOW_EPISODES = 200
+
 
 @dataclass
 class DqnConfig:
     """Hyperparameters for `ad_dqn_train`.
 
     `episode_len` is the planned steps per episode; the environment's
-    own termination still rules, but the exploration anneal and the
-    model-training window are sized from episodes * episode_len.
+    own termination still rules, but the exploration anneal is sized
+    from episodes * episode_len and the model-training window from
+    episode_len.
     A `model_free_switch_value` turns augmentation off permanently once
     the evaluation return exceeds it.
     """
@@ -54,23 +72,11 @@ class DqnConfig:
     augmentation: bool = False
     hidden: tuple = (512, 512)
     mixer_hidden: int = 64
-    lr: float = 1e-4
-    model_lr: float = 1e-3
-    discount: float = 0.99
     batch_size: int = 128
     target_update_every: int = 100
-    target_tau: float | None = None
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.1
-    anneal_fraction: float = 0.5
-    noop_fraction: float = 0.1
     episodes: int = 200
     episode_len: int = 1000
     learning_starts: int = 20
-    train_every: int = 1
-    buffer_capacity: int = 100_000
-    model_window_episodes: int = 200
-    model_steps_per_episode: int = 1
     model_batch_size: int = 128
     eval_every: int = 10
     eval_episodes: int = 5
@@ -81,29 +87,17 @@ class DqnConfig:
         if self.mixer not in MIXERS:
             raise ConfigurationError(f"unknown mixer {self.mixer!r}; expected one of {MIXERS}")
         self.hidden = tuple(int(h) for h in self.hidden)
-        for name in (
-            "episodes", "episode_len", "batch_size", "train_every", "target_update_every",
-            "eval_every", "eval_episodes", "model_steps_per_episode", "model_batch_size",
-            "model_window_episodes", "buffer_capacity",
-        ):
+        for name in ("episodes", "episode_len", "batch_size", "target_update_every",
+                     "eval_every", "eval_episodes", "model_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
         if self.learning_starts < 0:
             raise ConfigurationError("learning_starts must be non-negative")
-        if not 0.0 < self.discount <= 1.0:
-            raise ConfigurationError("discount must be in (0, 1]")
-        if self.target_tau is not None and not 0.0 < self.target_tau <= 1.0:
-            raise ConfigurationError("target_tau must be in (0, 1], or None for hard copies")
-        for name in ("epsilon_start", "epsilon_end", "noop_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.anneal_fraction <= 1.0:
-            raise ConfigurationError("anneal_fraction must be in (0, 1]")
 
     def epsilon_at(self, step: int) -> float:
-        total = max(1, int(self.episodes * self.episode_len * self.anneal_fraction))
+        total = max(1, int(self.episodes * self.episode_len * ANNEAL_FRACTION))
         frac = min(1.0, step / total)
-        return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
+        return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -193,10 +187,7 @@ def evaluate_policy(net: DecomposedQNet, env, episodes: int) -> float:
 @dataclass
 class DqnResult:
     net: DecomposedQNet
-    dynamics: DynamicsModel | None
-    reward_model: RewardModel | None
-    metrics: list[dict] = field(default_factory=list)
-    buffers: ReplayBuffers | None = None
+    metrics: list[dict]
 
 
 def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) -> DqnResult:
@@ -231,31 +222,23 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
         # per-head argmax until the mixer has learned from data
         net.mixer.weights[-1][:] = 0.0
     target_net = net.clone()
-    trunk_opts = [Optimizer(t, lr=cfg.lr) for t in net.trunks]
-    mixer_opt = None
-    if net.mixer is not None:
-        mixer_opt = Optimizer(net.mixer, lr=cfg.lr)
+    trunk_opts = [Optimizer(t, lr=LR) for t in net.trunks]
+    mixer_opt = None if net.mixer is None else Optimizer(net.mixer, lr=LR)
 
     dynamics = reward_model = None
     if cfg.augmentation:
         if not hasattr(env, "block_dims"):
             raise ConfigurationError("augmentation needs the environment to declare block_dims")
-        dynamics = DynamicsModel(
-            env.state_dim,
-            env.block_sizes,
-            env.block_dims,
-            lr=cfg.model_lr,
-            rng=model_rng,
-        )
-        reward_model = RewardModel(env.state_dim, n_blocks, lr=cfg.model_lr, rng=model_rng)
+        dynamics = DynamicsModel(env.state_dim, env.block_sizes, env.block_dims, rng=model_rng)
+        reward_model = RewardModel(env.state_dim, n_blocks, rng=model_rng)
 
     if eval_env is None:
         eval_env = copy.deepcopy(env)
-    buffers = ReplayBuffers(n_blocks, cfg.buffer_capacity)
+    buffers = ReplayBuffers(n_blocks, BUFFER_CAPACITY)
     metrics: list[dict] = []
     fh = open(metrics_path, "w") if metrics_path else None
     augmenting = cfg.augmentation
-    model_window = cfg.model_window_episodes * cfg.episode_len
+    model_window = MODEL_WINDOW_EPISODES * cfg.episode_len
     global_step = 0
     try:
         for ep in range(cfg.episodes):
@@ -267,14 +250,14 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
             done = False
             while not done:
                 eps = cfg.epsilon_at(global_step)
-                meta = select_action(net, state, eps, cfg.noop_fraction, act_rng, noop)
+                meta = select_action(net, state, eps, NOOP_FRACTION, act_rng, noop)
                 next_state, reward, done = env.step(meta.action)
                 # episode ends here are time limits, so targets bootstrap
                 buffers.add(state, meta.action, reward, next_state, done=False, block_tag=meta.block_tag)
                 state = next_state
                 ep_return += reward
                 global_step += 1
-                if ep < cfg.learning_starts or global_step % cfg.train_every != 0:
+                if ep < cfg.learning_starts:
                     continue
                 batch = buffers.global_buffer.sample(batch_rng, cfg.batch_size)
                 use_models = augmenting and dynamics.ready() and reward_model.ready()
@@ -291,9 +274,9 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                         # projected in place: the head only reads actions[:, k],
                         # keeping the observed next state and reward
                         batch_k, z_next_k = batch, z_next
-                    head_losses.append(_head_td_step(net, trunk_opts, batch_k, z_next_k, k, cfg.discount))
+                    head_losses.append(_head_td_step(net, trunk_opts, batch_k, z_next_k, k, DISCOUNT))
                 if mixer_opt is not None:
-                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, batch, z_next, cfg.discount))
+                    mixer_losses.append(_mixer_td_step(net, target_net, mixer_opt, batch, z_next, DISCOUNT))
                 last = head_losses[-n_blocks:] + mixer_losses[-1:]
                 if not np.all(np.isfinite(last)):
                     raise NumericError(
@@ -301,7 +284,7 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                         f"heads={head_losses[-n_blocks:]}, mixer={mixer_losses[-1:]}"
                     )
                 if global_step % cfg.target_update_every == 0:
-                    target_update(net.params(), target_net.params(), cfg.target_tau)
+                    target_update(net.params(), target_net.params())
 
             line = {
                 "episode": ep,
@@ -315,19 +298,17 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
                 "block_buffers": [len(b) for b in buffers.block_buffers],
             }
             if augmenting:
-                reward_losses, dyn_losses = [], []
-                for _ in range(cfg.model_steps_per_episode):
-                    mb = buffers.global_buffer.sample_recent(model_rng, cfg.model_batch_size, model_window)
-                    reward_losses.append(reward_model.train_step(mb.states, mb.actions, mb.next_states, mb.rewards))
+                mb = buffers.global_buffer.sample_recent(model_rng, cfg.model_batch_size, model_window)
+                reward_loss = reward_model.train_step(mb.states, mb.actions, mb.next_states, mb.rewards)
+                dyn_losses = []
                 for k in range(n_blocks):
                     if len(buffers.block_buffers[k]) == 0:
                         logger.warning("episode %d: block %d has no projected samples; dynamics skipped", ep, k)
                         line.setdefault("warnings", []).append(f"empty block buffer {k}")
                         continue
-                    for _ in range(cfg.model_steps_per_episode):
-                        mb = buffers.block_buffers[k].sample_recent(model_rng, cfg.model_batch_size, model_window)
-                        dyn_losses.append(dynamics.train_step(k, mb.states, mb.actions[:, k], mb.next_states))
-                line["reward_model_loss"] = float(np.mean(reward_losses))
+                    mb = buffers.block_buffers[k].sample_recent(model_rng, cfg.model_batch_size, model_window)
+                    dyn_losses.append(dynamics.train_step(k, mb.states, mb.actions[:, k], mb.next_states))
+                line["reward_model_loss"] = reward_loss
                 line["dynamics_loss"] = float(np.mean(dyn_losses)) if dyn_losses else None
             if (ep + 1) % cfg.eval_every == 0:
                 eval_return = evaluate_policy(net, eval_env, cfg.eval_episodes)
@@ -345,4 +326,4 @@ def ad_dqn_train(env, config: DqnConfig, *, eval_env=None, metrics_path=None) ->
     finally:
         if fh:
             fh.close()
-    return DqnResult(net=net, dynamics=dynamics, reward_model=reward_model, metrics=metrics, buffers=buffers)
+    return DqnResult(net=net, metrics=metrics)

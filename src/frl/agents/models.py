@@ -12,6 +12,10 @@ The reward model is a small ReLU network over (s, s', block indices).
 `augment_batch` drives the two models on a replay `Batch` for the
 online learner; offline tabular runs draw their projected batches from
 a spec instead (`bcq._projected_batch`).
+
+The paper's fixed model sizes are module constants: hidden layers
+`DYNAMICS_HIDDEN` = (64, 64) and `REWARD_HIDDEN` = (64, 64, 64), and
+Adam step `MODEL_LR` = 1e-3 (a dynamics model's default `lr`).
 """
 
 from __future__ import annotations
@@ -21,6 +25,10 @@ import numpy as np
 from ..approx import Mlp, Optimizer
 from ..errors import ConfigurationError, ShapeError, StateError
 from .replay import Batch
+
+MODEL_LR = 1e-3
+DYNAMICS_HIDDEN = (64, 64)
+REWARD_HIDDEN = (64, 64, 64)
 
 
 def _mse_step(net: Mlp, opt: Optimizer, x: np.ndarray, target: np.ndarray) -> float:
@@ -41,16 +49,8 @@ class DynamicsModel:
     point prediction.
     """
 
-    def __init__(
-        self,
-        state_dim: int,
-        block_sizes,
-        block_dims,
-        hidden=(64, 64),
-        noise_variance: float = 1e-4,
-        lr: float = 1e-3,
-        rng=None,
-    ):
+    def __init__(self, state_dim: int, block_sizes, block_dims, noise_variance: float = 1e-4,
+                 lr: float = MODEL_LR, rng=None):
         if len(block_sizes) != len(block_dims):
             raise ConfigurationError("block_sizes and block_dims disagree on block count")
         self.state_dim = int(state_dim)
@@ -62,12 +62,7 @@ class DynamicsModel:
         self.noise_variance = float(noise_variance)
         rng = rng or np.random.default_rng()
         self.nets = [
-            Mlp(
-                (self.state_dim + b, *hidden, len(dims)),
-                activation="identity",
-                out_activation="identity",
-                rng=rng,
-            )
+            Mlp((self.state_dim + b, *DYNAMICS_HIDDEN, len(dims)), activation="identity", rng=rng)
             for b, dims in zip(self.block_sizes, self.block_dims)
         ]
         self.optimizers = [Optimizer(net, lr=lr) for net in self.nets]
@@ -127,11 +122,11 @@ class DynamicsModel:
 class RewardModel:
     """ReLU network regressing reward on (s, s', block action indices)."""
 
-    def __init__(self, state_dim: int, n_blocks: int, hidden=(64, 64, 64), lr: float = 1e-3, rng=None):
+    def __init__(self, state_dim: int, n_blocks: int, rng=None):
         self.state_dim = int(state_dim)
         self.n_blocks = int(n_blocks)
-        self.net = Mlp((2 * self.state_dim + self.n_blocks, *hidden, 1), rng=rng or np.random.default_rng())
-        self.optimizer = Optimizer(self.net, lr=lr)
+        self.net = Mlp((2 * self.state_dim + self.n_blocks, *REWARD_HIDDEN, 1), rng=rng or np.random.default_rng())
+        self.optimizer = Optimizer(self.net, lr=MODEL_LR)
         self.train_steps = 0
 
     def _inputs(self, states, actions, next_states) -> np.ndarray:

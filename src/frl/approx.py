@@ -29,6 +29,10 @@ shares.  Every elementwise operation keeps its operands and order, so
 results are bit-identical to computing each value in a fresh array.
 None of this is thread-safe.
 
+Every network's last layer is linear.  The fixed numbers are module
+constants: `huber` at `HUBER_DELTA` = 1.0, and Adam at `ADAM_BETA1` =
+0.9, `ADAM_BETA2` = 0.999 and `ADAM_EPS` = 1e-8.
+
 `DecomposedQNet` is the factored-action value network: one head of
 action values per block off a shared trunk, plus a mixer that reads the
 per-block values selected by a joint action and produces the joint
@@ -70,6 +74,10 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, out=None
 ACTIVATIONS = ("relu", "identity")
 # Coordinate passes a greedy call takes through the mixer.
 GREEDY_PASSES = 2
+HUBER_DELTA = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 # Temporaries shared by every network (backward passes, Adam, the Polyak
@@ -112,8 +120,8 @@ def _layer_views(flat: np.ndarray, sizes) -> list[np.ndarray]:
 class Mlp:
     """Dense network; sizes[0] inputs, sizes[-1] outputs.
 
-    `activation` applies to hidden layers, `out_activation` to the last
-    layer.  All parameters live in one float64 buffer `flat`, laid out
+    `activation` applies to hidden layers; the last layer is linear.
+    All parameters live in one float64 buffer `flat`, laid out
     w0, b0, w1, b1, ...; `weights` and `biases` are views into it.
     Forward returns its cache next to the output and backward takes it
     back.  The hidden activations live in one buffer per hidden layer
@@ -126,21 +134,19 @@ class Mlp:
     its weights instead of multiplying.
     """
 
-    def __init__(self, sizes, activation="relu", out_activation="identity", rng=None):
-        self._configure(sizes, activation, out_activation)
+    def __init__(self, sizes, activation="relu", rng=None):
+        self._configure(sizes, activation)
         rng = rng or np.random.default_rng()
         for w in self.weights:
             glorot_uniform(rng, *w.shape, out=w)
 
-    def _configure(self, sizes, activation, out_activation) -> None:
+    def _configure(self, sizes, activation) -> None:
         if len(sizes) < 2:
             raise ConfigurationError("network needs at least input and output sizes")
-        for name in (activation, out_activation):
-            if name not in ACTIVATIONS:
-                raise ConfigurationError(f"unknown activation {name!r}; expected one of {ACTIVATIONS}")
+        if activation not in ACTIVATIONS:
+            raise ConfigurationError(f"unknown activation {activation!r}; expected one of {ACTIVATIONS}")
         self.sizes = tuple(int(s) for s in sizes)
         self.activation = activation
-        self.out_activation = out_activation
         n = sum(a * b + b for a, b in zip(self.sizes, self.sizes[1:]))
         self._bind(np.zeros(n))
 
@@ -160,8 +166,8 @@ class Mlp:
         other._bind(self.flat.copy())
         return other
 
-    def _layer_act(self, i: int) -> str:
-        return self.out_activation if i == len(self.weights) - 1 else self.activation
+    def _relu(self, i: int) -> bool:  # a hidden layer of a ReLU network
+        return self.activation == "relu" and i < len(self.weights) - 1
 
     # -- forward / backward ------------------------------------------------
 
@@ -204,7 +210,7 @@ class Mlp:
             else:
                 np.matmul(h, w, out=z)
             z += b
-            if self._layer_act(i) == "relu":
+            if self._relu(i):
                 np.maximum(z, 0.0, out=z)
             post.append(z)
             h = z
@@ -245,7 +251,7 @@ class Mlp:
         views = _layer_views(out, self.sizes)
         h = None  # the current layer's activations at `rows`
         for i in range(len(self.weights) - 1, -1, -1):
-            if self._layer_act(i) == "relu":
+            if self._relu(i):
                 if h is None:
                     h = _take_rows(post[i + 1], rows, "mask")
                 mask = _scratch("mask", g.shape)
@@ -276,7 +282,7 @@ class Mlp:
             "format": _MLP_FORMAT,
             "sizes": list(self.sizes),
             "activation": self.activation,
-            "out_activation": self.out_activation,
+            "out_activation": "identity",
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -285,8 +291,10 @@ class Mlp:
     def from_doc(cls, doc: dict) -> "Mlp":
         if doc.get("format") != _MLP_FORMAT:
             raise ConfigurationError(f"unexpected checkpoint format {doc.get('format')!r}")
+        if doc["out_activation"] != "identity":
+            raise ConfigurationError(f"unknown output activation {doc['out_activation']!r}; expected 'identity'")
         net = cls.__new__(cls)
-        net._configure(doc["sizes"], doc["activation"], doc["out_activation"])
+        net._configure(doc["sizes"], doc["activation"])
         stored = [np.asarray(a, dtype=np.float64) for pair in zip(doc["weights"], doc["biases"]) for a in pair]
         if len(stored) != len(net._views):
             raise ShapeError("checkpoint layer count does not match sizes")
@@ -317,23 +325,23 @@ def load_matching(docs, nets) -> list[Mlp]:
     if len(docs) != len(nets):
         raise ShapeError(f"checkpoint holds {len(docs)} networks, expected {len(nets)}")
     loaded = [Mlp.from_doc(d) for d in docs]
-    shape = lambda m: (m.sizes, m.activation, m.out_activation)
+    shape = lambda m: (m.sizes, m.activation)
     for got, want in zip(loaded, nets):
         if shape(got) != shape(want):
             raise ShapeError(f"checkpoint network {shape(got)} does not match the expected {shape(want)}")
     return loaded
 
 
-def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0):
-    """Mean Huber loss and its gradient w.r.t. pred."""
+def huber(pred: np.ndarray, target: np.ndarray):
+    """Mean Huber loss at threshold `HUBER_DELTA` and its gradient w.r.t. pred."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {target.shape}")
     err = pred - target
-    small = np.abs(err) <= delta
-    loss = np.where(small, 0.5 * err**2, delta * (np.abs(err) - 0.5 * delta))
-    grad = np.clip(err, -delta, delta) / err.size
+    small = np.abs(err) <= HUBER_DELTA
+    loss = np.where(small, 0.5 * err**2, HUBER_DELTA * (np.abs(err) - 0.5 * HUBER_DELTA))
+    grad = np.clip(err, -HUBER_DELTA, HUBER_DELTA) / err.size
     return float(loss.mean()), grad
 
 
@@ -357,14 +365,11 @@ class Optimizer:
     any update) or when an updated parameter is not (after the update).
     """
 
-    def __init__(self, net: Mlp, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, net: Mlp, lr=1e-3, weight_decay=0.0):
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.flat = net.flat
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._ends = np.cumsum([n for a, b in zip(net.sizes, net.sizes[1:]) for n in (a * b, b)])
@@ -401,7 +406,7 @@ class Optimizer:
             if bad is not None:
                 raise NumericError(f"gradient {bad} is not finite")
         self.t += 1
-        c1, c2 = 1 - self.beta1**self.t, 1 - self.beta2**self.t
+        c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
         bad = None
         for lo, hi in self._chunks():
             p, g, m, v = self.flat[lo:hi], grad[lo:hi], self.m[lo:hi], self.v[lo:hi]
@@ -409,18 +414,18 @@ class Optimizer:
             if self.weight_decay:
                 np.multiply(p, self.lr * self.weight_decay, out=s)
                 p -= s
-            m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=s)
+            m *= ADAM_BETA1
+            np.multiply(g, 1 - ADAM_BETA1, out=s)
             m += s
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=s)
+            v *= ADAM_BETA2
+            np.multiply(g, 1 - ADAM_BETA2, out=s)
             s *= g
             v += s
             np.divide(m, c1, out=s)
             s *= self.lr
             np.divide(v, c2, out=d)
             np.sqrt(d, out=d)
-            d += self.eps
+            d += ADAM_EPS
             s /= d
             p -= s
             if bad is None:

@@ -344,6 +344,21 @@ def _blas_threads(n: int):
                 os.environ[var] = value
 
 
+def _check_codes(episodes, spec: FactoredMdpSpec) -> None:
+    """DomainError unless every logged state, action and final state is a
+    code of `spec`; a bad step is named with its episode's index in the log."""
+    if any(ep.final_state is not None and not 0 <= ep.final_state < spec.n_states for ep in episodes):
+        raise DomainError(f"logged state codes out of range [0, {spec.n_states})")
+    for i, ep in enumerate(episodes):
+        bad = (ep.states < 0) | (ep.states >= spec.n_states) | (ep.actions < 0) | (ep.actions >= spec.n_actions)
+        if bad.any():
+            t = int(bad.argmax())
+            raise DomainError(
+                f"episode {i} step {t}: state {ep.states[t]} or action {ep.actions[t]} is outside "
+                f"the spec's {spec.n_states} states x {spec.n_actions} joint actions"
+            )
+
+
 def offline_selection_run(
     episodes,
     spec: FactoredMdpSpec,
@@ -358,20 +373,21 @@ def offline_selection_run(
 ):
     """Train one offline preset across the threshold grid and pick a model.
 
-    Every episode's `final_state` is range-checked first, whichever
-    split it lands in.  The train split is converted to one transitions
-    batch here, once, so a log with truncated episodes warns of its
-    dropped transitions once per call, and the tabular model is fitted
-    to that batch once (`learn_model`, then `LearnedModel.to_spec`,
-    which imputes the unvisited cells).  Every tau trains on that batch
-    and model in one of `min(len(tau_grid), usable CPUs)` spawned
-    worker processes, each with its BLAS pool capped at cpus // workers
-    threads (the BLAS variables are set only while the workers start);
-    the workers relay no log records.  Results are gathered in grid order.  The first
-    failure in grid order is re-raised, the taus not yet started are
-    cancelled, and no worker outlives the call.  Each worker imports
-    the caller's main module, so a script must make this call under
-    `if __name__ == "__main__":`.
+    Every episode's logged codes are range-checked first, whichever
+    split it lands in (`_check_codes`).  The train split is converted to
+    one transitions batch here, once, so a log with truncated episodes
+    warns of its dropped transitions once per call, a split with no
+    usable transition fails before any worker starts, and the tabular
+    model is fitted to that batch once (`learn_model`, then
+    `LearnedModel.to_spec`, which imputes the unvisited cells).  Every
+    tau trains on that batch and model in one of `min(len(tau_grid),
+    usable CPUs)` spawned worker processes, each with its BLAS pool
+    capped at cpus // workers threads (the BLAS variables are set only
+    while the workers start); the workers relay no log records.  Results
+    are gathered in grid order.  The first failure in grid order is
+    re-raised, the taus not yet started are cancelled, and no worker
+    outlives the call.  Each worker imports the caller's main module, so
+    a script must make this call under `if __name__ == "__main__":`.
 
     Returns (selection dict, combined metrics list, checkpoints list);
     the selection records the winning (tau, step), its validation score,
@@ -383,10 +399,11 @@ def offline_selection_run(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if any(ep.final_state is not None and not 0 <= ep.final_state < spec.n_states for ep in episodes):
-        raise DomainError(f"logged state codes out of range [0, {spec.n_states})")
+    _check_codes(episodes, spec)
     train, val, test = split_episodes(episodes, split, seed)
     data = episodes_to_transitions(train, spec)
+    if not len(data.rewards):
+        raise ConfigurationError("dataset has no usable transitions")
     model, imputed = learn_model(spec, data.states, data.actions, data.rewards, data.next_states).to_spec()
     configs = [offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {})) for tau in tau_grid]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -10,6 +10,10 @@ semi-implicit Euler with velocity damping:
 Reward is 1 inside the goal radius and decays smoothly with distance
 outside it, so the return over an episode measures time spent parked on
 the goal plus approach quality.
+
+The task's numbers are module constants: half-width `BOX` = 0.3,
+`DAMPING` = 0.95, step `DT` = 0.02, `GOAL` = (0.15, 0.1) with
+`GOAL_RADIUS` = 0.05, and reward fall-off width `REWARD_WIDTH` = 0.15.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from ..indexing import MixedRadix
 BOX = 0.3
 DAMPING = 0.95
 DT = 0.02
+GOAL = (0.15, 0.1)
+GOAL_RADIUS = 0.05
+REWARD_WIDTH = 0.15
 
 
 def _force(bin_index: int, bins_per_axis: int) -> float:
@@ -36,12 +43,8 @@ def point_mass_step(
     state: np.ndarray,
     action: tuple[int, int],
     bins_per_axis: int,
-    dt: float = DT,
     *,
     force_scale: float = 1.0,
-    goal: tuple[float, float] = (0.15, 0.1),
-    goal_radius: float = 0.05,
-    reward_width: float = 0.15,
 ) -> tuple[np.ndarray, float]:
     """One deterministic transition of the point mass.
 
@@ -50,7 +53,6 @@ def point_mass_step(
         action: force bin per axis; the uniform grid maps bin 0 to -1
             and the last bin to +1.
         bins_per_axis: grid resolution (9, 17, and 33 are the usual).
-        dt: integration step.
 
     Returns (next_state, reward).
     """
@@ -58,16 +60,16 @@ def point_mass_step(
     fx = _force(ix, bins_per_axis) * force_scale
     fy = _force(iy, bins_per_axis) * force_scale
     x, y, vx, vy = (float(v) for v in state)
-    vx = DAMPING * vx + fx * dt
-    vy = DAMPING * vy + fy * dt
-    x = float(np.clip(x + dt * vx, -BOX, BOX))
-    y = float(np.clip(y + dt * vy, -BOX, BOX))
+    vx = DAMPING * vx + fx * DT
+    vy = DAMPING * vy + fy * DT
+    x = float(np.clip(x + DT * vx, -BOX, BOX))
+    y = float(np.clip(y + DT * vy, -BOX, BOX))
     nxt = np.array([x, y, vx, vy])
-    d = float(np.hypot(x - goal[0], y - goal[1]))
-    if d <= goal_radius:
+    d = float(np.hypot(x - GOAL[0], y - GOAL[1]))
+    if d <= GOAL_RADIUS:
         reward = 1.0
     else:
-        z = (d - goal_radius) / reward_width
+        z = (d - GOAL_RADIUS) / REWARD_WIDTH
         reward = float(np.exp(-0.5 * z * z))
     return nxt, reward
 
@@ -84,8 +86,6 @@ class PointMassEnv:
     bins: int = 9
     episode_len: int = 1000
     force_scale: float = 1.0
-    goal: tuple[float, float] = (0.15, 0.1)
-    reward_width: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
@@ -110,10 +110,7 @@ class PointMassEnv:
             self._state,
             (int(action[0]), int(action[1])),
             self.bins,
-            DT,
             force_scale=self.force_scale,
-            goal=self.goal,
-            reward_width=self.reward_width,
         )
         self._t += 1
         return self._state.copy(), reward, self._t >= self.episode_len

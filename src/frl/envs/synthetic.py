@@ -30,6 +30,8 @@ from ..indexing import MixedRadix
 
 STRUCTURES = ("fully_separable", "separable_effects", "non_separable")
 REWARD_KINDS = ("additive_monotonic", "xor_nonmonotonic")
+SWITCH_FLIP = 0.1
+NOISE_FLIP = 0.3
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,6 @@ def _utility_gap(u: np.ndarray) -> float:
 
 
 def two_switch_spec(
-    flip1: float = 0.1,
-    flip2: float = 0.1,
-    noise_flip: float = 0.3,
     reward: str = "and",
     weights: tuple[float, float] = (1.0, 1.0),
     discount: float = 0.9,
@@ -237,8 +236,9 @@ def two_switch_spec(
     """Two binary switches plus one noise bit.
 
     Block k sets switch k directly (action 0 -> off, 1 -> on); under
-    no-op each switch flips with its own probability, and the noise bit
-    flips with probability `noise_flip` regardless of interventions.
+    no-op each switch flips with probability `SWITCH_FLIP` = 0.1, and
+    the noise bit flips with probability `NOISE_FLIP` = 0.3 regardless
+    of interventions.
     Rewards: "and" pays 1 when both switches land on; "weighted" pays
     weights[0]*s1' + weights[1]*s2'.
 
@@ -257,9 +257,9 @@ def two_switch_spec(
     reward_table = np.tile(next_r, (radix.size, 1))
     flip = lambda p: np.array([[1 - p, p], [p, 1 - p]])
     factors = (
-        NoopFactor(0, (0,), (), flip(flip1)),
-        NoopFactor(1, (1,), (), flip(flip2)),
-        NoopFactor(2, (2,), (), flip(noise_flip)),
+        NoopFactor(0, (0,), (), flip(SWITCH_FLIP)),
+        NoopFactor(1, (1,), (), flip(SWITCH_FLIP)),
+        NoopFactor(2, (2,), (), flip(NOISE_FLIP)),
     )
     init = np.full(radix.size, 1.0 / radix.size)
     if single_block:

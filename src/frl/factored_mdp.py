@@ -474,9 +474,9 @@ class FactoredPolicy:
 
 @dataclass
 class QTable:
-    """Dense action-value table; block=None means joint actions."""
+    """Dense action-value table: one column per joint action, or per
+    action of one block."""
 
-    block: int | None
     table: np.ndarray
 
     def __post_init__(self):
@@ -809,7 +809,7 @@ def _q_columns(spec: FactoredMdpSpec, blocks: np.ndarray, k: int) -> np.ndarray:
     return columns
 
 
-def _q_table(spec: FactoredMdpSpec, values: np.ndarray, support, k: int | None) -> QTable:
+def _q_table(spec: FactoredMdpSpec, values: np.ndarray, support) -> QTable:
     """One backup column per column of the `_support` `support` over every
     state, one per joint action or `_q_columns` column in order; each
     column sums over its support alone."""
@@ -819,7 +819,7 @@ def _q_table(spec: FactoredMdpSpec, values: np.ndarray, support, k: int | None) 
         codes = b[:, None] + offsets
         q[:, c] = np.einsum("ij,ij->i", rows[i], _rewards_at(spec, codes) + spec.discount * values[codes])
     q[_terminal_mask(spec)] = 0.0
-    return QTable(k, q)
+    return QTable(q)
 
 
 def evaluate(spec: FactoredMdpSpec, blocks) -> np.ndarray:
@@ -844,9 +844,9 @@ def q_table(spec: FactoredMdpSpec, values, blocks=None, k: int | None = None) ->
         raise ShapeError(f"values have shape {values.shape}, expected ({spec.n_states},)")
     states = np.arange(spec.n_states)
     if k is None:
-        return _q_table(spec, values, _support(spec, states, spec.action_radix.table()[:, None]), None)
+        return _q_table(spec, values, _support(spec, states, spec.action_radix.table()[:, None]))
     k = _check_block(spec, k)
     if blocks is None:
         raise ShapeError(f"block {k}'s Q table needs the other blocks' actions as an (S, n_blocks) array")
     states, blocks = _checked_query(spec, states, blocks)
-    return _q_table(spec, values, _support(spec, states, _q_columns(spec, blocks, k)), k)
+    return _q_table(spec, values, _support(spec, states, _q_columns(spec, blocks, k)))

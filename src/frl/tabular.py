@@ -199,12 +199,9 @@ class JointPiResult:
     iterations: int
 
 
-def joint_policy_iteration(
-    spec: FactoredMdpSpec,
-    init: np.ndarray | None = None,
-    max_iters: int = 500,
-) -> JointPiResult:
-    """Howard policy iteration over the flat joint action space.
+def joint_policy_iteration(spec: FactoredMdpSpec, max_iters: int = 500) -> JointPiResult:
+    """Howard policy iteration over the flat joint action space, from
+    the all-zero policy.
 
     Every joint action's support is built once per call, by one
     `factored_mdp._support` call with a column per joint action, since it
@@ -217,16 +214,14 @@ def joint_policy_iteration(
     actions to the lowest index.  Serves as the exact oracle the
     block-coordinate method is compared against.
     """
-    n, A = spec.n_states, spec.n_actions
+    n = spec.n_states
     term = _terminal_mask(spec)
-    policy = np.zeros(n, dtype=np.int64) if init is None else np.asarray(init, dtype=np.int64).copy()
-    if policy.shape != (n,) or policy.min() < 0 or policy.max() >= A:
-        raise DomainError("init policy must map every state to a joint action code")
+    policy = np.zeros(n, dtype=np.int64)
     states = np.arange(n)
     base, offsets, index, rows = support = _support(spec, states, spec.action_radix.table()[:, None])
     for it in range(max_iters):
         values = _solve(spec, (base[policy, states][None], offsets, index[policy, states][None], rows))
-        q = _q_table(spec, values, support, None)
+        q = _q_table(spec, values, support)
         new_policy = q.greedy(incumbent=policy)
         new_policy[term] = 0
         if np.array_equal(new_policy, policy):

@@ -245,7 +245,7 @@ def exact_q(spec, policy, block=None):
     k = _check_block(spec, block)
     values = _solve(spec, _compact([_reweighted_support(spec, k, blocks)]))
     columns = [_reweighted_support(spec, k, b) for b in _q_columns(spec, blocks, k)]
-    return _q_table(spec, values, _compact(columns), k)
+    return _q_table(spec, values, _compact(columns))
 
 
 def solve_q_dense(spec, policy, tol_unused=None):
@@ -326,7 +326,7 @@ def q_table_dense(spec, values, blocks=None, k=None):
     target = spec.reward + spec.discount * np.asarray(values)
     q = np.stack([np.einsum("ij,ij->i", transition_rows(spec, states, b), target) for b in columns], axis=1)
     q[_terminal_mask(spec)] = 0.0
-    return QTable(k, q)
+    return QTable(q)
 
 
 def joint_policy_iteration_dense(spec, max_iters=500):
@@ -505,7 +505,7 @@ class ListAdam:
     first array whose gradient, or whose updated value, is not finite.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, *, beta1, beta2, eps, lr=1e-3, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

@@ -28,7 +28,7 @@ def manual_mlp_forward(net, x):
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = h @ w + b
-        name = net.out_activation if i == last else net.activation
+        name = "identity" if i == last else net.activation
         h = np.maximum(z, 0.0) if name == "relu" else z
     return h
 
@@ -309,7 +309,7 @@ def test_joint_q_action_validation():
 
 
 def test_huber_frozen_values():
-    loss, grad = huber(np.array([0.5, 3.0]), np.array([0.0, 0.0]), delta=1.0)
+    loss, grad = huber(np.array([0.5, 3.0]), np.array([0.0, 0.0]))
     # 0.5*0.25 = 0.125 inside, 1*(3-0.5) = 2.5 outside -> mean 1.3125
     assert abs(loss - 1.3125) < 1e-12
     np.testing.assert_allclose(grad, [0.25, 0.5], atol=1e-12)  # clipped at delta, /n
@@ -437,6 +437,15 @@ def test_stored_mlp_checkpoint_still_loads():
     doc = json.loads(MLP_V1_DOC)
     doc["biases"][1] = [0.0]
     with pytest.raises(ShapeError):
+        Mlp.from_doc(doc)
+
+
+def test_mlp_checkpoint_with_another_output_activation_is_rejected():
+    """Every network's last layer is linear: the format keeps the field,
+    and only "identity" loads."""
+    doc = json.loads(MLP_V1_DOC)
+    doc["out_activation"] = "relu"
+    with pytest.raises(ConfigurationError, match="output activation 'relu'"):
         Mlp.from_doc(doc)
 
 

@@ -4,6 +4,7 @@ Commands run in-process through `main(argv)`; each test works inside a
 temporary directory via the FRL_OUT environment override.
 """
 
+import concurrent.futures
 import dataclasses
 import json
 import logging
@@ -146,6 +147,24 @@ def test_train_online_rejects_unknown_override(workspace, capsys):
                  "--out", "bad"]) == 2
 
 
+@pytest.mark.parametrize("command, key", [("train-online", "target_tau=0.5"), ("train-offline", "polyak=0.01")])
+def test_a_fixed_hyperparameter_is_not_a_config_key(workspace, capsys, command, key):
+    """The target update rule is a module constant of each learner; the
+    other settings keep a run short where the key is still accepted."""
+    run = _gen_two_switch(workspace, episodes=20)
+    if command == "train-online":
+        rest = ["--preset", "AD-DQN-2n", *TINY_ONLINE]
+    else:
+        rest = ["--preset", "AD-BCQ", "--spec", str(run / "spec.json"), "--episodes", str(run / "episodes.jsonl"),
+                "--tau-grid", "0.1", "--set", "train_steps=2", "--set", "checkpoint_every=1"]
+    capsys.readouterr()
+    code = main([command, "--set", key, *rest, "--out", "fixed"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown config key {key.split('=')[0]!r}") and "Traceback" not in err
+    assert not (workspace / "fixed").exists()
+
+
 def test_train_offline_selection_artifacts(workspace):
     run = _gen_two_switch(workspace, episodes=40)
     assert main(["train-offline", "--preset", "AD-BCQ",
@@ -253,13 +272,27 @@ def test_offline_selection_run_fits_the_model_once_in_this_process(monkeypatch):
     assert imputed and selection["imputed_cells"] == len(imputed)
 
 
-def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, capsys, caplog):
-    """Every episode is one step long with no final state, so every tau
-    run fails in its worker; the first one's error is the CLI's."""
-    run = _gen_two_switch(workspace)
+def _one_step_log(workspace) -> Path:
+    """20 one-step episodes with no final state: no usable transition."""
     episode = {"states": [0], "actions": [1], "rewards": [0.0], "propensities": [0.25]}
     log = workspace / "one-step.jsonl"
     log.write_text((json.dumps(episode) + "\n") * 20)
+    return log
+
+
+def _forbid_worker_pools(monkeypatch):
+    """Make starting a worker pool fail the test."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, capsys, caplog):
+    """Every episode is one step long with no final state, so the train
+    split converts to an empty batch and the run fails in this process."""
+    run = _gen_two_switch(workspace)
+    log = _one_step_log(workspace)
     capsys.readouterr()
     with caplog.at_level(logging.WARNING):
         code = main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
@@ -269,9 +302,53 @@ def test_train_offline_on_a_log_with_no_usable_transitions_exits_two(workspace, 
     assert code == 2
     assert err == "error: dataset has no usable transitions\n"
     assert not multiprocessing.active_children()
-    # the train split's conversion warned once, before the workers failed
+    # the train split's conversion warned once, before the run failed
     assert [r.getMessage() for r in caplog.records if r.name == "frl.agents.bcq"] == [
         "dropped 14 episode-final transitions with unlogged successors"]
+
+
+def test_a_train_split_with_no_usable_transitions_starts_no_worker(workspace, capsys, monkeypatch):
+    run = _gen_two_switch(workspace)
+    log = _one_step_log(workspace)
+    _forbid_worker_pools(monkeypatch)
+    capsys.readouterr()
+    code = main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                 "--episodes", str(log), "--seeds", "0", "--tau-grid", "0.1,0.5",
+                 "--set", "train_steps=5", "--out", "empty"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: dataset has no usable transitions\n"
+
+
+@pytest.mark.parametrize("part, field, step, code", [("validation", "states", 0, 999), ("train", "actions", 1, 99)])
+def test_train_offline_on_a_code_out_of_range_exits_two_before_training(
+    workspace, capsys, monkeypatch, part, field, step, code
+):
+    """The first episode of the seed-0 validation split starts in state
+    999, or that of the train split takes action 99 at its second step:
+    the parent names the episode by its index in the log, and no worker
+    starts."""
+    run = _gen_two_switch(workspace, episodes=20)
+    episodes = load_episodes(str(run / "episodes.jsonl"))
+    train, val, _ = split_episodes(episodes, (0.7, 0.15, 0.15), 0)
+    bad = next(i for i, ep in enumerate(episodes) if ep is (train if part == "train" else val)[0])
+    lines = (run / "episodes.jsonl").read_text().splitlines()
+    doc = json.loads(lines[bad])
+    doc[field][step] = code
+    lines[bad] = json.dumps(doc)
+    log = workspace / "bad-code.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    _forbid_worker_pools(monkeypatch)
+    capsys.readouterr()
+    exit_code = main(["train-offline", "--preset", "AD-BCQ", "--spec", str(run / "spec.json"),
+                      "--episodes", str(log), "--seeds", "0", "--tau-grid", "0.1,0.5",
+                      "--set", "train_steps=5", "--out", "bad-code"])
+    assert exit_code == 2
+    assert capsys.readouterr().err == (
+        f"error: episode {bad} step {step}: state {doc['states'][step]} or action {doc['actions'][step]} "
+        "is outside the spec's 8 states x 4 joint actions\n"
+    )
+    if part == "validation":
+        assert bad == 18
 
 
 @pytest.mark.parametrize("part", ["train", "validation"])

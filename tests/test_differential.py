@@ -30,7 +30,7 @@ import pytest
 
 from frl import tabular
 from frl.agents.bcq import episodes_to_transitions
-from frl.approx import Mlp, Optimizer
+from frl.approx import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Mlp, Optimizer
 from frl.envs import (
     SyntheticSpec,
     generate_offline_dataset,
@@ -521,6 +521,9 @@ def test_dataset_never_reaching_a_rejected_row_draws_like_the_reference():
 
 # -- flat in-place Adam --------------------------------------------------------
 
+# the reference Adam takes the learner's moment decays and denominator floor
+ADAM = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS}
+
 SHAPES = {
     "trunk": (4, 512, 512, 10),
     "bcq_embed": (150, 128, 128),
@@ -536,7 +539,7 @@ def test_flat_adam_matches_per_array_adam(shape, weight_decay):
     net = Mlp(SHAPES[shape], rng=rng)
     ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
     fast = Optimizer(net, lr=3e-4, weight_decay=weight_decay)
-    slow = ListAdam(ref, lr=3e-4, weight_decay=weight_decay)
+    slow = ListAdam(ref, lr=3e-4, weight_decay=weight_decay, **ADAM)
     for _ in range(50):
         grad = np.concatenate([rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=p.size) for p in ref])
         fast.step(grad)
@@ -552,7 +555,7 @@ def test_chunked_adam_matches_per_array_adam_across_chunk_boundaries(weight_deca
     assert net.flat.size > 32_768
     ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
     fast = Optimizer(net, lr=1e-3, weight_decay=weight_decay)
-    slow = ListAdam(ref, lr=1e-3, weight_decay=weight_decay)
+    slow = ListAdam(ref, lr=1e-3, weight_decay=weight_decay, **ADAM)
     rng = np.random.default_rng(6)
     for _ in range(20):
         grad = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0]), size=net.flat.size)
@@ -575,7 +578,7 @@ def test_flat_adam_names_the_parameter_that_broke():
         grad = np.ones_like(net.flat)
         layer_views(grad, net.sizes)[index].reshape(-1)[-1] = np.inf
         fast = Optimizer(net)
-        slow = ListAdam([p.copy() for p in layer_views(net.flat, net.sizes)])
+        slow = ListAdam([p.copy() for p in layer_views(net.flat, net.sizes)], **ADAM)
         with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
             fast.step(grad)
         with pytest.raises(NumericError, match=f"gradient {index} is not finite"):
@@ -592,7 +595,7 @@ def test_flat_adam_names_the_parameter_that_broke():
 def test_flat_adam_steps_when_finite_entries_overflow_their_sum():
     net = Mlp((3, 4, 4, 2), rng=np.random.default_rng(9))
     ref = [p.copy() for p in layer_views(net.flat, net.sizes)]
-    fast, slow = Optimizer(net, lr=1e-3), ListAdam(ref, lr=1e-3)
+    fast, slow = Optimizer(net, lr=1e-3), ListAdam(ref, lr=1e-3, **ADAM)
     grad = np.zeros_like(net.flat)
     grad[:2] = 1e308  # each entry finite, their sum not
     with np.errstate(over="ignore"):  # Adam's second moment squares them

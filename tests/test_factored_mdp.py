@@ -323,23 +323,23 @@ def test_json_round_trip_and_determinism():
 
 
 def test_qtable_greedy_breaks_ties_low():
-    q = QTable(None, np.array([[1.0, 1.0, 0.5], [0.2, 0.9, 0.9]]))
+    q = QTable(np.array([[1.0, 1.0, 0.5], [0.2, 0.9, 0.9]]))
     assert q.greedy().tolist() == [0, 1]
 
 
 def test_qtable_greedy_keeps_incumbent_unless_beaten_beyond_noise():
-    q = QTable(None, np.array([[1.0, 1.0 + 1e-15, 0.5], [0.2, 0.9, 0.9 + 1e-9], [3.0, 2.0, 1.0]]))
+    q = QTable(np.array([[1.0, 1.0 + 1e-15, 0.5], [0.2, 0.9, 0.9 + 1e-9], [3.0, 2.0, 1.0]]))
     assert q.greedy().tolist() == [1, 2, 0]
     # a 1e-15 edge is float noise; 1e-9 and 1.0 are real improvements
     assert q.greedy(incumbent=np.array([0, 1, 2])).tolist() == [0, 2, 0]
     # the tolerance scales with the largest |Q|
-    big = QTable(None, np.array([[1e6, 1e6 + 1e-7]]))
+    big = QTable(np.array([[1e6, 1e6 + 1e-7]]))
     assert big.greedy(incumbent=np.array([0])).tolist() == [0]
     assert big.greedy(incumbent=np.array([1])).tolist() == [1]
 
 
 def test_qtable_greedy_moves_to_the_lowest_action_tied_with_the_best():
-    q = QTable(None, np.array([[0.0, 1.0, 1.0 + 1e-15, 1.0 - 1e-15], [0.0, 1.0 - 1e-9, 1.0, 1.0]]))
+    q = QTable(np.array([[0.0, 1.0, 1.0 + 1e-15, 1.0 - 1e-15], [0.0, 1.0 - 1e-9, 1.0, 1.0]]))
     # actions 1-3 of state 0 tie up to noise, so the lowest of them wins
     assert q.greedy(incumbent=np.array([0, 0])).tolist() == [1, 2]
     assert q.greedy(incumbent=np.array([3, 3])).tolist() == [3, 3]

@@ -38,6 +38,7 @@ from frl.agents import (
     select_action,
 )
 from frl.approx import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DecomposedQNet, Mlp, Optimizer, huber, target_update
+from frl.cli import _parse_overrides
 from frl.envs import PointMassEnv, generate_offline_dataset, treatment_spec, two_switch_spec
 from frl.envs.point_mass import FlattenedEnv
 from frl.errors import ConfigurationError, DataError, DomainError, ShapeError, StateError
@@ -468,6 +469,33 @@ def test_config_rejects_settings_that_break_training(field, value):
         _small_cfg(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_tau", 1.5),
+        ("model_steps_per_episode", 0),
+        ("discount", 1.5),
+        ("discount", 0.0),
+        ("model_window_episodes", 0),
+        ("model_window_episodes", -1),
+        ("buffer_capacity", 0),
+        ("lr", 1e-4),
+        ("model_lr", 1e-3),
+        ("epsilon_start", 1.0),
+        ("epsilon_end", 0.1),
+        ("anneal_fraction", 0.5),
+        ("noop_fraction", 0.1),
+        ("train_every", 1),
+    ],
+)
+def test_config_rejects_a_fixed_setting_as_an_unknown_key(field, value):
+    """A fixed hyperparameter is a module constant, not a field: `--set`
+    refuses it by name whatever its value, the constant's own included."""
+    assert field not in {f.name for f in dataclasses.fields(DqnConfig)}
+    with pytest.raises(ConfigurationError, match=f"^unknown config key '{field}'"):
+        _parse_overrides([f"{field}={value}"], online_preset, "AD-DQN-2n")
+
+
 def test_presets_cover_the_configuration_grid():
     decqn = online_preset("DECQN")
     assert (decqn.mixer, decqn.shared_trunk, decqn.augmentation) == ("average", True, False)
@@ -554,6 +582,16 @@ def test_bcq_rejects_a_dataset_without_transitions():
 def test_bcq_config_rejects_settings_that_break_training(field, value):
     with pytest.raises(ConfigurationError):
         BcqConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("polyak", 0.0), ("polyak", 1.5), ("lr", 0.0), ("lr", -0.001), ("weight_decay", 1e-3)],
+)
+def test_bcq_config_rejects_a_fixed_setting_as_an_unknown_key(field, value):
+    assert field not in {f.name for f in dataclasses.fields(BcqConfig)}
+    with pytest.raises(ConfigurationError, match=f"^unknown config key '{field}'"):
+        _parse_overrides([f"{field}={value}"], offline_preset, "AD-BCQ")
 
 
 def test_bcq_never_selects_an_unsupported_action():

@@ -51,10 +51,12 @@ from .envs import (
     xor_trap_spec,
 )
 from .envs.point_mass import FlattenedEnv
+from .envs.synthetic import STRUCTURES
 from .errors import (
     ConfigurationError,
     DomainError,
     FrlError,
+    SelectionError,
     ShapeError,
     ValidationError,
 )
@@ -157,12 +159,7 @@ def _numbers(text: str, kind=float) -> list:
 
 
 def _cmd_validate(args) -> int:
-    def checked(doc) -> FactoredMdpSpec:
-        spec = FactoredMdpSpec.from_doc(doc, validate=False)
-        spec.check(require_disjoint_effects=args.require_assumption_1)
-        return spec
-
-    spec = read_json(args.spec, "spec", checked)
+    spec = _load_spec(args.spec)
     print(
         f"OK: {spec.n_vars} state vars ({spec.n_states} states), "
         f"{spec.n_blocks} blocks ({spec.n_actions} joint actions), "
@@ -320,6 +317,7 @@ def split_episodes(episodes, fractions, seed: int):
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SOFTEN_EPSILON = 0.01
 
 
 def _tau_run(data, cfg, model):
@@ -368,7 +366,7 @@ def offline_selection_run(
     tau_grid,
     split=(0.7, 0.15, 0.15),
     ess_cutoff_frac: float = 0.1,
-    soften_epsilon: float = 0.01,
+    soften_epsilon: float = SOFTEN_EPSILON,
     overrides: dict | None = None,
 ):
     """Train one offline preset across the threshold grid and pick a model.
@@ -391,9 +389,24 @@ def offline_selection_run(
 
     Returns (selection dict, combined metrics list, checkpoints list);
     the selection records the winning (tau, step), its validation score,
-    the chosen policy's test-set score, and how many cells the model
-    imputed.
+    the chosen policy's test-set score, the ratios clipped in each
+    score, and how many cells the model imputed.  SelectionError when no
+    checkpoint's validation ESS reaches `ess_cutoff_frac` times the size
+    of the validation split.
     """
+    selection, metrics, checkpoints = _selection_run(
+        episodes, spec, preset, seed, tau_grid, split, ess_cutoff_frac, overrides, soften_epsilon
+    )
+    if "stop" in selection:
+        raise SelectionError(selection["stop"])
+    return selection, metrics, checkpoints
+
+
+def _selection_run(episodes, spec, preset, seed, tau_grid, split, ess_cutoff_frac, overrides,
+                   soften_epsilon=SOFTEN_EPSILON):
+    """`offline_selection_run`, which describes it, save that a selection
+    no candidate passes returns a record of the stop, the cutoff and the
+    best validation ESS in place of the selection."""
     # Imported here: the pool's modules add about 1.7 MB to the resident
     # set of every process that imports this module.
     import multiprocessing
@@ -424,7 +437,13 @@ def offline_selection_run(
             for future in futures:
                 future.cancel()
     cutoff = ess_cutoff_frac * len(val)
-    cid, val_result = select_model(candidates, cutoff)
+    sizes = {"n_train": len(train), "n_val": len(val), "n_test": len(test), "imputed_cells": len(imputed)}
+    try:
+        cid, val_result = select_model(candidates, cutoff)
+    except SelectionError as e:
+        stop = {"preset": preset, "seed": seed, "stop": str(e), "ess_cutoff": cutoff,
+                "best_val_ess": max(res.ess for _, res in candidates), **sizes}
+        return stop, metrics, checkpoints
     policies = {(cp["tau"], cp["step"]): cp["policy"] for cp in checkpoints}
     policy = np.asarray(policies[cid], dtype=np.int64)
     test_result = wis_ess(test, soften(policy, soften_epsilon, spec.n_actions))
@@ -436,13 +455,12 @@ def offline_selection_run(
         "ess_cutoff": cutoff,
         "val_wis": val_result.wis,
         "val_ess": val_result.ess,
+        "val_clip_count": val_result.clip_count,
         "test_wis": test_result.wis,
         "test_ess": test_result.ess,
+        "test_clip_count": test_result.clip_count,
         "policy": policy.tolist(),
-        "n_train": len(train),
-        "n_val": len(val),
-        "n_test": len(test),
-        "imputed_cells": len(imputed),
+        **sizes,
     }
     return selection, metrics, checkpoints
 
@@ -454,16 +472,16 @@ def _one_offline_run(seed: int, args, tau_grid, split, episodes, spec, overrides
               "tau_grid": tau_grid, "split": split,
               "ess_cutoff_frac": args.ess_cutoff_frac, **cfg_doc}
     with _run_dir(root / f"{args.preset}-seed{seed}", config) as run:
-        selection, metrics, checkpoints = offline_selection_run(
-            episodes, spec, args.preset, seed, tau_grid=tau_grid, split=tuple(split),
-            ess_cutoff_frac=args.ess_cutoff_frac, overrides=overrides,
+        selection, metrics, checkpoints = _selection_run(
+            episodes, spec, args.preset, seed, tau_grid, tuple(split), args.ess_cutoff_frac, overrides
         )
         _write_jsonl(run / "metrics.jsonl", metrics)
         for cp in checkpoints:
             name = f"policy-tau{cp['tau']}-step{cp['step']}.json"
             (run / "checkpoints" / name).write_text(json.dumps(cp) + "\n")
         (run / "selection.json").write_text(json.dumps(selection, indent=2) + "\n")
-    return {k: selection[k] for k in
+    # a failed selection leaves its selection fields empty
+    return {k: selection.get(k) for k in
             ("preset", "seed", "tau", "step", "val_wis", "val_ess", "test_wis", "test_ess")}
 
 
@@ -478,6 +496,9 @@ def _cmd_train_offline(args) -> int:
     root = _out_path(args.out)
     rows = [_one_offline_run(s, args, tau_grid, split, episodes, spec, overrides, root) for s in seeds]
     _write_summary(root, rows, "selection runs")
+    failed = [str(r["seed"]) for r in rows if r["tau"] is None]
+    if failed:
+        raise SelectionError(f"no candidate reached the ESS cutoff at seeds {', '.join(failed)}")
     return 0
 
 
@@ -614,16 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="check a spec file's invariants")
+    p = sub.add_parser("validate", help="check a spec file's invariants, as every command does")
     p.add_argument("spec")
-    p.add_argument("--require-assumption-1", action="store_true",
-                   help="additionally require pairwise-disjoint block effect sets")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("gen", help="generate a spec (and optionally a logged dataset)")
     p.add_argument("--task", choices=("random", "two-switch", "treatment", "xor-trap"),
                    default="random")
-    p.add_argument("--structure", choices=("fully_separable", "separable_effects", "non_separable"),
+    p.add_argument("--structure", choices=STRUCTURES,
                    default="separable_effects")
     p.add_argument("--n-vars", type=int, default=4)
     p.add_argument("--n-blocks", type=int, default=2)

@@ -1,6 +1,6 @@
 """Synthetic tabular factored MDPs.
 
-Three generator structures:
+Two generator structures, both with disjoint effect sets:
 
 * fully separable: the joint MDP is a product of independent sub-MDPs,
   one per action block, with an additive reward — so the joint Q of a
@@ -8,9 +8,6 @@ Three generator structures:
 * separable effects: effect sets stay disjoint, but uncontrolled
   variables may read effect values from several blocks and the reward
   couples all blocks.
-* non-separable: one state variable sits in two blocks' effect sets,
-  violating the disjointness requirement (negative-test material; the
-  returned spec is built unvalidated).
 
 The module also ships fixed micro-MDPs used throughout the test suite:
 a two-switch system with one noise bit, a coordination trap whose
@@ -28,7 +25,7 @@ from ..errors import ConfigurationError
 from ..factored_mdp import FactoredMdpSpec, NoopFactor, SigmaTable
 from ..indexing import MixedRadix
 
-STRUCTURES = ("fully_separable", "separable_effects", "non_separable")
+STRUCTURES = ("fully_separable", "separable_effects")
 REWARD_KINDS = ("additive_monotonic", "xor_nonmonotonic")
 SWITCH_FLIP = 0.1
 NOISE_FLIP = 0.3
@@ -125,8 +122,9 @@ def _xor_reward(cards, eff_map, state_values):
 def generate_synthetic(params: SyntheticSpec) -> FactoredMdpSpec:
     """Build a random factored MDP with the requested structure.
 
-    Raises ConfigurationError on inconsistent sizes.  Non-separable
-    structures return an unvalidated spec; `spec.check()` rejects it.
+    Each block owns one state variable as its effect set, so the
+    returned spec, checked when built, holds disjoint effect sets.
+    Raises ConfigurationError on inconsistent sizes.
     """
     if params.structure not in STRUCTURES:
         raise ConfigurationError(f"unknown structure {params.structure!r}")
@@ -135,8 +133,6 @@ def generate_synthetic(params: SyntheticSpec) -> FactoredMdpSpec:
     K, M = params.n_blocks, params.n_vars
     if K < 1 or M < K:
         raise ConfigurationError(f"need n_vars >= n_blocks >= 1, got M={M}, K={K}")
-    if params.structure == "non_separable" and K < 2:
-        raise ConfigurationError("non_separable needs at least two blocks")
     if params.reward_kind == "xor_nonmonotonic" and K < 2:
         raise ConfigurationError("xor_nonmonotonic needs at least two blocks")
     cards = params.card_list()
@@ -145,9 +141,6 @@ def generate_synthetic(params: SyntheticSpec) -> FactoredMdpSpec:
     controlled = list(range(K))
     uncontrolled = list(range(K, M))
     eff_map = [(k,) for k in range(K)]
-    if params.structure == "non_separable":
-        # second block also claims the first block's variable
-        eff_map[1] = (1, 0)
 
     if params.structure == "fully_separable":
         # round-robin the uncontrolled variables into per-block groups
@@ -218,7 +211,6 @@ def generate_synthetic(params: SyntheticSpec) -> FactoredMdpSpec:
         init_dist=init,
         discount=discount,
         assume_positive=True,
-        validate=params.structure != "non_separable",
     )
 
 

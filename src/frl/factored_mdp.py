@@ -41,13 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NumericError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import DomainError, NumericError, ShapeError, ValidationError
 from .indexing import MixedRadix
 
 _PROB_TOL = 1e-12
@@ -86,9 +80,8 @@ class SigmaTable:
     """Deterministic intervention table for one action block.
 
     `table[a_k, pre_row]` is the mixed-radix code of the values forced
-    onto the block's effect variables; -1 marks an undefined entry
-    (rejected by validation, and a `ConfigurationError` if ever hit at
-    evaluation time on a spec built with validate=False).
+    onto the block's effect variables.  Every entry must be defined: the
+    spec that holds the table rejects a negative entry when it is built.
     """
 
     block: int
@@ -134,6 +127,9 @@ class _KernelIndex:
 class FactoredMdpSpec:
     """Complete description of a factored-action MDP.
 
+    Building a spec runs `check`, so every spec in existence satisfies
+    its invariants, disjoint effect sets included.
+
     Args:
         state_vars: cardinality of each state variable.
         action_blocks: per block, the cardinalities of its action
@@ -152,7 +148,7 @@ class FactoredMdpSpec:
             models, but the tabular reward depends on (s, s') only.
         init_dist: initial distribution over joint states.
         discount: in (0, 1]; 1.0 requires declared terminal states.
-        assume_positive: if True, validation rejects zero entries in
+        assume_positive: if True, `check` rejects zero entries in
             no-op tables, which guarantees no-op propensities are
             strictly positive.
         terminal_states: absorbing joint states; episodes end there and
@@ -170,7 +166,6 @@ class FactoredMdpSpec:
     discount: float
     assume_positive: bool = False
     terminal_states: frozenset[int] = frozenset()
-    validate: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "state_vars", tuple(int(c) for c in self.state_vars))
@@ -203,8 +198,7 @@ class FactoredMdpSpec:
         object.__setattr__(self, "var_block", var_block)
         object.__setattr__(self, "controlled_vars", tuple(int(v) for v in np.flatnonzero(var_block >= 0)))
         object.__setattr__(self, "uncontrolled_vars", tuple(int(v) for v in np.flatnonzero(var_block < 0)))
-        if self.validate:
-            self.check()
+        self.check()
 
     # -- sizes ---------------------------------------------------------
 
@@ -226,8 +220,9 @@ class FactoredMdpSpec:
 
     # -- validation ----------------------------------------------------
 
-    def check(self, require_disjoint_effects: bool = True) -> None:
-        """Raise ValidationError on the first violated invariant."""
+    def check(self) -> None:
+        """Raise ValidationError on the first violated invariant; building
+        a spec calls this."""
         M = self.n_vars
         if M == 0:
             raise ValidationError("spec needs at least one state variable")
@@ -242,7 +237,7 @@ class FactoredMdpSpec:
             for v in eff:
                 if not 0 <= v < M:
                     raise ValidationError(f"block {k} effect variable {v} out of range")
-                if require_disjoint_effects and v in seen:
+                if v in seen:
                     raise ValidationError(
                         f"state variable {v} appears in the effect set of more than one block"
                     )
@@ -396,11 +391,11 @@ class FactoredMdpSpec:
         return json.dumps(doc, indent=1)
 
     @classmethod
-    def from_json(cls, text: str, validate: bool = True) -> "FactoredMdpSpec":
-        return cls.from_doc(json.loads(text), validate=validate)
+    def from_json(cls, text: str) -> "FactoredMdpSpec":
+        return cls.from_doc(json.loads(text))
 
     @classmethod
-    def from_doc(cls, doc: dict, validate: bool = True) -> "FactoredMdpSpec":
+    def from_doc(cls, doc: dict) -> "FactoredMdpSpec":
         """The spec in a `to_json` document; KeyError names a missing field."""
         if not isinstance(doc, dict):
             raise ValidationError("spec is not a JSON object")
@@ -424,7 +419,6 @@ class FactoredMdpSpec:
             discount=float(doc["discount"]),
             assume_positive=bool(doc.get("assume_positive", False)),
             terminal_states=frozenset(doc.get("terminal_states", ())),
-            validate=validate,
         )
 
 
@@ -515,15 +509,7 @@ class QTable:
 
 def _forced_codes(spec: FactoredMdpSpec, k: int, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Block k's intervention-table code at each (state, projected action)."""
-    codes = spec.sigma[k].table[actions, spec._index.pre_rows[k][states]]
-    if (codes < 0).any():
-        i = int(np.flatnonzero(codes < 0)[0])
-        pre_vals = tuple(int(spec.state_values[states[i], v]) for v in spec.pre_map[k])
-        raise ConfigurationError(
-            f"intervention table for block {k} is undefined at projected action "
-            f"{int(actions[i])}, precondition values {pre_vals}"
-        )
-    return codes
+    return spec.sigma[k].table[actions, spec._index.pre_rows[k][states]]
 
 
 def _check_codes(spec: FactoredMdpSpec, states: np.ndarray, blocks: np.ndarray) -> None:
@@ -561,22 +547,18 @@ def _checked_query(spec: FactoredMdpSpec, states, blocks) -> tuple[np.ndarray, n
 def _successor_args(spec: FactoredMdpSpec, states, blocks, intervening):
     """(states, base codes, drawn variables) of a query whose codes are in
     range: a base code holds the values the pinned blocks force, every
-    other variable at 0; drawn are the unpinned effect variables of
-    blocks that do not intervene, then the uncontrolled ones, so eff
-    parents come before their readers."""
+    other variable at 0; drawn are the effect variables of blocks that
+    do not intervene, then the uncontrolled ones, so eff parents come
+    before their readers."""
     states, blocks = _query(spec, states, blocks)
     pinned = range(spec.n_blocks) if intervening is None else sorted(set(intervening))
     if any(not 0 <= k < spec.n_blocks for k in pinned):
         raise DomainError(f"intervening blocks {tuple(pinned)} out of range [0, {spec.n_blocks})")
-    pinned_vars = [v for k in pinned for v in spec.eff_map[k]]
-    shared = [v for v in pinned_vars if pinned_vars.count(v) > 1]
-    if shared:  # a spec built with validate=False may overlap
-        raise ConfigurationError(f"intervening blocks {tuple(pinned)} share effect variable {shared[0]}")
     base = np.zeros(len(states), dtype=np.int64)
     for k in pinned:
         base += spec._index.forced_base[k][_forced_codes(spec, k, states, blocks[:, k])]
-    free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k] if v not in pinned_vars]
-    return states, base, list(dict.fromkeys(free)) + list(spec.uncontrolled_vars)
+    free = [v for k in range(spec.n_blocks) if k not in pinned for v in spec.eff_map[k]]
+    return states, base, free + list(spec.uncontrolled_vars)
 
 
 def _support(spec: FactoredMdpSpec, states, columns) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -737,8 +737,8 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
     test_result = wis_ess(test, soften(policy, soften_epsilon, spec.n_actions))
     selection = {
         "preset": preset, "seed": seed, "tau": cid[0], "step": cid[1], "ess_cutoff": cutoff,
-        "val_wis": val_result.wis, "val_ess": val_result.ess,
-        "test_wis": test_result.wis, "test_ess": test_result.ess,
+        "val_wis": val_result.wis, "val_ess": val_result.ess, "val_clip_count": val_result.clip_count,
+        "test_wis": test_result.wis, "test_ess": test_result.ess, "test_clip_count": test_result.clip_count,
         "policy": policy.tolist(), "n_train": len(train), "n_val": len(val), "n_test": len(test),
         "imputed_cells": len(imputed),
     }

@@ -18,7 +18,7 @@ import pytest
 import frl.cli as cli_module
 from frl.cli import main, offline_selection_run, split_episodes
 from frl.envs import generate_offline_dataset, treatment_spec, two_switch_spec
-from frl.errors import ConfigurationError, ValidationError
+from frl.errors import ConfigurationError, SelectionError, ValidationError
 from frl.ope import load_episodes, soften, wis_ess
 from oracles import offline_selection_reference
 
@@ -40,20 +40,11 @@ def _gen_two_switch(workspace, episodes=0):
 # -- validate / gen -----------------------------------------------------------
 
 
-def test_validate_accepts_separable_and_flags_overlap(workspace, capsys):
+def test_validate_accepts_a_generated_spec(workspace, capsys):
     run = _gen_two_switch(workspace)
-    spec_path = str(run / "spec.json")
-    assert main(["validate", spec_path, "--require-assumption-1"]) == 0
-    assert "OK" in capsys.readouterr().out
-
-    assert main(["gen", "--task", "random", "--structure", "non_separable",
-                 "--n-vars", "4", "--n-blocks", "2", "--out", "nsep"]) == 0
-    nsep = str(workspace / "nsep" / "spec.json")
-    assert main(["validate", nsep]) == 0
     capsys.readouterr()
-    assert main(["validate", nsep, "--require-assumption-1"]) == 2
-    err = capsys.readouterr().err
-    assert "state variable" in err  # the message names the violator
+    assert main(["validate", str(run / "spec.json")]) == 0
+    assert capsys.readouterr().out == "OK: 3 state vars (8 states), 2 blocks (4 joint actions), discount 0.9\n"
 
 
 def test_gen_writes_selfdescribing_run(workspace):
@@ -211,6 +202,46 @@ def test_failed_run_keeps_incomplete_marker(workspace):
     assert marker.exists() and "failed" in marker.read_text()
 
 
+def test_a_failed_selection_keeps_its_training_and_the_other_seeds_run(workspace, capsys):
+    """At an ESS cutoff of the whole validation split no candidate passes
+    (ESS reaches n only when every episode weighs the same).  Each seed's
+    run dir still holds the metrics and checkpoints of its training, and
+    a selection.json that records the stop; the command exits 1 at the
+    end, naming both seeds."""
+    assert main(["gen", "--task", "treatment", "--episodes", "60", "--out", "data"]) == 0
+    data = workspace / "data"
+    capsys.readouterr()
+    code = main(["train-offline", "--preset", "AD-BCQ", "--spec", str(data / "spec.json"),
+                 "--episodes", str(data / "episodes.jsonl"), "--seeds", "0,1", "--tau-grid", "0.1,0.5",
+                 "--set", "train_steps=20", "--set", "checkpoint_every=10", "--ess-cutoff-frac", "1.0",
+                 "--out", "off"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: no candidate reached the ESS cutoff at seeds 0, 1"
+    assert (workspace / "off" / "summary.csv").read_text().splitlines() == [
+        "preset,seed,tau,step,val_wis,val_ess,test_wis,test_ess", "AD-BCQ,0,,,,,,", "AD-BCQ,1,,,,,,"]
+    spec = treatment_spec()
+    episodes = load_episodes(data / "episodes.jsonl")
+    for seed in (0, 1):
+        run = workspace / "off" / f"AD-BCQ-seed{seed}"
+        assert not (run / "INCOMPLETE").exists()
+        # the training a passing cutoff keeps
+        passed, metrics, checkpoints = offline_selection_reference(
+            episodes, spec, "AD-BCQ", seed, tau_grid=(0.1, 0.5), ess_cutoff_frac=0.0,
+            overrides={"train_steps": 20, "checkpoint_every": 10})
+        assert (run / "metrics.jsonl").read_text() == "".join(json.dumps(m) + "\n" for m in metrics)
+        assert len(checkpoints) == 4
+        for cp in checkpoints:
+            path = run / "checkpoints" / f"policy-tau{cp['tau']}-step{cp['step']}.json"
+            assert path.read_text() == json.dumps(cp) + "\n"
+        _, val, _ = split_episodes(episodes, (0.7, 0.15, 0.15), seed)
+        best = max(wis_ess(val, soften(np.asarray(cp["policy"]), 0.01, spec.n_actions)).ess for cp in checkpoints)
+        assert json.loads((run / "selection.json").read_text()) == {
+            "preset": "AD-BCQ", "seed": seed, "stop": f"no candidate reached ESS 9.0; best available was {best:.3f}",
+            "ess_cutoff": 1.0 * len(val), "best_val_ess": best,
+            **{k: passed[k] for k in ("n_train", "n_val", "n_test", "imputed_cells")},
+        }
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SMALL_BCQ = {"train_steps": 20, "checkpoint_every": 10, "hidden": 16, "batch_size": 16}
 
@@ -236,6 +267,18 @@ def test_offline_selection_run_equals_the_sequential_oracle(seed, blas_env, monk
     want = offline_selection_reference(episodes, spec, "AD-BCQ", seed, **kwargs)
     for got_part, want_part in zip(got, want):  # selection, metrics, checkpoints
         assert json.dumps(got_part) == json.dumps(want_part)
+
+
+def test_offline_selection_run_raises_when_no_candidate_passes():
+    """A caller of the library call, such as the benchmark, sees the
+    failed selection as a SelectionError naming the best ESS."""
+    spec = two_switch_spec()
+    behavior = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
+    episodes = generate_offline_dataset(spec, behavior, episodes=20, seed=0)
+    with pytest.raises(SelectionError, match=r"^no candidate reached ESS 3\.0; best available was "):
+        offline_selection_run(episodes, spec, "AD-BCQ", 0, tau_grid=(0.1,), ess_cutoff_frac=1.0,
+                              overrides=SMALL_BCQ)
+    assert not multiprocessing.active_children()
 
 
 def test_truncated_episodes_warn_once_per_selection_run(caplog):
@@ -670,9 +713,6 @@ CASES = [
     pytest.param("sample-complexity", None, None, ["--delta", "1.5"], "delta 1.5", id="delta-above-one"),
     pytest.param("gen", None, None, ["--episodes", "1", "--horizon", "0"], "horizon=0", id="gen-horizon-zero"),
     pytest.param("gen", None, None, ["--episodes", "-3"], "episodes=-3", id="gen-episodes-negative"),
-    # both blocks of a non-separable spec intervene on variable 0, so no episode can be logged
-    pytest.param("gen", None, None, ["--task", "random", "--structure", "non_separable", "--episodes", "5"],
-                 "share effect variable 0", id="gen-non-separable-episodes"),
 ]
 
 
@@ -703,3 +743,20 @@ def test_malformed_input_exits_two_naming_it(workspace, capsys, command, item, c
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert (paths[item] if named is None else named.format(**paths)) in err
+
+
+@pytest.mark.parametrize("command", ["validate", "mbfpi", "sample-complexity", "train-offline"])
+def test_overlapping_effect_sets_exit_two_under_every_command(workspace, capsys, command):
+    """One rule for every command that reads a spec: both blocks of this
+    two-switch spec intervene on switch 0, and each command exits 2
+    naming the variable before it writes anything."""
+    spec = workspace / "overlap.json"
+    spec.write_text(json.dumps({**json.loads(SPEC_TEXT), "eff_map": [[0], [0]]}))
+    episodes = workspace / "episodes.jsonl"
+    episodes.write_text(_lines(EPISODE))
+    argv = [arg.format(spec=spec, episodes=episodes) for arg in COMMANDS[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}: state variable 0 appears in the effect set of more than one block\n"
+    )
+    assert not (workspace / "out").exists()

@@ -17,12 +17,9 @@ the kernel's rows give positive probability, matches a row's law in
 frequency, and equals the dense-row draw bit for bit where one variable
 is drawn.  The kernel's compact supports equal the dense oracle's bit
 for bit, in code order, on every column the planners read.  The offline
-dataset generator logs the same episodes as one `rng.choice` per draw,
-and raises in the episode whose draw first reads a row that choice
-rejects.
+dataset generator logs the same episodes as one `rng.choice` per draw.
 """
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -40,10 +37,9 @@ from frl.envs import (
     xor_trap_spec,
 )
 from frl.envs.synthetic import REWARD_KINDS
-from frl.errors import ConfigurationError, DomainError, NumericError, ShapeError
+from frl.errors import DomainError, NumericError, ShapeError
 from frl.factored_mdp import (
     FactoredPolicy,
-    SigmaTable,
     _q_columns,
     _support,
     evaluate,
@@ -213,44 +209,10 @@ def test_planners_take_the_dense_route_steps(make, monkeypatch):
     np.testing.assert_allclose(joint.values, joint_ref.values, rtol=0, atol=1e-12 * max(1.0, np.abs(q).max()))
 
 
-def _non_separable_spec():
-    spec = generate_synthetic(SyntheticSpec("non_separable", n_vars=4, n_blocks=2, cards=2, seed=0))
-    assert set(spec.eff_map[0]) & set(spec.eff_map[1]) == {0}
-    return spec
-
-
-@pytest.mark.parametrize(
-    "kernel",
-    [transition_rows, _support, functools.partial(sample_successors, rng=np.random.default_rng(0))],
-    ids=["transition_rows", "support", "sample_successors"],
-)
-def test_blocks_pinning_a_shared_variable_are_rejected(kernel):
-    # a variable that two intervening blocks pin has no single forced value
-    spec = _non_separable_spec()
-    with pytest.raises(ConfigurationError, match=r"blocks \(0, 1\) share effect variable 0"):
-        kernel(spec, np.arange(spec.n_states), (1, 2))
-
-
-def test_one_block_pinning_a_shared_variable_draws_the_rest_once():
-    spec = _non_separable_spec()
-    states = np.arange(spec.n_states)
-    rng = np.random.default_rng(1)
-    blocks = (1, 2)
-    for k in range(spec.n_blocks):
-        rows = transition_rows(spec, states, blocks, intervening=(k,))
-        ref = np.stack([enumerate_projected(spec, k, int(s), blocks[k]) for s in states])
-        np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        draws = sample_successors(spec, states, blocks, rng, intervening=(k,))
-        assert (rows[states, draws] > 0).all()
-
-
 def test_transition_rows_reject_bad_codes():
     # the factored draw checks its arguments the same way
     spec = grid_spec("separable_effects", "additive_monotonic", 0)
     nb = spec.n_blocks
-    base = two_switch_spec()
-    broken = dataclasses.replace(base, sigma=(SigmaTable(0, [[0], [-1]]), base.sigma[1]), validate=False)
     cases = [
         (spec, [spec.n_states], [0] * nb, None, DomainError),
         (spec, [-1], [0] * nb, None, DomainError),
@@ -258,7 +220,6 @@ def test_transition_rows_reject_bad_codes():
         (spec, [0], [0] * (nb - 1) + [spec.block_sizes[-1]], (nb - 1,), DomainError),
         (spec, [0], [0] * nb, (nb,), DomainError),
         (spec, [0, 1], np.zeros((3, nb), dtype=np.int64), None, ShapeError),
-        (broken, [0], (1, 0), None, ConfigurationError),
     ]
     for case_spec, states, blocks, intervening, error in cases:
         with pytest.raises(error):
@@ -475,48 +436,6 @@ def test_dataset_draws_equal_one_choice_per_draw(make, horizon):
             got = generate_offline_dataset(spec, behavior, episodes=30, seed=seed, horizon=horizon)
             want = offline_dataset_reference(spec, behavior, episodes=30, seed=seed, horizon=horizon)
             assert [e.to_json() for e in got] == [e.to_json() for e in want]
-
-
-def _halved_noop_row_spec():
-    """The treatment spec, unvalidated, with row 63 of the severity
-    factor scaled by 0.5: the 25 transition rows that read it sum to
-    less than 1, and rng.choice rejects them."""
-    spec = treatment_spec()
-    factors = list(spec.noop_dynamics)
-    table = factors[0].table.copy()
-    table[63] *= 0.5
-    factors[0] = dataclasses.replace(factors[0], table=table)
-    return dataclasses.replace(spec, noop_dynamics=tuple(factors), validate=False)
-
-
-def test_dataset_raises_in_the_episode_whose_draw_choice_rejects():
-    spec = _halved_noop_row_spec()
-    uniform = np.full((spec.n_states, spec.n_actions), 1.0 / spec.n_actions)
-    for first in range(1, 41):  # the reference's first episode count that raises
-        try:
-            want = offline_dataset_reference(spec, uniform, episodes=first, seed=0)
-        except ValueError:
-            break
-    else:
-        pytest.fail("no episode reached the halved row")
-    assert first >= 2
-    got = generate_offline_dataset(spec, uniform, episodes=first - 1, seed=0)
-    assert [e.to_json() for e in got] == [e.to_json() for e in want]
-    with pytest.raises(ValueError, match=f"episode {first - 1}, step .*sum to"):
-        generate_offline_dataset(spec, uniform, episodes=first, seed=0)
-
-
-def test_dataset_never_reaching_a_rejected_row_draws_like_the_reference():
-    spec = _halved_noop_row_spec()
-    states = np.arange(spec.n_states)
-    sums = np.stack([transition_rows(spec, states, b).sum(axis=1) for b in spec.action_radix.table()], axis=1)
-    reads = np.abs(sums - 1.0) > 1e-6
-    assert reads.any() and not reads.all(axis=1).any()
-    behavior = np.where(reads, 0.0, 1.0)
-    behavior /= behavior.sum(axis=1, keepdims=True)
-    got = generate_offline_dataset(spec, behavior, episodes=200, seed=0)
-    want = offline_dataset_reference(spec, behavior, episodes=200, seed=0)
-    assert [e.to_json() for e in got] == [e.to_json() for e in want]
 
 
 # -- flat in-place Adam --------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from frl.envs import SyntheticSpec, generate_synthetic, two_switch_spec
 from frl.errors import (
-    ConfigurationError,
     DomainError,
     NumericError,
     ShapeError,
@@ -151,13 +150,8 @@ def test_propensity_rejects_out_of_range_codes(k, s, s_next, named):
 def test_undefined_sigma_entry_raises():
     spec = two_switch_spec()
     table = np.array([[0], [-1]])
-    broken = dataclasses.replace(
-        spec, sigma=(SigmaTable(0, table), spec.sigma[1]), validate=False
-    )
-    with pytest.raises(ConfigurationError):
-        transition_rows(broken, [0], (1, 0))
-    with pytest.raises(ValidationError):
-        broken.check()
+    with pytest.raises(ValidationError, match=r"sigma\[0\] undefined at projected action 1"):
+        dataclasses.replace(spec, sigma=(SigmaTable(0, table), spec.sigma[1]))
 
 
 # -- exact policy evaluation ---------------------------------------------------
@@ -257,11 +251,9 @@ def test_an_undiscounted_closed_class_of_non_terminal_states_raises():
 
 
 def test_validation_rejects_overlapping_effects():
-    bad = generate_synthetic(
-        SyntheticSpec(structure="non_separable", n_vars=3, n_blocks=2, cards=2, seed=1)
-    )
-    with pytest.raises(ValidationError, match="effect set"):
-        bad.check()
+    spec = two_switch_spec()
+    with pytest.raises(ValidationError, match="state variable 0 appears in the effect set of more than one block"):
+        dataclasses.replace(spec, eff_map=((0,), (0,)))
 
 
 def test_validation_rejects_bad_rows():

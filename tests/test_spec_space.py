@@ -10,7 +10,9 @@ policy iteration reaches the values of the dense route and a policy
 greedy on its Q table, MBFPI converges to values no better than the
 joint optimum, and the spec survives its JSON round trip.  The offline
 dataset generator logs the reference's episodes under a random
-behaviour table, every `sample_successors` draw has positive
+behaviour table, and no transition row or initial distribution of a
+built spec is one `rng.choice` rejects, which is why the generator
+checks none of them; every `sample_successors` draw has positive
 probability along its one path, and `learn_model` counts the
 reference's tables on rows drawn that way with block tags.  A failing
 seed prints its spec; it is mended in the code, not replaced.
@@ -22,7 +24,15 @@ import numpy as np
 import pytest
 
 from frl.envs import generate_offline_dataset
-from frl.factored_mdp import FactoredMdpSpec, FactoredPolicy, evaluate, q_table, sample_successors
+from frl.factored_mdp import (
+    FactoredMdpSpec,
+    FactoredPolicy,
+    _cdfs_in_place,
+    _support,
+    evaluate,
+    q_table,
+    sample_successors,
+)
 from frl.tabular import factored_policy_iteration, joint_policy_iteration, learn_model
 
 from oracles import (
@@ -124,6 +134,14 @@ def test_offline_dataset_equals_the_reference_under_a_random_behavior(seed):
         got = generate_offline_dataset(spec, behavior, episodes=4, seed=seed)
         want = offline_dataset_reference(spec, behavior, episodes=4, seed=seed)
         assert [e.to_json() for e in got] == [e.to_json() for e in want]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rng_choice_accepts_every_row_the_dataset_generator_draws_from(seed):
+    with drawn(seed) as spec:
+        _, _, _, rows = _support(spec, np.arange(spec.n_states), spec.action_radix.table()[:, None])
+        assert not _cdfs_in_place(rows).any()
+        assert not _cdfs_in_place(spec.init_dist.copy())
 
 
 def _tagged_draws(spec, rng, n=60):

@@ -11,7 +11,6 @@ from .dqn import (
 from .bcq import (
     BcqConfig,
     BcqNet,
-    BcqResult,
     VARIANTS,
     ad_bcq_train,
     checkpoint_candidates,
@@ -43,7 +42,6 @@ __all__ = [
     "select_action",
     "BcqConfig",
     "BcqNet",
-    "BcqResult",
     "VARIANTS",
     "ad_bcq_train",
     "checkpoint_candidates",

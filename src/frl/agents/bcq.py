@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from ..approx import Mlp, Optimizer, huber, target_update
 from ..errors import ConfigurationError, DomainError, NumericError, ShapeError
 from ..factored_mdp import FactoredMdpSpec, sample_successors
 from ..indexing import MixedRadix
-from ..ope import soften, wis_ess
+from ..ope import SOFTEN_EPSILON, soften, wis_ess
 from .replay import Batch
 
 logger = logging.getLogger(__name__)
@@ -422,13 +422,6 @@ def extract_policy(net: BcqNet, states: np.ndarray, tau: float):
     return MixedRadix(net.block_sizes).encode_many(np.stack(parts, axis=1)), fallbacks
 
 
-@dataclass
-class BcqResult:
-    net: BcqNet
-    checkpoints: list[dict] = field(default_factory=list)
-    metrics: list[dict] = field(default_factory=list)
-
-
 def _projected_batch(model: FactoredMdpSpec, batch: Batch, k: int, rng: np.random.Generator) -> Batch:
     """`batch` redrawn to follow block k's projected transition in `model`.
 
@@ -444,7 +437,7 @@ def _projected_batch(model: FactoredMdpSpec, batch: Batch, k: int, rng: np.rando
     return Batch(batch.states, actions, model.reward[batch.states, next_states], next_states, dones)
 
 
-def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqResult:
+def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> tuple[list[dict], list[dict]]:
     """Train one offline run at the config's threshold; see module docstring.
 
     `data` is the logged dataset as `episodes_to_transitions` returns
@@ -452,9 +445,12 @@ def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqR
     codes as one block.  `model` supplies the state and action coding,
     and the decomposed variant draws each block's projected batches
     from it (`_projected_batch`); `offline_selection_run` hands in the
-    tabular model it fitted to the train split.  The checkpoint stream
-    carries greedy policy tables ready for importance-sampling
-    evaluation.
+    tabular model it fitted to the train split.
+
+    Returns (metrics, checkpoints): one metrics line and one checkpoint
+    every `checkpoint_every` steps and at the last.  A checkpoint
+    carries the greedy policy table at the config's threshold, ready
+    for importance-sampling evaluation.
     """
     cfg = config
     flat = cfg.variant == "flat"
@@ -517,10 +513,10 @@ def ad_bcq_train(data: Batch, config: BcqConfig, model: FactoredMdpSpec) -> BcqR
                 "mixer_target_fallbacks": counters["mixer_fallbacks"],
             }
             metrics.append(line)
-    return BcqResult(net=net, checkpoints=checkpoints, metrics=metrics)
+    return metrics, checkpoints
 
 
-def checkpoint_candidates(checkpoints, val_episodes, n_actions: int, *, soften_epsilon=0.01):
+def checkpoint_candidates(checkpoints, val_episodes, n_actions: int, *, soften_epsilon=SOFTEN_EPSILON):
     """Score each checkpoint's policy on validation episodes.
 
     Returns [( (tau, step), OpeResult ), ...] ready for `select_model`;

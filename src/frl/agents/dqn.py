@@ -107,7 +107,6 @@ class DqnConfig:
 class SelectionMeta:
     action: tuple[int, ...]
     block_tag: int | None
-    explored: bool
 
 
 def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noop_actions) -> SelectionMeta:
@@ -117,8 +116,10 @@ def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noo
     with probability p one uniformly chosen block takes a uniform
     action while every other block stays at its `noop_actions` index
     (the step is tagged with that block), otherwise every block draws
-    uniformly.  Greedy steps use the network's coordinate-sweep argmax,
-    untagged.
+    uniformly.  Greedy steps use the network's coordinate-sweep argmax.
+    Returns the action and its block tag, which is None unless the step
+    was projected; the learner files a tagged step in that block's
+    replay buffer too.
     """
     sizes = net.block_sizes
     if rng.random() < epsilon:
@@ -126,10 +127,10 @@ def select_action(net: DecomposedQNet, state, epsilon: float, p: float, rng, noo
             k = int(rng.integers(len(sizes)))
             action = list(noop_actions)
             action[k] = int(rng.integers(sizes[k]))
-            return SelectionMeta(tuple(action), k, True)
-        return SelectionMeta(tuple(int(rng.integers(b)) for b in sizes), None, True)
+            return SelectionMeta(tuple(action), k)
+        return SelectionMeta(tuple(int(rng.integers(b)) for b in sizes), None)
     action = net.greedy(np.asarray(state, dtype=np.float64)[None])[0]
-    return SelectionMeta(tuple(int(a) for a in action), None, False)
+    return SelectionMeta(tuple(int(a) for a in action), None)
 
 
 def _head_td_step(net, trunk_opts, batch: Batch, z_next, k, gamma):

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import (
+    BCQ_TAU_GRID,
     ad_bcq_train,
     ad_dqn_train,
     checkpoint_candidates,
@@ -62,12 +63,14 @@ from .errors import (
 )
 from .factored_mdp import FactoredMdpSpec, FactoredPolicy
 from .jsonio import read_json, read_jsonl
-from .ope import OpeResult, load_episodes, save_episodes, select_model, soften, wis_ess
+from .ope import SOFTEN_EPSILON, OpeResult, load_episodes, save_episodes, select_model, soften, wis_ess
 from .tabular import factored_policy_iteration, learn_model, sample_complexity_experiment
 
 logger = logging.getLogger(__name__)
 
 CONFIG_ERRORS = (ConfigurationError, ValidationError, DomainError, ShapeError)
+# config fields that a flag of their own sets, one run per value
+FLAG_FIELDS = {"seed": "--seeds", "tau_bcq": "--tau-grid"}
 
 
 def _out_path(raw: str) -> Path:
@@ -115,7 +118,7 @@ def _parse_overrides(pairs, make, preset: str) -> dict:
     """Parse repeated `--set key=value` flags for a preset's config; values
     are JSON when they parse, bare strings otherwise.  The config is built
     alone and with each override, so an unknown preset, key or value exits
-    2, named, before any file is read."""
+    2, named, before any file is read, as does a key of `FLAG_FIELDS`."""
     known = {f.name for f in dataclasses.fields(make(preset))}
     out = {}
     for pair in pairs or []:
@@ -126,6 +129,8 @@ def _parse_overrides(pairs, make, preset: str) -> dict:
             raise ConfigurationError(
                 f"unknown config key {key!r}; valid keys: {', '.join(sorted(known))}"
             )
+        if key in FLAG_FIELDS:
+            raise ConfigurationError(f"{key} is driven by {FLAG_FIELDS[key]}, not --set")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -153,6 +158,14 @@ def _numbers(text: str, kind=float) -> list:
     if not out:
         raise ConfigurationError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
     return out
+
+
+def _seed(flag: str, value: int) -> int:
+    """`value`, unless it is negative: numpy seeds a generator from
+    non-negative integers only."""
+    if value < 0:
+        raise ConfigurationError(f"{flag} {value} is negative; a seed is a non-negative integer")
+    return value
 
 
 # -- validate -----------------------------------------------------------------
@@ -190,6 +203,8 @@ def _build_task_spec(args) -> FactoredMdpSpec:
 
 
 def _cmd_gen(args) -> int:
+    _seed("--seed", args.seed)
+    _seed("--dataset-seed", args.dataset_seed)
     spec = _build_task_spec(args)
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     with _run_dir(_out_path(args.out), {"subcommand": "gen", **config}) as run:
@@ -213,10 +228,8 @@ def _cmd_gen(args) -> int:
 def _cmd_mbfpi(args) -> int:
     spec = _load_spec(args.spec)
     init = FactoredPolicy(np.zeros((spec.n_blocks, spec.n_states), dtype=np.int64))
-    config = {"subcommand": "mbfpi", "spec": args.spec, "block_order": args.block_order,
-              "seed": args.seed}
-    with _run_dir(_out_path(args.out), config) as run:
-        trace = factored_policy_iteration(spec, init, block_order=args.block_order, seed=args.seed)
+    with _run_dir(_out_path(args.out), {"subcommand": "mbfpi", "spec": args.spec}) as run:
+        trace = factored_policy_iteration(spec, init)
         (run / "metrics.jsonl").write_text(trace.to_jsonl())
         values = trace.final_values
         _write_csv(
@@ -233,6 +246,7 @@ def _cmd_mbfpi(args) -> int:
 
 
 def _cmd_sample_complexity(args) -> int:
+    _seed("--seed", args.seed)
     spec = _load_spec(args.spec)
     sizes = _numbers(args.sizes, int)
     config = {"subcommand": "sample-complexity", "spec": args.spec, "sizes": sizes,
@@ -253,46 +267,32 @@ def _cmd_sample_complexity(args) -> int:
 # -- train-online -------------------------------------------------------------
 
 
-def _online_env(preset: str, args, seed: int, episode_len: int):
-    env = PointMassEnv(
-        bins=args.bins, episode_len=episode_len,
-        force_scale=args.force_scale, seed=seed,
-    )
-    if preset == "FLAT-DQN":
-        return FlattenedEnv(env)
-    return env
-
-
 def _one_online_run(preset: str, seed: int, args, overrides: dict, root: Path) -> dict:
     cfg = online_preset(preset, seed=seed, **overrides)
-    env_len = args.env_episode_len or cfg.episode_len
     config = {"subcommand": "train-online", "preset": preset, "seed": seed,
-              "bins": args.bins, "env_episode_len": env_len,
-              "force_scale": args.force_scale, **cfg.to_doc()}
+              "bins": args.bins, **cfg.to_doc()}
     with _run_dir(root / f"{preset}-seed{seed}", config) as run:
-        env = _online_env(preset, args, seed, env_len)
+        env = PointMassEnv(bins=args.bins, episode_len=cfg.episode_len, seed=seed)
+        if preset == "FLAT-DQN":
+            env = FlattenedEnv(env)
         result = ad_dqn_train(env, cfg, metrics_path=run / "metrics.jsonl")
         (run / "checkpoints" / "final_net.json").write_text(result.net.to_json())
-        evals = [(m["episode"], m["eval_return"]) for m in result.metrics if "eval_return" in m]
+        evals = [m["eval_return"] for m in result.metrics if "eval_return" in m]
         returns = [m["return"] for m in result.metrics]
-        row = {
-            "preset": preset,
-            "seed": seed,
-            "episodes": len(result.metrics),
-            "steps": result.metrics[-1]["step"] if result.metrics else 0,
-            "final_return": returns[-1] if returns else None,
-            "best_eval_return": max((v for _, v in evals), default=None),
-            "final_eval_return": evals[-1][1] if evals else None,
-        }
-        if args.threshold is not None:
-            hit = [ep for ep, v in evals if v >= args.threshold]
-            row["episodes_to_threshold"] = min(hit) if hit else None
-    return row
+    return {
+        "preset": preset,
+        "seed": seed,
+        "episodes": len(result.metrics),
+        "steps": result.metrics[-1]["step"] if result.metrics else 0,
+        "final_return": returns[-1] if returns else None,
+        "best_eval_return": max(evals, default=None),
+        "final_eval_return": evals[-1] if evals else None,
+    }
 
 
 def _cmd_train_online(args) -> int:
     overrides = _parse_overrides(args.set, online_preset, args.preset)
-    seeds = _numbers(args.seeds, int)
+    seeds = [_seed("--seeds", s) for s in _numbers(args.seeds, int)]
     root = _out_path(args.out)
     _write_summary(root, [_one_online_run(args.preset, s, args, overrides, root) for s in seeds], "runs")
     return 0
@@ -317,14 +317,6 @@ def split_episodes(episodes, fractions, seed: int):
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SOFTEN_EPSILON = 0.01
-
-
-def _tau_run(data, cfg, model):
-    """`ad_bcq_train` at one threshold, in a worker process; returns
-    (metrics, checkpoints)."""
-    result = ad_bcq_train(data, cfg, model)
-    return result.metrics, result.checkpoints
 
 
 @contextlib.contextmanager
@@ -424,7 +416,7 @@ def _selection_run(episodes, spec, preset, seed, tau_grid, split, ess_cutoff_fra
     candidates, metrics, checkpoints = [], [], []
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         with _blas_threads(max(1, cpus // workers)):  # a spawn pool starts its workers in submit
-            futures = [pool.submit(_tau_run, data, cfg, model) for cfg in configs]
+            futures = [pool.submit(ad_bcq_train, data, cfg, model) for cfg in configs]
         try:
             for cfg, future in zip(configs, futures):
                 run_metrics, run_checkpoints = future.result()
@@ -487,12 +479,10 @@ def _one_offline_run(seed: int, args, tau_grid, split, episodes, spec, overrides
 
 def _cmd_train_offline(args) -> int:
     overrides = _parse_overrides(args.set, offline_preset, args.preset)
-    if "tau_bcq" in overrides:
-        raise ConfigurationError("tau_bcq is driven by --tau-grid, not --set")
     tau_grid, split = _numbers(args.tau_grid), _numbers(args.split)
+    seeds = [_seed("--seeds", s) for s in _numbers(args.seeds, int)]
     spec = _load_spec(args.spec)
     episodes = load_episodes(args.episodes)
-    seeds = _numbers(args.seeds, int)
     root = _out_path(args.out)
     rows = [_one_offline_run(s, args, tau_grid, split, episodes, spec, overrides, root) for s in seeds]
     _write_summary(root, rows, "selection runs")
@@ -509,9 +499,9 @@ def _cmd_ope(args) -> int:
     episodes = load_episodes(args.episodes)
     # the file holds the action codes, bare or under "policy"
     table = read_json(args.policy, "policy", lambda doc: soften(
-        doc["policy"] if isinstance(doc, dict) else doc, args.soften_epsilon, args.n_actions
+        doc["policy"] if isinstance(doc, dict) else doc, SOFTEN_EPSILON, args.n_actions
     ))
-    result = wis_ess(episodes, table, gamma=args.gamma, clip=args.clip)
+    result = wis_ess(episodes, table, gamma=args.gamma)
     text = result.to_json()
     if args.out:
         path = _out_path(args.out)
@@ -657,8 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mbfpi", help="run factored policy iteration on a spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--block-order", choices=("round_robin", "random"), default="round_robin")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_mbfpi)
 
@@ -675,11 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True)
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--bins", type=int, default=9)
-    p.add_argument("--env-episode-len", type=int, default=None,
-                   help="environment episode length (default: the config's episode_len)")
-    p.add_argument("--force-scale", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="also report episodes-to-threshold on eval returns")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a training-config field")
     p.add_argument("--out", required=True)
@@ -690,20 +673,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--episodes", required=True, help="JSON-lines episode log")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--tau-grid", default="0.0,0.01,0.05,0.1,0.3,0.5,0.75,0.9999")
+    p.add_argument("--tau-grid", default=",".join(map(str, BCQ_TAU_GRID)))
     p.add_argument("--split", default="0.7,0.15,0.15")
     p.add_argument("--ess-cutoff-frac", type=float, default=0.1)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_offline)
 
-    p = sub.add_parser("ope", help="score a greedy policy file on logged episodes")
+    p = sub.add_parser("ope", help="score a greedy policy file on logged episodes, softened as "
+                                   "train-offline softens its candidates")
     p.add_argument("--episodes", required=True)
     p.add_argument("--policy", required=True, help="JSON per-state action codes")
     p.add_argument("--n-actions", type=int, required=True)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--clip", type=float, default=1000.0)
-    p.add_argument("--soften-epsilon", type=float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ope)
 

@@ -1,8 +1,9 @@
 """2-D point-mass reaching task with per-axis discretized forces.
 
 State is (x, y, vx, vy); the two action blocks pick a force bin for
-their own axis, so the x and y dynamics never couple.  Integration is
-semi-implicit Euler with velocity damping:
+their own axis, so the x and y dynamics never couple.  A block's bins
+space its force evenly over [-1, 1], the middle bin exerting none.
+Integration is semi-implicit Euler with velocity damping:
 
     v' = damping * v + force * dt
     p' = clip(p + dt * v', box)
@@ -18,7 +19,7 @@ The task's numbers are module constants: half-width `BOX` = 0.3,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +44,6 @@ def point_mass_step(
     state: np.ndarray,
     action: tuple[int, int],
     bins_per_axis: int,
-    *,
-    force_scale: float = 1.0,
 ) -> tuple[np.ndarray, float]:
     """One deterministic transition of the point mass.
 
@@ -57,8 +56,8 @@ def point_mass_step(
     Returns (next_state, reward).
     """
     ix, iy = action
-    fx = _force(ix, bins_per_axis) * force_scale
-    fy = _force(iy, bins_per_axis) * force_scale
+    fx = _force(ix, bins_per_axis)
+    fy = _force(iy, bins_per_axis)
     x, y, vx, vy = (float(v) for v in state)
     vx = DAMPING * vx + fx * DT
     vy = DAMPING * vy + fy * DT
@@ -85,7 +84,6 @@ class PointMassEnv:
 
     bins: int = 9
     episode_len: int = 1000
-    force_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -106,12 +104,7 @@ class PointMassEnv:
         return self._state.copy()
 
     def step(self, action) -> tuple[np.ndarray, float, bool]:
-        self._state, reward = point_mass_step(
-            self._state,
-            (int(action[0]), int(action[1])),
-            self.bins,
-            force_scale=self.force_scale,
-        )
+        self._state, reward = point_mass_step(self._state, (int(action[0]), int(action[1])), self.bins)
         self._t += 1
         return self._state.copy(), reward, self._t >= self.episode_len
 

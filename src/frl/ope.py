@@ -16,6 +16,11 @@ import numpy as np
 from .errors import DataError, DomainError, SelectionError, ShapeError, ValidationError
 from .jsonio import read_jsonl
 
+# The probability mass `soften` spreads over the actions a greedy policy
+# does not take, wherever a greedy table is scored: checkpoints on the
+# validation split, the selected policy on the test split, and `frl ope`.
+SOFTEN_EPSILON = 0.01
+
 
 def _check_code(x, what: str) -> None:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):

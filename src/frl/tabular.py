@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DomainError,
     NumericError,
     ShapeError,
@@ -109,9 +108,7 @@ def factored_policy_iteration(
     spec: FactoredMdpSpec,
     init_policy: FactoredPolicy,
     *,
-    block_order: str = "round_robin",
     max_sweeps: int | None = None,
-    seed: int | None = None,
     store_q: bool = True,
 ) -> PolicyIterationTrace:
     """Block-coordinate policy iteration over projected Q tables.
@@ -122,7 +119,8 @@ def factored_policy_iteration(
 
     One iteration = evaluate the current policy (`factored_mdp.evaluate`,
     reused while iterations leave the policy unchanged), then improve
-    one block greedily per state against its projected Q table.  A
+    one block greedily per state against its projected Q table; the
+    blocks take their turns round-robin, in index order.  A
     state keeps its current action unless another beats it by more than
     float noise (`QTable.greedy` with an incumbent), and ties between
     new actions go to the lowest index.  Only block k's table is
@@ -136,21 +134,14 @@ def factored_policy_iteration(
     K = spec.n_blocks
     if max_sweeps is None:
         max_sweeps = spec.n_states * sum(spec.block_sizes) + 1
-    if block_order == "round_robin":
-        schedule = None
-    elif block_order == "random":
-        schedule = np.random.default_rng(seed)
-    else:
-        raise ConfigurationError(f"unknown block order {block_order!r}")
 
     records: list[IterationRecord] = []
     terminated = "budget"
     it = 0
     stable_blocks: set[int] = set()  # blocks rechecked since the last change
     values = evaluate(spec, policy.blocks.T)
-    for sweep in range(max_sweeps):
-        order = list(range(K)) if schedule is None else schedule.permutation(K).tolist()
-        for k in order:
+    for _ in range(max_sweeps):
+        for k in range(K):
             if store_q:
                 q_tables = [q_table(spec, values, policy.blocks.T, i) for i in range(K)]
                 q = q_tables[k]

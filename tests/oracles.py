@@ -727,10 +727,10 @@ def offline_selection_reference(episodes, spec, preset, seed, *, tau_grid, split
     candidates, metrics, checkpoints = [], [], []
     for tau in tau_grid:
         cfg = offline_preset(preset, tau_bcq=float(tau), seed=seed, **(overrides or {}))
-        result = ad_bcq_train(data, cfg, model)
-        metrics.extend({"tau": float(tau), **line} for line in result.metrics)
-        checkpoints.extend(result.checkpoints)
-        candidates.extend(checkpoint_candidates(result.checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon))
+        run_metrics, run_checkpoints = ad_bcq_train(data, cfg, model)
+        metrics.extend({"tau": float(tau), **line} for line in run_metrics)
+        checkpoints.extend(run_checkpoints)
+        candidates.extend(checkpoint_candidates(run_checkpoints, val, spec.n_actions, soften_epsilon=soften_epsilon))
     cutoff = ess_cutoff_frac * len(val)
     cid, val_result = select_model(candidates, cutoff)
     policy = np.asarray(next(cp["policy"] for cp in checkpoints if (cp["tau"], cp["step"]) == cid), dtype=np.int64)

@@ -136,7 +136,7 @@ def test_projected_exploration_always_tags_and_is_uniform_over_blocks():
     state = np.zeros(4)
     for _ in range(10_000):
         meta = select_action(net, state, epsilon=1.0, p=1.0, rng=rng, noop_actions=(1, 2))
-        assert meta.block_tag is not None and meta.explored
+        assert meta.block_tag is not None
         # untouched blocks sit at their no-op index
         other = 1 - meta.block_tag
         assert meta.action[other] == (1, 2)[other]
@@ -150,7 +150,7 @@ def test_full_random_exploration_never_tags():
     rng = np.random.default_rng(7)
     for _ in range(500):
         meta = select_action(net, np.zeros(4), epsilon=1.0, p=0.0, rng=rng, noop_actions=(0, 0))
-        assert meta.block_tag is None and meta.explored
+        assert meta.block_tag is None
 
 
 def test_greedy_selection_is_per_head_argmax_for_average_mixer():
@@ -160,7 +160,7 @@ def test_greedy_selection_is_per_head_argmax_for_average_mixer():
     meta = select_action(net, state, epsilon=0.0, p=0.5, rng=rng, noop_actions=(0, 0))
     z, _ = net.head_values(state[None])
     expected = tuple(int(s.argmax()) for s in net.block_slices(z))
-    assert meta.action == expected and not meta.explored and meta.block_tag is None
+    assert meta.action == expected and meta.block_tag is None
 
 
 # -- learned models and augmentation ------------------------------------------
@@ -613,8 +613,8 @@ def test_bcq_never_selects_an_unsupported_action():
     assert kept and all((ep.actions != banned).all() for ep in kept)
     cfg = BcqConfig(variant="flat", tau_bcq=0.3, hidden=48, batch_size=32,
                     train_steps=400, checkpoint_every=400, seed=1)
-    res = ad_bcq_train(episodes_to_transitions(kept, spec), cfg, spec)
-    policy = np.asarray(res.checkpoints[-1]["policy"])
+    _, checkpoints = ad_bcq_train(episodes_to_transitions(kept, spec), cfg, spec)
+    policy = np.asarray(checkpoints[-1]["policy"])
     seen_states = sorted({int(s) for ep in kept for s in ep.states})
     assert (policy[seen_states] != banned).all()
 
@@ -624,10 +624,10 @@ def test_bcq_runs_are_deterministic_given_seed():
     cfg = BcqConfig(variant="decomposed", tau_bcq=0.1, hidden=24, batch_size=16,
                     train_steps=60, checkpoint_every=30, seed=9)
     data = episodes_to_transitions(logs, spec)
-    a = ad_bcq_train(data, cfg, spec)
-    b = ad_bcq_train(data, cfg, spec)
-    assert a.checkpoints == b.checkpoints
-    assert json.dumps(a.metrics) == json.dumps(b.metrics)
+    metrics_a, checkpoints_a = ad_bcq_train(data, cfg, spec)
+    metrics_b, checkpoints_b = ad_bcq_train(data, cfg, spec)
+    assert checkpoints_a == checkpoints_b
+    assert json.dumps(metrics_a) == json.dumps(metrics_b)
 
 
 @pytest.mark.parametrize("variant", ["flat", "factored", "decomposed"])
@@ -811,8 +811,8 @@ def test_checkpoint_candidates_feed_model_selection():
     spec, logs = _offline_setup(episodes=40, seed=2)
     cfg = BcqConfig(variant="factored", tau_bcq=0.0, hidden=24, batch_size=16,
                     train_steps=40, checkpoint_every=20, seed=0)
-    res = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
-    cands = checkpoint_candidates(res.checkpoints, logs, spec.n_actions)
+    _, checkpoints = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
+    cands = checkpoint_candidates(checkpoints, logs, spec.n_actions)
     assert [cid for cid, _ in cands] == [(0.0, 20), (0.0, 40)]
     for _, ope in cands:
         assert np.isfinite(ope.wis) and 0 < ope.ess <= len(logs)
@@ -829,8 +829,8 @@ def test_extreme_threshold_clones_the_behavior_mode():
     logs = generate_offline_dataset(spec, behavior, episodes=80, seed=8)
     cfg = BcqConfig(variant="flat", tau_bcq=0.9999, hidden=48, batch_size=32,
                     train_steps=600, checkpoint_every=600, seed=4)
-    res = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
-    policy = np.asarray(res.checkpoints[-1]["policy"])
+    _, checkpoints = ad_bcq_train(episodes_to_transitions(logs, spec), cfg, spec)
+    policy = np.asarray(checkpoints[-1]["policy"])
     visits = np.bincount(
         np.concatenate([ep.states for ep in logs]), minlength=spec.n_states
     )

@@ -713,6 +713,16 @@ CASES = [
     pytest.param("sample-complexity", None, None, ["--delta", "1.5"], "delta 1.5", id="delta-above-one"),
     pytest.param("gen", None, None, ["--episodes", "1", "--horizon", "0"], "horizon=0", id="gen-horizon-zero"),
     pytest.param("gen", None, None, ["--episodes", "-3"], "episodes=-3", id="gen-episodes-negative"),
+    # numpy seeds a generator from non-negative integers only
+    pytest.param("gen", None, None, ["--seed", "-1"], "--seed -1", id="gen-seed-negative"),
+    pytest.param("gen", None, None, ["--episodes", "3", "--dataset-seed", "-1"], "--dataset-seed -1",
+                 id="gen-dataset-seed-negative"),
+    pytest.param("sample-complexity", None, None, ["--seed", "-1"], "--seed -1", id="sample-complexity-seed-negative"),
+    pytest.param("train-online", None, None, ["--seeds", "-1"], "--seeds -1", id="train-online-seeds-negative"),
+    pytest.param("train-offline", None, None, ["--seeds", "-1"], "--seeds -1", id="train-offline-seeds-negative"),
+    # a run's seed is one of --seeds, as its tau is one of --tau-grid
+    pytest.param("train-online", None, None, ["--set", "seed=3"], "seed is driven by --seeds", id="train-online-set-seed"),
+    pytest.param("train-offline", None, None, ["--set", "seed=3"], "seed is driven by --seeds", id="train-offline-set-seed"),
 ]
 
 
@@ -743,6 +753,8 @@ def test_malformed_input_exits_two_naming_it(workspace, capsys, command, item, c
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert (paths[item] if named is None else named.format(**paths)) in err
+    if "seed" in " ".join(extra):
+        assert not (workspace / "out").exists()  # seeds are checked before any file is written
 
 
 @pytest.mark.parametrize("command", ["validate", "mbfpi", "sample-complexity", "train-offline"])
@@ -759,4 +771,26 @@ def test_overlapping_effect_sets_exit_two_under_every_command(workspace, capsys,
     assert capsys.readouterr().err == (
         f"error: {spec}: state variable 0 appears in the effect set of more than one block\n"
     )
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("mbfpi", ["--block-order", "random"]),
+    ("mbfpi", ["--seed", "1"]),
+    ("train-online", ["--env-episode-len", "10"]),
+    ("train-online", ["--force-scale", "2"]),
+    ("train-online", ["--threshold", "0.5"]),
+    ("ope", ["--clip", "10"]),
+    ("ope", ["--soften-epsilon", "0.1"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_removed_flag_is_an_unrecognized_argument(workspace, capsys, command, flag):
+    """MBFPI runs its blocks round-robin, the point mass's episodes end
+    at the config's `episode_len` under forces in [-1, 1], and `ope`
+    softens and clips as model selection does; none is a flag."""
+    argv = [arg.format(spec="spec.json", episodes="episodes.jsonl", policy="policy.json")
+            for arg in COMMANDS[command]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + flag)
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (workspace / "out").exists()

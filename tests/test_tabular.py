@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from frl import (
-    ConfigurationError,
     DomainError,
     FactoredMdpSpec,
     FactoredPolicy,
@@ -167,20 +166,6 @@ def test_mbfpi_budget_flag():
     trace = factored_policy_iteration(spec, init, max_sweeps=1, store_q=False)
     assert trace.terminated == "budget"
     assert len(trace.iterations) == spec.n_blocks
-
-
-def test_mbfpi_random_block_order_deterministic():
-    spec = two_switch_spec()
-    rng = np.random.default_rng(4)
-    init = FactoredPolicy.random(spec, rng)
-    a = factored_policy_iteration(spec, init, block_order="random", seed=9, store_q=False)
-    b = factored_policy_iteration(spec, init, block_order="random", seed=9, store_q=False)
-    assert [r.improved_block for r in a.iterations] == [r.improved_block for r in b.iterations]
-    np.testing.assert_array_equal(a.final_policy.blocks, b.final_policy.blocks)
-    c = factored_policy_iteration(spec, init, store_q=False)
-    np.testing.assert_allclose(a.final_values, c.final_values, atol=1e-8)
-    with pytest.raises(ConfigurationError):
-        factored_policy_iteration(spec, init, block_order="zigzag")
 
 
 def test_mbfpi_trace_jsonl_parses():
